@@ -18,12 +18,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from .fields import (
-    MetricField,
-    WeightField,
-    comparability_audit,
-    triangle_quadrature,
-)
+from .fields import MetricField, Quadrature, WeightField, triangle_quadrature
 from .mesh import Mesh, triangle_areas
 
 __all__ = [
@@ -113,11 +108,12 @@ class Pencil:
     vertices; `free_dofs` indexes the non-Dirichlet vertices; `r` is the
     full-length vector of weight functionals r_i = integral rho phi_i d mu;
     `tau` is 1 exactly when the free space contains the constants with
-    K 1 = 0 (pure Neumann), else 0.
+    K 1 = 0 (pure Neumann), else 0. `quad` is the compacted `Quadrature`
+    of the assembly (measure and rho), or None for a hand-built pencil.
     """
 
     def __init__(self, K, Mm, R, free_dofs, r, tau, mesh, bc, quad_order,
-                 rho_range, meta=None):
+                 rho_range, meta=None, quad=None):
         self.K = K
         self.Mm = Mm
         self.R = R
@@ -129,6 +125,7 @@ class Pencil:
         self.quad_order = int(quad_order)
         self.rho_range = (float(rho_range[0]), float(rho_range[1]))
         self.meta = dict(meta or {})
+        self.quad = quad
         self._reduced = {}
 
     @property
@@ -205,11 +202,9 @@ def assemble(m: Mesh, g: MetricField, w: WeightField, bc: BoundarySpec,
     grads[:, :, 1] = edges[:, :, 0]
     grads /= (2.0 * areas)[:, None, None]
 
-    pts = np.einsum("qi,tid->tqd", bary, corners)  # (nt, q, 2)
-    flat = pts.reshape(-1, 2)
-    G = comparability_audit(g, flat)
+    q = Quadrature(m, g, w, quad_order)
+    G = q.G
     det = G[:, 0, 0] * G[:, 1, 1] - G[:, 0, 1] * G[:, 1, 0]
-    sqrtdet = np.sqrt(det)
     Ginv = np.empty_like(G)
     Ginv[:, 0, 0] = G[:, 1, 1]
     Ginv[:, 1, 1] = G[:, 0, 0]
@@ -217,10 +212,10 @@ def assemble(m: Mesh, g: MetricField, w: WeightField, bc: BoundarySpec,
     Ginv[:, 1, 0] = -G[:, 1, 0]
     Ginv /= det[:, None, None]
 
-    rho = w.values(flat)
+    rho = q.rho
     nt, nq = m.num_triangles, len(wq)
     Ginv = Ginv.reshape(nt, nq, 2, 2)
-    sdet = sqrtdet.reshape(nt, nq)
+    sdet = q.sqrtdet.reshape(nt, nq)
     rhoq = rho.reshape(nt, nq)
 
     # stiffness: coefficient G^{-1} sqrt(det G); 0-homogeneous in G in 2-D
@@ -265,7 +260,7 @@ def assemble(m: Mesh, g: MetricField, w: WeightField, bc: BoundarySpec,
 
     rho_range = (float(rho.min()), float(rho.max())) if rho.size else (0.0, 0.0)
     return Pencil(K, Mm, R, free, r, tau, m, bc, quad_order, rho_range,
-                  meta={"mean_rho": mean})
+                  meta={"mean_rho": mean}, quad=q.compact())
 
 
 def _householder_basis(r):

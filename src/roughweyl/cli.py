@@ -23,7 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import __version__
-from .assembly import BoundarySpec, ModelingError, assemble
+from .assembly import _DENSE_LIMIT, BoundarySpec, ModelingError, assemble
 from .fields import (
     ComparabilityError,
     SingularPointError,
@@ -37,7 +37,7 @@ from .fields import (
     halves_weight,
     pullback_metric,
 )
-from .mesh import MeshFormatError, generate_disk, generate_unit_square
+from .mesh import Mesh, MeshFormatError, generate_disk, generate_unit_square
 from .spectral import SolverError, solve_weighted
 from .varprin import (
     check_bracketing,
@@ -47,7 +47,7 @@ from .varprin import (
     check_sandwich,
     _jsonable,
 )
-from .weyl import fit_limit, weyl_target, write_spectrum_csv
+from .weyl import fit_limit, weyl_constants, write_spectrum_csv
 
 __all__ = [
     "ConfigError",
@@ -259,7 +259,7 @@ class ExperimentConfig:
             return 10 ** 9
         if self.mode == "sparse":
             return 0
-        return 3000
+        return _DENSE_LIMIT
 
     def resolved(self):
         return {
@@ -429,12 +429,8 @@ def build_boundary(spec):
 
 
 def _build_mesh(kind, size, level):
-    if kind == "square":
-        m = generate_unit_square(size)
-    else:
-        m = generate_disk(size)
-    m.level = level
-    return m
+    m = generate_unit_square(size) if kind == "square" else generate_disk(size)
+    return Mesh(m.vertices, m.triangles, m.boundary_edges, level=level)
 
 
 def named_partition(m, name):
@@ -579,16 +575,14 @@ def _write_summary(out_dir, payload):
 
 
 def _solve_stack(cfg):
-    m = _build_mesh(cfg.domain_kind, cfg.size, cfg.level)
-    g = build_metric(cfg.metric_spec)
-    w = build_weight(cfg.weight_spec)
-    bc = build_boundary(cfg.boundary_spec)
-    p = assemble(m, g, w, bc, cfg.quad_order)
-    return m, g, w, bc, p
+    return assemble(_build_mesh(cfg.domain_kind, cfg.size, cfg.level),
+                    build_metric(cfg.metric_spec),
+                    build_weight(cfg.weight_spec),
+                    build_boundary(cfg.boundary_spec), cfg.quad_order)
 
 
-def _spectrum_artifacts(cfg, m, g, w, s, out_dir):
-    tgt = weyl_target(m, g, w, cfg.quad_order)
+def _spectrum_artifacts(cfg, p, s, out_dir):
+    tgt = weyl_constants(p.quad)
     csv_path = os.path.join(out_dir, "spectrum.csv")
     write_spectrum_csv(s, tgt, csv_path)
     artifacts = {"spectrum_csv": "spectrum.csv"}
@@ -612,8 +606,8 @@ def run(cfg: ExperimentConfig) -> int:
         checks = {}
 
         if cfg.task == "converge":
-            rows, m, g, w, s = _run_converge(cfg, out_dir)
-            tgt, artifacts = _spectrum_artifacts(cfg, m, g, w, s, out_dir)
+            rows, p, s = _run_converge(cfg, out_dir)
+            tgt, artifacts = _spectrum_artifacts(cfg, p, s, out_dir)
             artifacts["convergence_csv"] = "convergence.csv"
             summary["levels"] = rows
             summary["targets"] = {"c_plus": tgt.c_plus,
@@ -635,21 +629,21 @@ def run(cfg: ExperimentConfig) -> int:
             p = assemble(m, g, w, bc, cfg.quad_order)
             s = solve_weighted(p, t, k_each=cfg.k_each,
                                dense_limit=cfg.dense_limit(), seed=cfg.seed)
-            _, artifacts = _spectrum_artifacts(cfg, m, g, w, s, out_dir)
+            _, artifacts = _spectrum_artifacts(cfg, p, s, out_dir)
             summary["report"] = report.to_dict()
             checks["bracketing"] = report.passed
         elif cfg.task == "sandwich":
-            m, g, w, bc, p = _solve_stack(cfg)
+            p = _solve_stack(cfg)
             report = check_sandwich(p, cfg.t_list, k_max=cfg.k_max,
                                     dense_limit=cfg.dense_limit(),
                                     seed=cfg.seed)
             s = solve_weighted(p, 0.0, k_each=cfg.k_each,
                                dense_limit=cfg.dense_limit(), seed=cfg.seed)
-            _, artifacts = _spectrum_artifacts(cfg, m, g, w, s, out_dir)
+            _, artifacts = _spectrum_artifacts(cfg, p, s, out_dir)
             summary["report"] = report
             checks["sandwich"] = report["passed"]
         elif cfg.task == "varprin":
-            m, g, w, bc, p = _solve_stack(cfg)
+            p = _solve_stack(cfg)
             s = solve_weighted(p, cfg.t, k_each=max(cfg.k_each, cfg.k + 1),
                                dense_limit=cfg.dense_limit(), seed=cfg.seed)
             reports = [
@@ -657,15 +651,15 @@ def run(cfg: ExperimentConfig) -> int:
                 check_rayleigh(s, p, cfg.k, cfg.trials, cfg.seed),
                 check_courant(s, p, cfg.k, cfg.trials, cfg.seed),
             ]
-            _, artifacts = _spectrum_artifacts(cfg, m, g, w, s, out_dir)
+            _, artifacts = _spectrum_artifacts(cfg, p, s, out_dir)
             summary["report"] = reports
             for rep in reports:
                 checks[rep["check"]] = rep["passed"]
         else:  # solve and weyl share the pipeline
-            m, g, w, bc, p = _solve_stack(cfg)
+            p = _solve_stack(cfg)
             s = solve_weighted(p, cfg.t, k_each=cfg.k_each,
                                dense_limit=cfg.dense_limit(), seed=cfg.seed)
-            tgt, artifacts = _spectrum_artifacts(cfg, m, g, w, s, out_dir)
+            tgt, artifacts = _spectrum_artifacts(cfg, p, s, out_dir)
             summary["targets"] = {"c_plus": tgt.c_plus,
                                   "c_minus": tgt.c_minus, "vol": tgt.vol}
             summary["counts"] = {"plus": len(s.pos), "minus": len(s.neg)}
@@ -718,8 +712,7 @@ def _run_converge(cfg, out_dir):
         p = assemble(m, g, w, bc, cfg.quad_order)
         s = solve_weighted(p, cfg.t, k_each=cfg.k_each,
                            dense_limit=cfg.dense_limit(), seed=cfg.seed)
-        tgt = weyl_target(m, g, w, cfg.quad_order)
-        fit = fit_limit(s, cfg.window, target=tgt)
+        fit = fit_limit(s, cfg.window, target=weyl_constants(p.quad))
         row = {"level": int(level), "free_dofs": int(p.n_free)}
         for label in ("plus", "minus"):
             side = fit.sides[label]
@@ -728,7 +721,7 @@ def _run_converge(cfg, out_dir):
                                                 else side["estimate"])
             row["rel_dev_{}".format(label)] = (None if empty
                                                else side["rel_dev"])
-        return row, m, s
+        return row, p, s
 
     workers = int(os.environ.get("ROUGHWEYL_THREADS", "1") or "1")
     workers = max(1, min(workers, len(cfg.levels)))
@@ -740,7 +733,7 @@ def _run_converge(cfg, out_dir):
 
     rows = [row for row, _, _ in results]
     finest = max(range(len(results)), key=lambda i: cfg.levels[i])
-    _, m_last, s_last = results[finest]
+    _, p_last, s_last = results[finest]
 
     fields = ["level", "free_dofs", "estimate_plus", "estimate_minus",
               "rel_dev_plus", "rel_dev_minus"]
@@ -754,7 +747,7 @@ def _run_converge(cfg, out_dir):
                              else (str(row[f]) if isinstance(row[f], int)
                                    else repr(float(row[f])))
                              for f in fields])
-    return rows, m_last, g, w, s_last
+    return rows, p_last, s_last
 
 
 def main(argv=None) -> int:

@@ -10,13 +10,18 @@ rules place every point strictly inside its cell, so declared singular points
 WeightField is the scalar analogue for the sign-changing density rho.
 Construction helpers cover the identity metric, metrics of Lipschitz graphs
 G = I + grad_f grad_f^T, radially scaled cone metrics, piecewise-constant
-regions, and pullbacks J^T G(phi(x)) J. `measure_integral` integrates against
-the induced area measure sqrt(det G) dx.
+regions, and pullbacks J^T G(phi(x)) J. `Quadrature` is the one audited sample
+of the fields at the quadrature points; `measure_integral` integrates over it
+against the induced area measure sqrt(det G) dx.
 """
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
+
+from .mesh import triangle_areas
 
 __all__ = [
     "MetricField",
@@ -36,6 +41,7 @@ __all__ = [
     "expression_weight",
     "triangle_quadrature",
     "quadrature_points",
+    "Quadrature",
     "measure_integral",
     "sym_eigvals_2x2",
     "comparability_audit",
@@ -595,6 +601,34 @@ def comparability_audit(g: MetricField, points, tol=1e-9):
     return G
 
 
+class Quadrature:
+    """The metric, evaluated and audited once, and optionally the weight at
+    the quadrature points of a mesh. Flat per-point arrays: `points`, `G`,
+    `sqrtdet`, `measure` = w_q sqrt(det G) |cell|, and `rho` (None without
+    a weight).
+    """
+
+    def __init__(self, m, g: MetricField, w: WeightField = None, order: int = 2):
+        _, wq = triangle_quadrature(order)
+        self.order = int(order)
+        self.points = quadrature_points(m, order).reshape(-1, 2)
+        self.G = G = comparability_audit(g, self.points)
+        det = G[:, 0, 0] * G[:, 1, 1] - G[:, 0, 1] * G[:, 1, 0]
+        if det.size and det.min() <= 0.0:
+            raise ComparabilityError("nonpositive det G sampled")
+        self.sqrtdet = np.sqrt(det)
+        areas = np.repeat(triangle_areas(m), len(wq))
+        self.measure = np.tile(wq, m.num_triangles) * self.sqrtdet * areas
+        self.rho = None if w is None else w.values(self.points)
+
+    def compact(self):
+        """A copy holding only `order`, `measure` and `rho`, the data later
+        integrals read; `points`, `G` and `sqrtdet` become None."""
+        out = copy.copy(self)
+        out.points = out.G = out.sqrtdet = None
+        return out
+
+
 def _field_values(f, points):
     if isinstance(f, WeightField):
         return f.values(points)
@@ -612,22 +646,11 @@ def _field_values(f, points):
 def measure_integral(m, g: MetricField, f, quad_order: int = 2) -> float:
     """Integral of f against the induced measure sqrt(det G) dx.
 
-    Cellwise quadrature: sum over cells and points of
-    w * f(x) * sqrt(det G(x)) * |cell|.
+    Cellwise quadrature over one audited `Quadrature` sample: the sum over
+    cells and points of w * f(x) * sqrt(det G(x)) * |cell|.
     """
-    from .mesh import triangle_areas
-
-    bary, w = triangle_quadrature(quad_order)
-    pts = quadrature_points(m, quad_order)
-    flat = pts.reshape(-1, 2)
-    G = g.matrices(flat)
-    det = G[:, 0, 0] * G[:, 1, 1] - G[:, 0, 1] * G[:, 1, 0]
-    if det.size and det.min() <= 0.0:
-        raise ComparabilityError("nonpositive det G sampled")
-    vals = _field_values(f, flat)
+    q = Quadrature(m, g, order=quad_order)
+    vals = _field_values(f, q.points)
     if not np.isfinite(vals).all():
         raise ValueError("non-finite integrand sample")
-    nt = m.num_triangles
-    integrand = (vals * np.sqrt(det)).reshape(nt, len(w))
-    areas = triangle_areas(m)
-    return float(np.einsum("q,tq,t->", w, integrand, areas))
+    return float(np.sum(vals * q.measure))

@@ -246,19 +246,6 @@ def edge_incidence(m: Mesh):
     return inc
 
 
-def _point_on_open_segment(p, a, b, tol=1e-12):
-    ab = b - a
-    ap = p - a
-    lab2 = float(ab @ ab)
-    if lab2 == 0.0:
-        return False
-    s = float(ap @ ab) / lab2
-    if s <= tol or s >= 1.0 - tol:
-        return False
-    cross = ab[0] * ap[1] - ab[1] * ap[0]
-    return abs(cross) <= tol * np.sqrt(lab2)
-
-
 def validate(m: Mesh) -> list:
     """Audit all Mesh invariants; returns a list of violations (empty = valid)."""
     report = []
@@ -302,11 +289,21 @@ def validate(m: Mesh) -> list:
     # hanging nodes: a vertex sitting strictly inside another triangle's edge
     once = [key for key, tris in inc.items() if len(tris) == 1]
     used = np.unique(m.triangles)
+    pts = m.vertices[used]
     for i, j in once:
-        a, b = m.vertices[i], m.vertices[j]
-        for v in used:
-            if v != i and v != j and _point_on_open_segment(m.vertices[v], a, b):
-                report.append("nonconforming edge ({}, {}): vertex {} on it".format(i, j, v))
+        a = m.vertices[i]
+        ab = m.vertices[j] - a
+        lab2 = float(ab @ ab)
+        if lab2 == 0.0:
+            continue
+        ap = pts - a
+        s = (ap[:, 0] * ab[0] + ap[:, 1] * ab[1]) / lab2
+        cross = ab[0] * ap[:, 1] - ab[1] * ap[:, 0]
+        hit = ((s > 1e-12) & (s < 1.0 - 1e-12)
+               & (np.abs(cross) <= 1e-12 * np.sqrt(lab2))
+               & (used != i) & (used != j))
+        for v in used[hit]:
+            report.append("nonconforming edge ({}, {}): vertex {} on it".format(i, j, v))
     return report
 
 

@@ -6,8 +6,9 @@ t = 0 on a pure-Neumann pencil the form K alone is only semidefinite and the
 solve is restricted to the coercivity subspace {v : r . v = 0}; the restriction
 is a rank-one projection, so the dimension drops by exactly one.
 
-Two code paths. Dense (free DOFs <= 3000): Cholesky-based reduction of the
-pencil and a full symmetric eigensolve, which doubles as the trusted oracle.
+Two code paths. Dense (free DOFs <= the dense limit `assembly._DENSE_LIMIT`):
+Cholesky-based reduction of the pencil and a full symmetric eigensolve, which
+doubles as the trusted oracle.
 Sparse: Lanczos with the coercive form inverted once (shift-invert at the
 origin of the Laplace variable), run at both spectral ends; the constrained
 case either shift-inverts the equivalent pencil K u = (1/lambda) R u (rho of
@@ -22,7 +23,7 @@ from scipy import sparse
 from scipy.linalg import eigh
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator
 
-from .assembly import ModelingError, Pencil, poincare_constant
+from .assembly import _DENSE_LIMIT, ModelingError, Pencil, _householder_basis
 
 __all__ = [
     "Spectrum",
@@ -34,7 +35,6 @@ __all__ = [
     "extend_by_zero",
 ]
 
-_DENSE_LIMIT = 3000
 _MULT_TOL = 1e-8  # relative clustering width for multiplicity reporting
 
 
@@ -66,10 +66,6 @@ class Spectrum:
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         return self.pos if sign == 1 else self.neg
-
-    def counting(self, s, sign=1):
-        """N^sign(s) = number of k with lambda_k^sign >= s."""
-        return int(np.count_nonzero(self.values(sign) >= s))
 
     def groups(self, sign=1):
         """Cluster a list into (value, multiplicity) pairs.
@@ -132,12 +128,7 @@ class ConstraintProjector:
         """Orthonormal (ambient_dim, dim) basis of the working space."""
         if self.r is None:
             return np.eye(self.ambient_dim)
-        u = self.r.copy()
-        last = u[-1] if u[-1] != 0 else 1.0
-        u[-1] += np.copysign(np.linalg.norm(u), last)
-        u /= np.linalg.norm(u)
-        H = np.eye(self.ambient_dim) - 2.0 * np.outer(u, u)
-        return H[:, : self.ambient_dim - 1]
+        return _householder_basis(self.r)
 
     def __repr__(self):
         kind = "identity" if self.r is None else "rank-one"

@@ -21,7 +21,7 @@ import json
 import numpy as np
 from scipy.linalg import LinAlgError, cholesky, eigh, qr, solve_triangular
 
-from .assembly import BoundarySpec, assemble, poincare_constant
+from .assembly import _DENSE_LIMIT, BoundarySpec, assemble, poincare_constant
 from .mesh import Mesh, edge_incidence
 from .spectral import Spectrum, project_constraint, solve_weighted
 
@@ -298,7 +298,7 @@ def _subdomain_edges(m: Mesh, cell, incidence, boundary_tags, interface_tag):
 
 def check_bracketing(m: Mesh, partition, g, w, bc: BoundarySpec, t: float,
                      k_max: int = 50, quad_order: int = 2,
-                     dense_limit: int = 3000, seed: int = 0) -> BracketReport:
+                     dense_limit: int = _DENSE_LIMIT, seed: int = 0) -> BracketReport:
     """Dirichlet-Neumann bracketing of the t-regularized problem.
 
     The partition is a list of triangle-index sets covering the mesh once;
@@ -380,7 +380,7 @@ def check_bracketing(m: Mesh, partition, g, w, bc: BoundarySpec, t: float,
 
 
 def check_sandwich(p, t_list=(0.5, 0.1, 0.02), k_max: int = 100,
-                   dense_limit: int = 3000, seed: int = 0) -> dict:
+                   dense_limit: int = _DENSE_LIMIT, seed: int = 0) -> dict:
     """Sandwich bounds around the t = 0 eigenvalues.
 
     With C the discrete Poincare constant and tau the constraint

@@ -15,9 +15,8 @@ import csv
 import numpy as np
 from scipy.special import gamma
 
-from .assembly import assemble
-from .fields import quadrature_points, triangle_quadrature, comparability_audit
-from .mesh import triangle_areas
+from .assembly import _DENSE_LIMIT, assemble
+from .fields import Quadrature
 from .spectral import Spectrum, solve_weighted
 
 __all__ = [
@@ -25,6 +24,7 @@ __all__ = [
     "FitResult",
     "weyl_constant_factor",
     "counting",
+    "weyl_constants",
     "weyl_target",
     "fit_limit",
     "convergence_study",
@@ -127,36 +127,32 @@ def counting(s: Spectrum, lam: float, sign=1) -> int:
     return int(np.count_nonzero(vals > lam))
 
 
-def weyl_target(m, g, w, quad_order: int = 2, n: int = 2) -> WeylTarget:
+def weyl_constants(q: Quadrature, n: int = 2) -> WeylTarget:
     """Weyl constants c_± = factor(n) * (integral_{M^±} |rho|^(n/2))^(2/n)
-    and vol = Vol(M, g), all by the same barycentric quadrature.
+    and vol = Vol(M, g) from one audited quadrature sample `q` with weight.
 
     M^± is realized as the set of quadrature points where ±rho > 0, so a
     constant is zero exactly when its side carries no quadrature mass.
     """
     if n != 2:
         raise NotImplementedError("only n = 2 is executable on these meshes")
-    bary, wq = triangle_quadrature(quad_order)
-    pts = quadrature_points(m, quad_order)
-    flat = pts.reshape(-1, 2)
-    G = comparability_audit(g, flat)
-    sdet = np.sqrt(G[:, 0, 0] * G[:, 1, 1] - G[:, 0, 1] * G[:, 1, 0])
-    rho = np.asarray(w.values(flat), dtype=float)
-    areas = np.repeat(triangle_areas(m), len(wq))
-    measure = np.tile(wq, m.num_triangles) * sdet * areas
-
     factor = weyl_constant_factor(n)
-    half_pow = np.abs(rho) ** (n / 2.0)
-    int_plus = float(np.sum(half_pow * measure * (rho > 0.0)))
-    int_minus = float(np.sum(half_pow * measure * (rho < 0.0)))
-    vol = float(np.sum(measure))
+    half_pow = np.abs(q.rho) ** (n / 2.0)
+    int_plus = float(np.sum(half_pow * q.measure * (q.rho > 0.0)))
+    int_minus = float(np.sum(half_pow * q.measure * (q.rho < 0.0)))
+    vol = float(np.sum(q.measure))
     meta = {
-        "quad_order": int(quad_order),
+        "quad_order": q.order,
         "n": int(n),
-        "points": int(len(flat)),
+        "points": int(len(q.measure)),
     }
     return WeylTarget(factor * int_plus ** (2.0 / n),
                       factor * int_minus ** (2.0 / n), vol, meta)
+
+
+def weyl_target(m, g, w, quad_order: int = 2, n: int = 2) -> WeylTarget:
+    """`weyl_constants` of a fresh quadrature sample of (m, g, w)."""
+    return weyl_constants(Quadrature(m, g, w, quad_order), n)
 
 
 def _two_parameter_fit(lam, ks):
@@ -221,7 +217,7 @@ def fit_limit(s: Spectrum, window=None, target: WeylTarget = None,
 
 
 def convergence_study(make_problem, levels, window=None, k_each=120,
-                      quad_order: int = 2, dense_limit: int = 3000,
+                      quad_order: int = 2, dense_limit: int = _DENSE_LIMIT,
                       seed: int = 0, csv_path=None):
     """Per-level Weyl-limit deviations for a refinement family.
 
@@ -240,8 +236,7 @@ def convergence_study(make_problem, levels, window=None, k_each=120,
         p = assemble(m, g, w, bc, quad_order)
         s = solve_weighted(p, 0.0, k_each=k_each, dense_limit=dense_limit,
                            seed=seed)
-        tgt = weyl_target(m, g, w, quad_order)
-        fit = fit_limit(s, window, target=tgt)
+        fit = fit_limit(s, window, target=weyl_constants(p.quad))
         row = {"level": int(level), "free_dofs": int(p.n_free)}
         for label, sign in (("plus", 1), ("minus", -1)):
             side = fit.sides[label]

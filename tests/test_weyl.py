@@ -19,6 +19,7 @@ from roughweyl import (
     refine_uniform,
     solve_weighted,
 )
+from roughweyl.cli import build_metric, build_weight
 from roughweyl.mesh import triangle_areas
 from roughweyl.spectral import Spectrum
 from roughweyl.weyl import (
@@ -28,6 +29,7 @@ from roughweyl.weyl import (
     counting,
     fit_limit,
     weyl_constant_factor,
+    weyl_constants,
     weyl_target,
     write_spectrum_csv,
 )
@@ -115,6 +117,20 @@ class TestWeylTarget:
         assert abs(folded.c_plus
                    - (signed.c_plus + signed.c_minus)) <= 1e-10
         assert folded.c_minus == 0.0
+
+    @pytest.mark.parametrize("mesh,metric,weight", [
+        ("square", "euclidean", "const:1"),
+        ("square", "euclidean", "halves:1,-1"),
+        ("disk", "graph_cone", "const:1"),
+        ("square", "pullback:shear=0.5", "expr:x - y + 0.2"),
+    ])
+    def test_equals_constants_of_the_assembly_sample(self, mesh, metric,
+                                                     weight):
+        m = generate_unit_square(8) if mesh == "square" else generate_disk(6)
+        g, w = build_metric(metric), build_weight(weight)
+        p = assemble(m, g, w, BoundarySpec.dirichlet())
+        a, b = weyl_target(m, g, w), weyl_constants(p.quad)
+        assert (a.c_plus, a.c_minus, a.vol) == (b.c_plus, b.c_minus, b.vol)
 
     def test_quadrature_orders_agree_for_piecewise_constant(self):
         m = generate_unit_square(6)
