@@ -18,7 +18,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -699,8 +698,7 @@ def run(cfg: ExperimentConfig) -> int:
 
 
 def _run_converge(cfg, out_dir):
-    """Per-level solve/fit rows, fanned out across ROUGHWEYL_THREADS
-    workers and merged in level order."""
+    """Per-level solve/fit rows, in level order."""
     if len(cfg.levels) < 2:
         raise ConfigError("solver.levels: converge needs at least 2 levels")
     g = build_metric(cfg.metric_spec)
@@ -723,14 +721,7 @@ def _run_converge(cfg, out_dir):
                                                else side["rel_dev"])
         return row, p, s
 
-    workers = int(os.environ.get("ROUGHWEYL_THREADS", "1") or "1")
-    workers = max(1, min(workers, len(cfg.levels)))
-    if workers == 1:
-        results = [one(level) for level in cfg.levels]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, cfg.levels))
-
+    results = [one(level) for level in cfg.levels]
     rows = [row for row, _, _ in results]
     finest = max(range(len(results)), key=lambda i: cfg.levels[i])
     _, p_last, s_last = results[finest]

@@ -10,10 +10,15 @@ Two code paths. Dense (free DOFs <= the dense limit `assembly._DENSE_LIMIT`):
 Cholesky-based reduction of the pencil and a full symmetric eigensolve, which
 doubles as the trusted oracle.
 Sparse: Lanczos with the coercive form inverted once (shift-invert at the
-origin of the Laplace variable), run at both spectral ends; the constrained
-case either shift-inverts the equivalent pencil K u = (1/lambda) R u (rho of
-one sign) or runs projected Lanczos through a bordered factorization (rho of
-both signs).
+origin of the Laplace variable). For rho of both signs one Krylov space
+serves both families: ARPACK's "BE" mode takes k_each eigenvalues from each
+spectral end in a single run. The constrained case either shift-inverts the
+equivalent pencil K u = (1/lambda) R u (rho of one sign) or runs projected
+Lanczos through a bordered factorization (rho of both signs). Every SPD
+form that is inverted is factored by `_spd_inverse`: sparse LU in symmetric
+mode, minimum-degree ordering on A + A^T, no pivoting, and a check that
+the pivots stayed on the diagonal and bounded away from zero. The bordered
+saddle-point matrix keeps threshold pivoting.
 """
 
 from __future__ import annotations
@@ -36,6 +41,9 @@ __all__ = [
 ]
 
 _MULT_TOL = 1e-8  # relative clustering width for multiplicity reporting
+# smallest pivot of an SPD factorization, relative to the largest: SPD
+# forms on the problem ladder give 0.25-0.31, a singular K about 5e-14
+_PIVOT_TOL = 1e-10
 
 
 class SolverError(RuntimeError):
@@ -205,39 +213,71 @@ def _dense_weighted(p, t, k_each, proj):
     return _split_signed(w, V, k_each)
 
 
-def _sparse_unconstrained(p, t, k_each, seed):
-    from scipy.sparse.linalg import eigsh, splu
+def _spd_inverse(A):
+    """A^{-1} as an operator, from a symmetric-mode sparse LU of SPD A.
 
-    Kt = (p.Kf + t * p.Mmf).tocsc() if t > 0.0 else p.Kf.tocsc()
-    R = p.Rf.tocsr()
-    nf = p.n_free
+    A minimum-degree ordering of A + A^T with no pivoting keeps the
+    factorization symmetric (perm_r == perm_c, U's diagonal the D of an
+    LDL^T). A matrix that is singular or indefinite shows a row swap or a
+    pivot that is negative or tiny against the largest one.
+    """
+    from scipy.sparse.linalg import splu
+
+    failed = ("coercive form could not be factorized; supply t > 0 or a "
+              "constraint ({})")
     try:
-        lu = splu(Kt)
+        lu = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
     except RuntimeError as exc:
-        raise SolverError(
-            "coercive form could not be factorized; supply t > 0 or a "
-            "constraint ({})".format(exc)
-        ) from exc
-    Minv = LinearOperator((nf, nf), matvec=lu.solve, dtype=float)
-    v0 = _seeded_start(nf, seed)
-    k = min(k_each, nf - 2)
-    rho_lo, rho_hi = p.rho_range
+        raise SolverError(failed.format(exc)) from exc
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise SolverError(failed.format("off-diagonal pivot"))
+    piv = lu.U.diagonal()
+    ratio = piv.min() / np.abs(piv).max()
+    if ratio <= _PIVOT_TOL:
+        raise SolverError(failed.format("min/max pivot {:.3g}".format(ratio)))
+    return LinearOperator(A.shape, matvec=lu.solve, dtype=float)
 
-    def run(which):
+
+def _lanczos_ends(A, M, Minv, v0, rho_range, k_each):
+    """Signed lists of A v = lambda M v from Lanczos at the spectral ends.
+
+    A sign-changing weight needs k_each eigenvalues at each end, which one
+    "BE" run takes from a single Krylov space. When 2 k_each exceeds what
+    ARPACK can return (n - 2), each end gets its own clamped run instead,
+    so that no eigenvalue near zero is dropped.
+    """
+    from scipy.sparse.linalg import eigsh
+
+    n = len(v0)
+
+    def run(which, k):
         try:
-            return eigsh(R, k=k, M=Kt, Minv=Minv, which=which, v0=v0)
+            return eigsh(A, k=k, M=M, Minv=Minv, which=which, v0=v0)
         except ArpackNoConvergence as exc:
             raise SolverError("Lanczos did not converge ({})".format(exc)) from exc
 
+    rho_lo, rho_hi = rho_range
+    if rho_lo < 0.0 < rho_hi and 2 * k_each <= n - 2:
+        w, V = run("BE", 2 * k_each)
+        return _split_signed(w, V, k_each)
+    k = min(k_each, n - 2)
     pos = neg = np.empty(0)
     vp = vn = None
     if rho_hi > 0.0:
-        w, V = run("LA")
+        w, V = run("LA", k)
         pos, _, vp, _ = _split_signed(w, V, k_each)
     if rho_lo < 0.0:
-        w, V = run("SA")
+        w, V = run("SA", k)
         _, neg, _, vn = _split_signed(w, V, k_each)
     return pos, neg, vp, vn
+
+
+def _sparse_unconstrained(p, t, k_each, seed):
+    Kt = (p.Kf + t * p.Mmf).tocsc() if t > 0.0 else p.Kf.tocsc()
+    nf = p.n_free
+    return _lanczos_ends(p.Rf.tocsr(), Kt, _spd_inverse(Kt),
+                         _seeded_start(nf, seed), p.rho_range, k_each)
 
 
 def _constraint_shift(p, V):
@@ -283,7 +323,8 @@ def _sparse_constrained_semidefinite(p, k_each, seed, sign):
     k = min(k_each + 1, nf - 2)
     try:
         w, V = eigsh(Kf, k=k, M=M, sigma=sigma, which="LM", mode="normal",
-                     v0=_seeded_start(nf, seed))
+                     v0=_seeded_start(nf, seed),
+                     OPinv=_spd_inverse(Kf - sigma * M))
     except ArpackNoConvergence as exc:
         raise SolverError("Lanczos did not converge ({})".format(exc)) from exc
     keep = w > abs(sigma) * 1e-8  # drop the constant zero mode
@@ -304,7 +345,7 @@ def _sparse_constrained_indefinite(p, k_each, seed):
     which is nonsingular because r . 1 != 0 while K only annihilates
     constants.
     """
-    from scipy.sparse.linalg import eigsh, splu
+    from scipy.sparse.linalg import splu
 
     Kf = p.Kf.tocsc()
     R = p.Rf.tocsr()
@@ -339,25 +380,8 @@ def _sparse_constrained_indefinite(p, k_each, seed):
     M = LinearOperator((nf, nf), matvec=lambda v: project(Kf @ project(v))
                        + gamma * rf * (rf @ v), dtype=float)
     Minv = LinearOperator((nf, nf), matvec=minv, dtype=float)
-    v0 = project(_seeded_start(nf, seed))
-    k = min(k_each, nf - 2)
-
-    def run(which):
-        try:
-            return eigsh(A, k=k, M=M, Minv=Minv, which=which, v0=v0)
-        except ArpackNoConvergence as exc:
-            raise SolverError("Lanczos did not converge ({})".format(exc)) from exc
-
-    rho_lo, rho_hi = p.rho_range
-    pos = neg = np.empty(0)
-    vp = vn = None
-    if rho_hi > 0.0:
-        w, V = run("LA")
-        pos, _, vp, _ = _split_signed(w, V, k_each)
-    if rho_lo < 0.0:
-        w, V = run("SA")
-        _, neg, _, vn = _split_signed(w, V, k_each)
-    return pos, neg, vp, vn
+    return _lanczos_ends(A, M, Minv, project(_seeded_start(nf, seed)),
+                         p.rho_range, k_each)
 
 
 def _sparse_constrained(p, k_each, seed):
@@ -426,10 +450,11 @@ def solve_laplace(p: Pencil, count: int = 6, dense_limit: int = _DENSE_LIMIT,
 
         if count > nf - 2:
             raise SolverError("sparse path cannot return the full spectrum")
+        Kf, Mmf = p.Kf.tocsc(), p.Mmf.tocsc()
         try:
-            w, V = eigsh(p.Kf.tocsc(), k=count, M=p.Mmf.tocsc(), sigma=-1.0,
-                         which="LM", mode="normal",
-                         v0=_seeded_start(nf, seed))
+            w, V = eigsh(Kf, k=count, M=Mmf, sigma=-1.0, which="LM",
+                         mode="normal", v0=_seeded_start(nf, seed),
+                         OPinv=_spd_inverse(Kf + Mmf))
         except ArpackNoConvergence as exc:
             raise SolverError("Lanczos did not converge ({})".format(exc)) from exc
         order = np.argsort(w)

@@ -341,24 +341,23 @@ class TestRunReportTasks:
             "poincare_minmax", "rayleigh", "courant"}
         assert all(summary["checks"].values())
 
-    def test_converge_task_rows_and_thread_invariance(self, tmp_path, monkeypatch):
+    def test_converge_task_rows_and_rerun_identity(self, tmp_path):
         out = tmp_path / "out"
         text = ("task = converge\n[solver]\nk_each = 90\nlevels = 4,5\n"
                 "[output]\ndir = {}\n".format(out))
 
-        def snapshot(threads):
-            monkeypatch.setenv("ROUGHWEYL_THREADS", str(threads))
+        def snapshot():
             assert run(ExperimentConfig.from_text(text)) == 0
             return {name: (out / name).read_bytes()
                     for name in os.listdir(out)}
 
-        serial = snapshot(1)
-        threaded = snapshot(4)
-        assert set(serial) == {"convergence.csv", "spectrum.csv",
-                               "summary.json"}
-        for name in serial:
-            assert serial[name] == threaded[name]
-        lines = serial["convergence.csv"].decode().strip().splitlines()
+        first = snapshot()
+        second = snapshot()
+        assert set(first) == {"convergence.csv", "spectrum.csv",
+                              "summary.json"}
+        for name in first:
+            assert first[name] == second[name]
+        lines = first["convergence.csv"].decode().strip().splitlines()
         assert lines[0].split(",")[:2] == ["level", "free_dofs"]
         assert len(lines) == 3
 

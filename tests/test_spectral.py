@@ -173,6 +173,73 @@ class TestSolveWeighted:
         with pytest.raises(SolverError):
             solve_weighted(lying, 0.0, 2)
 
+    @pytest.mark.parametrize("w", [constant_weight(1.0),
+                                   halves_weight(1.0, -1.0)])
+    def test_non_coercive_without_constraint_sparse(self, w):
+        # the symmetric factorization must see the singular K, not invert
+        # it into eigenvalues of about 1e15
+        from roughweyl import Pencil
+
+        p = square_pencil(20, w, BoundarySpec.neumann())
+        lying = Pencil(p.K, p.Mm, p.R, p.free_dofs, p.r, 0, p.mesh, p.bc,
+                       p.quad_order, p.rho_range)
+        with pytest.raises(SolverError, match="could not be factorized"):
+            solve_weighted(lying, 0.0, 2, dense_limit=0)
+
+
+class TestSparseBothEnds:
+    """Sign-changing weights on the sparse paths against the dense oracle."""
+
+    @staticmethod
+    def _agree(p, k_each):
+        d = solve_weighted(p, 0.0, k_each)
+        s = solve_weighted(p, 0.0, k_each, dense_limit=0)
+        assert s.meta["method"] != "dense"
+        assert (len(s.pos), len(s.neg)) == (len(d.pos), len(d.neg))
+        np.testing.assert_allclose(s.pos, d.pos, rtol=1e-9)
+        np.testing.assert_allclose(s.neg, d.neg, rtol=1e-9)
+        return s
+
+    def test_one_lanczos_run_serves_both_signs(self, monkeypatch):
+        import scipy.sparse.linalg as sla
+
+        calls = []
+        eigsh = sla.eigsh
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs["which"])
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(sla, "eigsh", spy)
+        for bc in (BoundarySpec.dirichlet(), BoundarySpec.neumann()):
+            p = square_pencil(12, halves_weight(1.0, -0.5), bc)
+            solve_weighted(p, 0.0, 8, dense_limit=0)
+        assert calls == ["BE", "BE"]
+
+    def test_mirror_weight_dirichlet(self):
+        s = self._agree(square_pencil(16, halves_weight(1.0, -1.0)), 20)
+        assert s.meta["method"] == "sparse-lanczos"
+        np.testing.assert_allclose(s.pos, s.neg, rtol=1e-9)
+
+    def test_halves_pure_neumann(self):
+        p = square_pencil(16, halves_weight(1.0, -0.5), BoundarySpec.neumann())
+        s = self._agree(p, 20)
+        assert s.meta["method"] == "sparse-projected"
+
+    @pytest.mark.parametrize("bc, n_neg", [(BoundarySpec.dirichlet(), 21),
+                                           (BoundarySpec.neumann(), 36)])
+    def test_negative_family_shorter_than_k_each(self, bc, n_neg):
+        s = self._agree(square_pencil(24, expression_weight("x + y - 0.3"),
+                                      bc), 40)
+        assert (len(s.pos), len(s.neg)) == (40, n_neg)
+
+    def test_k_each_at_n_free(self):
+        # 2 k_each exceeds what one run can return: each end is solved
+        # apart, clamped to n_free - 2
+        p = square_pencil(24, expression_weight("x + y - 0.3"))
+        s = self._agree(p, p.n_free)
+        assert (len(s.pos), len(s.neg)) == (508, 21)
+
 
 class TestConstrainedSolves:
     def test_neumann_unit_weight_limit(self):
