@@ -263,17 +263,51 @@ def assemble(m: Mesh, g: MetricField, w: WeightField, bc: BoundarySpec,
                   meta={"mean_rho": mean}, quad=q.compact())
 
 
-def _householder_basis(r):
-    """Orthonormal basis (n, n-1) of the hyperplane {v : r . v = 0}."""
-    n = len(r)
-    nrm = np.linalg.norm(r)
-    if nrm == 0.0:
-        raise ModelingError("constraint vector r vanishes")
-    u = r.astype(float).copy()
-    u[-1] += np.copysign(nrm, u[-1] if u[-1] != 0 else 1.0)
-    u /= np.linalg.norm(u)
-    H = np.eye(n) - 2.0 * np.outer(u, u)
-    return H[:, : n - 1]
+class _Householder:
+    """The reflector H = I - 2 u u^T that maps r onto a multiple of e_n.
+
+    The first n-1 columns Q of H are an orthonormal basis of the hyperplane
+    {v : r . v = 0}. Reductions onto it never form Q: Q^T A Q is H A H, a
+    rank-two update of A, without its last row and column, and mapping
+    vectors in or out costs O(n) per column.
+    """
+
+    def __init__(self, r):
+        nrm = np.linalg.norm(r)
+        if nrm == 0.0:
+            raise ModelingError("constraint vector r vanishes")
+        u = np.asarray(r, dtype=float).copy()
+        u[-1] += np.copysign(nrm, u[-1] if u[-1] != 0 else 1.0)
+        self.u = u / np.linalg.norm(u)
+
+    def basis(self):
+        """Q, the orthonormal (n, n-1) basis of the hyperplane."""
+        n = len(self.u)
+        return (np.eye(n) - 2.0 * np.outer(self.u, self.u))[:, : n - 1]
+
+    def reduce(self, A):
+        """Q^T A Q for a dense symmetric A.
+
+        H A H = A - u w^T - w u^T with w = 2 A u - 2 (u^T A u) u; the
+        update is formed as one symmetric matrix, so the result stays
+        exactly symmetric.
+        """
+        u = self.u
+        Au = A @ u
+        w = 2.0 * Au - (2.0 * float(u @ Au)) * u
+        return (A - (np.outer(u, w) + np.outer(w, u)))[:-1, :-1]
+
+    def restrict(self, V):
+        """Q^T V: coordinates in the basis of (columns of) V."""
+        u = self.u
+        return V[:-1] - 2.0 * np.multiply.outer(u[:-1], u @ V)
+
+    def extend(self, Y):
+        """Q Y: the vectors whose basis coordinates are (the columns of) Y."""
+        u = self.u
+        out = np.multiply.outer(u, -2.0 * (u[:-1] @ Y))
+        out[:-1] += Y
+        return out
 
 
 def poincare_constant(p: Pencil, dense_limit: int = _DENSE_LIMIT,
@@ -300,9 +334,9 @@ def poincare_constant(p: Pencil, dense_limit: int = _DENSE_LIMIT,
         K = Kf.toarray()
         M = Mf.toarray()
         if p.tau == 1:
-            Q = _householder_basis(p.r_free)
-            K = Q.T @ K @ Q
-            M = Q.T @ M @ Q
+            H = _Householder(p.r_free)
+            K = H.reduce(K)
+            M = H.reduce(M)
         from scipy.linalg import eigh
 
         vals = eigh(K, M, eigvals_only=True, subset_by_index=[0, 0])

@@ -37,7 +37,7 @@ from .fields import (
     pullback_metric,
 )
 from .mesh import Mesh, MeshFormatError, generate_disk, generate_unit_square
-from .spectral import SolverError, solve_weighted
+from .spectral import SolverError, Spectrum, solve_weighted
 from .varprin import (
     check_bracketing,
     check_courant,
@@ -580,6 +580,11 @@ def _solve_stack(cfg):
                     build_boundary(cfg.boundary_spec), cfg.quad_order)
 
 
+def _leading(s, k):
+    """The first k values of each sign of s, without eigenvectors."""
+    return Spectrum(s.pos[:k], s.neg[:k], meta=s.meta)
+
+
 def _spectrum_artifacts(cfg, p, s, out_dir):
     tgt = weyl_constants(p.quad)
     csv_path = os.path.join(out_dir, "spectrum.csv")
@@ -621,24 +626,27 @@ def run(cfg: ExperimentConfig) -> int:
             w = build_weight(cfg.weight_spec)
             bc = build_boundary(cfg.boundary_spec)
             t = cfg.t if cfg.t > 0.0 else 1.0
+            p = assemble(m, g, w, bc, cfg.quad_order)
+            s = solve_weighted(p, t, k_each=max(cfg.k_each, cfg.k_max),
+                               dense_limit=cfg.dense_limit(), seed=cfg.seed)
             report = check_bracketing(
                 m, named_partition(m, cfg.partition), g, w, bc, t,
                 k_max=cfg.k_max, quad_order=cfg.quad_order,
-                dense_limit=cfg.dense_limit(), seed=cfg.seed)
-            p = assemble(m, g, w, bc, cfg.quad_order)
-            s = solve_weighted(p, t, k_each=cfg.k_each,
-                               dense_limit=cfg.dense_limit(), seed=cfg.seed)
-            _, artifacts = _spectrum_artifacts(cfg, p, s, out_dir)
+                dense_limit=cfg.dense_limit(), seed=cfg.seed, s_global=s)
+            _, artifacts = _spectrum_artifacts(cfg, p, _leading(s, cfg.k_each),
+                                               out_dir)
             summary["report"] = report.to_dict()
             checks["bracketing"] = report.passed
         elif cfg.task == "sandwich":
             p = _solve_stack(cfg)
+            s = solve_weighted(p, 0.0, k_each=max(cfg.k_each,
+                                                  cfg.k_max + p.tau),
+                               dense_limit=cfg.dense_limit(), seed=cfg.seed)
             report = check_sandwich(p, cfg.t_list, k_max=cfg.k_max,
                                     dense_limit=cfg.dense_limit(),
-                                    seed=cfg.seed)
-            s = solve_weighted(p, 0.0, k_each=cfg.k_each,
-                               dense_limit=cfg.dense_limit(), seed=cfg.seed)
-            _, artifacts = _spectrum_artifacts(cfg, p, s, out_dir)
+                                    seed=cfg.seed, s0=s)
+            _, artifacts = _spectrum_artifacts(cfg, p, _leading(s, cfg.k_each),
+                                               out_dir)
             summary["report"] = report
             checks["sandwich"] = report["passed"]
         elif cfg.task == "varprin":

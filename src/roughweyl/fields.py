@@ -49,7 +49,9 @@ __all__ = [
 
 
 class ComparabilityError(ValueError):
-    """A sampled metric value violated the declared eigenvalue bounds."""
+    """A sampled field value violated a field hypothesis: a metric outside
+    its declared eigenvalue bounds, or a non-finite metric, weight,
+    gradient or integrand sample."""
 
 
 class SingularPointError(ValueError):
@@ -93,7 +95,7 @@ class MetricField:
         if out.shape != (len(points), 2, 2):
             raise ValueError("metric evaluation returned wrong shape")
         if not np.isfinite(out).all():
-            raise ValueError("non-finite metric sample")
+            raise ComparabilityError("non-finite metric sample")
         return out
 
     def _check_singular(self, points):
@@ -132,7 +134,7 @@ class WeightField:
             out = np.array([self.eval(p) for p in points], dtype=float)
         out = np.broadcast_to(out, (len(points),)).astype(float)
         if not np.isfinite(out).all():
-            raise ValueError("non-finite weight sample")
+            raise ComparabilityError("non-finite weight sample")
         return out
 
 
@@ -162,7 +164,8 @@ def lipschitz_graph_metric(grad_f, lipschitz_bound, singular_points=(),
     def one(x):
         v = np.asarray(grad_f(x), dtype=float)
         if not np.isfinite(v).all():
-            raise ValueError("non-finite gradient sample at {}".format(tuple(x)))
+            raise ComparabilityError(
+                "non-finite gradient sample at {}".format(tuple(x)))
         return np.eye(2) + np.outer(v, v)
 
     batch = None
@@ -170,7 +173,7 @@ def lipschitz_graph_metric(grad_f, lipschitz_bound, singular_points=(),
         def batch(points):
             v = np.asarray(grad_batch(points), dtype=float)
             if not np.isfinite(v).all():
-                raise ValueError("non-finite gradient sample")
+                raise ComparabilityError("non-finite gradient sample")
             return np.eye(2) + v[:, :, None] * v[:, None, :]
 
     return MetricField(one, 1.0, np.sqrt(1.0 + L * L),
@@ -652,5 +655,5 @@ def measure_integral(m, g: MetricField, f, quad_order: int = 2) -> float:
     q = Quadrature(m, g, order=quad_order)
     vals = _field_values(f, q.points)
     if not np.isfinite(vals).all():
-        raise ValueError("non-finite integrand sample")
+        raise ComparabilityError("non-finite integrand sample")
     return float(np.sum(vals * q.measure))

@@ -28,7 +28,7 @@ from scipy import sparse
 from scipy.linalg import eigh
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator
 
-from .assembly import _DENSE_LIMIT, ModelingError, Pencil, _householder_basis
+from .assembly import _DENSE_LIMIT, ModelingError, Pencil, _Householder
 
 __all__ = [
     "Spectrum",
@@ -106,7 +106,8 @@ class ConstraintProjector:
     For tau = 0 the projector is the identity and dim == ambient_dim. The
     orthogonal projection P v = v - r (r.v)/(r.r) is applied inside
     matrix-vector products; `basis()` gives an explicit orthonormal basis
-    (a Householder frame) for dense reductions.
+    (a Householder frame). Dense reductions apply the same reflector,
+    `assembly._Householder`, without forming that basis.
     """
 
     def __init__(self, ambient_dim, r=None):
@@ -136,7 +137,7 @@ class ConstraintProjector:
         """Orthonormal (ambient_dim, dim) basis of the working space."""
         if self.r is None:
             return np.eye(self.ambient_dim)
-        return _householder_basis(self.r)
+        return _Householder(self.r).basis()
 
     def __repr__(self):
         kind = "identity" if self.r is None else "rank-one"
@@ -196,11 +197,11 @@ def _dense_weighted(p, t, k_each, proj):
     if t > 0.0:
         Kt += t * p.Mmf.toarray()
     R = p.Rf.toarray()
-    Q = None
+    H = None
     if proj is not None and not proj.is_identity:
-        Q = proj.basis()
-        Kt = Q.T @ Kt @ Q
-        R = Q.T @ R @ Q
+        H = _Householder(proj.r)
+        Kt = H.reduce(Kt)
+        R = H.reduce(R)
     try:
         w, V = eigh(R, Kt)
     except np.linalg.LinAlgError as exc:
@@ -208,8 +209,8 @@ def _dense_weighted(p, t, k_each, proj):
             "coercive form is not positive definite; supply t > 0 or a "
             "constraint ({})".format(exc)
         ) from exc
-    if Q is not None:
-        V = Q @ V
+    if H is not None:
+        V = H.extend(V)
     return _split_signed(w, V, k_each)
 
 
@@ -426,6 +427,7 @@ def solve_weighted(p: Pencil, t: float = 0.0, k_each: int = 6,
         "method": method,
         "seed": int(seed),
         "n_free": p.n_free,
+        "k_each": int(k_each),
         "constrained": constrained,
     }
     return Spectrum(pos, neg, vp, vn, meta)

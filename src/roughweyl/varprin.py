@@ -10,8 +10,19 @@ Subspace trials draw Gaussian coefficient vectors from a seeded generator
 and orthonormalize in the E_t inner product, which makes the sampled
 subspaces rotation-invariant and the reports reproducible. For constrained
 spectra (tau = 1, t = 0) all operators are first reduced onto an
-orthonormal basis of the constraint subspace, so the samplers never leave
-it and projected pencils stay nonsingular.
+orthonormal basis of the constraint subspace, a rank-two Householder
+update, so the samplers never leave it and projected pencils stay
+nonsingular.
+
+The Courant checker works in Cholesky standard form: with Kt = L L^T
+factored once, C = L^{-1} R L^{-T} carries the pencil, and the extremum
+over a sampled subspace is one extreme eigenvalue of C with the excluded
+directions deflated past the end of its spectrum.
+
+`check_sandwich` and `check_bracketing` solve their reference spectra
+themselves unless the caller passes one it has already computed (`s0`,
+`s_global`); a supplied spectrum must be of the same pencil at the same t
+and deep enough for the check, or the checker raises ValueError.
 """
 
 from __future__ import annotations
@@ -21,7 +32,13 @@ import json
 import numpy as np
 from scipy.linalg import LinAlgError, cholesky, eigh, qr, solve_triangular
 
-from .assembly import _DENSE_LIMIT, BoundarySpec, assemble, poincare_constant
+from .assembly import (
+    _DENSE_LIMIT,
+    BoundarySpec,
+    _Householder,
+    assemble,
+    poincare_constant,
+)
 from .mesh import Mesh, edge_incidence
 from .spectral import Spectrum, project_constraint, solve_weighted
 
@@ -49,11 +66,11 @@ def _reduced_operators(s: Spectrum, p):
     R = p.Rf.toarray()
     vp, vn = s.vec_pos, s.vec_neg
     if s.meta.get("constrained"):
-        Q = project_constraint(p).basis()
-        Kt = Q.T @ Kt @ Q
-        R = Q.T @ R @ Q
-        vp = Q.T @ vp if vp is not None else None
-        vn = Q.T @ vn if vn is not None else None
+        H = _Householder(project_constraint(p).r)
+        Kt = H.reduce(Kt)
+        R = H.reduce(R)
+        vp = H.restrict(vp) if vp is not None else None
+        vn = H.restrict(vn) if vn is not None else None
     return Kt, R, vp, vn
 
 
@@ -79,6 +96,23 @@ def _orthonormal_sample(rng, n, k, Kt):
     except LinAlgError:
         return None
     return X @ solve_triangular(L, np.eye(k), lower=True).T
+
+
+def _check_supplied(s: Spectrum, t, n_free, need):
+    """Reject a precomputed spectrum that is not of the checked pencil at
+    t, or that a smaller k_each cut short of `need` values on a side."""
+    if s.meta.get("t") != float(t):
+        raise ValueError("supplied spectrum has t = {}, the check needs "
+                         "t = {}".format(s.meta.get("t"), float(t)))
+    if s.meta.get("n_free") != n_free:
+        raise ValueError("supplied spectrum has {} free DOFs, the pencil "
+                         "{}".format(s.meta.get("n_free"), n_free))
+    for sign in (1, -1):
+        have = len(s.values(sign))
+        if have < need and have >= s.meta.get("k_each", 0):
+            raise ValueError("supplied spectrum holds {} eigenvalues of sign "
+                             "{:+d}, the check needs {}".format(have, sign,
+                                                              need))
 
 
 def _finish(name, k, trials, seed, sides):
@@ -179,21 +213,36 @@ def check_courant(s: Spectrum, p, k: int, trials: int = 100,
     """Min-max principle: every subspace L of codimension k-1 satisfies
     max_L ratio >= lambda_k^+ and min_L ratio <= -lambda_k^-.
 
-    A sampled L is the E_t-orthogonal complement of k-1 Gaussian vectors;
-    the extremum over L comes from the projected pencil on an orthonormal
-    basis of L. The complement of the first k-1 eigenvectors attains
-    equality.
+    A sampled subspace is the E_t-orthogonal complement of k-1 Gaussian
+    columns Y. The extremum over it is computed in Cholesky standard form:
+    with Kt = L L^T factored once per call and z = L^T v, the pencil is
+    C z = lambda z for C = L^{-1} R L^{-T}, and the subspace is the
+    Euclidean complement of the thin-QR frame Q of L^T Y. Moving the Q
+    directions to -+alpha, past a Gershgorin bound of C,
+
+        A = C - C Q Q^T - Q Q^T C + Q (Q^T C Q -+ alpha I) Q^T,
+
+    leaves the extremum as the top (bottom) eigenvalue of A, the only one
+    computed. k = 1 bounds the whole space. The complement of the first
+    k-1 eigenvectors attains equality.
     """
     Kt, R, vp, vn = _reduced_operators(s, p)
     rng = np.random.default_rng(seed)
     n = Kt.shape[0]
+    L = cholesky(Kt, lower=True)
+    C = solve_triangular(L, solve_triangular(L, R, lower=True).T, lower=True)
+    C = 0.5 * (C + C.T)
+    alpha = 2.0 * float(np.abs(C).sum(axis=1).max())
 
     def extremum_over_complement(Y, sign):
-        # columns of B span {v : Y^T Kt v = 0}
-        Q, _ = qr(Kt @ Y, mode="full")
-        B = Q[:, Y.shape[1]:]
-        vals = eigh(B.T @ R @ B, B.T @ Kt @ B, eigvals_only=True)
-        return sign * (vals[-1] if sign == 1 else vals[0])
+        A = C
+        if Y.shape[1]:
+            Q, _ = qr(L.T @ Y, mode="economic")
+            CQ = C @ Q
+            D = Q.T @ CQ - sign * alpha * np.eye(Q.shape[1])
+            A = C - (CQ @ Q.T + Q @ CQ.T) + Q @ D @ Q.T
+        i = n - 1 if sign == 1 else 0
+        return sign * eigh(A, eigvals_only=True, subset_by_index=[i, i])[0]
 
     sides = {}
     for label, lam_k, vecs, sign in _signed_items(s, vp, vn, k):
@@ -298,7 +347,8 @@ def _subdomain_edges(m: Mesh, cell, incidence, boundary_tags, interface_tag):
 
 def check_bracketing(m: Mesh, partition, g, w, bc: BoundarySpec, t: float,
                      k_max: int = 50, quad_order: int = 2,
-                     dense_limit: int = _DENSE_LIMIT, seed: int = 0) -> BracketReport:
+                     dense_limit: int = _DENSE_LIMIT, seed: int = 0,
+                     s_global: Spectrum | None = None) -> BracketReport:
     """Dirichlet-Neumann bracketing of the t-regularized problem.
 
     The partition is a list of triangle-index sets covering the mesh once;
@@ -306,7 +356,9 @@ def check_bracketing(m: Mesh, partition, g, w, bc: BoundarySpec, t: float,
     Subdomain matrices are element sums over each cell, so the discrete
     spaces nest exactly and nu_k <= lambda_k(W, t) <= eta_k holds per sign
     up to roundoff. Comparisons run over the common prefix of each pair of
-    sequences up to k_max.
+    sequences up to k_max. `s_global`, when given, is the global spectrum
+    at t with at least k_max values per sign where the pencil has them;
+    otherwise the checker assembles and solves the global pencil itself.
     """
     if t <= 0.0:
         raise ValueError("bracketing needs t > 0")
@@ -321,9 +373,13 @@ def check_bracketing(m: Mesh, partition, g, w, bc: BoundarySpec, t: float,
                      if len(m.boundary_edges) else 0)
     dirichlet_global = set(bc.dirichlet_vertices(m).tolist())
 
-    p_global = assemble(m, g, w, bc, quad_order)
-    s_global = solve_weighted(p_global, t, k_each=k_max,
-                              dense_limit=dense_limit, seed=seed)
+    if s_global is None:
+        s_global = solve_weighted(assemble(m, g, w, bc, quad_order), t,
+                                  k_each=k_max, dense_limit=dense_limit,
+                                  seed=seed)
+    else:
+        _check_supplied(s_global, t, m.num_vertices - len(dirichlet_global),
+                        k_max)
 
     nu = {"plus": [], "minus": []}
     eta = {"plus": [], "minus": []}
@@ -380,7 +436,8 @@ def check_bracketing(m: Mesh, partition, g, w, bc: BoundarySpec, t: float,
 
 
 def check_sandwich(p, t_list=(0.5, 0.1, 0.02), k_max: int = 100,
-                   dense_limit: int = _DENSE_LIMIT, seed: int = 0) -> dict:
+                   dense_limit: int = _DENSE_LIMIT, seed: int = 0,
+                   s0: Spectrum | None = None) -> dict:
     """Sandwich bounds around the t = 0 eigenvalues.
 
     With C the discrete Poincare constant and tau the constraint
@@ -390,14 +447,20 @@ def check_sandwich(p, t_list=(0.5, 0.1, 0.02), k_max: int = 100,
     regularized eigenvalue exceeds the reference (near-constant vectors are
     cheap for E_t but excluded from the constrained problem). The pinch gap
     between the two bounds is monitored, not asserted; it closes as t -> 0.
+    `s0`, when given, is the t = 0 spectrum of p with at least k_max + tau
+    values per sign where the pencil has them; otherwise the checker
+    solves it.
     """
     for t in t_list:
         if not 0.0 < t < 1.0:
             raise ValueError("sandwich t values must lie in (0, 1)")
-    C = poincare_constant(p, dense_limit=dense_limit, seed=seed)
     tau = p.tau
-    s0 = solve_weighted(p, 0.0, k_each=k_max + tau, dense_limit=dense_limit,
-                        seed=seed)
+    if s0 is None:
+        s0 = solve_weighted(p, 0.0, k_each=k_max + tau,
+                            dense_limit=dense_limit, seed=seed)
+    else:
+        _check_supplied(s0, 0.0, p.n_free, k_max + tau)
+    C = poincare_constant(p, dense_limit=dense_limit, seed=seed)
     per_t = []
     all_ok = True
     shift_flags = []

@@ -28,6 +28,7 @@ from roughweyl import (
     poincare_constant,
     pullback_metric,
 )
+from roughweyl.assembly import _Householder
 
 # hand integration on the reference triangle (0,0),(1,0),(0,1):
 # grad phi = (-1,-1), (1,0), (0,1); area 1/2
@@ -312,6 +313,46 @@ class TestPoincareConstant:
         dense = poincare_constant(p)
         sparse_val = poincare_constant(p, dense_limit=10)
         np.testing.assert_allclose(sparse_val, dense, rtol=1e-10)
+
+
+class TestHouseholderReduction:
+    """The rank-two update against the explicit basis Q of the hyperplane."""
+
+    @staticmethod
+    def assert_matches(H, A):
+        Q = H.basis()
+        ref = Q.T @ A @ Q
+        red = H.reduce(A)
+        np.testing.assert_allclose(red, ref, rtol=0,
+                                   atol=1e-12 * np.abs(ref).max())
+        np.testing.assert_array_equal(red, red.T)
+
+    @pytest.mark.parametrize("last", [2.0, -0.5, 0.0])
+    def test_random_symmetric_matrix(self, last):
+        rng = np.random.default_rng(3)
+        n = 9
+        r = rng.standard_normal(n)
+        r[-1] = last
+        B = rng.standard_normal((n, n))
+        H = _Householder(r)
+        self.assert_matches(H, B + B.T)
+        Q = H.basis()
+        V = rng.standard_normal((n, 3))
+        Y = rng.standard_normal((n - 1, 3))
+        np.testing.assert_allclose(H.restrict(V), Q.T @ V, atol=1e-12)
+        np.testing.assert_allclose(H.restrict(V[:, 0]), Q.T @ V[:, 0],
+                                   atol=1e-12)
+        np.testing.assert_allclose(H.extend(Y), Q @ Y, atol=1e-12)
+        np.testing.assert_allclose(H.extend(Y[:, 0]), Q @ Y[:, 0],
+                                   atol=1e-12)
+        assert np.abs(r @ H.extend(Y)).max() < 1e-12 * np.abs(r).sum()
+
+    def test_neumann_pencil_forms(self):
+        p = assemble(generate_unit_square(8), euclidean_metric(),
+                     halves_weight(1.0, -0.5), BoundarySpec.neumann())
+        H = _Householder(p.r_free)
+        for A in (p.Kf, p.Mmf, p.Rf):
+            self.assert_matches(H, A.toarray())
 
 
 def test_dump_matrix_round_trip(tmp_path):

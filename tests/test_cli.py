@@ -7,6 +7,8 @@ import re
 import numpy as np
 import pytest
 
+import roughweyl.cli
+import roughweyl.varprin
 from roughweyl.cli import (
     ConfigError,
     ExperimentConfig,
@@ -252,6 +254,17 @@ class TestRunSolve:
         assert run(cfg) == 3
         assert "modeling error" in capsys.readouterr().err
 
+    def test_non_finite_weight_is_field_hypothesis_error(self, tmp_path,
+                                                         capsys):
+        cfg = ExperimentConfig.from_text(
+            "task = solve\n[domain]\nlevel = 3\n[weight]\n"
+            "weight = expr:1/(x - x)\n[output]\ndir = {}\n"
+            .format(tmp_path / "out"))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert run(cfg) == 3
+        err = capsys.readouterr().err
+        assert "field hypothesis violated: non-finite weight sample" in err
+
     def test_indefinite_halves_solve(self, tmp_path):
         out = tmp_path / "out"
         cfg = ExperimentConfig.from_text(
@@ -329,6 +342,47 @@ class TestRunReportTasks:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["checks"]["sandwich"] is True
         assert summary["report"]["tau"] == 0
+
+    @staticmethod
+    def spy_solves(monkeypatch):
+        """Record (n_free, t, k_each) of every solve the CLI or a checker
+        makes."""
+        calls = []
+        solve = roughweyl.varprin.solve_weighted
+
+        def spy(p, t=0.0, k_each=6, **kw):
+            calls.append((p.n_free, float(t), k_each))
+            return solve(p, t, k_each=k_each, **kw)
+
+        monkeypatch.setattr(roughweyl.cli, "solve_weighted", spy)
+        monkeypatch.setattr(roughweyl.varprin, "solve_weighted", spy)
+        return calls
+
+    def test_sandwich_solves_each_pencil_once(self, tmp_path, monkeypatch):
+        calls = self.spy_solves(monkeypatch)
+        out = tmp_path / "out"
+        cfg = ExperimentConfig.from_text(
+            "task = sandwich\n[domain]\nlevel = 4\n[boundary]\n"
+            "boundary = neumann\n[solver]\nk_each = 12\nk_max = 20\n"
+            "[output]\ndir = {}\n".format(out))
+        assert run(cfg) == 0
+        assert len(calls) == 1 + 2 * len(cfg.t_list)
+        assert len(set(calls)) == len(calls)
+        # s0 deep enough for the shifted check, artifacts at k_each
+        assert calls[0][1:] == (0.0, 21)
+        rows = (out / "spectrum.csv").read_text().splitlines()
+        assert len(rows) == 1 + 12
+
+    def test_bracket_solves_global_pencil_once(self, tmp_path, monkeypatch):
+        calls = self.spy_solves(monkeypatch)
+        out = tmp_path / "out"
+        cfg = ExperimentConfig.from_text(
+            "task = bracket\n[domain]\nlevel = 4\n[solver]\nk_each = 6\n"
+            "k_max = 8\nt = 1.0\n[output]\ndir = {}\n".format(out))
+        assert run(cfg) == 0
+        assert calls == [(15 * 15, 1.0, 8)]
+        rows = (out / "spectrum.csv").read_text().splitlines()
+        assert len(rows) == 1 + 6
 
     def test_varprin_task_runs_all_three_checkers(self, tmp_path):
         out = tmp_path / "out"

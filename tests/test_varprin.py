@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh, qr
 
 from roughweyl import (
     BoundarySpec,
@@ -15,6 +16,7 @@ from roughweyl import (
     halves_weight,
     solve_weighted,
 )
+from roughweyl.spectral import project_constraint
 from roughweyl.varprin import (
     check_bracketing,
     check_courant,
@@ -32,6 +34,14 @@ def dirichlet_problem(n=12, w=None):
     p = assemble(m, euclidean_metric(), w or constant_weight(1.0),
                  BoundarySpec.dirichlet())
     return m, p
+
+
+def quadrant_partition(m):
+    cen = m.vertices[m.triangles].mean(axis=1)
+    return [
+        np.nonzero(((cen[:, 0] > 0.5) == ix) & ((cen[:, 1] > 0.5) == iy))[0]
+        for ix in (False, True) for iy in (False, True)
+    ]
 
 
 class TestPoincareMinmax:
@@ -142,6 +152,68 @@ class TestCourant:
         sn = solve_weighted(pn, 0.0, k_each=4)
         rep = check_courant(sn, pn, 2, trials=25, seed=1)
         assert rep["passed"]
+
+
+def courant_reference(s, p, k, trials, seed):
+    """Courant margins by the projected generalized pencil: a full QR of
+    Kt Y gives a basis B of the complement, and eigh(B^T R B, B^T Kt B)
+    its extremum. Same draws as check_courant; returns, per side,
+    (lambda_k, worst margin, attainment gap)."""
+    Kt = p.Kf.toarray() + s.meta["t"] * p.Mmf.toarray()
+    R = p.Rf.toarray()
+    vp, vn = s.vec_pos, s.vec_neg
+    if s.meta["constrained"]:
+        Q = project_constraint(p).basis()
+        Kt, R = Q.T @ Kt @ Q, Q.T @ R @ Q
+        vp = Q.T @ vp if vp is not None else None
+        vn = Q.T @ vn if vn is not None else None
+    n = Kt.shape[0]
+    rng = np.random.default_rng(seed)
+
+    def extremum(Y, sign):
+        Qf, _ = qr(Kt @ Y, mode="full")
+        B = Qf[:, Y.shape[1]:]
+        vals = eigh(B.T @ R @ B, B.T @ Kt @ B, eigvals_only=True)
+        return sign * (vals[-1] if sign == 1 else vals[0])
+
+    out = {}
+    for label, vals, vecs, sign in (("plus", s.pos, vp, 1),
+                                    ("minus", s.neg, vn, -1)):
+        if len(vals) < k:
+            continue
+        lam_k = float(vals[k - 1])
+        worst = min(extremum(rng.standard_normal((n, k - 1)), sign) - lam_k
+                    for _ in range(trials))
+        gap = abs(extremum(vecs[:, : k - 1], sign) - lam_k)
+        out[label] = (lam_k, worst, gap)
+    return out
+
+
+class TestCourantStandardForm:
+    """check_courant against the projected-pencil formula it replaced."""
+
+    @pytest.mark.parametrize("case", ["k1", "neumann", "two_sided"])
+    def test_margins_match_projected_pencil(self, case):
+        k = 1 if case == "k1" else 3
+        if case == "neumann":
+            p = assemble(generate_unit_square(10), euclidean_metric(),
+                         constant_weight(1.0), BoundarySpec.neumann())
+        elif case == "two_sided":
+            _, p = dirichlet_problem(n=10, w=halves_weight(2.0, -1.0))
+        else:
+            _, p = dirichlet_problem(n=10)
+        s = solve_weighted(p, 0.0, k_each=6)
+        rep = check_courant(s, p, k, trials=15, seed=2)
+        ref = courant_reference(s, p, k, trials=15, seed=2)
+        assert set(rep["sides"]) == set(ref)
+        if case == "two_sided":
+            assert set(ref) == {"plus", "minus"}
+        for label, (lam_k, worst, gap) in ref.items():
+            side = rep["sides"][label]
+            assert side["worst_margin"] == pytest.approx(worst, rel=0,
+                                                         abs=1e-10 * lam_k)
+            assert side["attainment_gap"] <= gap + 1e-10 * lam_k
+            assert side["attainment_gap"] <= TOL
 
 
 class TestBracketing:
@@ -268,6 +340,74 @@ class TestSandwich:
         for bad in (0.0, 1.0, -0.1, 2.0):
             with pytest.raises(ValueError, match="in \\(0, 1\\)"):
                 check_sandwich(p, (bad,), k_max=5)
+
+
+class TestSuppliedSpectrum:
+    """The checkers take a precomputed reference spectrum only when it is
+    of the checked pencil, at the checked t, and deep enough."""
+
+    def test_sandwich_report_unchanged(self):
+        _, p = dirichlet_problem(w=halves_weight(2.0, -1.0))
+        own = check_sandwich(p, (0.5, 0.1), k_max=20)
+        s0 = solve_weighted(p, 0.0, k_each=40)
+        assert check_sandwich(p, (0.5, 0.1), k_max=20, s0=s0) == own
+
+    def test_sandwich_rejects_mismatch(self):
+        _, p = dirichlet_problem()
+        with pytest.raises(ValueError, match="t = 0.1"):
+            check_sandwich(p, (0.5,), k_max=10,
+                           s0=solve_weighted(p, 0.1, k_each=10))
+        _, other = dirichlet_problem(n=10)
+        with pytest.raises(ValueError, match="free DOFs"):
+            check_sandwich(p, (0.5,), k_max=10,
+                           s0=solve_weighted(other, 0.0, k_each=10))
+        with pytest.raises(ValueError, match="needs 10"):
+            check_sandwich(p, (0.5,), k_max=10,
+                           s0=solve_weighted(p, 0.0, k_each=9))
+
+    def test_sandwich_counts_the_constraint_shift(self):
+        m = generate_unit_square(8)
+        p = assemble(m, euclidean_metric(), constant_weight(1.0),
+                     BoundarySpec.neumann())
+        with pytest.raises(ValueError, match="needs 11"):
+            check_sandwich(p, (0.5,), k_max=10,
+                           s0=solve_weighted(p, 0.0, k_each=10))
+        own = check_sandwich(p, (0.5,), k_max=10)
+        s0 = solve_weighted(p, 0.0, k_each=11)
+        assert check_sandwich(p, (0.5,), k_max=10, s0=s0) == own
+
+    def test_short_family_accepted_when_the_pencil_ends(self):
+        # a positive weight has no negative family at any k_each
+        _, p = dirichlet_problem(n=8)
+        s0 = solve_weighted(p, 0.0, k_each=10)
+        assert len(s0.neg) == 0
+        rep = check_sandwich(p, (0.5,), k_max=10, s0=s0)
+        assert rep == check_sandwich(p, (0.5,), k_max=10)
+
+    def test_bracketing_report_unchanged(self):
+        w = checkerboard_weight(1.0, -1.0)
+        m, p = dirichlet_problem(n=8, w=w)
+        args = (m, quadrant_partition(m), euclidean_metric(), w,
+                BoundarySpec.dirichlet(), 0.5)
+        own = check_bracketing(*args, k_max=12)
+        s = solve_weighted(p, 0.5, k_each=30)
+        assert (check_bracketing(*args, k_max=12, s_global=s).to_dict()
+                == own.to_dict())
+
+    def test_bracketing_rejects_mismatch(self):
+        m, p = dirichlet_problem(n=8)
+        args = (m, quadrant_partition(m), euclidean_metric(),
+                constant_weight(1.0), BoundarySpec.dirichlet(), 0.5)
+        with pytest.raises(ValueError, match="t = 1.0"):
+            check_bracketing(*args, k_max=12,
+                             s_global=solve_weighted(p, 1.0, k_each=12))
+        _, other = dirichlet_problem(n=6)
+        with pytest.raises(ValueError, match="free DOFs"):
+            check_bracketing(*args, k_max=12,
+                             s_global=solve_weighted(other, 0.5, k_each=12))
+        with pytest.raises(ValueError, match="needs 12"):
+            check_bracketing(*args, k_max=12,
+                             s_global=solve_weighted(p, 0.5, k_each=11))
 
 
 class TestReportFormat:
