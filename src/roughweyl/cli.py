@@ -46,7 +46,13 @@ from .varprin import (
     check_sandwich,
     _jsonable,
 )
-from .weyl import fit_limit, weyl_constants, write_spectrum_csv
+from .weyl import (
+    fit_limit,
+    weyl_constants,
+    write_spectrum_csv,
+    _convergence_row,
+    _write_convergence_csv,
+)
 
 __all__ = [
     "ConfigError",
@@ -658,7 +664,8 @@ def run(cfg: ExperimentConfig) -> int:
                 check_rayleigh(s, p, cfg.k, cfg.trials, cfg.seed),
                 check_courant(s, p, cfg.k, cfg.trials, cfg.seed),
             ]
-            _, artifacts = _spectrum_artifacts(cfg, p, s, out_dir)
+            _, artifacts = _spectrum_artifacts(cfg, p, _leading(s, cfg.k_each),
+                                               out_dir)
             summary["report"] = reports
             for rep in reports:
                 checks[rep["check"]] = rep["passed"]
@@ -706,47 +713,25 @@ def run(cfg: ExperimentConfig) -> int:
 
 
 def _run_converge(cfg, out_dir):
-    """Per-level solve/fit rows, in level order."""
+    """Per-level solve/fit rows, in level order, with the pencil and the
+    spectrum of the finest level."""
     if len(cfg.levels) < 2:
         raise ConfigError("solver.levels: converge needs at least 2 levels")
     g = build_metric(cfg.metric_spec)
     w = build_weight(cfg.weight_spec)
     bc = build_boundary(cfg.boundary_spec)
-
-    def one(level):
+    rows = []
+    finest = None
+    for level in cfg.levels:
         m = _build_mesh(cfg.domain_kind, 2 ** level, level)
         p = assemble(m, g, w, bc, cfg.quad_order)
         s = solve_weighted(p, cfg.t, k_each=cfg.k_each,
                            dense_limit=cfg.dense_limit(), seed=cfg.seed)
-        fit = fit_limit(s, cfg.window, target=weyl_constants(p.quad))
-        row = {"level": int(level), "free_dofs": int(p.n_free)}
-        for label in ("plus", "minus"):
-            side = fit.sides[label]
-            empty = side == "empty side"
-            row["estimate_{}".format(label)] = (None if empty
-                                                else side["estimate"])
-            row["rel_dev_{}".format(label)] = (None if empty
-                                               else side["rel_dev"])
-        return row, p, s
-
-    results = [one(level) for level in cfg.levels]
-    rows = [row for row, _, _ in results]
-    finest = max(range(len(results)), key=lambda i: cfg.levels[i])
-    _, p_last, s_last = results[finest]
-
-    fields = ["level", "free_dofs", "estimate_plus", "estimate_minus",
-              "rel_dev_plus", "rel_dev_minus"]
-    import csv as _csv
-    with open(os.path.join(out_dir, "convergence.csv"), "w", newline="",
-              encoding="utf-8") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(fields)
-        for row in rows:
-            writer.writerow(["" if row[f] is None
-                             else (str(row[f]) if isinstance(row[f], int)
-                                   else repr(float(row[f])))
-                             for f in fields])
-    return rows, p_last, s_last
+        rows.append(_convergence_row(level, p, s, cfg.window))
+        if finest is None or level > finest[0]:
+            finest = (level, p, s)
+    _write_convergence_csv(rows, os.path.join(out_dir, "convergence.csv"))
+    return rows, finest[1], finest[2]
 
 
 def main(argv=None) -> int:

@@ -9,22 +9,21 @@ is a rank-one projection, so the dimension drops by exactly one.
 Two code paths. Dense (free DOFs <= the dense limit `assembly._DENSE_LIMIT`):
 Cholesky-based reduction of the pencil and a full symmetric eigensolve, which
 doubles as the trusted oracle.
-Sparse: Lanczos with the coercive form inverted once (shift-invert at the
-origin of the Laplace variable). For rho of both signs one Krylov space
-serves both families: ARPACK's "BE" mode takes k_each eigenvalues from each
-spectral end in a single run. The constrained case either shift-inverts the
-equivalent pencil K u = (1/lambda) R u (rho of one sign) or runs projected
-Lanczos through a bordered factorization (rho of both signs). Every SPD
-form that is inverted is factored by `_spd_inverse`: sparse LU in symmetric
-mode, minimum-degree ordering on A + A^T, no pivoting, and a check that
-the pivots stayed on the diagonal and bounded away from zero. The bordered
-saddle-point matrix keeps threshold pivoting.
+Sparse: one Lanczos driver, `_sparse_weighted`, over a pencil (A, M) with
+M SPD and inverted once: (R, K + t Mm), or in the constrained case the
+oblique pencil (Pi^T R Pi, K + gamma r r^T), where Pi projects onto
+{r . v = 0} along the constants and M is inverted through K with one vertex
+grounded. For rho of both signs one Krylov space serves both families:
+ARPACK's "BE" mode takes k_each eigenvalues from each spectral end in a
+single run. Every SPD form that is inverted is factored by `_spd_inverse`:
+sparse LU in symmetric mode, minimum-degree ordering on A + A^T, no
+pivoting, and a check that the pivots stayed on the diagonal and bounded
+away from zero.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
 from scipy.linalg import eigh
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator
 
@@ -274,126 +273,59 @@ def _lanczos_ends(A, M, Minv, v0, rho_range, k_each):
     return pos, neg, vp, vn
 
 
-def _sparse_unconstrained(p, t, k_each, seed):
-    Kt = (p.Kf + t * p.Mmf).tocsc() if t > 0.0 else p.Kf.tocsc()
+def _sparse_weighted(p, t, k_each, seed, constrained):
+    """Signed lists of the weighted problem by Lanczos at the spectral ends.
+
+    Unconstrained, the pencil is (R, K + t Mm). Constrained (tau = 1,
+    t = 0), it is the oblique pencil (Pi^T R Pi, K + gamma r r^T), where
+    Pi = I - 1 r^T / (r . 1) projects onto S = {r . v = 0} along the
+    constants. Since K 1 = 0, S and span(1) are orthogonal in both forms:
+    on S the pencil is the constrained problem, on span(1) it has the one
+    eigenvalue 0, which Lanczos at the ends never reaches and
+    `_split_signed` drops. Pi^T R Pi is applied as written; the shorter
+    R - r r^T / (r . 1) needs r = R 1, which only assembly guarantees.
+    """
     nf = p.n_free
-    return _lanczos_ends(p.Rf.tocsr(), Kt, _spd_inverse(Kt),
-                         _seeded_start(nf, seed), p.rho_range, k_each)
-
-
-def _constraint_shift(p, V):
-    """Restore r . v = 0 by subtracting constants, then E_0-normalize.
-
-    Nonzero eigenpairs of the constrained problem are in bijection with the
-    nonzero-Lambda pairs of the unconstrained pencil K u = Lambda R u via
-    v = u - (r.u / r.1) 1; the shift leaves K v and the eigenvalue intact.
-    """
-    ones = np.ones(p.n_free)
-    rf = p.r_free
-    V = V - np.outer(ones, (rf @ V) / float(rf @ ones))
-    nrm = np.sqrt(np.einsum("ij,ij->j", V, p.Kf @ V))
-    return V / nrm
-
-
-def _sparse_constrained_semidefinite(p, k_each, seed, sign):
-    """tau = 1, t = 0, rho single-signed: shift-invert on K u = Lambda R u.
-
-    With M = sign * R positive semidefinite, ARPACK's shift-invert mode at
-    sigma < 0 returns the Lambdas nearest sigma, which is the ascending
-    order from the zero mode upward; the zero mode is dropped and the rest
-    maps to lambda = 1 / Lambda.
-    """
-    from scipy.sparse.linalg import eigsh
-
-    Kf = p.Kf.tocsc()
-    M = (sign * p.Rf).tocsc()
-    nf = p.n_free
-    # any negative shift is algebraically valid; convergence only needs
-    # the scale of the first nonzero mode, so a Rayleigh quotient of a
-    # linear probe (gradient 1, orthogonal to the constraint) suffices
-    coords = p.mesh.vertices[p.free_dofs]
-    rf = p.r_free
-    probe = coords[:, 0] - (rf @ coords[:, 0]) / float(rf.sum())
-    mass = probe @ (p.Mmf @ probe)
-    if mass <= 1e-14 * abs(probe @ probe):
-        probe = coords[:, 1] - (rf @ coords[:, 1]) / float(rf.sum())
-        mass = probe @ (p.Mmf @ probe)
-    mu = float(probe @ (Kf @ probe) / mass)
-    rho_bound = max(abs(p.rho_range[0]), abs(p.rho_range[1]))
-    sigma = -0.5 * mu / rho_bound
-    k = min(k_each + 1, nf - 2)
-    try:
-        w, V = eigsh(Kf, k=k, M=M, sigma=sigma, which="LM", mode="normal",
-                     v0=_seeded_start(nf, seed),
-                     OPinv=_spd_inverse(Kf - sigma * M))
-    except ArpackNoConvergence as exc:
-        raise SolverError("Lanczos did not converge ({})".format(exc)) from exc
-    keep = w > abs(sigma) * 1e-8  # drop the constant zero mode
-    w, V = w[keep], V[:, keep]
-    lam = np.sort(1.0 / w)[::-1][:k_each]
-    order = np.argsort(-1.0 / w)[:k_each]
-    return lam, _constraint_shift(p, V[:, order])
-
-
-def _sparse_constrained_indefinite(p, k_each, seed):
-    """tau = 1, t = 0, sign-changing rho: projected Lanczos at both ends.
-
-    The working pencil is (P R P, P K P + gamma r r^T) with P the rank-one
-    projector onto {r . v = 0}: on the subspace it restricts to the
-    constrained problem, and the complementary direction becomes a spurious
-    zero eigenvalue that neither spectral end sees. The SPD right-hand form
-    is inverted through the bordered factorization of [[K, r], [r^T, 0]],
-    which is nonsingular because r . 1 != 0 while K only annihilates
-    constants.
-    """
-    from scipy.sparse.linalg import splu
-
-    Kf = p.Kf.tocsc()
+    v0 = _seeded_start(nf, seed)
+    if not constrained:
+        Kt = (p.Kf + t * p.Mmf).tocsc() if t > 0.0 else p.Kf.tocsc()
+        return _lanczos_ends(p.Rf.tocsr(), Kt, _spd_inverse(Kt), v0,
+                             p.rho_range, k_each)
+    Kf = p.Kf.tocsr()
     R = p.Rf.tocsr()
-    nf = p.n_free
     rf = p.r_free
-    rr = float(rf @ rf)
-    gamma = (float(Kf.diagonal().mean()) or 1.0) / rr
+    r1 = float(rf.sum())
+    gamma = (float(Kf.diagonal().mean()) or 1.0) / float(rf @ rf)
+    # K with free vertex 0 grounded is SPD; x_0 = 0 fixes the constant
+    grounded = _spd_inverse(Kf[1:, 1:])
 
-    def project(v):
-        return v - rf * (rf @ v / rr)
+    # ARPACK calls these closures thousands of times. A BLAS ddot (rf @ v)
+    # in each, on OpenBLAS's default 2 threads, made a level-7 `halves`
+    # solve 5x slower on 2 cores (10.7 s against 2.1 s), so the dot
+    # products run in einsum's own loop.
+    def rdot(v):
+        return np.einsum("i,i->", rf, v)
 
-    bordered = sparse.bmat(
-        [[Kf, rf.reshape(-1, 1)], [rf.reshape(1, -1), None]], format="csc"
-    )
-    try:
-        lu = splu(bordered)
-    except RuntimeError as exc:
-        raise SolverError("bordered factorization failed ({})".format(exc)) from exc
-
-    rhs = np.zeros(nf + 1)
+    def pi(v):
+        return v - rdot(v) / r1
 
     def minv(y):
-        # block-diagonal inverse: restricted K^{-1} on the subspace plus the
-        # gamma r r^T complement
-        yp = project(y)
-        rhs[:nf] = yp
-        x = lu.solve(rhs)[:nf]
-        return project(x) + rf * (rf @ y) / (gamma * rr * rr)
+        # M x = y splits into K x_S = y - r (1.y)/(r.1) on S and
+        # gamma (r.1)^2 c = 1.y on the constants
+        s = y.sum()
+        x = np.zeros(nf)
+        x[1:] = grounded.matvec(y[1:] - rf[1:] * (s / r1))
+        return pi(x) + s / (gamma * r1 * r1)
 
-    A = LinearOperator((nf, nf), matvec=lambda v: project(R @ project(v)),
+    def a(v):
+        w = R @ pi(v)
+        return w - rf * (w.sum() / r1)
+
+    A = LinearOperator((nf, nf), matvec=a, dtype=float)
+    M = LinearOperator((nf, nf), matvec=lambda v: Kf @ v + gamma * rdot(v) * rf,
                        dtype=float)
-    M = LinearOperator((nf, nf), matvec=lambda v: project(Kf @ project(v))
-                       + gamma * rf * (rf @ v), dtype=float)
     Minv = LinearOperator((nf, nf), matvec=minv, dtype=float)
-    return _lanczos_ends(A, M, Minv, project(_seeded_start(nf, seed)),
-                         p.rho_range, k_each)
-
-
-def _sparse_constrained(p, k_each, seed):
-    rho_lo, rho_hi = p.rho_range
-    if rho_lo >= 0.0:
-        pos, vp = _sparse_constrained_semidefinite(p, k_each, seed, +1)
-        return pos, np.empty(0), vp, None
-    if rho_hi <= 0.0:
-        neg, vn = _sparse_constrained_semidefinite(p, k_each, seed, -1)
-        return np.empty(0), neg, None, vn
-    return _sparse_constrained_indefinite(p, k_each, seed)
+    return _lanczos_ends(A, M, Minv, pi(v0), p.rho_range, k_each)
 
 
 def solve_weighted(p: Pencil, t: float = 0.0, k_each: int = 6,
@@ -414,12 +346,9 @@ def solve_weighted(p: Pencil, t: float = 0.0, k_each: int = 6,
     method = "dense"
     if p.n_free <= dense_limit:
         pos, neg, vp, vn = _dense_weighted(p, t, k_each, proj)
-    elif constrained:
-        method = "sparse-projected"
-        pos, neg, vp, vn = _sparse_constrained(p, k_each, seed)
     else:
-        method = "sparse-lanczos"
-        pos, neg, vp, vn = _sparse_unconstrained(p, t, k_each, seed)
+        method = "sparse-projected" if constrained else "sparse-lanczos"
+        pos, neg, vp, vn = _sparse_weighted(p, t, k_each, seed, constrained)
     meta = {
         "t": float(t),
         "bc": p.bc.kind,

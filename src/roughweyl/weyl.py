@@ -236,26 +236,33 @@ def convergence_study(make_problem, levels, window=None, k_each=120,
         p = assemble(m, g, w, bc, quad_order)
         s = solve_weighted(p, 0.0, k_each=k_each, dense_limit=dense_limit,
                            seed=seed)
-        fit = fit_limit(s, window, target=weyl_constants(p.quad))
-        row = {"level": int(level), "free_dofs": int(p.n_free)}
-        for label, sign in (("plus", 1), ("minus", -1)):
-            side = fit.sides[label]
-            empty = side == "empty side"
-            row["estimate_{}".format(label)] = (
-                None if empty else side["estimate"])
-            row["rel_dev_{}".format(label)] = (
-                None if empty else side["rel_dev"])
-        rows.append(row)
+        rows.append(_convergence_row(level, p, s, window))
     if csv_path is not None:
-        fields = ["level", "free_dofs", "estimate_plus", "estimate_minus",
-                  "rel_dev_plus", "rel_dev_minus"]
-        with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(fields)
-            for row in rows:
-                writer.writerow(["" if row[f] is None
-                                 else _num(row[f]) for f in fields])
+        _write_convergence_csv(rows, csv_path)
     return rows
+
+
+def _convergence_row(level, p, s, window):
+    """One level's row: the fit of s against the target of p's own sample."""
+    fit = fit_limit(s, window, target=weyl_constants(p.quad))
+    row = {"level": int(level), "free_dofs": int(p.n_free)}
+    for label in ("plus", "minus"):
+        side = fit.sides[label]
+        empty = side == "empty side"
+        row["estimate_{}".format(label)] = None if empty else side["estimate"]
+        row["rel_dev_{}".format(label)] = None if empty else side["rel_dev"]
+    return row
+
+
+def _write_convergence_csv(rows, path):
+    fields = ["level", "free_dofs", "estimate_plus", "estimate_minus",
+              "rel_dev_plus", "rel_dev_minus"]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(fields)
+        for row in rows:
+            writer.writerow(["" if row[f] is None else _num(row[f])
+                             for f in fields])
 
 
 def _num(x):

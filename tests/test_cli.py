@@ -395,6 +395,16 @@ class TestRunReportTasks:
             "poincare_minmax", "rayleigh", "courant"}
         assert all(summary["checks"].values())
 
+    def test_varprin_artifacts_stop_at_k_each(self, tmp_path):
+        # the checkers need k + 1 eigenvalues; spectrum.csv keeps k_each
+        out = tmp_path / "out"
+        cfg = ExperimentConfig.from_text(
+            "task = varprin\n[domain]\nsize = 8\n[solver]\nk_each = 3\n"
+            "k = 5\ntrials = 5\n[output]\ndir = {}\n".format(out))
+        assert run(cfg) == 0
+        rows = (out / "spectrum.csv").read_text().splitlines()
+        assert len(rows) == 1 + 3
+
     def test_converge_task_rows_and_rerun_identity(self, tmp_path):
         out = tmp_path / "out"
         text = ("task = converge\n[solver]\nk_each = 90\nlevels = 4,5\n"

@@ -16,7 +16,9 @@ from roughweyl import (
     euclidean_metric,
     expression_weight,
     extend_by_zero,
+    generate_disk,
     generate_unit_square,
+    graph_cone_metric,
     halves_weight,
     project_constraint,
     solve_laplace,
@@ -284,6 +286,74 @@ class TestConstrainedSolves:
         s = solve_weighted(p, 0.0, 4)
         assert len(s.pos) == 0
         np.testing.assert_allclose(s.neg[0] * PI2, 1.0, rtol=1e-2)
+
+
+class TestSparseConstrained:
+    """The oblique pencil of the pure-Neumann t = 0 solve against the dense
+    oracle, on a flat square and on the graph-cone disk."""
+
+    WEIGHTS = {
+        "const": constant_weight(1.0),
+        "negative": constant_weight(-2.0),
+        "expr": expression_weight("x - 0.3"),
+        "halves": halves_weight(1.0, -0.5),
+    }
+
+    @pytest.mark.parametrize("domain", ["square", "cone_disk"])
+    @pytest.mark.parametrize("weight", sorted(WEIGHTS))
+    def test_matches_dense_oracle(self, domain, weight):
+        w = self.WEIGHTS[weight]
+        if domain == "square":
+            p = square_pencil(12, w, BoundarySpec.neumann())
+        else:
+            p = assemble(generate_disk(8), graph_cone_metric(), w,
+                         BoundarySpec.neumann())
+        assert p.tau == 1
+        d = solve_weighted(p, 0.0, 12)
+        s = solve_weighted(p, 0.0, 12, dense_limit=0)
+        assert s.meta["method"] == "sparse-projected"
+        assert (len(s.pos), len(s.neg)) == (len(d.pos), len(d.neg))
+        np.testing.assert_allclose(s.pos, d.pos, rtol=1e-9)
+        np.testing.assert_allclose(s.neg, d.neg, rtol=1e-9)
+        V = np.hstack([v for v in (s.vec_pos, s.vec_neg) if v is not None])
+        gram = V.T @ (p.Kf @ V)
+        assert np.abs(gram - np.eye(gram.shape[0])).max() < 1e-10
+        assert np.abs(p.r_free @ V).max() < 1e-10
+
+    def test_constraint_vector_other_than_r_times_ones(self):
+        # a hand-built r != R 1 couples the constants to the working space
+        # unless the projector is applied on both sides of R
+        from roughweyl import Pencil
+
+        p = square_pencil(12, halves_weight(1.0, -0.5), BoundarySpec.neumann())
+        r = p.r * (1.0 + p.mesh.vertices[:, 0])
+        q = Pencil(p.K, p.Mm, p.R, p.free_dofs, r, 1, p.mesh, p.bc,
+                   p.quad_order, p.rho_range)
+        d = solve_weighted(q, 0.0, 12)
+        s = solve_weighted(q, 0.0, 12, dense_limit=0)
+        np.testing.assert_allclose(s.pos, d.pos, rtol=1e-9)
+        np.testing.assert_allclose(s.neg, d.neg, rtol=1e-9)
+        assert np.abs(r @ np.hstack([s.vec_pos, s.vec_neg])).max() < 1e-10
+
+    def test_every_factorization_in_symmetric_mode(self, monkeypatch):
+        import scipy.sparse.linalg as sla
+
+        modes = []
+        splu = sla.splu
+
+        def spy(A, *args, **kwargs):
+            modes.append(kwargs.get("options", {}).get("SymmetricMode", False))
+            return splu(A, *args, **kwargs)
+
+        monkeypatch.setattr(sla, "splu", spy)
+        halves = halves_weight(1.0, -0.5)
+        cases = [(BoundarySpec.dirichlet(), halves, 0.0),
+                 (BoundarySpec.neumann(), halves, 0.5),
+                 (BoundarySpec.neumann(), constant_weight(1.0), 0.0),
+                 (BoundarySpec.neumann(), halves, 0.0)]
+        for bc, w, t in cases:
+            solve_weighted(square_pencil(12, w, bc), t, 8, dense_limit=0)
+        assert modes == [True] * len(cases)
 
 
 class TestProjectConstraint:
