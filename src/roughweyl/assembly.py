@@ -15,6 +15,8 @@ fixed element order, so assembled matrices are bit-reproducible.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 from scipy import sparse
 
@@ -311,30 +313,31 @@ class _Householder:
 
 
 def poincare_constant(p: Pencil, dense_limit: int = _DENSE_LIMIT,
-                      seed: int = 0, tol: float = 1e-8,
-                      maxiter: int = 2000) -> float:
+                      seed: int = 0, tol=None, maxiter=None) -> float:
     """Smallest eigenvalue mu_min of the energy against the mass on Z(rho).
 
     Z(rho) is the whole free space when the energy is already coercive
     (tau = 0) and the hyperplane {r . v = 0} when tau = 1. The sandwich
     checker uses mu_min directly as its constant C (the inequality constant
-    of the underlying norm bound is mu_min^{-1/2}). `tol` and `maxiter`
-    only steer the iterative path above `dense_limit`; callers that need
-    mu_min merely to scale a spectral shift can loosen them.
+    of the underlying norm bound is mu_min^{-1/2}). Above `dense_limit`,
+    mu_min is 1 / (the top eigenvalue of the pencil (Mm, K) on Z(rho)),
+    one Lanczos run of the weighted-problem driver with Mm in the place of
+    R. `tol` and `maxiter` are deprecated and ignored.
     """
+    from .spectral import _sparse_weighted, project_constraint
+
+    if tol is not None or maxiter is not None:
+        warnings.warn("poincare_constant: tol and maxiter are ignored and "
+                      "will be removed", DeprecationWarning, stacklevel=2)
     nf = p.n_free
     if nf == 0:
         raise ValueError("no free DOFs")
-    Kf, Mf = p.Kf, p.Mmf
-    if p.tau == 1:
-        rf = p.r_free
-        if np.linalg.norm(rf) <= 1e-14:
-            raise ModelingError("constraint vector r vanishes")
+    r = project_constraint(p).r
     if nf <= dense_limit:
-        K = Kf.toarray()
-        M = Mf.toarray()
-        if p.tau == 1:
-            H = _Householder(p.r_free)
+        K = p.Kf.toarray()
+        M = p.Mmf.toarray()
+        if r is not None:
+            H = _Householder(r)
             K = H.reduce(K)
             M = H.reduce(M)
         from scipy.linalg import eigh
@@ -342,20 +345,10 @@ def poincare_constant(p: Pencil, dense_limit: int = _DENSE_LIMIT,
         vals = eigh(K, M, eigvals_only=True, subset_by_index=[0, 0])
         mu = float(vals[0])
     else:
-        from scipy.sparse.linalg import eigsh, lobpcg, splu
-
-        if p.tau == 1:
-            lu = splu(Mf.tocsc())
-            Y = lu.solve(p.r_free).reshape(-1, 1)
-            rng = np.random.default_rng(seed)
-            X = rng.standard_normal((nf, 4))
-            vals, _ = lobpcg(Kf, X, B=Mf, Y=Y, largest=False, tol=tol,
-                             maxiter=maxiter)
-            mu = float(np.sort(vals)[0])
-        else:
-            vals = eigsh(Kf, k=1, M=Mf, sigma=0, which="LM",
-                         return_eigenvectors=False)
-            mu = float(vals[0])
+        # Mm is positive definite: only the top end runs
+        top = _sparse_weighted(p.Mmf, p.Kf, r, (1.0, 1.0), 1, seed,
+                               vectors=False)[0]
+        mu = 1.0 / float(top[0])
     if mu <= 1e-12:
         raise ModelingError(
             "smallest energy eigenvalue {:.3e} is not positive; "

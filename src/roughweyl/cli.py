@@ -634,7 +634,8 @@ def run(cfg: ExperimentConfig) -> int:
             t = cfg.t if cfg.t > 0.0 else 1.0
             p = assemble(m, g, w, bc, cfg.quad_order)
             s = solve_weighted(p, t, k_each=max(cfg.k_each, cfg.k_max),
-                               dense_limit=cfg.dense_limit(), seed=cfg.seed)
+                               dense_limit=cfg.dense_limit(), seed=cfg.seed,
+                               vectors=False)
             report = check_bracketing(
                 m, named_partition(m, cfg.partition), g, w, bc, t,
                 k_max=cfg.k_max, quad_order=cfg.quad_order,
@@ -647,7 +648,8 @@ def run(cfg: ExperimentConfig) -> int:
             p = _solve_stack(cfg)
             s = solve_weighted(p, 0.0, k_each=max(cfg.k_each,
                                                   cfg.k_max + p.tau),
-                               dense_limit=cfg.dense_limit(), seed=cfg.seed)
+                               dense_limit=cfg.dense_limit(), seed=cfg.seed,
+                               vectors=False)
             report = check_sandwich(p, cfg.t_list, k_max=cfg.k_max,
                                     dense_limit=cfg.dense_limit(),
                                     seed=cfg.seed, s0=s)
@@ -672,7 +674,8 @@ def run(cfg: ExperimentConfig) -> int:
         else:  # solve and weyl share the pipeline
             p = _solve_stack(cfg)
             s = solve_weighted(p, cfg.t, k_each=cfg.k_each,
-                               dense_limit=cfg.dense_limit(), seed=cfg.seed)
+                               dense_limit=cfg.dense_limit(), seed=cfg.seed,
+                               vectors=False)
             tgt, artifacts = _spectrum_artifacts(cfg, p, s, out_dir)
             summary["targets"] = {"c_plus": tgt.c_plus,
                                   "c_minus": tgt.c_minus, "vol": tgt.vol}
@@ -726,7 +729,8 @@ def _run_converge(cfg, out_dir):
         m = _build_mesh(cfg.domain_kind, 2 ** level, level)
         p = assemble(m, g, w, bc, cfg.quad_order)
         s = solve_weighted(p, cfg.t, k_each=cfg.k_each,
-                           dense_limit=cfg.dense_limit(), seed=cfg.seed)
+                           dense_limit=cfg.dense_limit(), seed=cfg.seed,
+                           vectors=False)
         rows.append(_convergence_row(level, p, s, cfg.window))
         if finest is None or level > finest[0]:
             finest = (level, p, s)

@@ -18,7 +18,13 @@ ARPACK's "BE" mode takes k_each eigenvalues from each spectral end in a
 single run. Every SPD form that is inverted is factored by `_spd_inverse`:
 sparse LU in symmetric mode, minimum-degree ordering on A + A^T, no
 pivoting, and a check that the pivots stayed on the diagonal and bounded
-away from zero.
+away from zero. The same driver gives `assembly.poincare_constant` its
+sparse value, with Mm in the place of R.
+
+Eigenvectors are optional (`solve_weighted(..., vectors=False)`): the
+dense path then skips the eigenvector back-substitution and the sparse
+path ARPACK's Ritz-vector pass, which dominates a Lanczos run at large
+k_each. Only the variational checkers read eigenvectors.
 """
 
 from __future__ import annotations
@@ -103,10 +109,11 @@ class ConstraintProjector:
     """The working subspace {v : r . v = 0} as a rank-one projector.
 
     For tau = 0 the projector is the identity and dim == ambient_dim. The
-    orthogonal projection P v = v - r (r.v)/(r.r) is applied inside
-    matrix-vector products; `basis()` gives an explicit orthonormal basis
-    (a Householder frame). Dense reductions apply the same reflector,
-    `assembly._Householder`, without forming that basis.
+    solvers read only the constraint vector `r`: the sparse solve applies
+    its own oblique projector along the constants, and the dense solve the
+    reflector `assembly._Householder` without forming a basis. `apply`
+    (the orthogonal projection v - r (r.v)/(r.r)) and `basis()` (an
+    explicit orthonormal Householder frame) are for callers and tests.
     """
 
     def __init__(self, ambient_dim, r=None):
@@ -191,7 +198,7 @@ def _seeded_start(n, seed):
     return np.random.default_rng(seed).standard_normal(n)
 
 
-def _dense_weighted(p, t, k_each, proj):
+def _dense_weighted(p, t, k_each, proj, vectors):
     Kt = p.Kf.toarray()
     if t > 0.0:
         Kt += t * p.Mmf.toarray()
@@ -202,13 +209,16 @@ def _dense_weighted(p, t, k_each, proj):
         Kt = H.reduce(Kt)
         R = H.reduce(R)
     try:
-        w, V = eigh(R, Kt)
+        if vectors:
+            w, V = eigh(R, Kt)
+        else:
+            w, V = eigh(R, Kt, eigvals_only=True), None
     except np.linalg.LinAlgError as exc:
         raise SolverError(
             "coercive form is not positive definite; supply t > 0 or a "
             "constraint ({})".format(exc)
         ) from exc
-    if H is not None:
+    if H is not None and vectors:
         V = H.extend(V)
     return _split_signed(w, V, k_each)
 
@@ -239,13 +249,14 @@ def _spd_inverse(A):
     return LinearOperator(A.shape, matvec=lu.solve, dtype=float)
 
 
-def _lanczos_ends(A, M, Minv, v0, rho_range, k_each):
+def _lanczos_ends(A, M, Minv, v0, rho_range, k_each, vectors):
     """Signed lists of A v = lambda M v from Lanczos at the spectral ends.
 
     A sign-changing weight needs k_each eigenvalues at each end, which one
     "BE" run takes from a single Krylov space. When 2 k_each exceeds what
     ARPACK can return (n - 2), each end gets its own clamped run instead,
-    so that no eigenvalue near zero is dropped.
+    so that no eigenvalue near zero is dropped. Without `vectors`, ARPACK
+    skips its Ritz-vector pass and the columns come back as None.
     """
     from scipy.sparse.linalg import eigsh
 
@@ -253,7 +264,11 @@ def _lanczos_ends(A, M, Minv, v0, rho_range, k_each):
 
     def run(which, k):
         try:
-            return eigsh(A, k=k, M=M, Minv=Minv, which=which, v0=v0)
+            if vectors:
+                return eigsh(A, k=k, M=M, Minv=Minv, which=which, v0=v0)
+            w = eigsh(A, k=k, M=M, Minv=Minv, which=which, v0=v0,
+                      return_eigenvectors=False)
+            return np.sort(w), None
         except ArpackNoConvergence as exc:
             raise SolverError("Lanczos did not converge ({})".format(exc)) from exc
 
@@ -273,31 +288,33 @@ def _lanczos_ends(A, M, Minv, v0, rho_range, k_each):
     return pos, neg, vp, vn
 
 
-def _sparse_weighted(p, t, k_each, seed, constrained):
-    """Signed lists of the weighted problem by Lanczos at the spectral ends.
+def _sparse_weighted(R, K, rf, rho_range, k_each, seed, vectors):
+    """Signed lists of R v = lambda K v by Lanczos at the spectral ends.
 
-    Unconstrained, the pencil is (R, K + t Mm). Constrained (tau = 1,
-    t = 0), it is the oblique pencil (Pi^T R Pi, K + gamma r r^T), where
-    Pi = I - 1 r^T / (r . 1) projects onto S = {r . v = 0} along the
-    constants. Since K 1 = 0, S and span(1) are orthogonal in both forms:
-    on S the pencil is the constrained problem, on span(1) it has the one
+    `rho_range` bounds the sign of R, which picks the ends to run. Without
+    a constraint vector (rf None), K must be SPD and the pencil is (R, K).
+    With one, K is semidefinite with K 1 = 0 and the problem lives on
+    S = {rf . v = 0}: the pencil is the oblique (Pi^T R Pi, K + gamma rf rf^T),
+    where Pi = I - 1 rf^T / (rf . 1) projects onto S along the constants.
+    Since K 1 = 0, S and span(1) are orthogonal in both forms: on S the
+    pencil is the constrained problem, on span(1) it has the one
     eigenvalue 0, which Lanczos at the ends never reaches and
     `_split_signed` drops. Pi^T R Pi is applied as written; the shorter
-    R - r r^T / (r . 1) needs r = R 1, which only assembly guarantees.
+    R - rf rf^T / (rf . 1) needs rf = R 1, which holds for assembled R but
+    not for a hand-built pencil or for Mm in R's place.
     """
-    nf = p.n_free
+    nf = K.shape[0]
     v0 = _seeded_start(nf, seed)
-    if not constrained:
-        Kt = (p.Kf + t * p.Mmf).tocsc() if t > 0.0 else p.Kf.tocsc()
-        return _lanczos_ends(p.Rf.tocsr(), Kt, _spd_inverse(Kt), v0,
-                             p.rho_range, k_each)
-    Kf = p.Kf.tocsr()
-    R = p.Rf.tocsr()
-    rf = p.r_free
+    if rf is None:
+        K = K.tocsc()
+        return _lanczos_ends(R.tocsr(), K, _spd_inverse(K), v0, rho_range,
+                             k_each, vectors)
+    K = K.tocsr()
+    R = R.tocsr()
     r1 = float(rf.sum())
-    gamma = (float(Kf.diagonal().mean()) or 1.0) / float(rf @ rf)
+    gamma = (float(K.diagonal().mean()) or 1.0) / float(rf @ rf)
     # K with free vertex 0 grounded is SPD; x_0 = 0 fixes the constant
-    grounded = _spd_inverse(Kf[1:, 1:])
+    grounded = _spd_inverse(K[1:, 1:])
 
     # ARPACK calls these closures thousands of times. A BLAS ddot (rf @ v)
     # in each, on OpenBLAS's default 2 threads, made a level-7 `halves`
@@ -322,20 +339,24 @@ def _sparse_weighted(p, t, k_each, seed, constrained):
         return w - rf * (w.sum() / r1)
 
     A = LinearOperator((nf, nf), matvec=a, dtype=float)
-    M = LinearOperator((nf, nf), matvec=lambda v: Kf @ v + gamma * rdot(v) * rf,
+    M = LinearOperator((nf, nf), matvec=lambda v: K @ v + gamma * rdot(v) * rf,
                        dtype=float)
     Minv = LinearOperator((nf, nf), matvec=minv, dtype=float)
-    return _lanczos_ends(A, M, Minv, pi(v0), p.rho_range, k_each)
+    return _lanczos_ends(A, M, Minv, pi(v0), rho_range, k_each, vectors)
 
 
 def solve_weighted(p: Pencil, t: float = 0.0, k_each: int = 6,
-                   dense_limit: int = _DENSE_LIMIT, seed: int = 0) -> Spectrum:
+                   dense_limit: int = _DENSE_LIMIT, seed: int = 0,
+                   vectors: bool = True) -> Spectrum:
     """Solve R v = lambda (K + t Mm) v, k_each eigenvalues per sign.
 
     t = 0 requires a coercive K on the working space: either eliminated
     Dirichlet DOFs or, on a pure-Neumann pencil, the constraint {r . v = 0}
-    which the solver applies itself. Results carry E_t-orthonormal
-    eigenvectors over the free DOFs.
+    which the solver applies itself. With `vectors` (the default) results
+    carry E_t-orthonormal eigenvectors over the free DOFs; with
+    vectors=False `vec_pos` and `vec_neg` are None and the solve skips
+    their computation, so callers that read only eigenvalues should pass
+    it. The eigenvalues agree either way to roundoff.
     """
     if t < 0.0:
         raise ValueError("t must be >= 0")
@@ -345,10 +366,13 @@ def solve_weighted(p: Pencil, t: float = 0.0, k_each: int = 6,
     proj = project_constraint(p) if constrained else None
     method = "dense"
     if p.n_free <= dense_limit:
-        pos, neg, vp, vn = _dense_weighted(p, t, k_each, proj)
+        pos, neg, vp, vn = _dense_weighted(p, t, k_each, proj, vectors)
     else:
         method = "sparse-projected" if constrained else "sparse-lanczos"
-        pos, neg, vp, vn = _sparse_weighted(p, t, k_each, seed, constrained)
+        Kt = p.Kf + t * p.Mmf if t > 0.0 else p.Kf
+        rf = proj.r if constrained else None
+        pos, neg, vp, vn = _sparse_weighted(p.Rf, Kt, rf, p.rho_range,
+                                            k_each, seed, vectors)
     meta = {
         "t": float(t),
         "bc": p.bc.kind,
@@ -367,15 +391,17 @@ def solve_laplace(p: Pencil, count: int = 6, dense_limit: int = _DENSE_LIMIT,
     """Smallest `count` eigenvalues of K v = Lambda Mm v, ascending.
 
     A pure-Neumann pencil contributes its zero mode (constant eigenvector)
-    as Lambda_1 = 0.
+    as Lambda_1 = 0. With `return_vectors`, the eigenvector columns come
+    back too; without, neither path computes them.
     """
     nf = p.n_free
     if nf == 0:
         raise SolverError("no free DOFs")
     count = min(int(count), nf)
     if nf <= dense_limit:
-        w, V = eigh(p.Kf.toarray(), p.Mmf.toarray(),
-                    subset_by_index=[0, count - 1])
+        out = eigh(p.Kf.toarray(), p.Mmf.toarray(),
+                   eigvals_only=not return_vectors,
+                   subset_by_index=[0, count - 1])
     else:
         from scipy.sparse.linalg import eigsh
 
@@ -383,13 +409,15 @@ def solve_laplace(p: Pencil, count: int = 6, dense_limit: int = _DENSE_LIMIT,
             raise SolverError("sparse path cannot return the full spectrum")
         Kf, Mmf = p.Kf.tocsc(), p.Mmf.tocsc()
         try:
-            w, V = eigsh(Kf, k=count, M=Mmf, sigma=-1.0, which="LM",
-                         mode="normal", v0=_seeded_start(nf, seed),
-                         OPinv=_spd_inverse(Kf + Mmf))
+            out = eigsh(Kf, k=count, M=Mmf, sigma=-1.0, which="LM",
+                        mode="normal", v0=_seeded_start(nf, seed),
+                        OPinv=_spd_inverse(Kf + Mmf),
+                        return_eigenvectors=return_vectors)
         except ArpackNoConvergence as exc:
             raise SolverError("Lanczos did not converge ({})".format(exc)) from exc
+        if not return_vectors:
+            return np.sort(out)
+        w, V = out
         order = np.argsort(w)
-        w, V = w[order], V[:, order]
-    if return_vectors:
-        return w, V
-    return w
+        return w[order], V[:, order]
+    return out

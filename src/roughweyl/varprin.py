@@ -58,7 +58,12 @@ _MAX_RESAMPLE = 50
 
 def _reduced_operators(s: Spectrum, p):
     """Dense (Kt, R, vec_pos, vec_neg), reduced to the constraint subspace
-    when the spectrum was computed there."""
+    when the spectrum was computed there. A spectrum solved without
+    eigenvectors is rejected: the variational checks need them."""
+    for vals, vecs in ((s.pos, s.vec_pos), (s.neg, s.vec_neg)):
+        if len(vals) and vecs is None:
+            raise ValueError("spectrum carries no eigenvectors; solve with "
+                             "vectors=True")
     t = float(s.meta.get("t", 0.0))
     Kt = p.Kf.toarray()
     if t > 0.0:
@@ -81,7 +86,7 @@ def _signed_items(s: Spectrum, vp, vn, k):
         ("plus", s.pos, vp, +1),
         ("minus", s.neg, vn, -1),
     ):
-        if len(vals) < k or vecs is None or vecs.shape[1] < k:
+        if len(vals) < k or vecs.shape[1] < k:
             continue
         out.append((label, float(vals[k - 1]), vecs, sign))
     return out
@@ -358,7 +363,9 @@ def check_bracketing(m: Mesh, partition, g, w, bc: BoundarySpec, t: float,
     up to roundoff. Comparisons run over the common prefix of each pair of
     sequences up to k_max. `s_global`, when given, is the global spectrum
     at t with at least k_max values per sign where the pencil has them;
-    otherwise the checker assembles and solves the global pencil itself.
+    otherwise the checker assembles and solves the global pencil itself,
+    with `solve_weighted`'s defaults so that the report is the same either
+    way (see `check_sandwich`).
     """
     if t <= 0.0:
         raise ValueError("bracketing needs t > 0")
@@ -449,7 +456,10 @@ def check_sandwich(p, t_list=(0.5, 0.1, 0.02), k_max: int = 100,
     between the two bounds is monitored, not asserted; it closes as t -> 0.
     `s0`, when given, is the t = 0 spectrum of p with at least k_max + tau
     values per sign where the pencil has them; otherwise the checker
-    solves it.
+    solves it with `solve_weighted`'s defaults, eigenvectors included:
+    eigenvalue-only solves differ from eigenpair solves in the last bits,
+    and the report must not depend on whether s0 was supplied. The
+    regularized spectra, always solved here, are eigenvalues only.
     """
     for t in t_list:
         if not 0.0 < t < 1.0:
@@ -466,9 +476,10 @@ def check_sandwich(p, t_list=(0.5, 0.1, 0.02), k_max: int = 100,
     shift_flags = []
     for t in t_list:
         st = solve_weighted(p, t, k_each=k_max + tau,
-                            dense_limit=dense_limit, seed=seed)
+                            dense_limit=dense_limit, seed=seed, vectors=False)
         sct = solve_weighted(p, C * t, k_each=k_max + tau,
-                             dense_limit=dense_limit, seed=seed)
+                             dense_limit=dense_limit, seed=seed,
+                             vectors=False)
         sides = {}
         t_shift = []
         for label, sign in (("plus", 1), ("minus", -1)):

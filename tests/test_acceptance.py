@@ -60,7 +60,8 @@ def fine_halves():
     m = generate_unit_square(128)
     p = assemble(m, euclidean_metric(), halves_weight(1.0, -1.0),
                  BoundarySpec.dirichlet(), 2)
-    return solve_weighted(p, 0.0, k_each=300, dense_limit=3000)
+    return solve_weighted(p, 0.0, k_each=300, dense_limit=3000,
+                          vectors=False)
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +71,7 @@ def cone_disk():
     g = graph_cone_metric()
     w = constant_weight(1.0)
     p = assemble(m, g, w, BoundarySpec.dirichlet(), 2)
-    s = solve_weighted(p, 0.0, k_each=900, dense_limit=3000)
+    s = solve_weighted(p, 0.0, k_each=900, dense_limit=3000, vectors=False)
     return {"s": s, "target": weyl_target(m, g, w)}
 
 

@@ -1,6 +1,8 @@
 """Assembly oracles: hand-integrated element matrices, stencil values,
 conformal scaling, pullback equality, and the discrete Poincare constant."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -313,6 +315,33 @@ class TestPoincareConstant:
         dense = poincare_constant(p)
         sparse_val = poincare_constant(p, dense_limit=10)
         np.testing.assert_allclose(sparse_val, dense, rtol=1e-10)
+
+
+class TestSparsePoincareConstant:
+    """The Lanczos value above the dense limit against the dense oracle on
+    a sign-changing Neumann weight."""
+
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("metric", ["euclidean", "checkerboard"])
+    def test_halves_neumann_matches_dense(self, metric, n):
+        g = (euclidean_metric() if metric == "euclidean"
+             else checkerboard_metric(1.0, 2.0, 4))
+        p = assemble(generate_unit_square(n), g, halves_weight(1.0, -0.5),
+                     BoundarySpec.neumann())
+        assert p.tau == 1
+        dense = poincare_constant(p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sparse_val = poincare_constant(p, dense_limit=0)
+        np.testing.assert_allclose(sparse_val, dense, rtol=1e-10)
+
+    @pytest.mark.parametrize("kw", [{"tol": 1e-8}, {"maxiter": 10}])
+    def test_tol_and_maxiter_deprecated(self, kw):
+        p = assemble(generate_unit_square(8), euclidean_metric(),
+                     constant_weight(1.0), BoundarySpec.neumann())
+        with pytest.warns(DeprecationWarning, match="ignored"):
+            mu = poincare_constant(p, dense_limit=0, **kw)
+        assert mu == poincare_constant(p, dense_limit=0)
 
 
 class TestHouseholderReduction:

@@ -384,6 +384,35 @@ class TestRunReportTasks:
         rows = (out / "spectrum.csv").read_text().splitlines()
         assert len(rows) == 1 + 6
 
+    TASK_CONFIGS = {
+        "solve": "[solver]\nk_each = 12\n",
+        "weyl": "[solver]\nk_each = 30\nwindow = 10,29\n",
+        "converge": "[solver]\nk_each = 30\nlevels = 3,4\nwindow = 10,29\n",
+        "sandwich": "[boundary]\nboundary = neumann\n[solver]\nk_each = 12\n"
+                    "k_max = 10\n",
+        "bracket": "[solver]\nk_each = 12\nk_max = 8\nt = 1.0\n",
+        "varprin": "[solver]\nk_each = 12\nk = 3\ntrials = 5\n",
+    }
+
+    @pytest.mark.parametrize("task", sorted(TASK_CONFIGS))
+    def test_only_varprin_asks_for_eigenvectors(self, tmp_path, monkeypatch,
+                                                task):
+        asked = []
+        solve = roughweyl.varprin.solve_weighted
+
+        def spy(*args, **kw):
+            asked.append(kw.get("vectors", True))
+            return solve(*args, **kw)
+
+        monkeypatch.setattr(roughweyl.cli, "solve_weighted", spy)
+        monkeypatch.setattr(roughweyl.varprin, "solve_weighted", spy)
+        cfg = ExperimentConfig.from_text(
+            "task = {}\n[domain]\nlevel = 4\n{}[output]\ndir = {}\n".format(
+                task, self.TASK_CONFIGS[task], tmp_path / "out"))
+        assert run(cfg) in (0, 1)
+        assert asked
+        assert asked == [task == "varprin"] * len(asked)
+
     def test_varprin_task_runs_all_three_checkers(self, tmp_path):
         out = tmp_path / "out"
         cfg = ExperimentConfig.from_text(

@@ -356,6 +356,88 @@ class TestSparseConstrained:
         assert modes == [True] * len(cases)
 
 
+class TestEigenvaluesOnly:
+    """vectors=False skips the eigenvectors and keeps the eigenvalues."""
+
+    CASES = {
+        "dirichlet_const": (None, None, 0.0),
+        "neumann_t": (halves_weight(1.0, -0.5), BoundarySpec.neumann(), 0.5),
+        "constrained_one_sign": (None, BoundarySpec.neumann(), 0.0),
+        "constrained_halves": (halves_weight(1.0, -0.5),
+                               BoundarySpec.neumann(), 0.0),
+        "short_negative": (expression_weight("x + y - 0.3"), None, 0.0),
+        "k_each_at_n_free": (expression_weight("x + y - 0.3"), None, 0.0),
+    }
+
+    @pytest.mark.parametrize("dense_limit", [3000, 0])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_values_match_eigenpair_solve(self, case, dense_limit):
+        w, bc, t = self.CASES[case]
+        p = square_pencil(16, w, bc)
+        k_each = p.n_free if case == "k_each_at_n_free" else 20
+        full = solve_weighted(p, t, k_each, dense_limit=dense_limit)
+        only = solve_weighted(p, t, k_each, dense_limit=dense_limit,
+                              vectors=False)
+        assert only.vec_pos is None and only.vec_neg is None
+        assert only.meta == full.meta
+        assert (len(only.pos), len(only.neg)) == (len(full.pos),
+                                                  len(full.neg))
+        np.testing.assert_allclose(only.pos, full.pos, rtol=1e-12)
+        np.testing.assert_allclose(only.neg, full.neg, rtol=1e-12)
+        if case == "short_negative":
+            assert 0 < len(only.neg) < k_each
+
+    def test_constrained_halves_takes_one_be_run(self, monkeypatch):
+        import scipy.sparse.linalg as sla
+
+        calls = []
+        eigsh = sla.eigsh
+
+        def spy(*args, **kwargs):
+            calls.append((kwargs["which"], kwargs["return_eigenvectors"]))
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(sla, "eigsh", spy)
+        p = square_pencil(16, halves_weight(1.0, -0.5), BoundarySpec.neumann())
+        solve_weighted(p, 0.0, 8, dense_limit=0, vectors=False)
+        assert calls == [("BE", False)]
+
+    @pytest.mark.parametrize("dense_limit", [3000, 50])
+    @pytest.mark.parametrize("bc", [BoundarySpec.dirichlet(),
+                                    BoundarySpec.neumann()])
+    def test_solve_laplace_without_vectors(self, bc, dense_limit):
+        p = square_pencil(16, bc=bc)
+        lam, V = solve_laplace(p, 10, dense_limit=dense_limit,
+                               return_vectors=True)
+        assert V.shape == (p.n_free, 10)
+        only = solve_laplace(p, 10, dense_limit=dense_limit)
+        assert isinstance(only, np.ndarray)
+        np.testing.assert_allclose(only, lam, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("dense_limit", [3000, 50])
+    def test_solve_laplace_skips_vectors(self, monkeypatch, dense_limit):
+        import scipy.linalg
+        import scipy.sparse.linalg as sla
+
+        import roughweyl.spectral
+
+        asked = []
+        eigh, eigsh = scipy.linalg.eigh, sla.eigsh
+
+        def eigh_spy(*args, **kwargs):
+            asked.append(not kwargs.get("eigvals_only", False))
+            return eigh(*args, **kwargs)
+
+        def eigsh_spy(*args, **kwargs):
+            asked.append(kwargs.get("return_eigenvectors", True))
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(roughweyl.spectral, "eigh", eigh_spy)
+        monkeypatch.setattr(sla, "eigsh", eigsh_spy)
+        solve_laplace(square_pencil(16), 6, dense_limit=dense_limit)
+        assert asked == [False]
+
+
 class TestProjectConstraint:
     def test_dirichlet_identity(self):
         p = square_pencil(6)

@@ -16,7 +16,7 @@ from roughweyl import (
     halves_weight,
     solve_weighted,
 )
-from roughweyl.spectral import project_constraint
+from roughweyl.spectral import Spectrum, project_constraint
 from roughweyl.varprin import (
     check_bracketing,
     check_courant,
@@ -152,6 +152,23 @@ class TestCourant:
         sn = solve_weighted(pn, 0.0, k_each=4)
         rep = check_courant(sn, pn, 2, trials=25, seed=1)
         assert rep["passed"]
+
+
+class TestEigenvaluesOnlySpectrum:
+    @pytest.mark.parametrize("check", [check_poincare_minmax, check_rayleigh,
+                                       check_courant])
+    @pytest.mark.parametrize("bc", [BoundarySpec.dirichlet(),
+                                    BoundarySpec.neumann()])
+    def test_checkers_reject_spectrum_without_vectors(self, check, bc):
+        p = assemble(generate_unit_square(8), euclidean_metric(),
+                     halves_weight(1.0, -0.5), bc)
+        s = solve_weighted(p, 0.0, k_each=4)
+        bare = Spectrum(s.pos, s.neg, meta=s.meta)
+        with pytest.raises(ValueError, match="carries no eigenvectors"):
+            check(bare, p, 2, trials=5, seed=0)
+        with pytest.raises(ValueError, match="carries no eigenvectors"):
+            check(solve_weighted(p, 0.0, k_each=4, vectors=False), p, 2,
+                  trials=5, seed=0)
 
 
 def courant_reference(s, p, k, trials, seed):

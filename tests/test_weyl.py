@@ -1,8 +1,12 @@
 import csv
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import roughweyl.weyl
 from roughweyl import (
     BoundarySpec,
     Mesh,
@@ -55,6 +59,17 @@ class TestWeylConstantFactor:
             (1.0 / (6.0 * np.pi ** 2)) ** (2.0 / 3.0), rel=1e-14)
         assert weyl_constant_factor(1) == pytest.approx(
             (2.0 / (2.0 * np.pi)) ** 2.0, rel=1e-14)
+
+
+def test_import_leaves_scipy_special_unloaded():
+    # the Weyl constant needs only the gamma function of the standard
+    # library; scipy.special is a slow import nothing else needs
+    code = "import sys, roughweyl; print('scipy.special' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(roughweyl.__file__))
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "False"
 
 
 class TestWeylTarget:
@@ -283,6 +298,19 @@ class TestConvergenceStudy:
         for row in rows:
             assert row["rel_dev_minus"] == pytest.approx(
                 row["rel_dev_plus"], abs=1e-9)
+
+    def test_solves_for_eigenvalues_only(self, monkeypatch):
+        asked = []
+        solve = roughweyl.weyl.solve_weighted
+
+        def spy(*args, **kw):
+            asked.append(kw.get("vectors", True))
+            return solve(*args, **kw)
+
+        monkeypatch.setattr(roughweyl.weyl, "solve_weighted", spy)
+        convergence_study(self.square_problem(), [3, 4], window=(10, 29),
+                          k_each=30)
+        assert asked == [False, False]
 
     def test_too_few_levels_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
