@@ -319,36 +319,22 @@ def poincare_constant(p: Pencil, dense_limit: int = _DENSE_LIMIT,
     Z(rho) is the whole free space when the energy is already coercive
     (tau = 0) and the hyperplane {r . v = 0} when tau = 1. The sandwich
     checker uses mu_min directly as its constant C (the inequality constant
-    of the underlying norm bound is mu_min^{-1/2}). Above `dense_limit`,
-    mu_min is 1 / (the top eigenvalue of the pencil (Mm, K) on Z(rho)),
-    one Lanczos run of the weighted-problem driver with Mm in the place of
-    R. `tol` and `maxiter` are deprecated and ignored.
+    of the underlying norm bound is mu_min^{-1/2}). mu_min is 1 / (the top
+    eigenvalue of the pencil (Mm, K) on Z(rho)), one weighted-problem
+    solve with Mm in the place of R, dense or Lanczos by `dense_limit`.
+    `tol` and `maxiter` are deprecated and ignored.
     """
-    from .spectral import _sparse_weighted, project_constraint
+    from .spectral import _signed_ends, project_constraint
 
     if tol is not None or maxiter is not None:
         warnings.warn("poincare_constant: tol and maxiter are ignored and "
                       "will be removed", DeprecationWarning, stacklevel=2)
-    nf = p.n_free
-    if nf == 0:
+    if p.n_free == 0:
         raise ValueError("no free DOFs")
-    r = project_constraint(p).r
-    if nf <= dense_limit:
-        K = p.Kf.toarray()
-        M = p.Mmf.toarray()
-        if r is not None:
-            H = _Householder(r)
-            K = H.reduce(K)
-            M = H.reduce(M)
-        from scipy.linalg import eigh
-
-        vals = eigh(K, M, eigvals_only=True, subset_by_index=[0, 0])
-        mu = float(vals[0])
-    else:
-        # Mm is positive definite: only the top end runs
-        top = _sparse_weighted(p.Mmf, p.Kf, r, (1.0, 1.0), 1, seed,
-                               vectors=False)[0]
-        mu = 1.0 / float(top[0])
+    # Mm is positive definite: only the top end runs
+    top = _signed_ends(p.Mmf, p.Kf, project_constraint(p), (1.0, 1.0), 1,
+                       dense_limit, seed, False)[0]
+    mu = 1.0 / float(top[0])
     if mu <= 1e-12:
         raise ModelingError(
             "smallest energy eigenvalue {:.3e} is not positive; "

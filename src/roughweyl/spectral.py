@@ -6,7 +6,13 @@ t = 0 on a pure-Neumann pencil the form K alone is only semidefinite and the
 solve is restricted to the coercivity subspace {v : r . v = 0}; the restriction
 is a rank-one projection, so the dimension drops by exactly one.
 
-Two code paths. Dense (free DOFs <= the dense limit `assembly._DENSE_LIMIT`):
+Every eigensolve goes through one dispatcher, `_signed_ends(A, M, rf, ...)`:
+the signed lists of a pencil (A, M), on {rf . v = 0} when rf is given. Its
+callers: `solve_weighted` (R, K + t Mm), `solve_laplace` (Mm, K + Mm),
+`assembly.poincare_constant` (Mm, K) and `varprin.check_bracketing` (each
+subdomain's pencil).
+
+Two code paths. Dense (rows <= the dense limit `assembly._DENSE_LIMIT`):
 Cholesky-based reduction of the pencil and a full symmetric eigensolve, which
 doubles as the trusted oracle.
 Sparse: one Lanczos driver, `_sparse_weighted`, over a pencil (A, M) with
@@ -18,8 +24,7 @@ ARPACK's "BE" mode takes k_each eigenvalues from each spectral end in a
 single run. Every SPD form that is inverted is factored by `_spd_inverse`:
 sparse LU in symmetric mode, minimum-degree ordering on A + A^T, no
 pivoting, and a check that the pivots stayed on the diagonal and bounded
-away from zero. The same driver gives `assembly.poincare_constant` its
-sparse value, with Mm in the place of R.
+away from zero.
 
 Eigenvectors are optional (`solve_weighted(..., vectors=False)`): the
 dense path then skips the eigenvector back-substitution and the sparse
@@ -38,7 +43,6 @@ from .assembly import _DENSE_LIMIT, ModelingError, Pencil, _Householder
 __all__ = [
     "Spectrum",
     "SolverError",
-    "ConstraintProjector",
     "solve_weighted",
     "solve_laplace",
     "project_constraint",
@@ -105,61 +109,17 @@ class Spectrum:
         )
 
 
-class ConstraintProjector:
-    """The working subspace {v : r . v = 0} as a rank-one projector.
+def project_constraint(p: Pencil):
+    """The constraint vector of the t = 0 solve, or None without one.
 
-    For tau = 0 the projector is the identity and dim == ambient_dim. The
-    solvers read only the constraint vector `r`: the sparse solve applies
-    its own oblique projector along the constants, and the dense solve the
-    reflector `assembly._Householder` without forming a basis. `apply`
-    (the orthogonal projection v - r (r.v)/(r.r)) and `basis()` (an
-    explicit orthonormal Householder frame) are for callers and tests.
-    """
-
-    def __init__(self, ambient_dim, r=None):
-        self.ambient_dim = int(ambient_dim)
-        if r is None:
-            self.r = None
-            self.dim = self.ambient_dim
-        else:
-            r = np.asarray(r, dtype=float)
-            nrm = float(np.linalg.norm(r))
-            if nrm <= 0.0:
-                raise ModelingError("constraint vector r vanishes")
-            self.r = r
-            self._rr = nrm * nrm
-            self.dim = self.ambient_dim - 1
-
-    @property
-    def is_identity(self):
-        return self.r is None
-
-    def apply(self, v):
-        if self.r is None:
-            return v
-        return v - self.r * (self.r @ v / self._rr)
-
-    def basis(self):
-        """Orthonormal (ambient_dim, dim) basis of the working space."""
-        if self.r is None:
-            return np.eye(self.ambient_dim)
-        return _Householder(self.r).basis()
-
-    def __repr__(self):
-        kind = "identity" if self.r is None else "rank-one"
-        return "ConstraintProjector({}, dim={})".format(kind, self.dim)
-
-
-def project_constraint(p: Pencil) -> ConstraintProjector:
-    """Working-space description for the t = 0 solve.
-
-    Only a pure-Neumann pencil (tau = 1) carries a constraint; there the
-    model requires both r != 0 and a nonvanishing weight integral
-    r . 1 = integral rho d mu (otherwise constants stay in the subspace
-    while carrying zero energy, and the eigenproblem degenerates).
+    Only a pure-Neumann pencil (tau = 1) carries a constraint, the working
+    subspace {v : r . v = 0}; there the model requires both r != 0 and a
+    nonvanishing weight integral r . 1 = integral rho d mu (otherwise
+    constants stay in the subspace while carrying zero energy, and the
+    eigenproblem degenerates). Returns the checked free-DOF r.
     """
     if p.tau == 0:
-        return ConstraintProjector(p.n_free)
+        return None
     rf = p.r_free
     scale = max(1.0, float(np.abs(rf).sum()))
     if np.linalg.norm(rf) <= 1e-14 * scale:
@@ -169,7 +129,7 @@ def project_constraint(p: Pencil) -> ConstraintProjector:
             "weight integral vanishes: integral rho d mu = 0 leaves constants "
             "energy-free in the working space"
         )
-    return ConstraintProjector(p.n_free, rf)
+    return rf
 
 
 def extend_by_zero(p: Pencil, V):
@@ -198,21 +158,21 @@ def _seeded_start(n, seed):
     return np.random.default_rng(seed).standard_normal(n)
 
 
-def _dense_weighted(p, t, k_each, proj, vectors):
-    Kt = p.Kf.toarray()
-    if t > 0.0:
-        Kt += t * p.Mmf.toarray()
-    R = p.Rf.toarray()
+def _dense_weighted(A, M, rf, k_each, vectors):
+    """Signed lists of A v = lambda M v by a full dense eigensolve, on
+    {rf . v = 0} when a constraint vector is given."""
+    A = A.toarray()
+    M = M.toarray()
     H = None
-    if proj is not None and not proj.is_identity:
-        H = _Householder(proj.r)
-        Kt = H.reduce(Kt)
-        R = H.reduce(R)
+    if rf is not None:
+        H = _Householder(rf)
+        M = H.reduce(M)
+        A = H.reduce(A)
     try:
         if vectors:
-            w, V = eigh(R, Kt)
+            w, V = eigh(A, M)
         else:
-            w, V = eigh(R, Kt, eigvals_only=True), None
+            w, V = eigh(A, M, eigvals_only=True), None
     except np.linalg.LinAlgError as exc:
         raise SolverError(
             "coercive form is not positive definite; supply t > 0 or a "
@@ -345,6 +305,19 @@ def _sparse_weighted(R, K, rf, rho_range, k_each, seed, vectors):
     return _lanczos_ends(A, M, Minv, pi(v0), rho_range, k_each, vectors)
 
 
+def _signed_ends(A, M, rf, rho_range, k_each, dense_limit, seed, vectors):
+    """Signed lists (pos, neg, vec_pos, vec_neg) of A v = lambda M v.
+
+    The one entry point of every eigensolve: the dense solve up to
+    `dense_limit` rows, Lanczos at the spectral ends above it. M is SPD,
+    or, with a constraint vector rf, semidefinite with M 1 = 0 and the
+    problem posed on {rf . v = 0}. `rho_range` bounds the sign of A.
+    """
+    if M.shape[0] <= dense_limit:
+        return _dense_weighted(A, M, rf, k_each, vectors)
+    return _sparse_weighted(A, M, rf, rho_range, k_each, seed, vectors)
+
+
 def solve_weighted(p: Pencil, t: float = 0.0, k_each: int = 6,
                    dense_limit: int = _DENSE_LIMIT, seed: int = 0,
                    vectors: bool = True) -> Spectrum:
@@ -362,17 +335,14 @@ def solve_weighted(p: Pencil, t: float = 0.0, k_each: int = 6,
         raise ValueError("t must be >= 0")
     if p.n_free == 0:
         raise SolverError("no free DOFs")
-    constrained = p.tau == 1 and t == 0.0
-    proj = project_constraint(p) if constrained else None
+    rf = project_constraint(p) if t == 0.0 else None
+    constrained = rf is not None
+    Kt = p.Kf + t * p.Mmf if t > 0.0 else p.Kf
+    pos, neg, vp, vn = _signed_ends(p.Rf, Kt, rf, p.rho_range, k_each,
+                                    dense_limit, seed, vectors)
     method = "dense"
-    if p.n_free <= dense_limit:
-        pos, neg, vp, vn = _dense_weighted(p, t, k_each, proj, vectors)
-    else:
+    if p.n_free > dense_limit:
         method = "sparse-projected" if constrained else "sparse-lanczos"
-        Kt = p.Kf + t * p.Mmf if t > 0.0 else p.Kf
-        rf = proj.r if constrained else None
-        pos, neg, vp, vn = _sparse_weighted(p.Rf, Kt, rf, p.rho_range,
-                                            k_each, seed, vectors)
     meta = {
         "t": float(t),
         "bc": p.bc.kind,
@@ -390,34 +360,22 @@ def solve_laplace(p: Pencil, count: int = 6, dense_limit: int = _DENSE_LIMIT,
                   seed: int = 0, return_vectors: bool = False):
     """Smallest `count` eigenvalues of K v = Lambda Mm v, ascending.
 
-    A pure-Neumann pencil contributes its zero mode (constant eigenvector)
-    as Lambda_1 = 0. With `return_vectors`, the eigenvector columns come
-    back too; without, neither path computes them.
+    Lambda = 1/mu - 1 for the top `count` eigenvalues mu of the SPD
+    pencil (Mm, K + Mm). A pure-Neumann pencil contributes its zero mode
+    (constant eigenvector) as Lambda_1 = 0. With `return_vectors`, the
+    Mm-orthonormal eigenvector columns come back too; without, neither
+    path computes them.
     """
     nf = p.n_free
     if nf == 0:
         raise SolverError("no free DOFs")
     count = min(int(count), nf)
-    if nf <= dense_limit:
-        out = eigh(p.Kf.toarray(), p.Mmf.toarray(),
-                   eigvals_only=not return_vectors,
-                   subset_by_index=[0, count - 1])
-    else:
-        from scipy.sparse.linalg import eigsh
-
-        if count > nf - 2:
-            raise SolverError("sparse path cannot return the full spectrum")
-        Kf, Mmf = p.Kf.tocsc(), p.Mmf.tocsc()
-        try:
-            out = eigsh(Kf, k=count, M=Mmf, sigma=-1.0, which="LM",
-                        mode="normal", v0=_seeded_start(nf, seed),
-                        OPinv=_spd_inverse(Kf + Mmf),
-                        return_eigenvectors=return_vectors)
-        except ArpackNoConvergence as exc:
-            raise SolverError("Lanczos did not converge ({})".format(exc)) from exc
-        if not return_vectors:
-            return np.sort(out)
-        w, V = out
-        order = np.argsort(w)
-        return w[order], V[:, order]
-    return out
+    if nf > dense_limit and count > nf - 2:
+        raise SolverError("sparse path cannot return the full spectrum")
+    mu, _, V, _ = _signed_ends(p.Mmf, p.Kf + p.Mmf, None, (1.0, 1.0), count,
+                               dense_limit, seed, return_vectors)
+    lam = 1.0 / mu - 1.0
+    if not return_vectors:
+        return lam
+    # (K + Mm)-orthonormal columns have v^T Mm v = mu
+    return lam, V / np.sqrt(mu)

@@ -40,7 +40,12 @@ from .assembly import (
     poincare_constant,
 )
 from .mesh import Mesh, edge_incidence
-from .spectral import Spectrum, project_constraint, solve_weighted
+from .spectral import (
+    Spectrum,
+    _signed_ends,
+    project_constraint,
+    solve_weighted,
+)
 
 __all__ = [
     "BracketReport",
@@ -71,7 +76,7 @@ def _reduced_operators(s: Spectrum, p):
     R = p.Rf.toarray()
     vp, vn = s.vec_pos, s.vec_neg
     if s.meta.get("constrained"):
-        H = _Householder(project_constraint(p).r)
+        H = _Householder(project_constraint(p))
         Kt = H.reduce(Kt)
         R = H.reduce(R)
         vp = H.restrict(vp) if vp is not None else None
@@ -361,11 +366,14 @@ def check_bracketing(m: Mesh, partition, g, w, bc: BoundarySpec, t: float,
     Subdomain matrices are element sums over each cell, so the discrete
     spaces nest exactly and nu_k <= lambda_k(W, t) <= eta_k holds per sign
     up to roundoff. Comparisons run over the common prefix of each pair of
-    sequences up to k_max. `s_global`, when given, is the global spectrum
-    at t with at least k_max values per sign where the pencil has them;
-    otherwise the checker assembles and solves the global pencil itself,
-    with `solve_weighted`'s defaults so that the report is the same either
-    way (see `check_sandwich`).
+    sequences up to k_max. Each cell is solved like the global pencil,
+    for its top k_max values per sign (the merged top k_max lie among
+    them), and densely only up to `dense_limit` DOFs or k_max + 1, below
+    which Lanczos cannot return k_max values per end.
+    `s_global`, when given, is the global spectrum at t with at least
+    k_max values per sign where the pencil has them; otherwise the
+    checker assembles and solves the global pencil itself, eigenvalues
+    only.
     """
     if t <= 0.0:
         raise ValueError("bracketing needs t > 0")
@@ -383,7 +391,7 @@ def check_bracketing(m: Mesh, partition, g, w, bc: BoundarySpec, t: float,
     if s_global is None:
         s_global = solve_weighted(assemble(m, g, w, bc, quad_order), t,
                                   k_each=k_max, dense_limit=dense_limit,
-                                  seed=seed)
+                                  seed=seed, vectors=False)
     else:
         _check_supplied(s_global, t, m.num_vertices - len(dirichlet_global),
                         k_max)
@@ -404,13 +412,12 @@ def check_bracketing(m: Mesh, partition, g, w, bc: BoundarySpec, t: float,
                             dtype=np.int64)
             if free.size == 0:
                 continue
-            K = part.K[free][:, free].toarray()
-            Mm = part.Mm[free][:, free].toarray()
-            R = part.R[free][:, free].toarray()
-            vals = eigh(R, K + t * Mm, eigvals_only=True)
-            scale = max(1.0, float(np.abs(vals).max()))
-            target["plus"].extend(vals[vals > 1e-12 * scale])
-            target["minus"].extend(-vals[vals < -1e-12 * scale])
+            K, Mm, R = (A[free][:, free] for A in (part.K, part.Mm, part.R))
+            pos, neg, _, _ = _signed_ends(R, K + t * Mm, None, part.rho_range,
+                                          k_max, max(dense_limit, k_max + 1),
+                                          seed, False)
+            target["plus"].extend(pos)
+            target["minus"].extend(neg)
 
     data = {}
     violations = []
@@ -456,10 +463,8 @@ def check_sandwich(p, t_list=(0.5, 0.1, 0.02), k_max: int = 100,
     between the two bounds is monitored, not asserted; it closes as t -> 0.
     `s0`, when given, is the t = 0 spectrum of p with at least k_max + tau
     values per sign where the pencil has them; otherwise the checker
-    solves it with `solve_weighted`'s defaults, eigenvectors included:
-    eigenvalue-only solves differ from eigenpair solves in the last bits,
-    and the report must not depend on whether s0 was supplied. The
-    regularized spectra, always solved here, are eigenvalues only.
+    solves it itself. Every spectrum solved here is eigenvalues only, as
+    the CLI solves the one it supplies, so the two reports agree.
     """
     for t in t_list:
         if not 0.0 < t < 1.0:
@@ -467,7 +472,8 @@ def check_sandwich(p, t_list=(0.5, 0.1, 0.02), k_max: int = 100,
     tau = p.tau
     if s0 is None:
         s0 = solve_weighted(p, 0.0, k_each=k_max + tau,
-                            dense_limit=dense_limit, seed=seed)
+                            dense_limit=dense_limit, seed=seed,
+                            vectors=False)
     else:
         _check_supplied(s0, 0.0, p.n_free, k_max + tau)
     C = poincare_constant(p, dense_limit=dense_limit, seed=seed)

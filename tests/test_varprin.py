@@ -16,6 +16,8 @@ from roughweyl import (
     halves_weight,
     solve_weighted,
 )
+from roughweyl.assembly import _Householder
+from roughweyl.cli import named_partition
 from roughweyl.spectral import Spectrum, project_constraint
 from roughweyl.varprin import (
     check_bracketing,
@@ -180,7 +182,7 @@ def courant_reference(s, p, k, trials, seed):
     R = p.Rf.toarray()
     vp, vn = s.vec_pos, s.vec_neg
     if s.meta["constrained"]:
-        Q = project_constraint(p).basis()
+        Q = _Householder(project_constraint(p)).basis()
         Kt, R = Q.T @ Kt @ Q, Q.T @ R @ Q
         vp = Q.T @ vp if vp is not None else None
         vn = Q.T @ vn if vn is not None else None
@@ -281,6 +283,49 @@ class TestBracketing:
                                t=0.5, k_max=30)
         assert rep.passed
 
+    @pytest.mark.parametrize("scheme", ["halves", "quadrants"])
+    @pytest.mark.parametrize("bc", [BoundarySpec.dirichlet(),
+                                    BoundarySpec.neumann()],
+                             ids=["dirichlet", "neumann"])
+    def test_subdomains_honour_dense_limit(self, monkeypatch, bc, scheme):
+        import roughweyl.spectral
+        import roughweyl.varprin
+
+        m = generate_unit_square(16)
+        args = (m, named_partition(m, scheme), euclidean_metric(),
+                checkerboard_weight(1.0, -1.0, cells=4), bc, 1.0)
+        full = check_bracketing(*args, k_max=30).to_dict()
+        orders = []
+        for module in (roughweyl.spectral, roughweyl.varprin):
+            def spy(a, b=None, *rest, _eigh=module.eigh, **kwargs):
+                if b is not None:
+                    orders.append(a.shape[0])
+                return _eigh(a, b, *rest, **kwargs)
+
+            monkeypatch.setattr(module, "eigh", spy)
+        limited = check_bracketing(*args, k_max=30, dense_limit=40).to_dict()
+        assert max(orders, default=0) <= 40
+        for label in ("plus", "minus"):
+            for key in ("nu", "lam", "eta"):
+                got, want = limited[label][key], full[label][key]
+                assert len(got) == len(want) > 0
+                np.testing.assert_allclose(got, want, rtol=1e-10)
+        rest = [key for key in full if key not in ("plus", "minus")]
+        assert {k: limited[k] for k in rest} == {k: full[k] for k in rest}
+
+    def test_cells_smaller_than_k_max_solved_in_full(self):
+        # at dense_limit=0 the quadrants' Dirichlet cells hold one DOF,
+        # too few for Lanczos
+        m = generate_unit_square(4)
+        args = (m, named_partition(m, "quadrants"), euclidean_metric(),
+                constant_weight(1.0), BoundarySpec.dirichlet(), 1.0)
+        full = check_bracketing(*args, k_max=5).to_dict()
+        limited = check_bracketing(*args, k_max=5, dense_limit=0).to_dict()
+        for key in ("nu", "eta"):
+            assert limited["plus"][key] == full["plus"][key]
+        np.testing.assert_allclose(limited["plus"]["lam"],
+                                   full["plus"]["lam"], rtol=1e-10)
+
     def test_malformed_partitions_rejected(self):
         m, _ = dirichlet_problem(n=4)
         g, w = euclidean_metric(), constant_weight(1.0)
@@ -366,7 +411,7 @@ class TestSuppliedSpectrum:
     def test_sandwich_report_unchanged(self):
         _, p = dirichlet_problem(w=halves_weight(2.0, -1.0))
         own = check_sandwich(p, (0.5, 0.1), k_max=20)
-        s0 = solve_weighted(p, 0.0, k_each=40)
+        s0 = solve_weighted(p, 0.0, k_each=40, vectors=False)
         assert check_sandwich(p, (0.5, 0.1), k_max=20, s0=s0) == own
 
     def test_sandwich_rejects_mismatch(self):
@@ -390,13 +435,13 @@ class TestSuppliedSpectrum:
             check_sandwich(p, (0.5,), k_max=10,
                            s0=solve_weighted(p, 0.0, k_each=10))
         own = check_sandwich(p, (0.5,), k_max=10)
-        s0 = solve_weighted(p, 0.0, k_each=11)
+        s0 = solve_weighted(p, 0.0, k_each=11, vectors=False)
         assert check_sandwich(p, (0.5,), k_max=10, s0=s0) == own
 
     def test_short_family_accepted_when_the_pencil_ends(self):
         # a positive weight has no negative family at any k_each
         _, p = dirichlet_problem(n=8)
-        s0 = solve_weighted(p, 0.0, k_each=10)
+        s0 = solve_weighted(p, 0.0, k_each=10, vectors=False)
         assert len(s0.neg) == 0
         rep = check_sandwich(p, (0.5,), k_max=10, s0=s0)
         assert rep == check_sandwich(p, (0.5,), k_max=10)
@@ -407,7 +452,7 @@ class TestSuppliedSpectrum:
         args = (m, quadrant_partition(m), euclidean_metric(), w,
                 BoundarySpec.dirichlet(), 0.5)
         own = check_bracketing(*args, k_max=12)
-        s = solve_weighted(p, 0.5, k_each=30)
+        s = solve_weighted(p, 0.5, k_each=30, vectors=False)
         assert (check_bracketing(*args, k_max=12, s_global=s).to_dict()
                 == own.to_dict())
 
