@@ -15,7 +15,6 @@ the same seed reproduces every artifact byte for byte.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -44,7 +43,7 @@ from .varprin import (
     check_poincare_minmax,
     check_rayleigh,
     check_sandwich,
-    _jsonable,
+    save_report,
 )
 from .weyl import (
     fit_limit,
@@ -214,8 +213,6 @@ class ExperimentConfig:
         if self.t < 0.0:
             raise ConfigError("solver.t: must be >= 0")
         self.k_each = _as_int("solver", "k_each", sol.get("k_each", "200"))
-        if self.k_each < 1:
-            raise ConfigError("solver.k_each: must be >= 1")
         self.mode = sol.get("mode", "auto")
         if self.mode not in ("auto", "dense", "sparse"):
             raise ConfigError(
@@ -231,6 +228,9 @@ class ExperimentConfig:
                                      sol.get("t_list", "0.5,0.1,0.02"))
         self.trials = _as_int("solver", "trials", sol.get("trials", "100"))
         self.k = _as_int("solver", "k", sol.get("k", "3"))
+        for key in ("k_each", "k_max", "trials", "k"):
+            if getattr(self, key) < 1:
+                raise ConfigError("solver.{}: must be >= 1".format(key))
         self.partition = sol.get("partition", "halves")
         if self.partition not in ("halves", "quadrants"):
             raise ConfigError(
@@ -572,13 +572,6 @@ def emit_svg(s, target, path):
 # task runners
 
 
-def _write_summary(out_dir, payload):
-    path = os.path.join(out_dir, "summary.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _solve_stack(cfg):
     return assemble(_build_mesh(cfg.domain_kind, cfg.size, cfg.level),
                     build_metric(cfg.metric_spec),
@@ -696,7 +689,7 @@ def run(cfg: ExperimentConfig) -> int:
         summary["checks"] = checks
         summary["passed"] = all(checks.values())
         summary["artifacts"] = artifacts
-        _write_summary(out_dir, summary)
+        save_report(summary, os.path.join(out_dir, "summary.json"))
         return EXIT_OK if summary["passed"] else EXIT_CHECK_FAILED
     except ModelingError as exc:
         print("modeling error: {}".format(exc), file=sys.stderr)

@@ -12,9 +12,9 @@ callers: `solve_weighted` (R, K + t Mm), `solve_laplace` (Mm, K + Mm),
 `assembly.poincare_constant` (Mm, K) and `varprin.check_bracketing` (each
 subdomain's pencil).
 
-Two code paths. Dense (rows <= the dense limit `assembly._DENSE_LIMIT`):
-Cholesky-based reduction of the pencil and a full symmetric eigensolve, which
-doubles as the trusted oracle.
+Two code paths. Dense (rows <= the dense limit `assembly._DENSE_LIMIT`, or
+<= k_each + 1, which Lanczos cannot reach): Cholesky-based reduction of the
+pencil and a full symmetric eigensolve, which doubles as the trusted oracle.
 Sparse: one Lanczos driver, `_sparse_weighted`, over a pencil (A, M) with
 M SPD and inverted once: (R, K + t Mm), or in the constrained case the
 oblique pencil (Pi^T R Pi, K + gamma r r^T), where Pi projects onto
@@ -214,8 +214,9 @@ def _lanczos_ends(A, M, Minv, v0, rho_range, k_each, vectors):
 
     A sign-changing weight needs k_each eigenvalues at each end, which one
     "BE" run takes from a single Krylov space. When 2 k_each exceeds what
-    ARPACK can return (n - 2), each end gets its own clamped run instead,
-    so that no eigenvalue near zero is dropped. Without `vectors`, ARPACK
+    ARPACK can return (n - 2), each end gets its own run of k_each instead,
+    so that no eigenvalue near zero is dropped; `_signed_ends` sends a
+    pencil here only when k_each <= n - 2. Without `vectors`, ARPACK
     skips its Ritz-vector pass and the columns come back as None.
     """
     from scipy.sparse.linalg import eigsh
@@ -236,14 +237,13 @@ def _lanczos_ends(A, M, Minv, v0, rho_range, k_each, vectors):
     if rho_lo < 0.0 < rho_hi and 2 * k_each <= n - 2:
         w, V = run("BE", 2 * k_each)
         return _split_signed(w, V, k_each)
-    k = min(k_each, n - 2)
     pos = neg = np.empty(0)
     vp = vn = None
     if rho_hi > 0.0:
-        w, V = run("LA", k)
+        w, V = run("LA", k_each)
         pos, _, vp, _ = _split_signed(w, V, k_each)
     if rho_lo < 0.0:
-        w, V = run("SA", k)
+        w, V = run("SA", k_each)
         _, neg, _, vn = _split_signed(w, V, k_each)
     return pos, neg, vp, vn
 
@@ -305,15 +305,22 @@ def _sparse_weighted(R, K, rf, rho_range, k_each, seed, vectors):
     return _lanczos_ends(A, M, Minv, pi(v0), rho_range, k_each, vectors)
 
 
+def _goes_dense(n, k_each, dense_limit):
+    """Whether `_signed_ends` solves an n-row pencil densely: up to
+    `dense_limit` rows, and wherever Lanczos, which returns at most n - 2
+    values per end, cannot reach k_each."""
+    return n <= max(dense_limit, k_each + 1)
+
+
 def _signed_ends(A, M, rf, rho_range, k_each, dense_limit, seed, vectors):
     """Signed lists (pos, neg, vec_pos, vec_neg) of A v = lambda M v.
 
-    The one entry point of every eigensolve: the dense solve up to
-    `dense_limit` rows, Lanczos at the spectral ends above it. M is SPD,
-    or, with a constraint vector rf, semidefinite with M 1 = 0 and the
-    problem posed on {rf . v = 0}. `rho_range` bounds the sign of A.
+    The one entry point of every eigensolve: the dense solve where
+    `_goes_dense` says so, Lanczos at the spectral ends otherwise. M is
+    SPD, or, with a constraint vector rf, semidefinite with M 1 = 0 and
+    the problem posed on {rf . v = 0}. `rho_range` bounds the sign of A.
     """
-    if M.shape[0] <= dense_limit:
+    if _goes_dense(M.shape[0], k_each, dense_limit):
         return _dense_weighted(A, M, rf, k_each, vectors)
     return _sparse_weighted(A, M, rf, rho_range, k_each, seed, vectors)
 
@@ -341,7 +348,7 @@ def solve_weighted(p: Pencil, t: float = 0.0, k_each: int = 6,
     pos, neg, vp, vn = _signed_ends(p.Rf, Kt, rf, p.rho_range, k_each,
                                     dense_limit, seed, vectors)
     method = "dense"
-    if p.n_free > dense_limit:
+    if not _goes_dense(p.n_free, k_each, dense_limit):
         method = "sparse-projected" if constrained else "sparse-lanczos"
     meta = {
         "t": float(t),
@@ -370,8 +377,6 @@ def solve_laplace(p: Pencil, count: int = 6, dense_limit: int = _DENSE_LIMIT,
     if nf == 0:
         raise SolverError("no free DOFs")
     count = min(int(count), nf)
-    if nf > dense_limit and count > nf - 2:
-        raise SolverError("sparse path cannot return the full spectrum")
     mu, _, V, _ = _signed_ends(p.Mmf, p.Kf + p.Mmf, None, (1.0, 1.0), count,
                                dense_limit, seed, return_vectors)
     lam = 1.0 / mu - 1.0

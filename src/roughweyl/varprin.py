@@ -19,6 +19,11 @@ factored once, C = L^{-1} R L^{-T} carries the pencil, and the extremum
 over a sampled subspace is one extreme eigenvalue of C with the excluded
 directions deflated past the end of its spectrum.
 
+`check_bracketing` cuts the mesh into cells of whole triangles. A cell's
+interface is the set of vertices it shares with other cells, and every
+cell's pencil goes through the same `spectral._signed_ends` dispatch as
+the global one.
+
 `check_sandwich` and `check_bracketing` solve their reference spectra
 themselves unless the caller passes one it has already computed (`s0`,
 `s_global`); a supplied spectrum must be of the same pencil at the same t
@@ -39,7 +44,7 @@ from .assembly import (
     assemble,
     poincare_constant,
 )
-from .mesh import Mesh, edge_incidence
+from .mesh import Mesh
 from .spectral import (
     Spectrum,
     _signed_ends,
@@ -326,6 +331,8 @@ def _partition_cells(m: Mesh, partition):
             raise ValueError("empty partition cell")
         if idx.min() < 0 or idx.max() >= nt:
             raise ValueError("triangle index out of range in partition")
+        if (np.diff(idx) == 0).any():
+            raise ValueError("partition cell repeats a triangle")
         if seen[idx].any():
             raise ValueError("partition cells overlap")
         seen[idx] = True
@@ -333,26 +340,6 @@ def _partition_cells(m: Mesh, partition):
     if not seen.all():
         raise ValueError("partition does not cover the mesh")
     return cells
-
-
-def _subdomain_edges(m: Mesh, cell, incidence, boundary_tags, interface_tag):
-    """Boundary edges of one cell: outer edges keep their global tags,
-    interface edges get the fresh tag. Returns (edges, interface vertices)."""
-    in_cell = np.zeros(m.num_triangles, dtype=bool)
-    in_cell[cell] = True
-    edges = []
-    interface_verts = set()
-    for ti in cell:
-        a, b, c = m.triangles[ti]
-        for u, v in ((a, b), (b, c), (c, a)):
-            key = (u, v) if u < v else (v, u)
-            tris = incidence[key]
-            if len(tris) == 1:
-                edges.append((u, v, boundary_tags.get(key, 0)))
-            elif not all(in_cell[t] for t in tris):
-                edges.append((u, v, interface_tag))
-                interface_verts.update((int(u), int(v)))
-    return edges, interface_verts
 
 
 def check_bracketing(m: Mesh, partition, g, w, bc: BoundarySpec, t: float,
@@ -366,10 +353,12 @@ def check_bracketing(m: Mesh, partition, g, w, bc: BoundarySpec, t: float,
     Subdomain matrices are element sums over each cell, so the discrete
     spaces nest exactly and nu_k <= lambda_k(W, t) <= eta_k holds per sign
     up to roundoff. Comparisons run over the common prefix of each pair of
-    sequences up to k_max. Each cell is solved like the global pencil,
-    for its top k_max values per sign (the merged top k_max lie among
-    them), and densely only up to `dense_limit` DOFs or k_max + 1, below
-    which Lanczos cannot return k_max values per end.
+    sequences up to k_max. A cell's interface is the set of its vertices
+    that a triangle outside it also touches. Each cell is assembled alone
+    with natural conditions; its eta problem frees every vertex off the
+    global Dirichlet set, and its nu problem also pins the interface to
+    zero. Each is solved like the global pencil, for its top k_max values
+    per sign (the merged top k_max lie among them).
     `s_global`, when given, is the global spectrum at t with at least
     k_max values per sign where the pencil has them; otherwise the
     checker assembles and solves the global pencil itself, eigenvalues
@@ -379,43 +368,32 @@ def check_bracketing(m: Mesh, partition, g, w, bc: BoundarySpec, t: float,
         raise ValueError("bracketing needs t > 0")
     cells = _partition_cells(m, partition)
     bc = bc.resolve(m)
-    incidence = edge_incidence(m)
-    boundary_tags = {
-        (min(int(e[0]), int(e[1])), max(int(e[0]), int(e[1]))): int(e[2])
-        for e in m.boundary_edges
-    }
-    interface_tag = (int(m.boundary_edges[:, 2].max()) + 1
-                     if len(m.boundary_edges) else 0)
-    dirichlet_global = set(bc.dirichlet_vertices(m).tolist())
+    dirichlet = bc.dirichlet_vertices(m)
 
     if s_global is None:
         s_global = solve_weighted(assemble(m, g, w, bc, quad_order), t,
                                   k_each=k_max, dense_limit=dense_limit,
                                   seed=seed, vectors=False)
     else:
-        _check_supplied(s_global, t, m.num_vertices - len(dirichlet_global),
-                        k_max)
+        _check_supplied(s_global, t, m.num_vertices - len(dirichlet), k_max)
 
     nu = {"plus": [], "minus": []}
     eta = {"plus": [], "minus": []}
     for cell in cells:
-        sub_edges, interface = _subdomain_edges(m, cell, incidence,
-                                                boundary_tags, interface_tag)
-        sub = Mesh(m.vertices, m.triangles[cell], sub_edges, level=m.level)
+        sub = Mesh(m.vertices, m.triangles[cell], (), level=m.level)
         part = assemble(sub, g, w, BoundarySpec.neumann(), quad_order)
         used = np.unique(m.triangles[cell])
+        interface = np.intersect1d(used, np.delete(m.triangles, cell, axis=0))
         for target, blocked in (
-            (nu, dirichlet_global | interface),
-            (eta, dirichlet_global),
+            (nu, np.union1d(dirichlet, interface)),
+            (eta, dirichlet),
         ):
-            free = np.array([v for v in used if int(v) not in blocked],
-                            dtype=np.int64)
+            free = np.setdiff1d(used, blocked)
             if free.size == 0:
                 continue
             K, Mm, R = (A[free][:, free] for A in (part.K, part.Mm, part.R))
             pos, neg, _, _ = _signed_ends(R, K + t * Mm, None, part.rho_range,
-                                          k_max, max(dense_limit, k_max + 1),
-                                          seed, False)
+                                          k_max, dense_limit, seed, False)
             target["plus"].extend(pos)
             target["minus"].extend(neg)
 

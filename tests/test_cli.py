@@ -130,6 +130,9 @@ svg = true
         ("[domain]\nkind = annulus\n", "square or disk"),
         ("[domain]\nlevel = zero\n", "integer"),
         ("[solver]\nt = -0.5\n", ">= 0"),
+        ("[solver]\nk = 0\n", r"solver\.k: must be >= 1"),
+        ("[solver]\nk_max = 0\n", r"solver\.k_max: must be >= 1"),
+        ("[solver]\ntrials = 0\n", r"solver\.trials: must be >= 1"),
         ("[solver]\nmode = fast\n", "auto, dense, or sparse"),
         ("[solver]\nwindow = 15\n", "k_lo,k_hi"),
         ("[solver]\npartition = thirds\n", "halves or quadrants"),

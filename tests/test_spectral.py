@@ -20,6 +20,7 @@ from roughweyl import (
     generate_unit_square,
     graph_cone_metric,
     halves_weight,
+    poincare_constant,
     project_constraint,
     solve_laplace,
     solve_weighted,
@@ -218,7 +219,9 @@ class TestSparseBothEnds:
         np.testing.assert_allclose(s.neg, d.neg, rtol=1e-9)
         return s
 
-    def test_one_lanczos_run_serves_both_signs(self, monkeypatch):
+    @pytest.fixture
+    def eigsh_calls(self, monkeypatch):
+        """The `which` of every ARPACK run, in order."""
         import scipy.sparse.linalg as sla
 
         calls = []
@@ -229,10 +232,13 @@ class TestSparseBothEnds:
             return eigsh(*args, **kwargs)
 
         monkeypatch.setattr(sla, "eigsh", spy)
+        return calls
+
+    def test_one_lanczos_run_serves_both_signs(self, eigsh_calls):
         for bc in (BoundarySpec.dirichlet(), BoundarySpec.neumann()):
             p = square_pencil(12, halves_weight(1.0, -0.5), bc)
             solve_weighted(p, 0.0, 8, dense_limit=0)
-        assert calls == ["BE", "BE"]
+        assert eigsh_calls == ["BE", "BE"]
 
     def test_mirror_weight_dirichlet(self):
         s = self._agree(square_pencil(16, halves_weight(1.0, -1.0)), 20)
@@ -251,12 +257,44 @@ class TestSparseBothEnds:
                                       bc), 40)
         assert (len(s.pos), len(s.neg)) == (40, n_neg)
 
-    def test_k_each_at_n_free(self):
+    def test_k_each_at_n_free(self, eigsh_calls):
         # 2 k_each exceeds what one run can return: each end is solved
-        # apart, clamped to n_free - 2
+        # apart, at n_free - 2, the most Lanczos reaches
         p = square_pencil(24, expression_weight("x + y - 0.3"))
-        s = self._agree(p, p.n_free)
+        s = self._agree(p, p.n_free - 2)
+        assert eigsh_calls == ["LA", "SA"]
         assert (len(s.pos), len(s.neg)) == (508, 21)
+
+
+class TestLanczosReach:
+    """Lanczos returns at most n - 2 values per end; pencils it cannot
+    serve go dense whatever dense_limit says."""
+
+    def test_single_sign_k_each_at_n_free(self):
+        p = square_pencil(6)
+        assert p.n_free == 25
+        dense = solve_weighted(p, 0.0, p.n_free)
+        s = solve_weighted(p, 0.0, p.n_free, dense_limit=0)
+        assert s.meta["method"] == "dense"
+        assert len(s.pos) == p.n_free
+        np.testing.assert_array_equal(s.pos, dense.pos)
+
+    SOLVES = {
+        "weighted": lambda p, **kw: solve_weighted(p, 0.0, p.n_free, **kw).pos,
+        "poincare": lambda p, **kw: poincare_constant(p, **kw),
+        "laplace": lambda p, **kw: solve_laplace(p, p.n_free, **kw),
+    }
+
+    @pytest.mark.parametrize("solve", sorted(SOLVES))
+    @pytest.mark.parametrize("bc, n_free", [
+        (BoundarySpec.dirichlet(), 1),
+        (BoundarySpec.mixed((0, 1, 3)), 2),
+    ], ids=["one", "two"])
+    def test_tiny_pencils(self, bc, n_free, solve):
+        p = square_pencil(2, bc=bc)
+        assert p.n_free == n_free
+        solve = self.SOLVES[solve]
+        np.testing.assert_array_equal(solve(p, dense_limit=0), solve(p))
 
 
 class TestConstrainedSolves:
@@ -390,7 +428,7 @@ class TestEigenvaluesOnly:
     def test_values_match_eigenpair_solve(self, case, dense_limit):
         w, bc, t = self.CASES[case]
         p = square_pencil(16, w, bc)
-        k_each = p.n_free if case == "k_each_at_n_free" else 20
+        k_each = p.n_free - 2 if case == "k_each_at_n_free" else 20
         full = solve_weighted(p, t, k_each, dense_limit=dense_limit)
         only = solve_weighted(p, t, k_each, dense_limit=dense_limit,
                               vectors=False)

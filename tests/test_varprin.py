@@ -12,7 +12,9 @@ from roughweyl import (
     checkerboard_weight,
     constant_weight,
     euclidean_metric,
+    generate_disk,
     generate_unit_square,
+    graph_cone_metric,
     halves_weight,
     solve_weighted,
 )
@@ -283,18 +285,32 @@ class TestBracketing:
                                t=0.5, k_max=30)
         assert rep.passed
 
-    @pytest.mark.parametrize("scheme", ["halves", "quadrants"])
-    @pytest.mark.parametrize("bc", [BoundarySpec.dirichlet(),
-                                    BoundarySpec.neumann()],
-                             ids=["dirichlet", "neumann"])
-    def test_subdomains_honour_dense_limit(self, monkeypatch, bc, scheme):
+    @pytest.mark.parametrize("domain, scheme, bc", [
+        pytest.param("square", scheme, bc, id="{}-{}".format(name, scheme))
+        for name, bc in (("dirichlet", BoundarySpec.dirichlet()),
+                         ("neumann", BoundarySpec.neumann()))
+        for scheme in ("halves", "quadrants")
+    ] + [
+        # the quadrant cut of the disk does not follow mesh edges
+        pytest.param("disk", "quadrants", BoundarySpec.neumann(),
+                     id="disk-neumann-quadrants"),
+        pytest.param("square", "quadrants", BoundarySpec.mixed((1, 2)),
+                     id="mixed-quadrants"),
+    ])
+    def test_subdomains_honour_dense_limit(self, monkeypatch, domain, scheme,
+                                           bc):
         import roughweyl.spectral
         import roughweyl.varprin
 
-        m = generate_unit_square(16)
-        args = (m, named_partition(m, scheme), euclidean_metric(),
-                checkerboard_weight(1.0, -1.0, cells=4), bc, 1.0)
+        if domain == "disk":
+            m, g = generate_disk(14), graph_cone_metric()
+            w = halves_weight(1.0, -1.0)
+        else:
+            m, g = generate_unit_square(16), euclidean_metric()
+            w = checkerboard_weight(1.0, -1.0, cells=4)
+        args = (m, named_partition(m, scheme), g, w, bc, 1.0)
         full = check_bracketing(*args, k_max=30).to_dict()
+        assert full["passed"]
         orders = []
         for module in (roughweyl.spectral, roughweyl.varprin):
             def spy(a, b=None, *rest, _eigh=module.eigh, **kwargs):
@@ -341,6 +357,8 @@ class TestBracketing:
                              bc, t=1.0)
         with pytest.raises(ValueError, match="empty"):
             check_bracketing(m, [half, rest, []], g, w, bc, t=1.0)
+        with pytest.raises(ValueError, match="repeats a triangle"):
+            check_bracketing(m, [half + half[:1], rest], g, w, bc, t=1.0)
 
     def test_regularization_required(self):
         m, _ = dirichlet_problem(n=4)
