@@ -33,13 +33,11 @@ def main():
                  square.boundary_edges, level=square.level)
 
     w_image = expression_weight("x - y + 0.2")
-    w_pulled = WeightField(lambda q: w_image.eval(J @ q),
-                           eval_batch=lambda pts: w_image.values(pts @ J.T))
+    w_pulled = WeightField(lambda pts: w_image.values(pts @ J.T))
     g_pulled = pullback_metric(
-        euclidean_metric(), phi=lambda q: J @ q, jacobian=lambda q: J,
-        jac_bounds=(1.0 / s_hi, s_hi),
-        phi_batch=lambda pts: pts @ J.T,
-        jacobian_batch=lambda pts: np.broadcast_to(J, (len(pts), 2, 2)))
+        euclidean_metric(), phi=lambda pts: pts @ J.T,
+        jacobian=lambda pts: np.broadcast_to(J, (len(pts), 2, 2)),
+        jac_bounds=(1.0 / s_hi, s_hi))
 
     bc = BoundarySpec.dirichlet()
     on_square = assemble(square, g_pulled, w_pulled, bc, 2)

@@ -366,11 +366,9 @@ def _shear_pullback(s):
     hi = np.sqrt((tr + np.sqrt(tr * tr - 4.0)) / 2.0)
     return pullback_metric(
         euclidean_metric(),
-        phi=lambda p: J @ p,
-        jacobian=lambda p: J,
+        phi=lambda pts: pts @ J.T,
+        jacobian=lambda pts: np.broadcast_to(J, (len(pts), 2, 2)),
         jac_bounds=(1.0 / hi, hi),
-        phi_batch=lambda pts: pts @ J.T,
-        jacobian_batch=lambda pts: np.broadcast_to(J, (len(pts), 2, 2)),
     )
 
 

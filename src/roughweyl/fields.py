@@ -1,6 +1,13 @@
 """Rough metric tensors and weight functions as measurable coefficient fields.
 
-A MetricField is a point-evaluable map x -> SPD 2x2 matrix together with
+A field is known only through its samples, so every field callable takes
+one (m, 2) array of chart points and answers for all of them at once: a
+metric (m, 2, 2), a weight or integrand (m,), a gradient or map image
+(m, 2), a Jacobian (m, 2, 2) and a region predicate (m,) booleans. The
+callable runs once per batch; a result of any other shape raises
+ValueError, and a non-finite sample raises ComparabilityError.
+
+A MetricField is such a map x -> SPD 2x2 matrix together with
 caller-declared comparability constants c_lo <= c_hi: at every point actually
 sampled, the eigenvalues of G(x) must lie in [c_lo^2, c_hi^2]. "Almost
 everywhere" semantics become "at quadrature points"; the built-in triangle
@@ -51,11 +58,23 @@ __all__ = [
 class ComparabilityError(ValueError):
     """A sampled field value violated a field hypothesis: a metric outside
     its declared eigenvalue bounds, or a non-finite metric, weight,
-    gradient or integrand sample."""
+    gradient, map, Jacobian or integrand sample."""
 
 
 class SingularPointError(ValueError):
     """A quadrature point hit a declared singular point of a field."""
+
+
+def _sample(f, points, shape, what):
+    """Call f once on the (m, 2) batch `points`; its result must have shape
+    (m,) + shape and be finite."""
+    out = np.asarray(f(points), dtype=float)
+    if out.shape != (len(points),) + shape:
+        raise ValueError("{} evaluation returned shape {}, expected {}".format(
+            what, out.shape, (len(points),) + shape))
+    if not np.isfinite(out).all():
+        raise ComparabilityError("non-finite {} sample".format(what))
+    return out
 
 
 class MetricField:
@@ -64,39 +83,28 @@ class MetricField:
     Parameters
     ----------
     eval : callable
-        Point evaluation, (2,) -> (2, 2). Must be pure (same x, same G).
+        Vectorized evaluation, (m, 2) points -> (m, 2, 2) matrices. Must be
+        pure (same x, same G).
     c_lo, c_hi : float
         Declared comparability constants: eig(G(x)) in [c_lo^2, c_hi^2]
         at every sampled point. Audited, not inferred.
     singular_points : sequence of 2-D points
         Chart points where eval is undefined.
-    eval_batch : callable, optional
-        Vectorized evaluation, (m, 2) -> (m, 2, 2); falls back to a loop
-        over `eval`.
     """
 
-    def __init__(self, eval, c_lo, c_hi, singular_points=(), eval_batch=None):
+    def __init__(self, eval, c_lo, c_hi, singular_points=()):
         self.eval = eval
         self.c_lo = float(c_lo)
         self.c_hi = float(c_hi)
         if not (0.0 < self.c_lo <= self.c_hi):
             raise ValueError("need 0 < c_lo <= c_hi")
         self.singular_points = np.array(singular_points, dtype=float).reshape(-1, 2)
-        self._eval_batch = eval_batch
 
     def matrices(self, points):
         """Evaluate at an (m, 2) array of points; returns (m, 2, 2)."""
         points = np.asarray(points, dtype=float)
         self._check_singular(points)
-        if self._eval_batch is not None:
-            out = np.asarray(self._eval_batch(points), dtype=float)
-        else:
-            out = np.array([self.eval(p) for p in points], dtype=float)
-        if out.shape != (len(points), 2, 2):
-            raise ValueError("metric evaluation returned wrong shape")
-        if not np.isfinite(out).all():
-            raise ComparabilityError("non-finite metric sample")
-        return out
+        return _sample(self.eval, points, (2, 2), "metric")
 
     def _check_singular(self, points):
         if self.singular_points.size == 0:
@@ -112,30 +120,22 @@ class MetricField:
 class WeightField:
     """Measurable real map x -> rho(x) with declared integrability exponent.
 
-    `beta` must exceed n/2 = 1 (declared metadata, not certified);
-    `nonzero_mean_required` mirrors the hypothesis that the weight does not
-    integrate to zero, enforced against the assembled quadrature value.
+    `eval` is vectorized, (m, 2) points -> (m,) values. `beta` must exceed
+    n/2 = 1 (declared metadata, not certified); `nonzero_mean_required`
+    mirrors the hypothesis that the weight does not integrate to zero,
+    enforced against the assembled quadrature value.
     """
 
-    def __init__(self, eval, beta=2.0, nonzero_mean_required=False, eval_batch=None):
+    def __init__(self, eval, beta=2.0, nonzero_mean_required=False):
         self.eval = eval
         self.beta = float(beta)
         if not self.beta > 1.0:
             raise ValueError("beta must exceed n/2 = 1")
         self.nonzero_mean_required = bool(nonzero_mean_required)
-        self._eval_batch = eval_batch
 
     def values(self, points):
         """Evaluate at an (m, 2) array of points; returns (m,)."""
-        points = np.asarray(points, dtype=float)
-        if self._eval_batch is not None:
-            out = np.asarray(self._eval_batch(points), dtype=float)
-        else:
-            out = np.array([self.eval(p) for p in points], dtype=float)
-        out = np.broadcast_to(out, (len(points),)).astype(float)
-        if not np.isfinite(out).all():
-            raise ComparabilityError("non-finite weight sample")
-        return out
+        return _sample(self.eval, np.asarray(points, dtype=float), (), "weight")
 
 
 # ---------------------------------------------------------------------------
@@ -145,39 +145,26 @@ class WeightField:
 def euclidean_metric() -> MetricField:
     """Identity metric; the chart background everything is compared against."""
     eye = np.eye(2)
-
-    def batch(points):
-        return np.broadcast_to(eye, (len(points), 2, 2))
-
-    return MetricField(lambda x: eye.copy(), 1.0, 1.0, eval_batch=batch)
+    return MetricField(lambda points: np.broadcast_to(eye, (len(points), 2, 2)),
+                       1.0, 1.0)
 
 
-def lipschitz_graph_metric(grad_f, lipschitz_bound, singular_points=(),
-                           grad_batch=None) -> MetricField:
+def lipschitz_graph_metric(grad_f, lipschitz_bound,
+                           singular_points=()) -> MetricField:
     """Metric induced on the graph of f: G(x) = I + grad_f(x) grad_f(x)^T.
 
-    The caller declares the Lipschitz bound L of f; then c_lo = 1 and
+    `grad_f` maps (m, 2) points to their (m, 2) gradients. The caller
+    declares the Lipschitz bound L of f; then c_lo = 1 and
     c_hi = sqrt(1 + L^2), and det G = 1 + |grad_f|^2.
     """
     L = float(lipschitz_bound)
 
-    def one(x):
-        v = np.asarray(grad_f(x), dtype=float)
-        if not np.isfinite(v).all():
-            raise ComparabilityError(
-                "non-finite gradient sample at {}".format(tuple(x)))
-        return np.eye(2) + np.outer(v, v)
+    def batch(points):
+        v = _sample(grad_f, points, (2,), "gradient")
+        return np.eye(2) + v[:, :, None] * v[:, None, :]
 
-    batch = None
-    if grad_batch is not None:
-        def batch(points):
-            v = np.asarray(grad_batch(points), dtype=float)
-            if not np.isfinite(v).all():
-                raise ComparabilityError("non-finite gradient sample")
-            return np.eye(2) + v[:, :, None] * v[:, None, :]
-
-    return MetricField(one, 1.0, np.sqrt(1.0 + L * L),
-                       singular_points=singular_points, eval_batch=batch)
+    return MetricField(batch, 1.0, np.sqrt(1.0 + L * L),
+                       singular_points=singular_points)
 
 
 def graph_cone_metric() -> MetricField:
@@ -187,16 +174,11 @@ def graph_cone_metric() -> MetricField:
     declared singular point.
     """
 
-    def grad(x):
-        r = np.hypot(x[0], x[1])
-        return np.array([-x[0] / r, -x[1] / r])
-
-    def grad_batch(points):
+    def grad(points):
         r = np.hypot(points[:, 0], points[:, 1])
         return -points / r[:, None]
 
-    return lipschitz_graph_metric(grad, 1.0, singular_points=[(0.0, 0.0)],
-                                  grad_batch=grad_batch)
+    return lipschitz_graph_metric(grad, 1.0, singular_points=[(0.0, 0.0)])
 
 
 def cone_metric(alpha: float) -> MetricField:
@@ -211,27 +193,21 @@ def cone_metric(alpha: float) -> MetricField:
         raise ValueError("alpha must lie in (0, pi]")
     c2 = 1.0 / np.sin(alpha / 2.0) ** 2
 
-    def one(x):
-        r2 = x[0] * x[0] + x[1] * x[1]
-        pr = np.outer(x, x) / r2
-        return c2 * pr + (np.eye(2) - pr)
-
     def batch(points):
         r2 = (points ** 2).sum(axis=1)
         pr = points[:, :, None] * points[:, None, :] / r2[:, None, None]
         return c2 * pr + (np.eye(2) - pr)
 
-    return MetricField(one, 1.0, np.sqrt(c2), singular_points=[(0.0, 0.0)],
-                       eval_batch=batch)
+    return MetricField(batch, 1.0, np.sqrt(c2), singular_points=[(0.0, 0.0)])
 
 
 def piecewise_metric(regions) -> MetricField:
     """First-match piecewise-constant metric.
 
-    `regions` is a list of (predicate, SPD 2x2 matrix); predicates should
-    partition the chart up to null sets and be vectorizable over (m, 2)
-    point arrays. Comparability constants come from the extreme eigenvalues
-    across all region matrices.
+    `regions` is a list of (predicate, SPD 2x2 matrix); each predicate maps
+    (m, 2) points to (m,) booleans, and together they should partition the
+    chart up to null sets. Comparability constants come from the extreme
+    eigenvalues across all region matrices.
     """
     mats = []
     for _pred, mat in regions:
@@ -244,20 +220,12 @@ def piecewise_metric(regions) -> MetricField:
         mats.append(mat)
     eigs = np.concatenate([np.linalg.eigvalsh(m) for m in mats])
 
-    def _mask(pred, points):
-        try:
-            out = np.asarray(pred(points))
-        except Exception:
-            out = None
-        if out is None or out.shape != (len(points),):
-            out = np.array([bool(pred(p)) for p in points])
-        return out.astype(bool)
-
     def batch(points):
         out = np.empty((len(points), 2, 2))
         remaining = np.ones(len(points), dtype=bool)
         for (pred, _), mat in zip(regions, mats):
-            hit = remaining & _mask(pred, points)
+            mask = _sample(pred, points, (), "region predicate").astype(bool)
+            hit = remaining & mask
             out[hit] = mat
             remaining &= ~hit
         if remaining.any():
@@ -265,18 +233,13 @@ def piecewise_metric(regions) -> MetricField:
             raise ValueError("point {} matches no region".format(tuple(p)))
         return out
 
-    def one(x):
-        return batch(np.asarray(x, dtype=float).reshape(1, 2))[0]
-
-    return MetricField(one, np.sqrt(eigs.min()), np.sqrt(eigs.max()),
-                       eval_batch=batch)
+    return MetricField(batch, np.sqrt(eigs.min()), np.sqrt(eigs.max()))
 
 
 def checkerboard_metric(a=1.0, b=2.0, cells=2) -> MetricField:
     """Checkerboard of a*I and b*I on a cells x cells grid over [0,1]^2."""
 
     def even(points):
-        points = np.atleast_2d(points)
         ix = np.floor(points[:, 0] * cells).astype(int)
         iy = np.floor(points[:, 1] * cells).astype(int)
         return (ix + iy) % 2 == 0
@@ -287,41 +250,27 @@ def checkerboard_metric(a=1.0, b=2.0, cells=2) -> MetricField:
     return piecewise_metric([(even, a * np.eye(2)), (odd, b * np.eye(2))])
 
 
-def pullback_metric(base: MetricField, phi, jacobian, jac_bounds=(1.0, 1.0),
-                    phi_batch=None, jacobian_batch=None) -> MetricField:
+def pullback_metric(base: MetricField, phi, jacobian,
+                    jac_bounds=(1.0, 1.0)) -> MetricField:
     """Pullback G'(x) = J(x)^T G_base(phi(x)) J(x).
 
-    `jac_bounds` declares the (min, max) singular values of J over the chart;
-    the comparability constants become base constants scaled by them, and the
-    assembly-time audit catches wrong declarations. Singular Jacobian samples
-    are rejected.
+    `phi` maps (m, 2) points to their (m, 2) images and `jacobian` to the
+    (m, 2, 2) Jacobians there. `jac_bounds` declares the (min, max)
+    singular values of J over the chart; the comparability constants become
+    base constants scaled by them, and the assembly-time audit catches wrong
+    declarations. Singular Jacobian samples are rejected.
     """
     s_lo, s_hi = float(jac_bounds[0]), float(jac_bounds[1])
 
-    def one(x):
-        J = np.asarray(jacobian(x), dtype=float)
-        det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
-        if abs(det) < 1e-14:
-            raise ValueError("singular Jacobian sample at {}".format(tuple(x)))
-        Gb = base.matrices(np.asarray(phi(x), dtype=float).reshape(1, 2))[0]
-        return J.T @ Gb @ J
-
     def batch(points):
-        if jacobian_batch is not None:
-            J = np.asarray(jacobian_batch(points), dtype=float)
-        else:
-            J = np.array([jacobian(p) for p in points], dtype=float)
+        J = _sample(jacobian, points, (2, 2), "Jacobian")
         det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
         if np.abs(det).min() < 1e-14:
             raise ValueError("singular Jacobian sample")
-        if phi_batch is not None:
-            img = np.asarray(phi_batch(points), dtype=float)
-        else:
-            img = np.array([phi(p) for p in points], dtype=float)
-        Gb = base.matrices(img)
+        Gb = base.matrices(_sample(phi, points, (2,), "map"))
         return np.einsum("mji,mjk,mkl->mil", J, Gb, J)
 
-    return MetricField(one, base.c_lo * s_lo, base.c_hi * s_hi, eval_batch=batch)
+    return MetricField(batch, base.c_lo * s_lo, base.c_hi * s_hi)
 
 
 # ---------------------------------------------------------------------------
@@ -332,19 +281,15 @@ def constant_weight(v: float) -> WeightField:
     v = float(v)
     if v == 0.0:
         raise ValueError("constant weight must be nonzero")
-    return WeightField(lambda x: v, nonzero_mean_required=True,
-                       eval_batch=lambda pts: np.full(len(pts), v))
+    return WeightField(lambda points: np.full(len(points), v),
+                       nonzero_mean_required=True)
 
 
 def halves_weight(v_plus: float, v_minus: float) -> WeightField:
     """v_plus on the left half {x < 1/2} of the unit square, v_minus right."""
     v_plus, v_minus = float(v_plus), float(v_minus)
-
-    def batch(points):
-        return np.where(points[:, 0] < 0.5, v_plus, v_minus)
-
-    return WeightField(lambda x: v_plus if x[0] < 0.5 else v_minus,
-                       eval_batch=batch)
+    return WeightField(
+        lambda points: np.where(points[:, 0] < 0.5, v_plus, v_minus))
 
 
 def checkerboard_weight(v_a: float, v_b: float, cells=2) -> WeightField:
@@ -356,8 +301,7 @@ def checkerboard_weight(v_a: float, v_b: float, cells=2) -> WeightField:
         iy = np.floor(points[:, 1] * cells).astype(int)
         return np.where((ix + iy) % 2 == 0, v_a, v_b)
 
-    return WeightField(lambda x: batch(np.asarray(x).reshape(1, 2))[0],
-                       eval_batch=batch)
+    return WeightField(batch)
 
 
 # minimal arithmetic-expression interpreter over x, y ------------------------
@@ -525,8 +469,7 @@ def expression_weight(text: str, beta=2.0) -> WeightField:
             out = _eval_node(tree, points[:, 0], points[:, 1])
         return np.broadcast_to(np.asarray(out, dtype=float), (len(points),))
 
-    return WeightField(lambda p: batch(np.asarray(p, dtype=float).reshape(1, 2))[0],
-                       beta=beta, eval_batch=batch)
+    return WeightField(batch, beta=beta)
 
 
 # ---------------------------------------------------------------------------
@@ -584,8 +527,13 @@ def sym_eigvals_2x2(G):
     return np.stack([mean - rad, mean + rad], axis=1)
 
 
-def comparability_audit(g: MetricField, points, tol=1e-9):
-    """Assert symmetry and declared eigenvalue bounds at the given points.
+# slack on the declared eigenvalue bounds, for roundoff in the samples
+_AUDIT_TOL = 1e-9
+
+
+def comparability_audit(g: MetricField, points):
+    """Assert symmetry and declared eigenvalue bounds, up to _AUDIT_TOL, at
+    the given points.
 
     Returns the evaluated (m, 2, 2) matrices so callers do not evaluate twice.
     """
@@ -595,7 +543,8 @@ def comparability_audit(g: MetricField, points, tol=1e-9):
         raise ComparabilityError("metric asymmetry {:.3e} exceeds 1e-12".format(asym))
     ev = sym_eigvals_2x2(G)
     lo, hi = g.c_lo ** 2, g.c_hi ** 2
-    if len(ev) and (ev[:, 0].min() < lo - tol or ev[:, 1].max() > hi + tol):
+    if len(ev) and (ev[:, 0].min() < lo - _AUDIT_TOL
+                    or ev[:, 1].max() > hi + _AUDIT_TOL):
         raise ComparabilityError(
             "metric eigenvalues [{:.6g}, {:.6g}] leave declared [{:.6g}, {:.6g}]".format(
                 ev[:, 0].min(), ev[:, 1].max(), lo, hi
@@ -632,28 +581,15 @@ class Quadrature:
         return out
 
 
-def _field_values(f, points):
-    if isinstance(f, WeightField):
-        return f.values(points)
-    if np.isscalar(f):
-        return np.full(len(points), float(f))
-    try:
-        out = np.asarray(f(points), dtype=float)
-        if out.shape == (len(points),):
-            return out
-    except Exception:
-        pass
-    return np.array([float(f(p)) for p in points], dtype=float)
-
-
 def measure_integral(m, g: MetricField, f, quad_order: int = 2) -> float:
     """Integral of f against the induced measure sqrt(det G) dx.
 
+    `f` is a number or a callable mapping (m, 2) points to (m,) values.
     Cellwise quadrature over one audited `Quadrature` sample: the sum over
     cells and points of w * f(x) * sqrt(det G(x)) * |cell|.
     """
     q = Quadrature(m, g, order=quad_order)
-    vals = _field_values(f, q.points)
-    if not np.isfinite(vals).all():
-        raise ComparabilityError("non-finite integrand sample")
-    return float(np.sum(vals * q.measure))
+    if np.isscalar(f):
+        c = float(f)
+        f = lambda points: np.full(len(points), c)
+    return float(np.sum(_sample(f, q.points, (), "integrand") * q.measure))

@@ -130,6 +130,14 @@ def _check_supplied(s: Spectrum, t, n_free, need):
                                                               need))
 
 
+def _require_positive(**counts):
+    """Reject a depth or trial count below 1, which would leave a check
+    comparing nothing and passing."""
+    for name, value in counts.items():
+        if value < 1:
+            raise ValueError("{} must be >= 1, got {}".format(name, value))
+
+
 def _finish(name, k, trials, seed, sides):
     passed = bool(sides) and all(
         d["violations"] == 0 and d["attainment_gap"] <= TOLERANCE
@@ -156,6 +164,7 @@ def check_poincare_minmax(s: Spectrum, p, k: int, trials: int = 100,
     V spanned by the first k eigenvectors of the matching sign gives
     equality. Degenerate draws are resampled and counted.
     """
+    _require_positive(k=k, trials=trials)
     Kt, R, vp, vn = _reduced_operators(s, p)
     rng = np.random.default_rng(seed)
     sides = {}
@@ -195,6 +204,7 @@ def check_rayleigh(s: Spectrum, p, k: int, trials: int = 100,
     family). The k-th eigenvector itself attains equality; k = 1 means an
     empty orthogonality set and bounds the whole space.
     """
+    _require_positive(k=k, trials=trials)
     Kt, R, vp, vn = _reduced_operators(s, p)
     rng = np.random.default_rng(seed)
     sides = {}
@@ -241,6 +251,7 @@ def check_courant(s: Spectrum, p, k: int, trials: int = 100,
     computed. k = 1 bounds the whole space. The complement of the first
     k-1 eigenvectors attains equality.
     """
+    _require_positive(k=k, trials=trials)
     Kt, R, vp, vn = _reduced_operators(s, p)
     rng = np.random.default_rng(seed)
     n = Kt.shape[0]
@@ -364,6 +375,7 @@ def check_bracketing(m: Mesh, partition, g, w, bc: BoundarySpec, t: float,
     checker assembles and solves the global pencil itself, eigenvalues
     only.
     """
+    _require_positive(k_max=k_max)
     if t <= 0.0:
         raise ValueError("bracketing needs t > 0")
     cells = _partition_cells(m, partition)
@@ -444,6 +456,7 @@ def check_sandwich(p, t_list=(0.5, 0.1, 0.02), k_max: int = 100,
     solves it itself. Every spectrum solved here is eigenvalues only, as
     the CLI solves the one it supplies, so the two reports agree.
     """
+    _require_positive(k_max=k_max)
     for t in t_list:
         if not 0.0 < t < 1.0:
             raise ValueError("sandwich t values must lie in (0, 1)")

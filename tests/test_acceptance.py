@@ -162,13 +162,11 @@ def test_07_shear_pullback_pencil_and_spectrum_equality():
     mim = Mesh(msq.vertices @ J.T, msq.triangles, msq.boundary_edges,
                level=msq.level)
     w_im = expression_weight("x - y + 0.2")
-    w_pb = WeightField(lambda q: w_im.eval(J @ q),
-                       eval_batch=lambda pts: w_im.values(pts @ J.T))
+    w_pb = WeightField(lambda pts: w_im.values(pts @ J.T))
     g_pb = pullback_metric(
-        euclidean_metric(), phi=lambda q: J @ q, jacobian=lambda q: J,
-        jac_bounds=(1.0 / s_hi, s_hi),
-        phi_batch=lambda pts: pts @ J.T,
-        jacobian_batch=lambda pts: np.broadcast_to(J, (len(pts), 2, 2)))
+        euclidean_metric(), phi=lambda pts: pts @ J.T,
+        jacobian=lambda pts: np.broadcast_to(J, (len(pts), 2, 2)),
+        jac_bounds=(1.0 / s_hi, s_hi))
     bc = BoundarySpec.dirichlet()
     pa = assemble(msq, g_pb, w_pb, bc, 2)
     pb = assemble(mim, euclidean_metric(), w_im, bc, 2)

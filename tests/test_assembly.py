@@ -180,19 +180,16 @@ class TestInvariants:
         m = generate_unit_square(4)
         J = np.array([[1.0, 0.5], [0.0, 1.0]])
         s_hi = 0.25 + np.sqrt(0.25 ** 2 + 1.0)
-        phi = lambda p: J @ np.asarray(p, dtype=float)
-        phi_batch = lambda pts: pts @ J.T
-        g_pull = pullback_metric(euclidean_metric(), phi, lambda p: J,
-                                 jac_bounds=(1.0 / s_hi, s_hi),
-                                 phi_batch=phi_batch,
-                                 jacobian_batch=lambda pts: np.broadcast_to(
-                                     J, (len(pts), 2, 2)))
+        phi = lambda pts: pts @ J.T
+        g_pull = pullback_metric(euclidean_metric(), phi,
+                                 lambda pts: np.broadcast_to(
+                                     J, (len(pts), 2, 2)),
+                                 jac_bounds=(1.0 / s_hi, s_hi))
         w_image = expression_weight("1 + x*y")
-        w_pull = WeightField(lambda p: 1.0 + (p[0] + 0.5 * p[1]) * p[1],
-                             beta=2.0,
-                             eval_batch=lambda pts: 1.0 + (
-                                 pts[:, 0] + 0.5 * pts[:, 1]) * pts[:, 1])
-        m_image = Mesh(phi_batch(m.vertices), m.triangles, m.boundary_edges,
+        w_pull = WeightField(lambda pts: 1.0 + (
+                                 pts[:, 0] + 0.5 * pts[:, 1]) * pts[:, 1],
+                             beta=2.0)
+        m_image = Mesh(phi(m.vertices), m.triangles, m.boundary_edges,
                        level=m.level)
         bc = BoundarySpec.dirichlet()
         a = assemble(m, g_pull, w_pull, bc)
@@ -237,9 +234,8 @@ class TestConstraintData:
         np.testing.assert_allclose(p.r.sum(), 2.0, rtol=1e-12)
 
     def test_zero_mean_rejected_when_required(self):
-        w = WeightField(lambda p: 1.0 if p[0] < 0.5 else -1.0, beta=2.0,
-                        nonzero_mean_required=True,
-                        eval_batch=lambda pts: np.where(pts[:, 0] < 0.5, 1.0, -1.0))
+        w = WeightField(lambda pts: np.where(pts[:, 0] < 0.5, 1.0, -1.0),
+                        beta=2.0, nonzero_mean_required=True)
         with pytest.raises(ModelingError):
             assemble(generate_unit_square(4), euclidean_metric(), w,
                      BoundarySpec.neumann())
@@ -253,8 +249,8 @@ class TestConstraintData:
 
 class TestAssembleErrors:
     def test_singular_point_inside_cell(self):
-        g = MetricField(lambda x: np.eye(2), 1.0, 1.0,
-                        singular_points=[(1.0 / 3.0, 1.0 / 3.0)])
+        g = MetricField(lambda pts: np.broadcast_to(np.eye(2), (len(pts), 2, 2)),
+                        1.0, 1.0, singular_points=[(1.0 / 3.0, 1.0 / 3.0)])
         with pytest.raises(SingularPointError):
             assemble(reference_triangle(), g, constant_weight(1.0),
                      BoundarySpec.neumann(), quad_order=1)
@@ -266,9 +262,8 @@ class TestAssembleErrors:
         assert p.n_free > 0
 
     def test_comparability_violation(self):
-        lying = MetricField(lambda x: 4.0 * np.eye(2), 1.0, 1.0,
-                            eval_batch=lambda pts: np.broadcast_to(
-                                4.0 * np.eye(2), (len(pts), 2, 2)))
+        lying = MetricField(lambda pts: np.broadcast_to(
+                                4.0 * np.eye(2), (len(pts), 2, 2)), 1.0, 1.0)
         with pytest.raises(ComparabilityError):
             assemble(generate_unit_square(2), lying, constant_weight(1.0),
                      BoundarySpec.neumann())

@@ -44,7 +44,7 @@ class TestEuclidean:
         g = euclidean_metric()
         pts = sample_points()
         assert np.allclose(g.matrices(pts), np.eye(2), atol=0)
-        assert np.allclose(g.eval(np.array([0.3, 0.7])), np.eye(2), atol=0)
+        assert np.allclose(g.eval(np.array([[0.3, 0.7]])), np.eye(2), atol=0)
 
     def test_unit_determinant(self):
         G = euclidean_metric().matrices(sample_points())
@@ -59,7 +59,7 @@ class TestEuclidean:
 
 class TestLipschitzGraph:
     def test_zero_gradient_is_euclidean(self):
-        g = lipschitz_graph_metric(lambda x: np.zeros(2), 0.0)
+        g = lipschitz_graph_metric(lambda pts: np.zeros_like(pts), 0.0)
         assert np.allclose(g.matrices(sample_points()), np.eye(2), atol=0)
 
     def test_cone_function_det_two(self):
@@ -71,7 +71,8 @@ class TestLipschitzGraph:
         assert g.c_hi == pytest.approx(np.sqrt(2.0))
 
     def test_linear_function_constant_metric(self):
-        g = lipschitz_graph_metric(lambda x: np.array([1.0, 0.0]), 1.0)
+        g = lipschitz_graph_metric(
+            lambda pts: np.tile([1.0, 0.0], (len(pts), 1)), 1.0)
         assert np.allclose(g.matrices(sample_points()),
                            np.array([[2.0, 0.0], [0.0, 1.0]]), atol=0)
 
@@ -80,7 +81,8 @@ class TestLipschitzGraph:
             graph_cone_metric().matrices(np.array([[0.0, 0.0]]))
 
     def test_non_finite_gradient_rejected(self):
-        g = lipschitz_graph_metric(lambda x: np.array([np.inf, 0.0]), 1.0)
+        g = lipschitz_graph_metric(
+            lambda pts: np.tile([np.inf, 0.0], (len(pts), 1)), 1.0)
         with pytest.raises(ValueError, match="gradient"):
             g.matrices(np.array([[0.5, 0.5]]))
 
@@ -123,13 +125,13 @@ class TestCone:
 
 class TestPiecewise:
     def test_single_region_identity(self):
-        g = piecewise_metric([(lambda p: np.ones(len(np.atleast_2d(p)), bool), np.eye(2))])
+        g = piecewise_metric([(lambda p: np.ones(len(p), bool), np.eye(2))])
         assert np.allclose(g.matrices(sample_points()), np.eye(2), atol=0)
 
     def test_left_right_halves_det_jump(self):
         g = piecewise_metric([
-            (lambda p: np.atleast_2d(p)[:, 0] < 0.5, np.eye(2)),
-            (lambda p: np.atleast_2d(p)[:, 0] >= 0.5, 4.0 * np.eye(2)),
+            (lambda p: p[:, 0] < 0.5, np.eye(2)),
+            (lambda p: p[:, 0] >= 0.5, 4.0 * np.eye(2)),
         ])
         G = g.matrices(np.array([[0.25, 0.5], [0.75, 0.5]]))
         det = G[:, 0, 0] * G[:, 1, 1] - G[:, 0, 1] ** 2
@@ -141,31 +143,31 @@ class TestPiecewise:
         comparability_audit(g, sample_points())
 
     def test_unmatched_point_rejected(self):
-        g = piecewise_metric([(lambda p: np.atleast_2d(p)[:, 0] < 0.0, np.eye(2))])
+        g = piecewise_metric([(lambda p: p[:, 0] < 0.0, np.eye(2))])
         with pytest.raises(ValueError, match="no region"):
             g.matrices(np.array([[0.5, 0.5]]))
 
     def test_non_spd_region_rejected(self):
         with pytest.raises(ValueError):
-            piecewise_metric([(lambda p: True, -np.eye(2))])
+            piecewise_metric([(lambda p: np.ones(len(p), bool), -np.eye(2))])
 
 
 class TestPullback:
     def test_identity_map(self):
         base = checkerboard_metric(1.0, 3.0)
-        g = pullback_metric(base, lambda x: x, lambda x: np.eye(2))
+        g = pullback_metric(base, lambda pts: pts, lambda pts: np.broadcast_to(np.eye(2), (len(pts), 2, 2)))
         pts = sample_points()
         assert np.allclose(g.matrices(pts), base.matrices(pts), atol=0)
 
     def test_linear_scaling(self):
-        g = pullback_metric(euclidean_metric(), lambda x: 2.0 * x,
-                            lambda x: 2.0 * np.eye(2), jac_bounds=(2.0, 2.0))
+        g = pullback_metric(euclidean_metric(), lambda pts: 2.0 * pts,
+                            lambda pts: np.broadcast_to(2.0 * np.eye(2), (len(pts), 2, 2)), jac_bounds=(2.0, 2.0))
         assert np.allclose(g.matrices(sample_points()), 4.0 * np.eye(2), atol=0)
         comparability_audit(g, sample_points())
 
     def test_singular_jacobian_rejected(self):
-        g = pullback_metric(euclidean_metric(), lambda x: x,
-                            lambda x: np.zeros((2, 2)))
+        g = pullback_metric(euclidean_metric(), lambda pts: pts,
+                            lambda pts: np.zeros((len(pts), 2, 2)))
         with pytest.raises(ValueError, match="[Ss]ingular"):
             g.matrices(np.array([[0.5, 0.5]]))
 
@@ -192,7 +194,7 @@ class TestWeights:
 
     def test_beta_must_exceed_one(self):
         with pytest.raises(ValueError):
-            WeightField(lambda x: 1.0, beta=1.0)
+            WeightField(lambda pts: np.ones(len(pts)), beta=1.0)
 
 
 class TestExpressionWeight:
@@ -300,8 +302,7 @@ class TestMeasureIntegral:
         assert combined == pytest.approx(parts, abs=1e-12)
 
     def test_audits_declared_bounds(self):
-        g = MetricField(lambda x: 3.0 * np.eye(2), 1.0, 1.0,
-                        eval_batch=lambda pts: np.broadcast_to(3.0 * np.eye(2), (len(pts), 2, 2)))
+        g = MetricField(lambda pts: np.broadcast_to(3.0 * np.eye(2), (len(pts), 2, 2)), 1.0, 1.0)
         with pytest.raises(ComparabilityError, match="eigenvalues"):
             measure_integral(generate_unit_square(2), g, 1.0)
 
@@ -313,17 +314,35 @@ class TestMeasureIntegral:
         assert lo < hi
 
 
+class TestBatchContract:
+    """Every field callable answers a whole (m, 2) batch in one call; one
+    written for a single point returns the wrong shape and is refused."""
+
+    @pytest.mark.parametrize("sample", [
+        lambda pts: MetricField(lambda p: np.eye(2), 1.0, 1.0).matrices(pts),
+        lambda pts: WeightField(lambda p: p[0]).values(pts),
+        lambda pts: piecewise_metric([(lambda p: p[0] < 0.5, np.eye(2)),
+                                      (lambda p: p[0] >= 0.5, np.eye(2))]
+                                     ).matrices(pts),
+        # the size-2 square has 8 cells, so 8 points at order 1
+        lambda pts: measure_integral(generate_unit_square(2),
+                                     euclidean_metric(), lambda p: p[0], 1),
+    ], ids=["metric", "weight", "predicate", "integrand"])
+    def test_single_point_callable_rejected(self, sample):
+        pts = sample_points()[:8]
+        with pytest.raises(ValueError, match="shape"):
+            sample(pts)
+
+
 class TestAudit:
     def test_wrong_declared_bounds_caught(self):
-        g = MetricField(lambda x: 3.0 * np.eye(2), 1.0, 1.0,
-                        eval_batch=lambda pts: np.broadcast_to(3.0 * np.eye(2), (len(pts), 2, 2)))
+        g = MetricField(lambda pts: np.broadcast_to(3.0 * np.eye(2), (len(pts), 2, 2)), 1.0, 1.0)
         with pytest.raises(ComparabilityError, match="eigenvalues"):
             comparability_audit(g, sample_points())
 
     def test_asymmetric_metric_caught(self):
         mat = np.array([[1.0, 0.5], [0.2, 1.0]])
-        g = MetricField(lambda x: mat, 0.5, 2.0,
-                        eval_batch=lambda pts: np.broadcast_to(mat, (len(pts), 2, 2)))
+        g = MetricField(lambda pts: np.broadcast_to(mat, (len(pts), 2, 2)), 0.5, 2.0)
         with pytest.raises(ComparabilityError, match="asymmetry"):
             comparability_audit(g, sample_points())
 

@@ -334,8 +334,7 @@ class TestConstrainedSolves:
         assert np.abs(p.r_free @ s.vec_pos).max() < 1e-10
 
     def test_negative_only_weight(self):
-        w = WeightField(lambda q: -1.0, beta=2.0,
-                        eval_batch=lambda pts: -np.ones(len(pts)))
+        w = WeightField(lambda pts: -np.ones(len(pts)), beta=2.0)
         p = square_pencil(12, w, BoundarySpec.neumann())
         s = solve_weighted(p, 0.0, 4)
         assert len(s.pos) == 0
@@ -517,8 +516,7 @@ class TestProjectConstraint:
             solve_weighted(p, 0.0, 2)
 
     def test_vanishing_constraint_vector_rejected(self):
-        w = WeightField(lambda q: 0.0, beta=2.0,
-                        eval_batch=lambda pts: np.zeros(len(pts)))
+        w = WeightField(lambda pts: np.zeros(len(pts)), beta=2.0)
         p = square_pencil(6, w, BoundarySpec.neumann())
         with pytest.raises(ModelingError):
             project_constraint(p)

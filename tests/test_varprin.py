@@ -158,6 +158,27 @@ class TestCourant:
         assert rep["passed"]
 
 
+class TestNothingToCompare:
+    @pytest.mark.parametrize("check", [
+        lambda m, p, s: check_poincare_minmax(s, p, 0),
+        lambda m, p, s: check_poincare_minmax(s, p, 2, trials=0),
+        lambda m, p, s: check_rayleigh(s, p, 0),
+        lambda m, p, s: check_rayleigh(s, p, 2, trials=0),
+        lambda m, p, s: check_courant(s, p, 0),
+        lambda m, p, s: check_courant(s, p, 2, trials=0),
+        lambda m, p, s: check_bracketing(
+            m, quadrant_partition(m), euclidean_metric(),
+            constant_weight(1.0), BoundarySpec.dirichlet(), 1.0, k_max=0),
+        lambda m, p, s: check_sandwich(p, k_max=0),
+    ], ids=["minmax-k", "minmax-trials", "rayleigh-k", "rayleigh-trials",
+            "courant-k", "courant-trials", "bracketing", "sandwich"])
+    def test_depth_and_trials_below_one_rejected(self, check):
+        m, p = dirichlet_problem(4)
+        s = solve_weighted(p, 0.0, k_each=4)
+        with pytest.raises(ValueError, match="must be >= 1"):
+            check(m, p, s)
+
+
 class TestEigenvaluesOnlySpectrum:
     @pytest.mark.parametrize("check", [check_poincare_minmax, check_rayleigh,
                                        check_courant])

@@ -125,8 +125,7 @@ class TestWeylTarget:
     def test_absolute_weight_collects_both_sides(self):
         m = generate_unit_square(8)
         base = halves_weight(1.5, -0.5)
-        w_abs = WeightField(lambda p: abs(base.eval(p)),
-                            eval_batch=lambda pts: np.abs(base.values(pts)))
+        w_abs = WeightField(lambda pts: np.abs(base.values(pts)))
         signed = weyl_target(m, euclidean_metric(), base, 2)
         folded = weyl_target(m, euclidean_metric(), w_abs, 2)
         assert abs(folded.c_plus
@@ -266,7 +265,8 @@ class TestConvergenceStudy:
             g = euclidean_metric()
             if scale is not None:
                 from roughweyl import piecewise_metric
-                g = piecewise_metric([(lambda p: True, scale * np.eye(2))])
+                g = piecewise_metric([(lambda p: np.ones(len(p), bool),
+                                       scale * np.eye(2))])
             return m, g, constant_weight(1.0), BoundarySpec.dirichlet()
         return make
 
