@@ -27,9 +27,10 @@ def main():
                               BoundarySpec.dirichlet(), t=0.5, k_max=12)
 
     print("bracketing on {} triangles, t = {}, passed: {}".format(
-        m.num_triangles, report.meta["t"], report.passed))
+        m.num_triangles, report["t"], report["passed"]))
     print("\n  k    nu_k (lower)   lambda_k(t)    eta_k (upper)")
-    triples = report.triples(+1)
+    side = report["plus"]
+    triples = np.array(list(zip(side["nu"], side["lam"], side["eta"])))
     for k, (nu, lam, eta) in enumerate(triples, start=1):
         print("{:4d}   {:.6f}       {:.6f}       {:.6f}".format(
             k, nu, lam, eta))

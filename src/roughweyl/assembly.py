@@ -15,8 +15,6 @@ fixed element order, so assembled matrices are bit-reproducible.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 from scipy import sparse
 
@@ -115,7 +113,7 @@ class Pencil:
     """
 
     def __init__(self, K, Mm, R, free_dofs, r, tau, mesh, bc, quad_order,
-                 rho_range, meta=None, quad=None):
+                 rho_range, quad=None):
         self.K = K
         self.Mm = Mm
         self.R = R
@@ -126,7 +124,6 @@ class Pencil:
         self.bc = bc
         self.quad_order = int(quad_order)
         self.rho_range = (float(rho_range[0]), float(rho_range[1]))
-        self.meta = dict(meta or {})
         self.quad = quad
         self._reduced = {}
 
@@ -262,7 +259,7 @@ def assemble(m: Mesh, g: MetricField, w: WeightField, bc: BoundarySpec,
 
     rho_range = (float(rho.min()), float(rho.max())) if rho.size else (0.0, 0.0)
     return Pencil(K, Mm, R, free, r, tau, m, bc, quad_order, rho_range,
-                  meta={"mean_rho": mean}, quad=q.compact())
+                  quad=q.compact())
 
 
 class _Householder:
@@ -313,7 +310,7 @@ class _Householder:
 
 
 def poincare_constant(p: Pencil, dense_limit: int = _DENSE_LIMIT,
-                      seed: int = 0, tol=None, maxiter=None) -> float:
+                      seed: int = 0) -> float:
     """Smallest eigenvalue mu_min of the energy against the mass on Z(rho).
 
     Z(rho) is the whole free space when the energy is already coercive
@@ -322,15 +319,9 @@ def poincare_constant(p: Pencil, dense_limit: int = _DENSE_LIMIT,
     of the underlying norm bound is mu_min^{-1/2}). mu_min is 1 / (the top
     eigenvalue of the pencil (Mm, K) on Z(rho)), one weighted-problem
     solve with Mm in the place of R, dense or Lanczos by `dense_limit`.
-    `tol` and `maxiter` are deprecated and ignored.
     """
     from .spectral import _signed_ends, project_constraint
 
-    if tol is not None or maxiter is not None:
-        warnings.warn("poincare_constant: tol and maxiter are ignored and "
-                      "will be removed", DeprecationWarning, stacklevel=2)
-    if p.n_free == 0:
-        raise ValueError("no free DOFs")
     # Mm is positive definite: only the top end runs
     top = _signed_ends(p.Mmf, p.Kf, project_constraint(p), (1.0, 1.0), 1,
                        dense_limit, seed, False)[0]

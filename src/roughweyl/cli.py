@@ -293,14 +293,6 @@ class ExperimentConfig:
         }
 
 
-def _spec_params(spec, name):
-    """Split 'name:payload' and return the payload, '' when absent."""
-    head, _, payload = spec.partition(":")
-    if head != name:
-        raise ValueError
-    return payload
-
-
 def _keyword_params(field, payload):
     params = {}
     if not payload:
@@ -633,8 +625,8 @@ def run(cfg: ExperimentConfig) -> int:
                 dense_limit=cfg.dense_limit(), seed=cfg.seed, s_global=s)
             _, artifacts = _spectrum_artifacts(cfg, p, _leading(s, cfg.k_each),
                                                out_dir)
-            summary["report"] = report.to_dict()
-            checks["bracketing"] = report.passed
+            summary["report"] = report
+            checks["bracketing"] = report["passed"]
         elif cfg.task == "sandwich":
             p = _solve_stack(cfg)
             s = solve_weighted(p, 0.0, k_each=max(cfg.k_each,

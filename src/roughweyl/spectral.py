@@ -319,7 +319,11 @@ def _signed_ends(A, M, rf, rho_range, k_each, dense_limit, seed, vectors):
     `_goes_dense` says so, Lanczos at the spectral ends otherwise. M is
     SPD, or, with a constraint vector rf, semidefinite with M 1 = 0 and
     the problem posed on {rf . v = 0}. `rho_range` bounds the sign of A.
+    A pencil with no rows, as left by Dirichlet conditions on every
+    vertex, raises SolverError.
     """
+    if M.shape[0] == 0:
+        raise SolverError("no free DOFs")
     if _goes_dense(M.shape[0], k_each, dense_limit):
         return _dense_weighted(A, M, rf, k_each, vectors)
     return _sparse_weighted(A, M, rf, rho_range, k_each, seed, vectors)
@@ -340,8 +344,6 @@ def solve_weighted(p: Pencil, t: float = 0.0, k_each: int = 6,
     """
     if t < 0.0:
         raise ValueError("t must be >= 0")
-    if p.n_free == 0:
-        raise SolverError("no free DOFs")
     rf = project_constraint(p) if t == 0.0 else None
     constrained = rf is not None
     Kt = p.Kf + t * p.Mmf if t > 0.0 else p.Kf
@@ -373,10 +375,7 @@ def solve_laplace(p: Pencil, count: int = 6, dense_limit: int = _DENSE_LIMIT,
     Mm-orthonormal eigenvector columns come back too; without, neither
     path computes them.
     """
-    nf = p.n_free
-    if nf == 0:
-        raise SolverError("no free DOFs")
-    count = min(int(count), nf)
+    count = min(int(count), p.n_free)
     mu, _, V, _ = _signed_ends(p.Mmf, p.Kf + p.Mmf, None, (1.0, 1.0), count,
                                dense_limit, seed, return_vectors)
     lam = 1.0 / mu - 1.0

@@ -1,7 +1,7 @@
 """Checkers for the variational principles and the bracketing/sandwich bounds.
 
-Every checker is report-only: it returns a dict (or BracketReport) with
-margins and a `passed` flag instead of raising on violation, so callers can
+Every checker is report-only: it returns a JSON-ready dict with margins
+and a `passed` flag instead of raising on violation, so callers can
 collect results across checks. Margins are signed so that anything at or
 above -tolerance passes; the tolerance is absolute, 1e-9, because the
 discrete inequalities hold exactly up to roundoff.
@@ -53,7 +53,6 @@ from .spectral import (
 )
 
 __all__ = [
-    "BracketReport",
     "check_poincare_minmax",
     "check_rayleigh",
     "check_courant",
@@ -290,48 +289,6 @@ def check_courant(s: Spectrum, p, k: int, trials: int = 100,
     return _finish("courant", k, trials, seed, sides)
 
 
-class BracketReport:
-    """Merged subdomain sequences against the global t-regularized spectrum.
-
-    For each sign, `triples(sign)` returns rows (nu_k, lambda_k, eta_k) over
-    the comparable index range. The nu sequence comes from subdomain
-    problems with Dirichlet interfaces, whose spaces embed in the global one
-    by extension with zero, so it may be shorter; eta comes from
-    interface-free subdomain problems whose direct sum contains the global
-    space. Violations are (sign, side, k, margin) entries with margin below
-    -tolerance.
-    """
-
-    def __init__(self, data, violations, meta):
-        self.data = data
-        self.violations = list(violations)
-        self.meta = dict(meta)
-
-    @property
-    def passed(self):
-        return not self.violations
-
-    def triples(self, sign):
-        d = self.data["plus" if sign == 1 else "minus"]
-        n = min(len(d["nu"]), len(d["lam"]), len(d["eta"]))
-        return np.column_stack([d["nu"][:n], d["lam"][:n], d["eta"][:n]])
-
-    def to_dict(self):
-        out = {
-            "check": "bracketing",
-            "passed": self.passed,
-            "violations": [
-                {"sign": sgn, "side": side, "k": int(k), "margin": float(mg)}
-                for sgn, side, k, mg in self.violations
-            ],
-        }
-        out.update(self.meta)
-        for label, d in self.data.items():
-            out[label] = {key: [float(v) for v in arr]
-                          for key, arr in d.items()}
-        return out
-
-
 def _partition_cells(m: Mesh, partition):
     nt = m.num_triangles
     seen = np.zeros(nt, dtype=bool)
@@ -356,7 +313,7 @@ def _partition_cells(m: Mesh, partition):
 def check_bracketing(m: Mesh, partition, g, w, bc: BoundarySpec, t: float,
                      k_max: int = 50, quad_order: int = 2,
                      dense_limit: int = _DENSE_LIMIT, seed: int = 0,
-                     s_global: Spectrum | None = None) -> BracketReport:
+                     s_global: Spectrum | None = None) -> dict:
     """Dirichlet-Neumann bracketing of the t-regularized problem.
 
     The partition is a list of triangle-index sets covering the mesh once;
@@ -374,6 +331,17 @@ def check_bracketing(m: Mesh, partition, g, w, bc: BoundarySpec, t: float,
     k_max values per sign where the pencil has them; otherwise the
     checker assembles and solves the global pencil itself, eigenvalues
     only.
+
+    The report holds, under "plus" and "minus", the descending lists
+    "nu", "lam" and "eta", each cut at k_max. nu comes from the cells'
+    problems with Dirichlet interfaces, whose spaces embed in the global
+    one by extension with zero, so it may be shorter; eta comes from the
+    interface-free problems, whose direct sum contains the global space.
+    `zip(nu, lam, eta)` gives the comparable rows (nu_k, lambda_k, eta_k).
+    "violations" lists {sign, side, k, margin} for each margin below
+    -tolerance, the dirichlet side (lambda_k - nu_k) before the neumann
+    side (eta_k - lambda_k) per sign, and "passed" is True when there
+    are none.
     """
     _require_positive(k_max=k_max)
     if t <= 0.0:
@@ -409,26 +377,10 @@ def check_bracketing(m: Mesh, partition, g, w, bc: BoundarySpec, t: float,
             target["plus"].extend(pos)
             target["minus"].extend(neg)
 
-    data = {}
     violations = []
-    for label, sign in (("plus", 1), ("minus", -1)):
-        lam = s_global.values(sign)
-        nus = np.sort(np.asarray(nu[label], dtype=float))[::-1]
-        etas = np.sort(np.asarray(eta[label], dtype=float))[::-1]
-        for j in range(min(k_max, len(lam), len(nus))):
-            margin = float(lam[j] - nus[j])
-            if margin < -TOLERANCE:
-                violations.append((label, "dirichlet", j + 1, margin))
-        for j in range(min(k_max, len(lam), len(etas))):
-            margin = float(etas[j] - lam[j])
-            if margin < -TOLERANCE:
-                violations.append((label, "neumann", j + 1, margin))
-        data[label] = {
-            "nu": nus[:k_max],
-            "lam": lam[:k_max],
-            "eta": etas[:k_max],
-        }
-    meta = {
+    report = {
+        "check": "bracketing",
+        "violations": violations,
         "t": float(t),
         "k_max": int(k_max),
         "parts": len(cells),
@@ -436,7 +388,22 @@ def check_bracketing(m: Mesh, partition, g, w, bc: BoundarySpec, t: float,
         "tolerance": TOLERANCE,
         "seed": int(seed),
     }
-    return BracketReport(data, violations, meta)
+    for label, sign in (("plus", 1), ("minus", -1)):
+        lam = s_global.values(sign)[:k_max]
+        nus = np.sort(np.asarray(nu[label], dtype=float))[::-1][:k_max]
+        etas = np.sort(np.asarray(eta[label], dtype=float))[::-1][:k_max]
+        for side, lower, upper in (("dirichlet", nus, lam),
+                                   ("neumann", lam, etas)):
+            n = min(len(lower), len(upper))
+            margins = upper[:n] - lower[:n]
+            for j in np.flatnonzero(margins < -TOLERANCE):
+                violations.append({"sign": label, "side": side,
+                                   "k": int(j) + 1,
+                                   "margin": float(margins[j])})
+        report[label] = {"nu": nus.tolist(), "lam": lam.tolist(),
+                         "eta": etas.tolist()}
+    report["passed"] = not violations
+    return report
 
 
 def check_sandwich(p, t_list=(0.5, 0.1, 0.02), k_max: int = 100,
@@ -527,24 +494,10 @@ def check_sandwich(p, t_list=(0.5, 0.1, 0.02), k_max: int = 100,
     return report
 
 
-def _jsonable(obj):
-    if isinstance(obj, BracketReport):
-        return _jsonable(obj.to_dict())
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    return obj
-
-
 def save_report(report, path):
-    """Deterministic JSON dump (sorted keys, no timestamps)."""
+    """Deterministic JSON dump (sorted keys, no timestamps). numpy arrays
+    and scalars are written as lists and numbers."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonable(report), fh, indent=2, sort_keys=True)
+        json.dump(report, fh, indent=2, sort_keys=True,
+                  default=lambda o: o.tolist())
         fh.write("\n")

@@ -1,11 +1,12 @@
 """Counting functions, Weyl constants, and asymptotic fits.
 
-The dimension n is carried through the constant and the exponents, but only
-n = 2 is executable on the triangle meshes here; the generic expressions are
-unit-tested by substituting n = 2. Eigenvalue windows default to the middle
-third band [N/3, 2N/3]: low k is preasymptotic and the top of the computed
-range is polluted by discretization (P1 elements overestimate high
-eigenvalues).
+The dimension is n = 2 throughout, since every mesh here triangulates a
+2-D domain: the Weyl scaling lambda_k k^(2/n) is lambda_k k, and each
+constant is 1/(4 pi) times an integral of |rho|. Only
+`weyl_constant_factor(n)` keeps the generic formula, whose value at n = 2
+is that 1/(4 pi). Eigenvalue windows default to the middle third band
+[N/3, 2N/3]: low k is preasymptotic and the top of the computed range is
+polluted by discretization (P1 elements overestimate high eigenvalues).
 """
 
 from __future__ import annotations
@@ -39,20 +40,18 @@ def weyl_constant_factor(n: int = 2) -> float:
 
 
 class WeylTarget:
-    """Limits of lambda_k^± k^(2/n) plus the metric volume.
+    """Limits of lambda_k^± k plus the metric volume.
 
-    c_plus and c_minus are (omega_n/(2 pi)^n)^(2/n) times
-    (integral of |rho|^(n/2) over M^±)^(2/n); a side with no quadrature mass
-    has constant exactly zero.
+    c_plus and c_minus are 1/(4 pi) times the integral of |rho| over M^±;
+    a side with no quadrature mass has constant exactly zero.
     """
 
-    def __init__(self, c_plus, c_minus, vol, meta=None):
+    def __init__(self, c_plus, c_minus, vol):
         if c_plus < 0.0 or c_minus < 0.0:
             raise ValueError("Weyl constants must be nonnegative")
         self.c_plus = float(c_plus)
         self.c_minus = float(c_minus)
         self.vol = float(vol)
-        self.meta = dict(meta or {})
 
     def constant(self, sign):
         if sign == 1:
@@ -70,7 +69,7 @@ class FitResult:
     """Tail-average estimates of the Weyl limit plus the counting regression.
 
     `sides` maps "plus"/"minus" to a dict with the window average of
-    lambda_k k^(2/n), the relative deviation against a WeylTarget when one
+    lambda_k k, the relative deviation against a WeylTarget when one
     was supplied, and the two-parameter regression N(Lambda) ~ a Lambda +
     b sqrt(Lambda) in the inverse variable Lambda = 1/lambda. The raw
     single-constant ratio mean(N/Lambda) is kept alongside the regression:
@@ -79,10 +78,9 @@ class FitResult:
     An empty eigenvalue family is marked with the string "empty side".
     """
 
-    def __init__(self, window, sides, meta=None):
+    def __init__(self, window, sides):
         self.window = (int(window[0]), int(window[1]))
         self.sides = sides
-        self.meta = dict(meta or {})
 
     def _side(self, sign):
         d = self.sides["plus" if sign == 1 else "minus"]
@@ -127,32 +125,24 @@ def counting(s: Spectrum, lam: float, sign=1) -> int:
     return int(np.count_nonzero(vals > lam))
 
 
-def weyl_constants(q: Quadrature, n: int = 2) -> WeylTarget:
-    """Weyl constants c_± = factor(n) * (integral_{M^±} |rho|^(n/2))^(2/n)
-    and vol = Vol(M, g) from one audited quadrature sample `q` with weight.
+def weyl_constants(q: Quadrature) -> WeylTarget:
+    """Weyl constants c_± = factor(2) * integral_{M^±} |rho| and
+    vol = Vol(M, g) from one audited quadrature sample `q` with weight.
 
     M^± is realized as the set of quadrature points where ±rho > 0, so a
     constant is zero exactly when its side carries no quadrature mass.
     """
-    if n != 2:
-        raise NotImplementedError("only n = 2 is executable on these meshes")
-    factor = weyl_constant_factor(n)
-    half_pow = np.abs(q.rho) ** (n / 2.0)
-    int_plus = float(np.sum(half_pow * q.measure * (q.rho > 0.0)))
-    int_minus = float(np.sum(half_pow * q.measure * (q.rho < 0.0)))
+    factor = weyl_constant_factor(2)
+    mass = np.abs(q.rho) * q.measure
+    int_plus = float(np.sum(mass * (q.rho > 0.0)))
+    int_minus = float(np.sum(mass * (q.rho < 0.0)))
     vol = float(np.sum(q.measure))
-    meta = {
-        "quad_order": q.order,
-        "n": int(n),
-        "points": int(len(q.measure)),
-    }
-    return WeylTarget(factor * int_plus ** (2.0 / n),
-                      factor * int_minus ** (2.0 / n), vol, meta)
+    return WeylTarget(factor * int_plus, factor * int_minus, vol)
 
 
-def weyl_target(m, g, w, quad_order: int = 2, n: int = 2) -> WeylTarget:
+def weyl_target(m, g, w, quad_order: int = 2) -> WeylTarget:
     """`weyl_constants` of a fresh quadrature sample of (m, g, w)."""
-    return weyl_constants(Quadrature(m, g, w, quad_order), n)
+    return weyl_constants(Quadrature(m, g, w, quad_order))
 
 
 def _two_parameter_fit(lam, ks):
@@ -168,9 +158,9 @@ def _two_parameter_fit(lam, ks):
     return float(coef[0]), float(coef[1]), float(np.mean(N / Lam))
 
 
-def fit_limit(s: Spectrum, window=None, target: WeylTarget = None,
-              n: int = 2) -> FitResult:
-    """Estimate lim lambda_k^± k^(2/n) by a tail average over a k-window.
+def fit_limit(s: Spectrum, window=None,
+              target: WeylTarget = None) -> FitResult:
+    """Estimate lim lambda_k^± k by a tail average over a k-window.
 
     The window is a pair [k_lo, k_hi] of 1-based ranks, defaulting to the
     middle third of the shortest nonempty family. Requires k_lo >= 10 and at
@@ -200,7 +190,7 @@ def fit_limit(s: Spectrum, window=None, target: WeylTarget = None,
                 "window end {} exceeds the {} available {} eigenvalues"
                 .format(k_hi, len(vals), label))
         ks = np.arange(k_lo, k_hi + 1)
-        estimate = float(np.mean(vals[ks - 1] * ks ** (2.0 / n)))
+        estimate = float(np.mean(vals[ks - 1] * ks))
         rel_dev = None
         if target is not None:
             c = target.constant(sign)
@@ -213,7 +203,7 @@ def fit_limit(s: Spectrum, window=None, target: WeylTarget = None,
             "intercept": intercept,
             "raw_ratio": raw,
         }
-    return FitResult((k_lo, k_hi), sides, {"n": int(n)})
+    return FitResult((k_lo, k_hi), sides)
 
 
 def convergence_study(make_problem, levels, window=None, k_each=120,
@@ -271,7 +261,7 @@ def _num(x):
     return repr(float(x))
 
 
-def write_spectrum_csv(s: Spectrum, target: WeylTarget, path, n: int = 2):
+def write_spectrum_csv(s: Spectrum, target: WeylTarget, path):
     """Eigenvalues against their Weyl targets, one row per rank.
 
     Columns: k, lambda_plus, lambda_minus, k_pow_lambda_plus,
@@ -300,7 +290,7 @@ def write_spectrum_csv(s: Spectrum, target: WeylTarget, path, n: int = 2):
                     row.append("")
             for vals, label in ((pos, "plus"), (neg, "minus")):
                 if i < len(vals):
-                    scaled[label] = float(vals[i]) * k ** (2.0 / n)
+                    scaled[label] = float(vals[i]) * k
                     row.append(repr(scaled[label]))
                 else:
                     row.append("")

@@ -123,10 +123,12 @@ def test_05_two_and_four_part_bracketing_inequalities():
     for scheme in ("halves", "quadrants"):
         report = check_bracketing(m, named_partition(m, scheme), g, w, bc,
                                   t=1.0, k_max=50)
-        assert report.passed
+        assert report["passed"]
         for sign in ("plus", "minus"):
-            assert len(report.data[sign]["lam"]) == 50
-            nu, lam, eta = (report.triples(+1 if sign == "plus" else -1).T)
+            side = report[sign]
+            assert len(side["lam"]) == 50
+            rows = list(zip(side["nu"], side["lam"], side["eta"]))
+            nu, lam, eta = np.array(rows).T
             assert np.all(lam - nu >= -1e-9)
             assert np.all(eta - lam >= -1e-9)
 

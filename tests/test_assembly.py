@@ -330,14 +330,6 @@ class TestSparsePoincareConstant:
             sparse_val = poincare_constant(p, dense_limit=0)
         np.testing.assert_allclose(sparse_val, dense, rtol=1e-10)
 
-    @pytest.mark.parametrize("kw", [{"tol": 1e-8}, {"maxiter": 10}])
-    def test_tol_and_maxiter_deprecated(self, kw):
-        p = assemble(generate_unit_square(8), euclidean_metric(),
-                     constant_weight(1.0), BoundarySpec.neumann())
-        with pytest.warns(DeprecationWarning, match="ignored"):
-            mu = poincare_constant(p, dense_limit=0, **kw)
-        assert mu == poincare_constant(p, dense_limit=0)
-
 
 class TestHouseholderReduction:
     """The rank-two update against the explicit basis Q of the hyperplane."""

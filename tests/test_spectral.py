@@ -177,9 +177,17 @@ class TestSolveWeighted:
         with pytest.raises(ValueError):
             solve_weighted(square_pencil(4), -0.1, 2)
 
-    def test_no_free_dofs(self):
-        with pytest.raises(SolverError):
-            solve_weighted(square_pencil(1), 0.0, 1)
+    @pytest.mark.parametrize("solve", [
+        lambda p: solve_weighted(p, 0.0, 1),
+        lambda p: solve_laplace(p, 1),
+        lambda p: poincare_constant(p),
+    ], ids=["solve_weighted", "solve_laplace", "poincare_constant"])
+    def test_no_free_dofs(self, solve):
+        # every vertex of the size-1 square is on the Dirichlet boundary
+        p = square_pencil(1)
+        assert p.n_free == 0
+        with pytest.raises(SolverError, match="no free DOFs"):
+            solve(p)
 
     def test_non_coercive_without_constraint(self):
         # a pencil that claims tau = 0 while K is only semidefinite must

@@ -40,6 +40,14 @@ def dirichlet_problem(n=12, w=None):
     return m, p
 
 
+def triples(rep, label):
+    """Rows (nu_k, lambda_k, eta_k) of a bracketing report side, over the
+    range where all three sequences have values."""
+    side = rep[label]
+    rows = list(zip(side["nu"], side["lam"], side["eta"]))
+    return np.array(rows).reshape(-1, 3)
+
+
 def quadrant_partition(m):
     cen = m.vertices[m.triangles].mean(axis=1)
     return [
@@ -264,8 +272,8 @@ class TestBracketing:
         rep = check_bracketing(m, [range(m.num_triangles)],
                                euclidean_metric(), constant_weight(1.0),
                                BoundarySpec.dirichlet(), t=1.0, k_max=40)
-        assert rep.passed
-        tri = rep.triples(+1)
+        assert rep["passed"]
+        tri = triples(rep, "plus")
         assert np.abs(tri[:, 0] - tri[:, 1]).max() <= 1e-12
         assert np.abs(tri[:, 2] - tri[:, 1]).max() <= 1e-12
 
@@ -276,8 +284,8 @@ class TestBracketing:
         rep = check_bracketing(m, parts, euclidean_metric(),
                                constant_weight(1.0), BoundarySpec.dirichlet(),
                                t=1.0, k_max=50)
-        assert rep.passed
-        tri = rep.triples(+1)
+        assert rep["passed"]
+        tri = triples(rep, "plus")
         # interface elimination leaves fewer Dirichlet-side eigenvalues
         assert 0 < tri.shape[0] < 50
         assert (tri[:, 1] - tri[:, 0]).min() >= -TOL
@@ -293,9 +301,9 @@ class TestBracketing:
         rep = check_bracketing(m, parts, euclidean_metric(),
                                checkerboard_weight(1.0, -1.0),
                                BoundarySpec.dirichlet(), t=1.0, k_max=20)
-        assert rep.passed
-        assert rep.triples(+1).shape[0] > 0
-        assert rep.triples(-1).shape[0] > 0
+        assert rep["passed"]
+        assert triples(rep, "plus").shape[0] > 0
+        assert triples(rep, "minus").shape[0] > 0
 
     def test_neumann_global_condition(self):
         m, _ = dirichlet_problem(n=8)
@@ -304,7 +312,7 @@ class TestBracketing:
         rep = check_bracketing(m, parts, euclidean_metric(),
                                constant_weight(1.0), BoundarySpec.neumann(),
                                t=0.5, k_max=30)
-        assert rep.passed
+        assert rep["passed"]
 
     @pytest.mark.parametrize("domain, scheme, bc", [
         pytest.param("square", scheme, bc, id="{}-{}".format(name, scheme))
@@ -330,7 +338,7 @@ class TestBracketing:
             m, g = generate_unit_square(16), euclidean_metric()
             w = checkerboard_weight(1.0, -1.0, cells=4)
         args = (m, named_partition(m, scheme), g, w, bc, 1.0)
-        full = check_bracketing(*args, k_max=30).to_dict()
+        full = check_bracketing(*args, k_max=30)
         assert full["passed"]
         orders = []
         for module in (roughweyl.spectral, roughweyl.varprin):
@@ -340,7 +348,7 @@ class TestBracketing:
                 return _eigh(a, b, *rest, **kwargs)
 
             monkeypatch.setattr(module, "eigh", spy)
-        limited = check_bracketing(*args, k_max=30, dense_limit=40).to_dict()
+        limited = check_bracketing(*args, k_max=30, dense_limit=40)
         assert max(orders, default=0) <= 40
         for label in ("plus", "minus"):
             for key in ("nu", "lam", "eta"):
@@ -356,8 +364,8 @@ class TestBracketing:
         m = generate_unit_square(4)
         args = (m, named_partition(m, "quadrants"), euclidean_metric(),
                 constant_weight(1.0), BoundarySpec.dirichlet(), 1.0)
-        full = check_bracketing(*args, k_max=5).to_dict()
-        limited = check_bracketing(*args, k_max=5, dense_limit=0).to_dict()
+        full = check_bracketing(*args, k_max=5)
+        limited = check_bracketing(*args, k_max=5, dense_limit=0)
         for key in ("nu", "eta"):
             assert limited["plus"][key] == full["plus"][key]
         np.testing.assert_allclose(limited["plus"]["lam"],
@@ -399,6 +407,32 @@ class TestBracketing:
         assert loaded["check"] == "bracketing"
         assert loaded["passed"] is True
         assert len(loaded["plus"]["lam"]) <= 10
+
+    @pytest.mark.parametrize("scale, side, first", [
+        (2.0, "neumann", 1),
+        (0.5, "dirichlet", 2),
+    ], ids=["above-eta", "below-nu"])
+    def test_failing_side_reported(self, scale, side, first):
+        # a global positive family scaled by 2 rises above the interface-free
+        # eta, one scaled by 0.5 falls below the Dirichlet-interface nu
+        m, p = dirichlet_problem(n=8)
+        s = solve_weighted(p, 1.0, k_each=12, vectors=False)
+        scaled = Spectrum(scale * s.pos, s.neg, meta=s.meta)
+        rep = check_bracketing(m, named_partition(m, "halves"),
+                               euclidean_metric(), constant_weight(1.0),
+                               BoundarySpec.dirichlet(), 1.0, k_max=12,
+                               s_global=scaled)
+        assert rep["passed"] is False
+        violations = rep["violations"]
+        assert len(violations) == 11
+        assert {v["sign"] for v in violations} == {"plus"}
+        assert {v["side"] for v in violations} == {side}
+        assert violations[0]["k"] == first
+        nu, lam, eta = (rep["plus"][key] for key in ("nu", "lam", "eta"))
+        for v in violations:
+            j = v["k"] - 1
+            want = eta[j] - lam[j] if side == "neumann" else lam[j] - nu[j]
+            assert v["margin"] == want < -TOL
 
 
 class TestSandwich:
@@ -492,8 +526,7 @@ class TestSuppliedSpectrum:
                 BoundarySpec.dirichlet(), 0.5)
         own = check_bracketing(*args, k_max=12)
         s = solve_weighted(p, 0.5, k_each=30, vectors=False)
-        assert (check_bracketing(*args, k_max=12, s_global=s).to_dict()
-                == own.to_dict())
+        assert check_bracketing(*args, k_max=12, s_global=s) == own
 
     def test_bracketing_rejects_mismatch(self):
         m, p = dirichlet_problem(n=8)
@@ -512,6 +545,20 @@ class TestSuppliedSpectrum:
 
 
 class TestReportFormat:
+    @pytest.mark.parametrize("check", [
+        lambda m, p, s: check_poincare_minmax(s, p, 2, trials=10, seed=0),
+        lambda m, p, s: check_rayleigh(s, p, 2, trials=10, seed=0),
+        lambda m, p, s: check_courant(s, p, 2, trials=10, seed=0),
+        lambda m, p, s: check_bracketing(
+            m, quadrant_partition(m), euclidean_metric(),
+            constant_weight(1.0), BoundarySpec.dirichlet(), 1.0, k_max=10),
+        lambda m, p, s: check_sandwich(p, (0.5,), k_max=10),
+    ], ids=["minmax", "rayleigh", "courant", "bracketing", "sandwich"])
+    def test_report_is_plain_json(self, check):
+        m, p = dirichlet_problem(n=8)
+        rep = check(m, p, solve_weighted(p, 0.0, k_each=6))
+        assert json.loads(json.dumps(rep)) == rep
+
     def test_checker_reports_share_schema(self, tmp_path):
         _, p = dirichlet_problem(n=8)
         s = solve_weighted(p, 0.0, k_each=6)
