@@ -192,39 +192,24 @@ def assemble(m: Mesh, g: MetricField, w: WeightField, bc: BoundarySpec,
         raise ValueError("mesh has nonpositive triangle areas")
 
     # constant P1 gradients: grad phi_i = rot90(edge opposite i) / (2 area)
-    e0 = corners[:, 2] - corners[:, 1]
-    e1 = corners[:, 0] - corners[:, 2]
-    e2 = corners[:, 1] - corners[:, 0]
-    edges = np.stack([e0, e1, e2], axis=1)  # (nt, 3, 2)
-    grads = np.empty_like(edges)
-    grads[:, :, 0] = -edges[:, :, 1]
-    grads[:, :, 1] = edges[:, :, 0]
-    grads /= (2.0 * areas)[:, None, None]
+    edges = np.roll(corners, -2, axis=1) - np.roll(corners, -1, axis=1)
+    grads = edges[:, :, ::-1] * [-1.0, 1.0] / (2.0 * areas)[:, None, None]
 
     q = Quadrature(m, g, w, quad_order)
-    G = q.G
-    det = G[:, 0, 0] * G[:, 1, 1] - G[:, 0, 1] * G[:, 1, 0]
-    Ginv = np.empty_like(G)
-    Ginv[:, 0, 0] = G[:, 1, 1]
-    Ginv[:, 1, 1] = G[:, 0, 0]
-    Ginv[:, 0, 1] = -G[:, 0, 1]
-    Ginv[:, 1, 0] = -G[:, 1, 0]
-    Ginv /= det[:, None, None]
-
-    rho = q.rho
     nt, nq = m.num_triangles, len(wq)
-    Ginv = Ginv.reshape(nt, nq, 2, 2)
     sdet = q.sqrtdet.reshape(nt, nq)
-    rhoq = rho.reshape(nt, nq)
 
-    # stiffness: coefficient G^{-1} sqrt(det G); 0-homogeneous in G in 2-D
-    coeff = np.einsum("q,tq,tqde->tde", wq, sdet, Ginv)
-    Ke = np.einsum("tid,tde,tje,t->tij", grads, coeff, grads, areas)
+    # stiffness: coefficient G^{-1} sqrt(det G) = adj(G) / sqrt(det G),
+    # 0-homogeneous in G in 2-D
+    adj = q.G.reshape(nt, nq, 4)[:, :, [3, 1, 2, 0]] * [1.0, -1.0, -1.0, 1.0]
+    coeff = ((wq / sdet)[:, None, :] @ adj).reshape(nt, 2, 2)
+    Ke = grads @ coeff @ grads.transpose(0, 2, 1) * areas[:, None, None]
 
     # mass and weighted mass share phi_i(x_q) phi_j(x_q) = bary outer products
-    phi2 = bary[:, :, None] * bary[:, None, :]  # (q, 3, 3)
-    Me = np.einsum("q,tq,qij,t->tij", wq, sdet, phi2, areas)
-    Re = np.einsum("q,tq,qij,t->tij", wq, sdet * rhoq, phi2, areas)
+    phi2 = (bary[:, :, None] * bary[:, None, :]).reshape(nq, 9)
+    mu = q.measure.reshape(nt, nq)  # w_q sqrt(det G) |cell|
+    Me = mu @ phi2
+    Re = (mu * q.rho.reshape(nt, nq)) @ phi2
 
     nv = m.num_vertices
     rows = np.repeat(m.triangles, 3, axis=1).ravel()
@@ -257,7 +242,7 @@ def assemble(m: Mesh, g: MetricField, w: WeightField, bc: BoundarySpec,
         if drift <= 1e-10 * max(1.0, knorm):
             tau = 1
 
-    rho_range = (float(rho.min()), float(rho.max())) if rho.size else (0.0, 0.0)
+    rho_range = (float(q.rho.min()), float(q.rho.max())) if q.rho.size else (0.0, 0.0)
     return Pencil(K, Mm, R, free, r, tau, m, bc, quad_order, rho_range,
                   quad=q.compact())
 

@@ -268,7 +268,7 @@ def pullback_metric(base: MetricField, phi, jacobian,
         if np.abs(det).min() < 1e-14:
             raise ValueError("singular Jacobian sample")
         Gb = base.matrices(_sample(phi, points, (2,), "map"))
-        return np.einsum("mji,mjk,mkl->mil", J, Gb, J)
+        return J.transpose(0, 2, 1) @ Gb @ J
 
     return MetricField(batch, base.c_lo * s_lo, base.c_hi * s_hi)
 
@@ -516,7 +516,7 @@ def quadrature_points(m, order: int):
     """Physical quadrature points per cell: (nt, q, 2) array."""
     bary, _ = triangle_quadrature(order)
     corners = m.vertices[m.triangles]  # (nt, 3, 2)
-    return np.einsum("qi,tid->tqd", bary, corners)
+    return bary @ corners
 
 
 def sym_eigvals_2x2(G):

@@ -5,6 +5,15 @@ triangles, and tagged boundary edges. Generators cover the two chart domains
 used throughout (unit square, unit disk); `refine_uniform` performs red
 refinement; `validate` audits the conformity invariants; `save_mesh` and
 `load_mesh` round-trip the RWMESH 1 text format.
+
+Everything works on whole arrays: no Python loop runs over vertices,
+triangles or edges, except in `edge_incidence`'s dictionary. Edges come
+from one sort of the keys min * nv + max (`_undirected_edges`), numbered
+in the order they are first met, as a dictionary filled triangle by
+triangle would number them; refinement is bit-identical to that
+algorithm. Hanging nodes are sought only among the vertices in an edge's
+x-range. RWMESH sections are written by one `str.format` and read by one
+`np.loadtxt` each.
 """
 
 from __future__ import annotations
@@ -94,10 +103,8 @@ def triangle_areas(m: Mesh) -> np.ndarray:
 def _mirrored_grid(n: int) -> np.ndarray:
     # i/n and 1 - i/n are not always equal bitwise; building the upper half
     # by mirroring makes the grid exactly symmetric about 1/2.
-    x = np.empty(n + 1)
-    for i in range(n + 1):
-        x[i] = i / n if i <= n - i else 1.0 - (n - i) / n
-    return x
+    i = np.arange(n + 1)
+    return np.where(i <= n - i, i / n, 1.0 - (n - i) / n)
 
 
 def generate_unit_square(n: int) -> Mesh:
@@ -114,33 +121,19 @@ def generate_unit_square(n: int) -> Mesh:
     xv, yv = np.meshgrid(coords, coords)
     vertices = np.column_stack([xv.ravel(), yv.ravel()])
 
-    def vid(ix, iy):
-        return iy * (n + 1) + ix
+    # cells row by row; corners a b c d counterclockwise from (ix, iy)
+    iy, ix = np.divmod(np.arange(n * n), n)
+    a = iy * (n + 1) + ix
+    b, c, d = a + 1, a + n + 2, a + n + 1
+    even = ((ix + iy) % 2 == 0)[:, None]
+    triangles = np.where(even, np.column_stack([a, b, c, a, c, d]),
+                         np.column_stack([a, b, d, b, c, d])).reshape(-1, 3)
 
-    triangles = []
-    for iy in range(n):
-        for ix in range(n):
-            a = vid(ix, iy)
-            b = vid(ix + 1, iy)
-            c = vid(ix + 1, iy + 1)
-            d = vid(ix, iy + 1)
-            if (ix + iy) % 2 == 0:
-                triangles.append((a, b, c))
-                triangles.append((a, c, d))
-            else:
-                triangles.append((a, b, d))
-                triangles.append((b, c, d))
-
-    boundary = []
-    for ix in range(n):
-        boundary.append((vid(ix, 0), vid(ix + 1, 0), 0))
-    for iy in range(n):
-        boundary.append((vid(n, iy), vid(n, iy + 1), 1))
-    for ix in range(n, 0, -1):
-        boundary.append((vid(ix, n), vid(ix - 1, n), 2))
-    for iy in range(n, 0, -1):
-        boundary.append((vid(0, iy), vid(0, iy - 1), 3))
-
+    # counterclockwise walk from the origin, one side (tag) per n steps
+    k = np.arange(n)
+    walk = np.concatenate([k, n + k * (n + 1), (n + 1) ** 2 - 1 - k,
+                           (n - k) * (n + 1)])
+    boundary = np.column_stack([walk, np.roll(walk, -1), np.repeat(np.arange(4), n)])
     return Mesh(vertices, triangles, boundary, level=0)
 
 
@@ -155,85 +148,89 @@ def generate_disk(rings: int) -> Mesh:
     """
     if rings < 1:
         raise ValueError("rings must be >= 1")
-    verts = [(0.0, 0.0)]
-    ring_start = [0]  # index of first vertex of ring j (ring 0 = center)
-    for j in range(1, rings + 1):
-        ring_start.append(len(verts))
-        r = j / rings
-        mj = 6 * j
-        ang = 2.0 * np.pi * np.arange(mj) / mj
-        verts.extend(zip(r * np.cos(ang), r * np.sin(ang)))
-    vertices = np.array(verts)
 
     def ring_vertex(j, i):
-        # i taken modulo the ring size so sector ends wrap around
-        return ring_start[j] + (i % (6 * j))
+        # ring j follows the center and the 3 j (j - 1) vertices of rings
+        # 1..j-1; i taken modulo the ring size so sector ends wrap around
+        return 1 + 3 * j * (j - 1) + i % (6 * j)
 
-    triangles = []
-    for i in range(6):
-        triangles.append((0, ring_vertex(1, i), ring_vertex(1, i + 1)))
+    ring = np.repeat(np.arange(1, rings + 1), 6 * np.arange(1, rings + 1))
+    step = np.arange(1, len(ring) + 1) - ring_vertex(ring, 0)  # place in ring
+    ang = 2.0 * np.pi * step / (6 * ring)
+    r = ring / rings
+    vertices = np.vstack([[0.0, 0.0],
+                          np.column_stack([r * np.cos(ang), r * np.sin(ang)])])
+
+    six = np.arange(6)
+    tris = [np.column_stack([np.zeros(6, dtype=np.int64), ring_vertex(1, six),
+                             ring_vertex(1, six + 1)])]
     for j in range(2, rings + 1):
-        for s in range(6):
-            # outer row: j+1 vertices (inclusive), inner row: j vertices
-            out0, inn0 = s * j, s * (j - 1)
-            io = ii = 0
-            while io < j or ii < j - 1:
-                adv_out = io < j and (
-                    ii >= j - 1 or (io + 1) * (j - 1) <= (ii + 1) * j
-                )
-                if adv_out:
-                    triangles.append((
-                        ring_vertex(j, out0 + io),
-                        ring_vertex(j, out0 + io + 1),
-                        ring_vertex(j - 1, inn0 + ii),
-                    ))
-                    io += 1
-                else:
-                    triangles.append((
-                        ring_vertex(j, out0 + io),
-                        ring_vertex(j - 1, inn0 + ii + 1),
-                        ring_vertex(j - 1, inn0 + ii),
-                    ))
-                    ii += 1
+        # each sector's strip: j outer steps and j - 1 inner steps, merged by
+        # (io+1)(j-1) against (ii+1)j, the outer step first on ties
+        keys = np.concatenate([np.arange(1, j + 1) * (j - 1), np.arange(1, j) * j])
+        outer = np.argsort(keys, kind="stable") < j
+        io = np.cumsum(outer) - outer  # steps of each kind taken before
+        ii = np.cumsum(~outer) - ~outer
+        io = six[:, None] * j + io  # (sector, step)
+        ii = six[:, None] * (j - 1) + ii
+        tri = np.stack([ring_vertex(j, io),
+                        np.where(outer, ring_vertex(j, io + 1),
+                                 ring_vertex(j - 1, ii + 1)),
+                        ring_vertex(j - 1, ii)], axis=-1)
+        tris.append(tri.reshape(-1, 3))
 
-    mb = 6 * rings
-    boundary = [
-        (ring_vertex(rings, i), ring_vertex(rings, i + 1), 0) for i in range(mb)
-    ]
-    return Mesh(vertices, triangles, boundary, level=0)
+    i = np.arange(6 * rings)
+    boundary = np.column_stack([ring_vertex(rings, i), ring_vertex(rings, i + 1),
+                                np.zeros_like(i)])
+    return Mesh(vertices, np.concatenate(tris), boundary, level=0)
+
+
+def _undirected_edges(pairs, nv):
+    """Distinct undirected edges of the (k, 2) vertex pairs, in the order
+    the rows first meet them.
+
+    Returns (edges, which, counts): the (ne, 2) edges with i <= j, each
+    row's edge number and how many rows name each edge. One sort of the
+    keys i * nv + j does the work.
+    """
+    lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+    _, first, inverse, counts = np.unique(lo * nv + hi, return_index=True,
+                                          return_inverse=True, return_counts=True)
+    order = np.argsort(first)  # sorted-key rank -> first-met rank
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    first = first[order]
+    return np.column_stack([lo[first], hi[first]]), rank[inverse], counts[order]
+
+
+def _triangle_edges(triangles):
+    """(3 nt, 2) directed edges ab, bc, ca of each triangle in turn."""
+    return np.stack([triangles, np.roll(triangles, -1, axis=1)], axis=2).reshape(-1, 2)
 
 
 def refine_uniform(m: Mesh) -> Mesh:
     """Red refinement: each triangle into 4 congruent children.
 
     Edge midpoints become new vertices (deduplicated across neighbors),
-    boundary edges split in two inheriting their tag, level increments.
+    numbered in the order the edges are first met: ab, bc, ca of each
+    triangle in turn, then the boundary edges. Boundary edges split in two
+    inheriting their tag, level increments.
     """
-    verts = list(map(tuple, m.vertices))
-    midpoint = {}
+    nv, nt = m.num_vertices, m.num_triangles
+    pairs = np.concatenate([_triangle_edges(m.triangles), m.boundary_edges[:, :2]])
+    edges, which, _ = _undirected_edges(pairs, nv)
+    vertices = np.concatenate([m.vertices, 0.5 * m.vertices[edges].sum(axis=1)])
+    mid = nv + which
 
-    def mid(i, j):
-        key = (i, j) if i < j else (j, i)
-        idx = midpoint.get(key)
-        if idx is None:
-            idx = len(verts)
-            p = 0.5 * (m.vertices[i] + m.vertices[j])
-            verts.append((p[0], p[1]))
-            midpoint[key] = idx
-        return idx
+    a, b, c = m.triangles.T
+    ab, bc, ca = mid[: 3 * nt].reshape(nt, 3).T
+    triangles = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1)
 
-    triangles = []
-    for a, b, c in m.triangles:
-        ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-        triangles.extend([(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)])
-
-    boundary = []
-    for i, j, tag in m.boundary_edges:
-        k = mid(i, j)
-        boundary.append((i, k, tag))
-        boundary.append((k, j, tag))
-
-    return Mesh(np.array(verts), triangles, boundary, level=m.level + 1)
+    i, j, tag = m.boundary_edges.T
+    k = mid[3 * nt :]
+    boundary = np.stack([i, k, tag, k, j, tag], axis=1)
+    return Mesh(vertices, triangles.reshape(-1, 3), boundary.reshape(-1, 3),
+                level=m.level + 1)
 
 
 def edge_incidence(m: Mesh):
@@ -266,61 +263,85 @@ def validate(m: Mesh) -> list:
     for i in np.nonzero(areas <= 0.0)[0]:
         report.append("negative area at index {}".format(i))
 
-    inc = edge_incidence(m)
-    listed = {}
-    for i, j, _tag in m.boundary_edges:
-        key = (i, j) if i < j else (j, i)
-        listed[key] = listed.get(key, 0) + 1
-
-    for key, tris in inc.items():
-        count = len(tris)
+    edges, _, counts = _undirected_edges(_triangle_edges(m.triangles), nv)
+    listed, _, times = _undirected_edges(m.boundary_edges[:, :2], nv)
+    edge_keys = edges[:, 0] * nv + edges[:, 1]
+    listed_keys = listed[:, 0] * nv + listed[:, 1]
+    is_listed = np.isin(edge_keys, listed_keys)
+    bad = (counts > 2) | ((counts == 2) & is_listed) | ((counts == 1) & ~is_listed)
+    for (i, j), count in zip(edges[bad].tolist(), counts[bad].tolist()):
         if count > 2:
-            report.append("edge {} shared by {} triangles".format(key, count))
-        elif count == 2 and key in listed:
-            report.append("interior edge {} listed as boundary".format(key))
-        elif count == 1 and key not in listed:
-            report.append("boundary edge {} not registered".format(key))
-    for key, n in listed.items():
-        if key not in inc:
-            report.append("registered boundary edge {} not in triangulation".format(key))
-        elif n > 1:
-            report.append("boundary edge {} registered {} times".format(key, n))
+            report.append("edge {} shared by {} triangles".format((i, j), count))
+        elif count == 2:
+            report.append("interior edge {} listed as boundary".format((i, j)))
+        else:
+            report.append("boundary edge {} not registered".format((i, j)))
+    absent = ~np.isin(listed_keys, edge_keys)
+    bad = absent | (times > 1)
+    for (i, j), gone, n in zip(listed[bad].tolist(), absent[bad].tolist(),
+                               times[bad].tolist()):
+        if gone:
+            report.append("registered boundary edge {} not in triangulation"
+                          .format((i, j)))
+        else:
+            report.append("boundary edge {} registered {} times".format((i, j), n))
 
-    # hanging nodes: a vertex sitting strictly inside another triangle's edge
-    once = [key for key, tris in inc.items() if len(tris) == 1]
+    # hanging nodes: a vertex of some triangle strictly inside an edge that
+    # only one triangle uses. An edge's candidates are the vertices whose x
+    # lies in its x-range, widened by a slack far above roundoff: one
+    # bisection each way into the vertices sorted by x.
+    once = edges[counts == 1]
+    a, b = m.vertices[once[:, 0]], m.vertices[once[:, 1]]
+    ab = b - a
+    lab2 = ab[:, 0] * ab[:, 0] + ab[:, 1] * ab[:, 1]
     used = np.unique(m.triangles)
     pts = m.vertices[used]
-    for i, j in once:
-        a = m.vertices[i]
-        ab = m.vertices[j] - a
-        lab2 = float(ab @ ab)
-        if lab2 == 0.0:
-            continue
-        ap = pts - a
-        s = (ap[:, 0] * ab[0] + ap[:, 1] * ab[1]) / lab2
-        cross = ab[0] * ap[:, 1] - ab[1] * ap[:, 0]
-        hit = ((s > 1e-12) & (s < 1.0 - 1e-12)
-               & (np.abs(cross) <= 1e-12 * np.sqrt(lab2))
-               & (used != i) & (used != j))
-        for v in used[hit]:
-            report.append("nonconforming edge ({}, {}): vertex {} on it".format(i, j, v))
+    by_x = np.argsort(pts[:, 0], kind="stable")
+    slack = 1e-9 * (1.0 + np.abs(pts[np.isfinite(pts)]).max(initial=0.0))
+    start = np.searchsorted(pts[by_x, 0], np.minimum(a[:, 0], b[:, 0]) - slack)
+    stop = np.searchsorted(pts[by_x, 0], np.maximum(a[:, 0], b[:, 0]) + slack, "right")
+    n = np.maximum(stop - start, 0)
+    e = np.repeat(np.arange(len(once)), n)
+    v = by_x[np.repeat(start - (np.cumsum(n) - n), n) + np.arange(n.sum())]
+    ap = pts[v] - a[e]
+    dot = ap[:, 0] * ab[e, 0] + ap[:, 1] * ab[e, 1]  # s |ab|^2, s in (0, 1)
+    cross = ab[e, 0] * ap[:, 1] - ab[e, 1] * ap[:, 0]
+    v = used[v]
+    hit = ((dot > 1e-12 * lab2[e]) & (dot < (1.0 - 1e-12) * lab2[e])
+           & (np.abs(cross) <= 1e-12 * np.sqrt(lab2[e]))
+           & (v != once[e, 0]) & (v != once[e, 1]))
+    e, v = e[hit], v[hit]
+    order = np.lexsort((v, e))
+    for (i, j), k in zip(once[e[order]].tolist(), v[order].tolist()):
+        report.append("nonconforming edge ({}, {}): vertex {} on it".format(i, j, k))
     return report
 
 
 def save_mesh(m: Mesh, path) -> None:
-    """Write the RWMESH 1 text format (UTF-8, line-oriented)."""
-    lines = ["RWMESH 1"]
-    lines.append("VERTICES {}".format(m.num_vertices))
-    for x, y in m.vertices:
-        lines.append("{} {}".format(repr(float(x)), repr(float(y))))
-    lines.append("TRIANGLES {}".format(m.num_triangles))
-    for a, b, c in m.triangles:
-        lines.append("{} {} {}".format(a, b, c))
-    lines.append("BOUNDARY {}".format(m.boundary_edges.shape[0]))
-    for i, j, tag in m.boundary_edges:
-        lines.append("{} {} {}".format(i, j, tag))
+    """Write the RWMESH 1 text format (UTF-8, line-oriented).
+
+    Floats are written as `repr` writes them, so loading gives back the
+    same bits.
+    """
+    text = ["RWMESH 1\n"]
+    for name, a in (("VERTICES", m.vertices), ("TRIANGLES", m.triangles),
+                    ("BOUNDARY", m.boundary_edges)):
+        row = " ".join(["{}"] * a.shape[1]) + "\n"
+        text.append("{} {}\n".format(name, len(a)))
+        text.append((row * len(a)).format(*a.ravel().tolist()))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("".join(text))
+
+
+def _parse_rows(rows, width, dtype):
+    """The rows as one (len(rows), width) array, or None if any is bad."""
+    if not rows:
+        return np.empty((0, width), dtype=dtype)
+    try:
+        values = np.loadtxt(rows, dtype=dtype, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return values if values.shape[1] == width else None
 
 
 def load_mesh(path) -> Mesh:
@@ -332,7 +353,7 @@ def load_mesh(path) -> Mesh:
         raise MeshFormatError("missing RWMESH 1 header")
     pos = 1
 
-    def section(name, width, conv):
+    def section(name, width, dtype):
         nonlocal pos
         if pos >= len(lines):
             raise MeshFormatError("missing {} section".format(name))
@@ -345,33 +366,26 @@ def load_mesh(path) -> Mesh:
             raise MeshFormatError("bad count in {} header".format(name)) from None
         if count < 0 or pos + 1 + count > len(lines):
             raise MeshFormatError("{} section truncated".format(name))
-        rows = []
-        for ln in lines[pos + 1 : pos + 1 + count]:
-            parts = ln.split()
-            if len(parts) != width:
-                raise MeshFormatError("bad {} row {!r}".format(name, ln))
-            try:
-                rows.append([conv(p) for p in parts])
-            except ValueError:
-                raise MeshFormatError("bad {} row {!r}".format(name, ln)) from None
+        rows = lines[pos + 1 : pos + 1 + count]
+        values = _parse_rows(rows, width, dtype)
+        if values is None:
+            bad = next(ln for ln in rows if _parse_rows([ln], width, dtype) is None)
+            raise MeshFormatError("bad {} row {!r}".format(name, bad))
         pos += 1 + count
-        return rows
+        return values
 
-    vrows = section("VERTICES", 2, float)
-    trows = section("TRIANGLES", 3, int)
-    brows = section("BOUNDARY", 3, int)
+    vertices = section("VERTICES", 2, float)
+    triangles = section("TRIANGLES", 3, np.int64)
+    boundary = section("BOUNDARY", 3, np.int64)
     if pos != len(lines):
         raise MeshFormatError("trailing content after BOUNDARY section")
 
-    vertices = np.array(vrows, dtype=float).reshape(len(vrows), 2)
     if not np.isfinite(vertices).all():
         raise MeshFormatError("non-finite vertex coordinate")
-    nv = len(vrows)
-    for rows, what in ((trows, "triangle"), (brows, "boundary")):
-        for row in rows:
-            for idx in row[:3] if what == "triangle" else row[:2]:
-                if idx < 0 or idx >= nv:
-                    raise MeshFormatError("{} index {} out of range".format(what, idx))
-    triangles = np.array(trows, dtype=np.int64).reshape(len(trows), 3)
-    boundary = np.array(brows, dtype=np.int64).reshape(len(brows), 3)
+    nv = len(vertices)
+    for idx, what in ((triangles, "triangle"), (boundary[:, :2], "boundary")):
+        out = ((idx < 0) | (idx >= nv)).ravel()
+        if out.any():
+            raise MeshFormatError("{} index {} out of range".format(
+                what, idx.ravel()[out.argmax()]))
     return Mesh(vertices, triangles, boundary, level=0)

@@ -131,6 +131,34 @@ class TestElementMatrices:
         for A in (p.K, p.Mm, p.R):
             assert (A != A.T).nnz == 0
 
+    def test_anisotropic_element_closed_form(self):
+        # one skew triangle, constant G with off-diagonal terms, rho = -2:
+        # K_e = |T| sqrt(det G) B^T G^{-1} B with B the 2 x 3 matrix of
+        # gradients, M_e = |T| sqrt(det G) (J + I) / 12 with J all ones,
+        # R_e = -2 M_e
+        G = np.array([[2.0, 0.6], [0.6, 1.0]])
+        corners = np.array([[0.1, 0.2], [1.3, 0.4], [0.5, 1.1]])
+        tri = Mesh(corners, [(0, 1, 2)], [(0, 1, 0), (1, 2, 0), (2, 0, 0)])
+        metric = MetricField(lambda pts: np.broadcast_to(G, (len(pts), 2, 2)),
+                             0.8, 1.6)
+        p = assemble(tri, metric, constant_weight(-2.0), BoundarySpec.neumann())
+        A = np.vstack([np.ones(3), corners.T])  # rows 1, x, y at the corners
+        B = np.linalg.inv(A)[:, 1:].T  # (2, 3): column i is grad phi_i
+        area = 0.5 * np.linalg.det(A)
+        vol = area * np.sqrt(np.linalg.det(G))
+        K_e = vol * B.T @ np.linalg.inv(G) @ B
+        M_e = vol * (np.ones((3, 3)) + np.eye(3)) / 12.0
+        np.testing.assert_allclose(p.K.toarray(), K_e, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(p.Mm.toarray(), M_e, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(p.R.toarray(), -2.0 * M_e, rtol=0, atol=1e-14)
+
+    def test_exact_stiffness_zeros_dropped(self):
+        # the right-angle corners of the structured square give stiffness
+        # entries that cancel to exactly 0.0; symmetrizing drops them
+        p = assemble(generate_unit_square(8), euclidean_metric(),
+                     constant_weight(1.0), BoundarySpec.dirichlet())
+        assert (p.K.nnz, p.Mm.nnz, p.R.nnz) == (369, 497, 497)
+
 
 class TestInvariants:
     def test_conformal_scaling(self):
