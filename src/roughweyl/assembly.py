@@ -9,8 +9,17 @@ codimension flag tau of the coercivity subspace.
 
 Dirichlet conditions are eliminated by row/column deletion, which keeps the
 reduced stiffness positive definite and makes the bracketing inequalities
-exact at the discrete level. Element contributions are accumulated in a
-fixed element order, so assembled matrices are bit-reproducible.
+exact at the discrete level.
+
+The three forms share one sparsity pattern, numbered once per call
+(`_Pattern`): every vertex's diagonal entry and both orientations of every
+triangle edge, in CSR order. Each form scatters its element matrices into
+that pattern with one `np.bincount` in element order, so assembled
+matrices are bit-reproducible, then symmetrizes each edge's pair of
+entries to their mean and drops exact zeros. Element arrays are formed one
+form at a time and the per-point metric samples are released as soon as
+the stiffness coefficient is formed, so the peak memory of `assemble`
+stays within a few times what the pencil keeps.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ import numpy as np
 from scipy import sparse
 
 from .fields import MetricField, Quadrature, WeightField, triangle_quadrature
-from .mesh import Mesh, triangle_areas
+from .mesh import Mesh
 
 __all__ = [
     "BoundarySpec",
@@ -27,7 +36,6 @@ __all__ = [
     "ModelingError",
     "assemble",
     "poincare_constant",
-    "dump_matrix",
 ]
 
 _DENSE_LIMIT = 3000  # free-DOF count below which dense eigensolves are used
@@ -138,8 +146,10 @@ class Pencil:
     def _restrict(self, name, mat):
         got = self._reduced.get(name)
         if got is None:
+            got = mat.tocsr()
             idx = self.free_dofs
-            got = mat.tocsr()[idx][:, idx].tocsr()
+            if not np.array_equal(idx, np.arange(got.shape[0])):
+                got = got[idx][:, idx].tocsr()
             self._reduced[name] = got
         return got
 
@@ -165,8 +175,81 @@ class Pencil:
         )
 
 
-def _symmetrize(A):
-    return ((A + A.T) * 0.5).tocsr()
+def _element_slots(triangles, nv):
+    """The sorted edge keys min * nv + max of a mesh, and the (nt, 3, 3)
+    entry numbers of its element matrices (see `_Pattern`)."""
+    # local edge k joins local vertices k + 1 and k + 2 (mod 3)
+    a, b = triangles[:, [1, 2, 0]], triangles[:, [2, 0, 1]]
+    keys, edge = np.unique(np.minimum(a, b) * nv + np.maximum(a, b),
+                           return_inverse=True)
+    fwd = nv + edge.reshape(a.shape)
+    bwd = fwd + len(keys)
+    up = a < b  # local k + 1 is the lower end of edge k
+    slots = np.empty(triangles.shape + (3,), dtype=np.intp)
+    for k in range(3):
+        i, j = (k + 1) % 3, (k + 2) % 3
+        slots[:, k, k] = triangles[:, k]
+        slots[:, i, j] = np.where(up[:, k], fwd[:, k], bwd[:, k])
+        slots[:, j, i] = np.where(up[:, k], bwd[:, k], fwd[:, k])
+    return keys, slots
+
+
+class _Pattern:
+    """The P1 sparsity pattern of a mesh, numbered once and shared by the
+    forms assembled on it.
+
+    Directed entries are numbered diagonal first (vertex v is entry v),
+    then each undirected edge e = {i < j}, in the order of its key
+    i * nv + j, as i -> j (entry nv + e) and as j -> i (entry nv + ne + e).
+    `slots` (nt, 3, 3) numbers the entries of every element matrix;
+    `order` lists the entries in CSR order, whose column indices and row
+    pointers are `indices` and `indptr`.
+    """
+
+    def __init__(self, triangles, nv):
+        self.nv = nv
+        keys, self.slots = _element_slots(triangles, nv)
+        self.ne = len(keys)
+        lo, hi = np.divmod(keys, nv)
+        diag = np.arange(nv)
+        row = np.concatenate([diag, lo, hi])
+        col = np.concatenate([diag, hi, lo])
+        self.order = np.argsort(row * nv + col)
+        self.indices = col[self.order].astype(np.int32)
+        self.indptr = np.zeros(nv + 1, dtype=np.int32)
+        np.cumsum(np.bincount(row, minlength=nv), out=self.indptr[1:])
+
+    def form(self, elements):
+        """The CSR matrix (A + A^T) / 2 of the summed (nt, 3, 3) element
+        matrices A, exact zeros dropped."""
+        nv, ne = self.nv, self.ne
+        v = np.bincount(self.slots.ravel(), weights=elements.ravel(),
+                        minlength=nv + 2 * ne)
+        # both orientations of an edge take the mean of their two sums
+        fwd = v[nv:nv + ne]
+        fwd += v[nv + ne:]
+        fwd *= 0.5
+        v[nv + ne:] = fwd
+        data = v[self.order]
+        keep = data != 0.0
+        # every row holds its diagonal, so no row of the pattern is empty
+        indptr = np.zeros_like(self.indptr)
+        np.cumsum(np.add.reduceat(keep, self.indptr[:-1], dtype=indptr.dtype),
+                  out=indptr[1:])
+        return sparse.csr_matrix((data[keep], self.indices[keep], indptr),
+                                 shape=(nv, nv))
+
+
+def _stiffness_elements(corners, areas, coeff):
+    """The (nt, 3, 3) element stiffness matrices |cell| B^T C B of cells
+    with the given corners, areas and quadrature-summed coefficients C,
+    where the columns of B are the constant P1 gradients."""
+    # grad phi_i = rot90(edge opposite i) / (2 area)
+    grads = corners[:, [2, 0, 1]] - corners[:, [1, 2, 0]]
+    grads = grads[:, :, ::-1] * [-1.0, 1.0] / (2.0 * areas)[:, None, None]
+    Ke = grads @ coeff @ grads.transpose(0, 2, 1)
+    Ke *= areas[:, None, None]
+    return Ke
 
 
 def assemble(m: Mesh, g: MetricField, w: WeightField, bc: BoundarySpec,
@@ -186,45 +269,31 @@ def assemble(m: Mesh, g: MetricField, w: WeightField, bc: BoundarySpec,
     """
     bc = bc.resolve(m)
     bary, wq = triangle_quadrature(quad_order)
-    corners = m.vertices[m.triangles]  # (nt, 3, 2)
-    areas = triangle_areas(m)
+    q = Quadrature(m, g, w, quad_order)
+    corners, areas = q.corners, q.areas
     if areas.size == 0 or areas.min() <= 0.0:
         raise ValueError("mesh has nonpositive triangle areas")
-
-    # constant P1 gradients: grad phi_i = rot90(edge opposite i) / (2 area)
-    edges = np.roll(corners, -2, axis=1) - np.roll(corners, -1, axis=1)
-    grads = edges[:, :, ::-1] * [-1.0, 1.0] / (2.0 * areas)[:, None, None]
-
-    q = Quadrature(m, g, w, quad_order)
-    nt, nq = m.num_triangles, len(wq)
-    sdet = q.sqrtdet.reshape(nt, nq)
+    nt, nq, nv = m.num_triangles, len(wq), m.num_vertices
 
     # stiffness: coefficient G^{-1} sqrt(det G) = adj(G) / sqrt(det G),
     # 0-homogeneous in G in 2-D
-    adj = q.G.reshape(nt, nq, 4)[:, :, [3, 1, 2, 0]] * [1.0, -1.0, -1.0, 1.0]
-    coeff = ((wq / sdet)[:, None, :] @ adj).reshape(nt, 2, 2)
-    Ke = grads @ coeff @ grads.transpose(0, 2, 1) * areas[:, None, None]
+    coeff = (wq / q.sqrtdet.reshape(nt, nq))[:, None, :] @ q.G.reshape(nt, nq, 4)
+    coeff = (coeff[:, 0, [3, 1, 2, 0]] * [1.0, -1.0, -1.0, 1.0]).reshape(nt, 2, 2)
+    q = q.compact()  # the per-point metric samples die here
+    pattern = _Pattern(m.triangles, nv)
+    K = pattern.form(_stiffness_elements(corners, areas, coeff))
+    del corners, areas, coeff
 
     # mass and weighted mass share phi_i(x_q) phi_j(x_q) = bary outer products
     phi2 = (bary[:, :, None] * bary[:, None, :]).reshape(nq, 9)
     mu = q.measure.reshape(nt, nq)  # w_q sqrt(det G) |cell|
-    Me = mu @ phi2
-    Re = (mu * q.rho.reshape(nt, nq)) @ phi2
-
-    nv = m.num_vertices
-    rows = np.repeat(m.triangles, 3, axis=1).ravel()
-    cols = np.tile(m.triangles, (1, 3)).ravel()
-
-    def build(data):
-        A = sparse.coo_matrix((data.ravel(), (rows, cols)), shape=(nv, nv))
-        return _symmetrize(A.tocsr())
-
-    K = build(Ke)
-    Mm = build(Me)
-    R = build(Re)
+    Mm = pattern.form(mu @ phi2)
+    R = pattern.form((mu * q.rho.reshape(nt, nq)) @ phi2)
 
     dirichlet = bc.dirichlet_vertices(m)
-    free = np.setdiff1d(np.arange(nv, dtype=np.int64), dirichlet)
+    free = np.ones(nv, dtype=bool)
+    free[dirichlet] = False
+    free = np.flatnonzero(free)
 
     ones = np.ones(nv)
     r = R @ ones  # r_i = integral rho phi_i d mu, by partition of unity
@@ -243,8 +312,7 @@ def assemble(m: Mesh, g: MetricField, w: WeightField, bc: BoundarySpec,
             tau = 1
 
     rho_range = (float(q.rho.min()), float(q.rho.max())) if q.rho.size else (0.0, 0.0)
-    return Pencil(K, Mm, R, free, r, tau, m, bc, quad_order, rho_range,
-                  quad=q.compact())
+    return Pencil(K, Mm, R, free, r, tau, m, bc, quad_order, rho_range, quad=q)
 
 
 class _Householder:
@@ -317,11 +385,3 @@ def poincare_constant(p: Pencil, dense_limit: int = _DENSE_LIMIT,
             "constraint projection failed".format(mu)
         )
     return mu
-
-
-def dump_matrix(A, path):
-    """Debug dump in coordinate `i j value` text format."""
-    coo = sparse.coo_matrix(A)
-    with open(path, "w", encoding="utf-8") as fh:
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            fh.write("{} {} {}\n".format(i, j, repr(float(v))))

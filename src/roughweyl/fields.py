@@ -28,7 +28,7 @@ import copy
 
 import numpy as np
 
-from .mesh import triangle_areas
+from .mesh import corner_areas
 
 __all__ = [
     "MetricField",
@@ -47,7 +47,6 @@ __all__ = [
     "checkerboard_weight",
     "expression_weight",
     "triangle_quadrature",
-    "quadrature_points",
     "Quadrature",
     "measure_integral",
     "sym_eigvals_2x2",
@@ -512,19 +511,15 @@ def triangle_quadrature(order: int):
     return bary.copy(), w.copy()
 
 
-def quadrature_points(m, order: int):
-    """Physical quadrature points per cell: (nt, q, 2) array."""
-    bary, _ = triangle_quadrature(order)
-    corners = m.vertices[m.triangles]  # (nt, 3, 2)
-    return bary @ corners
-
-
 def sym_eigvals_2x2(G):
     """Eigenvalues (ascending) of symmetric (m, 2, 2) matrices, closed form."""
     a, b, c = G[:, 0, 0], G[:, 0, 1], G[:, 1, 1]
     mean = 0.5 * (a + c)
     rad = np.sqrt((0.5 * (a - c)) ** 2 + b * b)
-    return np.stack([mean - rad, mean + rad], axis=1)
+    out = np.empty((len(G), 2))
+    np.subtract(mean, rad, out=out[:, 0])
+    np.add(mean, rad, out=out[:, 1])
+    return out
 
 
 # slack on the declared eigenvalue bounds, for roundoff in the samples
@@ -555,29 +550,32 @@ def comparability_audit(g: MetricField, points):
 
 class Quadrature:
     """The metric, evaluated and audited once, and optionally the weight at
-    the quadrature points of a mesh. Flat per-point arrays: `points`, `G`,
-    `sqrtdet`, `measure` = w_q sqrt(det G) |cell|, and `rho` (None without
-    a weight).
+    the quadrature points of a mesh, from one gather of the cell corners.
+    Per cell: `corners` (nt, 3, 2) and the signed `areas`. Flat per point:
+    `points`, `G`, `sqrtdet`, `measure` = w_q sqrt(det G) |cell|, and `rho`
+    (None without a weight).
     """
 
     def __init__(self, m, g: MetricField, w: WeightField = None, order: int = 2):
-        _, wq = triangle_quadrature(order)
+        bary, wq = triangle_quadrature(order)
         self.order = int(order)
-        self.points = quadrature_points(m, order).reshape(-1, 2)
+        self.corners = m.vertices[m.triangles]
+        self.areas = corner_areas(self.corners)
+        self.points = (bary @ self.corners).reshape(-1, 2)
         self.G = G = comparability_audit(g, self.points)
         det = G[:, 0, 0] * G[:, 1, 1] - G[:, 0, 1] * G[:, 1, 0]
         if det.size and det.min() <= 0.0:
             raise ComparabilityError("nonpositive det G sampled")
-        self.sqrtdet = np.sqrt(det)
-        areas = np.repeat(triangle_areas(m), len(wq))
-        self.measure = np.tile(wq, m.num_triangles) * self.sqrtdet * areas
+        self.sqrtdet = sqrtdet = np.sqrt(det)
+        self.measure = (sqrtdet.reshape(-1, len(wq)) * wq
+                        * self.areas[:, None]).ravel()
         self.rho = None if w is None else w.values(self.points)
 
     def compact(self):
         """A copy holding only `order`, `measure` and `rho`, the data later
-        integrals read; `points`, `G` and `sqrtdet` become None."""
+        integrals read; the other arrays become None."""
         out = copy.copy(self)
-        out.points = out.G = out.sqrtdet = None
+        out.corners = out.areas = out.points = out.G = out.sqrtdet = None
         return out
 
 

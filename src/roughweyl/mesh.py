@@ -94,7 +94,11 @@ class Mesh:
 
 def triangle_areas(m: Mesh) -> np.ndarray:
     """Signed areas of all triangles (positive for counterclockwise)."""
-    p = m.vertices[m.triangles]
+    return corner_areas(m.vertices[m.triangles])
+
+
+def corner_areas(p) -> np.ndarray:
+    """Signed areas of the triangles with (nt, 3, 2) corner coordinates p."""
     d1 = p[:, 1] - p[:, 0]
     d2 = p[:, 2] - p[:, 0]
     return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
@@ -348,7 +352,7 @@ def load_mesh(path) -> Mesh:
     """Read the RWMESH 1 text format; `#` lines are comments."""
     with open(path, encoding="utf-8") as fh:
         raw = fh.read().splitlines()
-    lines = [ln.strip() for ln in raw if ln.strip() and not ln.lstrip().startswith("#")]
+    lines = [ln for ln in map(str.strip, raw) if ln and not ln.startswith("#")]
     if not lines or lines[0].split() != ["RWMESH", "1"]:
         raise MeshFormatError("missing RWMESH 1 header")
     pos = 1

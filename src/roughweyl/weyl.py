@@ -142,7 +142,7 @@ def weyl_constants(q: Quadrature) -> WeylTarget:
 
 def weyl_target(m, g, w, quad_order: int = 2) -> WeylTarget:
     """`weyl_constants` of a fresh quadrature sample of (m, g, w)."""
-    return weyl_constants(Quadrature(m, g, w, quad_order))
+    return weyl_constants(Quadrature(m, g, w, quad_order).compact())
 
 
 def _two_parameter_fit(lam, ks):

@@ -1,12 +1,15 @@
 """Assembly oracles: hand-integrated element matrices, stencil values,
-conformal scaling, pullback equality, and the discrete Poincare constant."""
+conformal scaling, pullback equality, the COO-summed reference assembly,
+peak memory, and the discrete Poincare constant."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from roughweyl import (
     BoundarySpec,
@@ -14,12 +17,13 @@ from roughweyl import (
     Mesh,
     MetricField,
     ModelingError,
+    Pencil,
+    Quadrature,
     SingularPointError,
     WeightField,
     assemble,
     constant_weight,
     checkerboard_metric,
-    dump_matrix,
     euclidean_metric,
     expression_weight,
     generate_disk,
@@ -29,8 +33,11 @@ from roughweyl import (
     piecewise_metric,
     poincare_constant,
     pullback_metric,
+    refine_uniform,
+    triangle_quadrature,
 )
-from roughweyl.assembly import _Householder
+from roughweyl.assembly import _Householder, _Pattern
+from roughweyl.mesh import triangle_areas
 
 # hand integration on the reference triangle (0,0),(1,0),(0,1):
 # grad phi = (-1,-1), (1,0), (0,1); area 1/2
@@ -399,13 +406,194 @@ class TestHouseholderReduction:
             self.assert_matches(H, A.toarray())
 
 
-def test_dump_matrix_round_trip(tmp_path):
-    p = assemble(generate_unit_square(2), euclidean_metric(),
-                 constant_weight(1.0), BoundarySpec.neumann())
-    path = tmp_path / "K.txt"
-    dump_matrix(p.K, path)
-    A = np.zeros((p.n_vertices, p.n_vertices))
-    for line in path.read_text().splitlines():
-        i, j, v = line.split()
-        A[int(i), int(j)] = float(v)
-    np.testing.assert_array_equal(A, p.K.toarray())
+def assemble_reference(m, g, w, quad_order=2):
+    """K, Mm and R from the same element kernels as `assemble`, summed by
+    one COO -> CSR conversion per form and symmetrized as (A + A^T) / 2."""
+    bary, wq = triangle_quadrature(quad_order)
+    corners = m.vertices[m.triangles]
+    areas = triangle_areas(m)
+    edges = np.roll(corners, -2, axis=1) - np.roll(corners, -1, axis=1)
+    grads = edges[:, :, ::-1] * [-1.0, 1.0] / (2.0 * areas)[:, None, None]
+    q = Quadrature(m, g, w, quad_order)
+    nt, nq, nv = m.num_triangles, len(wq), m.num_vertices
+    adj = q.G.reshape(nt, nq, 4)[:, :, [3, 1, 2, 0]] * [1.0, -1.0, -1.0, 1.0]
+    coeff = ((wq / q.sqrtdet.reshape(nt, nq))[:, None, :] @ adj).reshape(nt, 2, 2)
+    Ke = grads @ coeff @ grads.transpose(0, 2, 1) * areas[:, None, None]
+    phi2 = (bary[:, :, None] * bary[:, None, :]).reshape(nq, 9)
+    mu = q.measure.reshape(nt, nq)
+    rows = np.repeat(m.triangles, 3, axis=1).ravel()
+    cols = np.tile(m.triangles, (1, 3)).ravel()
+
+    def build(data):
+        A = sparse.coo_matrix((data.ravel(), (rows, cols)),
+                              shape=(nv, nv)).tocsr()
+        A = ((A + A.T) * 0.5).tocsr()
+        A.sort_indices()
+        return A
+
+    return build(Ke), build(mu @ phi2), build((mu * q.rho.reshape(nt, nq)) @ phi2)
+
+
+SHEAR = np.array([[1.0, 0.5], [0.0, 1.0]])
+SHEAR_HI = 0.25 + np.sqrt(0.25 ** 2 + 1.0)  # largest singular value
+REFERENCE_METRICS = {
+    "euclidean": euclidean_metric,
+    "checkerboard": lambda: checkerboard_metric(1.0, 2.0, 4),
+    "cone": graph_cone_metric,
+    "shear": lambda: pullback_metric(
+        euclidean_metric(), lambda pts: pts @ SHEAR.T,
+        lambda pts: np.broadcast_to(SHEAR, (len(pts), 2, 2)),
+        jac_bounds=(1.0 / SHEAR_HI, SHEAR_HI)),
+}
+REFERENCE_WEIGHTS = {
+    "one": lambda: constant_weight(1.0),
+    "halves": lambda: halves_weight(1.0, -1.0),
+    "expr": lambda: expression_weight("x - y + 0.2"),
+}
+
+
+@st.composite
+def reference_cases(draw):
+    """A refined or plain square or disk with its triangles in random order
+    and random rotation, optionally with one vertex that no triangle uses,
+    and a metric and weight."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    m = generate_unit_square(n) if draw(st.booleans()) else generate_disk(n)
+    if draw(st.booleans()):
+        m = refine_uniform(m)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    tris = m.triangles[rng.permutation(m.num_triangles)]
+    turn = rng.integers(0, 3, size=len(tris))[:, None]
+    tris = np.take_along_axis(tris, (np.arange(3) + turn) % 3, axis=1)
+    vertices, boundary = m.vertices, m.boundary_edges
+    if draw(st.booleans()):
+        k = draw(st.integers(min_value=0, max_value=m.num_vertices))
+        vertices = np.insert(vertices, k, [0.3, 2.0], axis=0)
+        tris = tris + (tris >= k)
+        boundary = np.column_stack([boundary[:, :2] + (boundary[:, :2] >= k),
+                                    boundary[:, 2]])
+    m = Mesh(vertices, tris, boundary, level=m.level)
+    g = REFERENCE_METRICS[draw(st.sampled_from(sorted(REFERENCE_METRICS)))]()
+    w = REFERENCE_WEIGHTS[draw(st.sampled_from(sorted(REFERENCE_WEIGHTS)))]()
+    return m, g, w
+
+
+class TestAgainstCooReference:
+    """The shared-pattern assembly against `assemble_reference`.
+
+    Off-diagonal sums have at most two terms, so they do not depend on the
+    summation order; diagonal sums have up to eight, which `assemble` adds
+    in element order and the COO path in the order of its sorted
+    duplicates. Entries therefore agree to a few ulps of the matrix's
+    largest entry. K and Mm have identical patterns, since their diagonals
+    never cancel. R may not: where rho changes sign a diagonal sum can
+    cancel to exactly 0 in one order and to about 1e-17 in the other (the
+    graph-cone L4 square with halves:1,-1 stores 1872 entries of R against
+    the reference's 1874). That is roundoff, not a defect, and the entries
+    concerned lie within the same tolerance.
+    """
+
+    @staticmethod
+    def assert_matches(p, m, g, w):
+        for name, A, B in zip(("K", "Mm", "R"), (p.K, p.Mm, p.R),
+                              assemble_reference(m, g, w)):
+            assert A.format == "csr" and A.has_canonical_format
+            assert (A != A.T).nnz == 0
+            tol = 4.0 * np.finfo(float).eps * abs(B).max()
+            assert np.abs((A - B).toarray()).max() <= tol, name
+            if name != "R":
+                np.testing.assert_array_equal(A.indptr, B.indptr)
+                np.testing.assert_array_equal(A.indices, B.indices)
+
+    @given(case=reference_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_random_meshes(self, case):
+        m, g, w = case
+        self.assert_matches(assemble(m, g, w, BoundarySpec.neumann()), m, g, w)
+
+    @pytest.mark.parametrize("metric", sorted(REFERENCE_METRICS))
+    def test_l4_square_halves(self, metric):
+        m = refine_uniform(generate_unit_square(8))
+        g, w = REFERENCE_METRICS[metric](), halves_weight(1.0, -1.0)
+        self.assert_matches(assemble(m, g, w, BoundarySpec.dirichlet()), m, g, w)
+
+    def test_unused_vertex_has_empty_rows(self):
+        m = generate_unit_square(3)
+        m = Mesh(np.vstack([m.vertices, [[0.5, 2.0]]]), m.triangles,
+                 m.boundary_edges)
+        p = assemble(m, euclidean_metric(), constant_weight(1.0),
+                     BoundarySpec.neumann())
+        last = m.num_vertices - 1
+        for A in (p.K, p.Mm, p.R):
+            assert A.shape == (m.num_vertices,) * 2
+            assert A.indptr[last] == A.indptr[last + 1] == A.nnz
+
+    def test_any_element_matrices(self):
+        # the pattern's scatter alone, on element matrices that are not
+        # symmetric, against the COO sum of the same elements
+        m = refine_uniform(generate_disk(3))
+        rng = np.random.default_rng(5)
+        m = Mesh(m.vertices, m.triangles[rng.permutation(m.num_triangles)],
+                 m.boundary_edges)
+        elements = rng.standard_normal((m.num_triangles, 3, 3))
+        A = _Pattern(m.triangles, m.num_vertices).form(elements)
+        rows = np.repeat(m.triangles, 3, axis=1).ravel()
+        cols = np.tile(m.triangles, (1, 3)).ravel()
+        B = sparse.coo_matrix((elements.ravel(), (rows, cols)),
+                              shape=A.shape).tocsr()
+        B = (B + B.T) * 0.5
+        assert A.has_canonical_format and (A != A.T).nnz == 0
+        tol = 4.0 * np.finfo(float).eps * abs(B).max()
+        assert np.abs((A - B).toarray()).max() <= tol
+
+    def test_exact_stiffness_zeros_dropped_as_in_reference(self):
+        m = generate_unit_square(8)
+        g, w = euclidean_metric(), constant_weight(1.0)
+        p = assemble(m, g, w, BoundarySpec.dirichlet())
+        self.assert_matches(p, m, g, w)
+        assert p.K.nnz == 369 < p.Mm.nnz == 497
+
+
+def test_peak_memory_within_four_times_the_pencil():
+    # the per-point metric samples and each form's element arrays die as
+    # soon as they are used, so the traced peak of one L6 assemble stays a
+    # small multiple (about 2.4) of the bytes the pencil keeps
+    m = refine_uniform(generate_unit_square(32))
+    g, w = checkerboard_metric(1.0, 2.0, 4), halves_weight(1.0, -1.0)
+    bc = BoundarySpec.dirichlet()
+    assemble(generate_unit_square(2), g, w, bc)
+    tracemalloc.start()
+    try:
+        p = assemble(m, g, w, bc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kept = sum(a.nbytes for A in (p.K, p.Mm, p.R)
+               for a in (A.data, A.indices, A.indptr))
+    kept += p.r.nbytes + p.free_dofs.nbytes + p.quad.measure.nbytes
+    kept += p.quad.rho.nbytes
+    assert peak <= 4.0 * kept, (peak, kept)
+
+
+class TestRestriction:
+    def test_all_free_pencil_keeps_its_matrices(self):
+        p = assemble(generate_unit_square(4), euclidean_metric(),
+                     constant_weight(1.0), BoundarySpec.neumann())
+        assert p.Kf is p.K and p.Mmf is p.Mm and p.Rf is p.R
+
+    def test_dirichlet_pencil_restricts(self):
+        p = assemble(generate_unit_square(4), euclidean_metric(),
+                     constant_weight(1.0), BoundarySpec.dirichlet())
+        idx = p.free_dofs
+        np.testing.assert_array_equal(p.Kf.toarray(),
+                                      p.K.toarray()[np.ix_(idx, idx)])
+
+    def test_permuted_free_dofs_still_restrict(self):
+        p = assemble(generate_unit_square(3), euclidean_metric(),
+                     constant_weight(1.0), BoundarySpec.neumann())
+        idx = np.roll(np.arange(p.n_vertices), 1)
+        q = Pencil(p.K, p.Mm, p.R, idx, p.r, p.tau, p.mesh, p.bc,
+                   p.quad_order, p.rho_range)
+        want = p.K.toarray()[np.ix_(idx, idx)]
+        assert not np.array_equal(want, p.K.toarray())
+        np.testing.assert_array_equal(q.Kf.toarray(), want)

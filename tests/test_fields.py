@@ -22,7 +22,6 @@ from roughweyl.fields import (
     measure_integral,
     piecewise_metric,
     pullback_metric,
-    quadrature_points,
     triangle_quadrature,
 )
 from roughweyl.mesh import Mesh, generate_disk, generate_unit_square, triangle_areas
