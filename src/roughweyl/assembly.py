@@ -338,16 +338,20 @@ class _Householder:
         return (np.eye(n) - 2.0 * np.outer(self.u, self.u))[:, : n - 1]
 
     def reduce(self, A):
-        """Q^T A Q for a dense symmetric A.
+        """Q^T A Q, F-contiguous, for a dense symmetric A, which it overwrites.
 
         H A H = A - u w^T - w u^T with w = 2 A u - 2 (u^T A u) u; the
-        update is formed as one symmetric matrix, so the result stays
-        exactly symmetric.
+        update is formed as one exactly symmetric matrix, so the result
+        stays exactly symmetric.
         """
         u = self.u
         Au = A @ u
         w = 2.0 * Au - (2.0 * float(u @ Au)) * u
-        return (A - (np.outer(u, w) + np.outer(w, u)))[:-1, :-1]
+        U = np.outer(u, w)
+        U += U.T
+        A -= U
+        del U  # before the (n-1) block is copied out
+        return np.asfortranarray(A[:-1, :-1])
 
     def restrict(self, V):
         """Q^T V: coordinates in the basis of (columns of) V."""
@@ -362,8 +366,7 @@ class _Householder:
         return out
 
 
-def poincare_constant(p: Pencil, dense_limit: int = _DENSE_LIMIT,
-                      seed: int = 0) -> float:
+def poincare_constant(p: Pencil, seed: int = 0) -> float:
     """Smallest eigenvalue mu_min of the energy against the mass on Z(rho).
 
     Z(rho) is the whole free space when the energy is already coercive
@@ -371,13 +374,15 @@ def poincare_constant(p: Pencil, dense_limit: int = _DENSE_LIMIT,
     checker uses mu_min directly as its constant C (the inequality constant
     of the underlying norm bound is mu_min^{-1/2}). mu_min is 1 / (the top
     eigenvalue of the pencil (Mm, K) on Z(rho)), one weighted-problem
-    solve with Mm in the place of R, dense or Lanczos by `dense_limit`.
+    solve with Mm in the place of R. Every pencil of 3 rows and up, which
+    Lanczos reaches, takes one Lanczos run whatever its size: one value
+    does not need the whole spectrum that a dense solve computes.
     """
     from .spectral import _signed_ends, project_constraint
 
-    # Mm is positive definite: only the top end runs
+    # Mm is positive definite: only the top end runs; dense limit 0
     top = _signed_ends(p.Mmf, p.Kf, project_constraint(p), (1.0, 1.0), 1,
-                       dense_limit, seed, False)[0]
+                       0, seed, False)[0]
     mu = 1.0 / float(top[0])
     if mu <= 1e-12:
         raise ModelingError(

@@ -223,7 +223,9 @@ def refine_uniform(m: Mesh) -> Mesh:
     nv, nt = m.num_vertices, m.num_triangles
     pairs = np.concatenate([_triangle_edges(m.triangles), m.boundary_edges[:, :2]])
     edges, which, _ = _undirected_edges(pairs, nv)
-    vertices = np.concatenate([m.vertices, 0.5 * m.vertices[edges].sum(axis=1)])
+    # ends added as a + b: a sum over axis 1 starts from +0.0, losing -0.0
+    ends = m.vertices[edges]
+    vertices = np.concatenate([m.vertices, 0.5 * (ends[:, 0] + ends[:, 1])])
     mid = nv + which
 
     a, b, c = m.triangles.T

@@ -9,12 +9,17 @@ is a rank-one projection, so the dimension drops by exactly one.
 Every eigensolve goes through one dispatcher, `_signed_ends(A, M, rf, ...)`:
 the signed lists of a pencil (A, M), on {rf . v = 0} when rf is given. Its
 callers: `solve_weighted` (R, K + t Mm), `solve_laplace` (Mm, K + Mm),
-`assembly.poincare_constant` (Mm, K) and `varprin.check_bracketing` (each
-subdomain's pencil).
+`assembly.poincare_constant` (Mm, K; Lanczos wherever it reaches) and
+`varprin.check_bracketing` (each subdomain's pencil).
 
 Two code paths. Dense (rows <= the dense limit `assembly._DENSE_LIMIT`, or
 <= k_each + 1, which Lanczos cannot reach): Cholesky-based reduction of the
 pencil and a full symmetric eigensolve, which doubles as the trusted oracle.
+The forms are densified in Fortran order, so LAPACK takes them without a
+copy and overwrites them. Eigenvalues alone come from `dsygv`, which asks
+for its optimal workspace and so tridiagonalizes on the blocked path
+(`dsygvd` gets the minimal one from scipy and runs unblocked); eigenpairs
+take divide and conquer (`dsygvd`), whose eigenvector pass is much faster.
 Sparse: one Lanczos driver, `_sparse_weighted`, over a pencil (A, M) with
 M SPD and inverted once: (R, K + t Mm), or in the constrained case the
 oblique pencil (Pi^T R Pi, K + gamma r r^T), where Pi projects onto
@@ -46,7 +51,6 @@ __all__ = [
     "solve_weighted",
     "solve_laplace",
     "project_constraint",
-    "extend_by_zero",
 ]
 
 _MULT_TOL = 1e-8  # relative clustering width for multiplicity reporting
@@ -132,16 +136,6 @@ def project_constraint(p: Pencil):
     return rf
 
 
-def extend_by_zero(p: Pencil, V):
-    """Embed free-DOF coefficient columns into the full vertex space."""
-    V = np.atleast_2d(np.asarray(V, dtype=float))
-    if V.shape[0] != p.n_free:
-        V = V.T
-    out = np.zeros((p.n_vertices, V.shape[1]))
-    out[p.free_dofs] = V
-    return out
-
-
 def _split_signed(w, V, k_each):
     """Split ascending (w, columns) into descending signed lists."""
     scale = max(1.0, float(np.abs(w).max()) if len(w) else 1.0)
@@ -160,9 +154,10 @@ def _seeded_start(n, seed):
 
 def _dense_weighted(A, M, rf, k_each, vectors):
     """Signed lists of A v = lambda M v by a full dense eigensolve, on
-    {rf . v = 0} when a constraint vector is given."""
-    A = A.toarray()
-    M = M.toarray()
+    {rf . v = 0} when a constraint vector is given. LAPACK overwrites the
+    Fortran-ordered dense forms in place (drivers: module docstring)."""
+    A = A.toarray(order="F")
+    M = M.toarray(order="F")
     H = None
     if rf is not None:
         H = _Householder(rf)
@@ -170,9 +165,10 @@ def _dense_weighted(A, M, rf, k_each, vectors):
         A = H.reduce(A)
     try:
         if vectors:
-            w, V = eigh(A, M)
+            w, V = eigh(A, M, overwrite_a=True, overwrite_b=True)
         else:
-            w, V = eigh(A, M, eigvals_only=True), None
+            w, V = eigh(A, M, eigvals_only=True, driver="gv",
+                        overwrite_a=True, overwrite_b=True), None
     except np.linalg.LinAlgError as exc:
         raise SolverError(
             "coercive form is not positive definite; supply t > 0 or a "
@@ -265,12 +261,11 @@ def _sparse_weighted(R, K, rf, rho_range, k_each, seed, vectors):
     """
     nf = K.shape[0]
     v0 = _seeded_start(nf, seed)
-    if rf is None:
-        K = K.tocsc()
-        return _lanczos_ends(R.tocsr(), K, _spd_inverse(K), v0, rho_range,
-                             k_each, vectors)
     K = K.tocsr()
     R = R.tocsr()
+    if rf is None:
+        return _lanczos_ends(R, K, _spd_inverse(K), v0, rho_range, k_each,
+                             vectors)
     r1 = float(rf.sum())
     gamma = (float(K.diagonal().mean()) or 1.0) / float(rf @ rf)
     # K with free vertex 0 grounded is SPD; x_0 = 0 fixes the constant

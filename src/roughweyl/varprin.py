@@ -434,7 +434,7 @@ def check_sandwich(p, t_list=(0.5, 0.1, 0.02), k_max: int = 100,
                             vectors=False)
     else:
         _check_supplied(s0, 0.0, p.n_free, k_max + tau)
-    C = poincare_constant(p, dense_limit=dense_limit, seed=seed)
+    C = poincare_constant(p, seed=seed)
     per_t = []
     all_ok = True
     shift_flags = []

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
+from scipy.linalg import eigh
 
 from roughweyl import (
     BoundarySpec,
@@ -309,6 +310,16 @@ class TestAssembleErrors:
                      constant_weight(1.0), BoundarySpec.neumann(), quad_order=3)
 
 
+def dense_poincare(p):
+    """The dense oracle of `poincare_constant`: 1 / the top eigenvalue of
+    scipy's `eigh` on (Mm, K), reduced to {r . v = 0} when tau = 1."""
+    Mm, K = p.Mmf.toarray(), p.Kf.toarray()
+    if p.tau:
+        H = _Householder(p.r_free)
+        Mm, K = H.reduce(Mm), H.reduce(K)
+    return 1.0 / eigh(Mm, K, eigvals_only=True)[-1]
+
+
 class TestPoincareConstant:
     def test_neumann_limit_first_nonzero_eigenvalue(self):
         g, w = euclidean_metric(), constant_weight(1.0)
@@ -342,14 +353,14 @@ class TestPoincareConstant:
     def test_sparse_path_matches_dense(self, bc):
         p = assemble(generate_unit_square(16), euclidean_metric(),
                      constant_weight(1.0), bc)
-        dense = poincare_constant(p)
-        sparse_val = poincare_constant(p, dense_limit=10)
-        np.testing.assert_allclose(sparse_val, dense, rtol=1e-10)
+        assert p.tau == (bc.kind == "neumann")
+        np.testing.assert_allclose(poincare_constant(p), dense_poincare(p),
+                                   rtol=1e-10)
 
 
 class TestSparsePoincareConstant:
-    """The Lanczos value above the dense limit against the dense oracle on
-    a sign-changing Neumann weight."""
+    """The Lanczos value against the dense oracle on a sign-changing
+    Neumann weight."""
 
     @pytest.mark.parametrize("n", [16, 32])
     @pytest.mark.parametrize("metric", ["euclidean", "checkerboard"])
@@ -359,11 +370,10 @@ class TestSparsePoincareConstant:
         p = assemble(generate_unit_square(n), g, halves_weight(1.0, -0.5),
                      BoundarySpec.neumann())
         assert p.tau == 1
-        dense = poincare_constant(p)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            sparse_val = poincare_constant(p, dense_limit=0)
-        np.testing.assert_allclose(sparse_val, dense, rtol=1e-10)
+            sparse_val = poincare_constant(p)
+        np.testing.assert_allclose(sparse_val, dense_poincare(p), rtol=1e-10)
 
 
 class TestHouseholderReduction:

@@ -15,7 +15,6 @@ from roughweyl import (
     constant_weight,
     euclidean_metric,
     expression_weight,
-    extend_by_zero,
     generate_disk,
     generate_unit_square,
     graph_cone_metric,
@@ -289,7 +288,8 @@ class TestLanczosReach:
 
     SOLVES = {
         "weighted": lambda p, **kw: solve_weighted(p, 0.0, p.n_free, **kw).pos,
-        "poincare": lambda p, **kw: poincare_constant(p, **kw),
+        # no dense limit to pass: the reach rule alone sends n <= 2 dense
+        "poincare": lambda p, **_: poincare_constant(p),
         "laplace": lambda p, **kw: solve_laplace(p, p.n_free, **kw),
     }
 
@@ -432,13 +432,34 @@ class TestEigenvaluesOnly:
 
     @pytest.mark.parametrize("dense_limit", [3000, 0])
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_values_match_eigenpair_solve(self, case, dense_limit):
+    def test_values_match_eigenpair_solve(self, monkeypatch, case,
+                                          dense_limit):
+        import roughweyl.spectral
+
+        drivers = []
+        eigh = roughweyl.spectral.eigh
+
+        def spy(*args, **kwargs):
+            drivers.append(kwargs.get("driver"))
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(roughweyl.spectral, "eigh", spy)
         w, bc, t = self.CASES[case]
         p = square_pencil(16, w, bc)
+        forms = [(A, A.data.copy(), A.indices.copy(), A.indptr.copy())
+                 for A in (p.Kf, p.Mmf, p.Rf)]
         k_each = p.n_free - 2 if case == "k_each_at_n_free" else 20
         full = solve_weighted(p, t, k_each, dense_limit=dense_limit)
         only = solve_weighted(p, t, k_each, dense_limit=dense_limit,
                               vectors=False)
+        # eigenpairs by divide and conquer, eigenvalues alone by dsygv
+        dense = full.meta["method"] == "dense"
+        assert drivers == ([None, "gv"] if dense else [])
+        # the dense solve overwrites its own dense copies, not the pencil
+        for A, data, indices, indptr in forms:
+            np.testing.assert_array_equal(A.data, data)
+            np.testing.assert_array_equal(A.indices, indices)
+            np.testing.assert_array_equal(A.indptr, indptr)
         assert only.vec_pos is None and only.vec_neg is None
         assert only.meta == full.meta
         assert (len(only.pos), len(only.neg)) == (len(full.pos),
@@ -557,12 +578,3 @@ class TestSpectrum:
         # Lambda/pi^2 = 2, 5, 5, 8, 10, 10: multiplicity pattern 1, 2, 1, 2
         s = solve_weighted(square_pencil(16), 0.0, 6)
         assert [m for _, m in s.groups(1)] == [1, 2, 1, 2]
-
-    def test_extend_by_zero(self):
-        p = square_pencil(4)
-        s = solve_weighted(p, 0.0, 2)
-        full = extend_by_zero(p, s.vec_pos)
-        assert full.shape == (p.n_vertices, 2)
-        boundary = np.setdiff1d(np.arange(p.n_vertices), p.free_dofs)
-        assert np.all(full[boundary] == 0.0)
-        np.testing.assert_array_equal(full[p.free_dofs], s.vec_pos)
