@@ -232,6 +232,13 @@ class TestRefineAgainstReference:
         assert_same_mesh(got, refine_reference(m))
         assert got.num_triangles == 0 and got.num_vertices == 5
 
+    def test_negative_zero_midpoint_keeps_sign(self):
+        # a midpoint summed from +0.0 would turn two -0.0 coordinates into +0.0
+        m = Mesh([(-0.0, -0.0)], [], [(0, 0, 0)])
+        got = refine_uniform(m)
+        assert_same_mesh(got, refine_reference(m))
+        assert np.signbit(got.vertices[1]).all()
+
     def test_twice_on_generated_meshes(self):
         for m in (generate_unit_square(5), generate_disk(4)):
             once = refine_uniform(m)
