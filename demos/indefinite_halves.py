@@ -39,10 +39,10 @@ def main():
     target = weyl_target(m, g, w)
     print("\neach branch sees only its half: c_+ = c_- = {:.6f} "
           "(1/(8 pi) = {:.6f})".format(target.c_plus, 1.0 / (8.0 * np.pi)))
-    fit = fit_limit(s, target=target)
-    for sign, label in ((+1, "positive"), (-1, "negative")):
+    sides = fit_limit(s, target=target)["sides"]
+    for side, label in (("plus", "positive"), ("minus", "negative")):
         print("{} tail average {:.6f}, deviation {:.1%}".format(
-            label, fit.estimate(sign), fit.deviation(sign)))
+            label, sides[side]["estimate"], sides[side]["rel_dev"]))
     print("the deviations match exactly, as they must; their size is the"
           " pre-asymptotic\nboundary deficit at this resolution, within 10%"
           " for the h = 1/128 run")

@@ -40,15 +40,17 @@ def main():
         print("{:4d}   {:.6f}      {:.6f}".format(k, lam, lam * k))
 
     fit = fit_limit(s, target=target)
+    plus = fit["sides"]["plus"]
     print("\ntail average over k in {}: {:.6f}  (dev {:.1%})".format(
-        fit.window, fit.estimate(+1), fit.deviation(+1)))
+        fit["window"], plus["estimate"], plus["rel_dev"]))
     print("the gap is the boundary term plus mesh error; at h = 1/128")
     print("(the acceptance resolution) the same average lands within 9%")
 
     # fit over low k where the h = 1/32 spectrum is still accurate
-    slope, intercept = fit_limit(s, (10, 60), target=target).fit(+1)
+    low = fit_limit(s, (10, 60), target=target)["sides"]["plus"]
     print("\ntwo-parameter fit on k in (10, 60): "
-          "N ~ {:.6f} Lambda {:+.4f} sqrt(Lambda)".format(slope, intercept))
+          "N ~ {:.6f} Lambda {:+.4f} sqrt(Lambda)".format(low["slope"],
+                                                         low["intercept"]))
     print("the negative intercept is the Dirichlet boundary deficit")
 
     lam_probe = target.c_plus / 50.0

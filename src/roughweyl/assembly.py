@@ -340,17 +340,19 @@ class _Householder:
     def reduce(self, A):
         """Q^T A Q, F-contiguous, for a dense symmetric A, which it overwrites.
 
-        H A H = A - u w^T - w u^T with w = 2 A u - 2 (u^T A u) u; the
-        update is formed as one exactly symmetric matrix, so the result
-        stays exactly symmetric.
+        H A H = A - u w^T - w u^T with w = 2 A u - 2 (u^T A u) u. The
+        update is subtracted 64 rows at a time, so no n x n temporary is
+        made; entry (i, j) loses u_i w_j + w_i u_j, the same sum as at
+        (j, i), so the result stays exactly symmetric. A Fortran-ordered A
+        is updated through its transpose, whose rows are contiguous.
         """
         u = self.u
         Au = A @ u
         w = 2.0 * Au - (2.0 * float(u @ Au)) * u
-        U = np.outer(u, w)
-        U += U.T
-        A -= U
-        del U  # before the (n-1) block is copied out
+        B = A.T if A.flags.f_contiguous else A
+        for i in range(0, len(u), 64):
+            j = i + 64
+            B[i:j] -= u[i:j, None] * w + w[i:j, None] * u
         return np.asfortranarray(A[:-1, :-1])
 
     def restrict(self, V):

@@ -46,11 +46,10 @@ from .varprin import (
     save_report,
 )
 from .weyl import (
+    convergence_study,
     fit_limit,
     weyl_constants,
     write_spectrum_csv,
-    _convergence_row,
-    _write_convergence_csv,
 )
 
 __all__ = [
@@ -238,6 +237,8 @@ class ExperimentConfig:
                 .format(self.partition))
         self.levels = _as_int_list("solver", "levels",
                                    sol.get("levels", "4,5"))
+        if min(self.levels) < 1:
+            raise ConfigError("solver.levels: every level must be >= 1")
         window = sol.get("window")
         self.window = (None if window is None
                        else _as_int_list("solver", "window", window))
@@ -562,11 +563,23 @@ def emit_svg(s, target, path):
 # task runners
 
 
+def _fields(cfg):
+    """The config's metric, weight and boundary conditions."""
+    return (build_metric(cfg.metric_spec), build_weight(cfg.weight_spec),
+            build_boundary(cfg.boundary_spec))
+
+
 def _solve_stack(cfg):
     return assemble(_build_mesh(cfg.domain_kind, cfg.size, cfg.level),
-                    build_metric(cfg.metric_spec),
-                    build_weight(cfg.weight_spec),
-                    build_boundary(cfg.boundary_spec), cfg.quad_order)
+                    *_fields(cfg), cfg.quad_order)
+
+
+def _level_problem(cfg):
+    """`make_problem(level)` for `convergence_study`: the config's fields
+    on the mesh of size 2^level."""
+    fields = _fields(cfg)
+    return lambda level: (_build_mesh(cfg.domain_kind, 2 ** level, level),
+                          *fields)
 
 
 def _leading(s, k):
@@ -599,7 +612,11 @@ def run(cfg: ExperimentConfig) -> int:
         checks = {}
 
         if cfg.task == "converge":
-            rows, p, s = _run_converge(cfg, out_dir)
+            rows, p, s = convergence_study(
+                _level_problem(cfg), cfg.levels, cfg.window, cfg.t,
+                k_each=cfg.k_each, quad_order=cfg.quad_order,
+                dense_limit=cfg.dense_limit(), seed=cfg.seed,
+                csv_path=os.path.join(out_dir, "convergence.csv"))
             tgt, artifacts = _spectrum_artifacts(cfg, p, s, out_dir)
             artifacts["convergence_csv"] = "convergence.csv"
             summary["levels"] = rows
@@ -611,9 +628,7 @@ def run(cfg: ExperimentConfig) -> int:
             checks["deviations_finite"] = all(np.isfinite(devs))
         elif cfg.task == "bracket":
             m = _build_mesh(cfg.domain_kind, cfg.size, cfg.level)
-            g = build_metric(cfg.metric_spec)
-            w = build_weight(cfg.weight_spec)
-            bc = build_boundary(cfg.boundary_spec)
+            g, w, bc = _fields(cfg)
             t = cfg.t if cfg.t > 0.0 else 1.0
             p = assemble(m, g, w, bc, cfg.quad_order)
             s = solve_weighted(p, t, k_each=max(cfg.k_each, cfg.k_max),
@@ -667,10 +682,9 @@ def run(cfg: ExperimentConfig) -> int:
             checks["solver_completed"] = True
             if cfg.task == "weyl":
                 fit = fit_limit(s, cfg.window, target=tgt)
-                summary["fit"] = {"window": list(fit.window),
-                                  "sides": fit.sides}
+                summary["fit"] = fit
                 for label in ("plus", "minus"):
-                    side = fit.sides[label]
+                    side = fit["sides"][label]
                     if side == "empty side" or side["rel_dev"] is None:
                         continue
                     checks["rel_dev_{}_below_0.10".format(label)] = (
@@ -696,29 +710,6 @@ def run(cfg: ExperimentConfig) -> int:
     except OSError as exc:
         print("cannot write artifacts: {}".format(exc), file=sys.stderr)
         return EXIT_CONFIG
-
-
-def _run_converge(cfg, out_dir):
-    """Per-level solve/fit rows, in level order, with the pencil and the
-    spectrum of the finest level."""
-    if len(cfg.levels) < 2:
-        raise ConfigError("solver.levels: converge needs at least 2 levels")
-    g = build_metric(cfg.metric_spec)
-    w = build_weight(cfg.weight_spec)
-    bc = build_boundary(cfg.boundary_spec)
-    rows = []
-    finest = None
-    for level in cfg.levels:
-        m = _build_mesh(cfg.domain_kind, 2 ** level, level)
-        p = assemble(m, g, w, bc, cfg.quad_order)
-        s = solve_weighted(p, cfg.t, k_each=cfg.k_each,
-                           dense_limit=cfg.dense_limit(), seed=cfg.seed,
-                           vectors=False)
-        rows.append(_convergence_row(level, p, s, cfg.window))
-        if finest is None or level > finest[0]:
-            finest = (level, p, s)
-    _write_convergence_csv(rows, os.path.join(out_dir, "convergence.csv"))
-    return rows, finest[1], finest[2]
 
 
 def main(argv=None) -> int:

@@ -1,4 +1,4 @@
-"""Generalized eigensolvers for the weighted, regularized, and classical problems.
+"""Generalized eigensolvers for the weighted and regularized problems.
 
 The weighted problem is R v = lambda (K + t Mm) v: eigenvalues split by sign
 into descending lists lambda_k^+ and lambda_k^- (stored as magnitudes). For
@@ -8,9 +8,9 @@ is a rank-one projection, so the dimension drops by exactly one.
 
 Every eigensolve goes through one dispatcher, `_signed_ends(A, M, rf, ...)`:
 the signed lists of a pencil (A, M), on {rf . v = 0} when rf is given. Its
-callers: `solve_weighted` (R, K + t Mm), `solve_laplace` (Mm, K + Mm),
-`assembly.poincare_constant` (Mm, K; Lanczos wherever it reaches) and
-`varprin.check_bracketing` (each subdomain's pencil).
+callers: `solve_weighted` (R, K + t Mm), `assembly.poincare_constant`
+(Mm, K; Lanczos wherever it reaches) and `varprin.check_bracketing` (each
+subdomain's pencil).
 
 Two code paths. Dense (rows <= the dense limit `assembly._DENSE_LIMIT`, or
 <= k_each + 1, which Lanczos cannot reach): Cholesky-based reduction of the
@@ -49,7 +49,6 @@ __all__ = [
     "Spectrum",
     "SolverError",
     "solve_weighted",
-    "solve_laplace",
     "project_constraint",
 ]
 
@@ -156,12 +155,13 @@ def _dense_weighted(A, M, rf, k_each, vectors):
     """Signed lists of A v = lambda M v by a full dense eigensolve, on
     {rf . v = 0} when a constraint vector is given. LAPACK overwrites the
     Fortran-ordered dense forms in place (drivers: module docstring)."""
-    A = A.toarray(order="F")
+    H = None if rf is None else _Householder(rf)
+    # one form at a time, so that at most one unreduced copy is alive
     M = M.toarray(order="F")
-    H = None
-    if rf is not None:
-        H = _Householder(rf)
+    if H is not None:
         M = H.reduce(M)
+    A = A.toarray(order="F")
+    if H is not None:
         A = H.reduce(A)
     try:
         if vectors:
@@ -335,7 +335,9 @@ def solve_weighted(p: Pencil, t: float = 0.0, k_each: int = 6,
     carry E_t-orthonormal eigenvectors over the free DOFs; with
     vectors=False `vec_pos` and `vec_neg` are None and the solve skips
     their computation, so callers that read only eigenvalues should pass
-    it. The eigenvalues agree either way to roundoff.
+    it. The eigenvalues agree either way to roundoff. With rho = 1 and
+    t = 0 the positive list inverts the Laplace eigenvalues, Lambda_k =
+    1 / lambda_k^+ (on a pure-Neumann pencil, those above the zero mode).
     """
     if t < 0.0:
         raise ValueError("t must be >= 0")
@@ -359,22 +361,3 @@ def solve_weighted(p: Pencil, t: float = 0.0, k_each: int = 6,
     }
     return Spectrum(pos, neg, vp, vn, meta)
 
-
-def solve_laplace(p: Pencil, count: int = 6, dense_limit: int = _DENSE_LIMIT,
-                  seed: int = 0, return_vectors: bool = False):
-    """Smallest `count` eigenvalues of K v = Lambda Mm v, ascending.
-
-    Lambda = 1/mu - 1 for the top `count` eigenvalues mu of the SPD
-    pencil (Mm, K + Mm). A pure-Neumann pencil contributes its zero mode
-    (constant eigenvector) as Lambda_1 = 0. With `return_vectors`, the
-    Mm-orthonormal eigenvector columns come back too; without, neither
-    path computes them.
-    """
-    count = min(int(count), p.n_free)
-    mu, _, V, _ = _signed_ends(p.Mmf, p.Kf + p.Mmf, None, (1.0, 1.0), count,
-                               dense_limit, seed, return_vectors)
-    lam = 1.0 / mu - 1.0
-    if not return_vectors:
-        return lam
-    # (K + Mm)-orthonormal columns have v^T Mm v = mu
-    return lam, V / np.sqrt(mu)

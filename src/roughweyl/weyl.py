@@ -22,7 +22,6 @@ from .spectral import Spectrum, solve_weighted
 
 __all__ = [
     "WeylTarget",
-    "FitResult",
     "weyl_constant_factor",
     "counting",
     "weyl_constants",
@@ -63,47 +62,6 @@ class WeylTarget:
     def __repr__(self):
         return "WeylTarget(c_plus={!r}, c_minus={!r}, vol={!r})".format(
             self.c_plus, self.c_minus, self.vol)
-
-
-class FitResult:
-    """Tail-average estimates of the Weyl limit plus the counting regression.
-
-    `sides` maps "plus"/"minus" to a dict with the window average of
-    lambda_k k, the relative deviation against a WeylTarget when one
-    was supplied, and the two-parameter regression N(Lambda) ~ a Lambda +
-    b sqrt(Lambda) in the inverse variable Lambda = 1/lambda. The raw
-    single-constant ratio mean(N/Lambda) is kept alongside the regression:
-    only the leading coefficient carries meaning, the sqrt term just absorbs
-    the boundary correction visible at desk-scale Lambda.
-    An empty eigenvalue family is marked with the string "empty side".
-    """
-
-    def __init__(self, window, sides):
-        self.window = (int(window[0]), int(window[1]))
-        self.sides = sides
-
-    def _side(self, sign):
-        d = self.sides["plus" if sign == 1 else "minus"]
-        if d == "empty side":
-            raise ValueError("empty side: no eigenvalues of that sign")
-        return d
-
-    def estimate(self, sign=1):
-        return self._side(sign)["estimate"]
-
-    def deviation(self, sign=1):
-        return self._side(sign)["rel_dev"]
-
-    def fit(self, sign=1):
-        d = self._side(sign)
-        return d["slope"], d["intercept"]
-
-    def raw_ratio(self, sign=1):
-        return self._side(sign)["raw_ratio"]
-
-    def __repr__(self):
-        return "FitResult(window={!r}, sides={!r})".format(
-            self.window, self.sides)
 
 
 def counting(s: Spectrum, lam: float, sign=1) -> int:
@@ -158,14 +116,22 @@ def _two_parameter_fit(lam, ks):
     return float(coef[0]), float(coef[1]), float(np.mean(N / Lam))
 
 
-def fit_limit(s: Spectrum, window=None,
-              target: WeylTarget = None) -> FitResult:
+def fit_limit(s: Spectrum, window=None, target: WeylTarget = None) -> dict:
     """Estimate lim lambda_k^± k by a tail average over a k-window.
 
     The window is a pair [k_lo, k_hi] of 1-based ranks, defaulting to the
     middle third of the shortest nonempty family. Requires k_lo >= 10 and at
     least 20 samples; k_hi beyond the computed range is an error rather than
     a silent clip.
+
+    Returns {"window": [k_lo, k_hi], "sides": {"plus": ..., "minus": ...}},
+    as `summary.json` stores it. An empty family's side is "empty side";
+    any other holds "estimate", the window average of lambda_k k; "rel_dev",
+    its relative deviation from the target (None without one, or where the
+    target constant is 0); "slope" a and "intercept" b of the regression
+    N(Lambda) ~ a Lambda + b sqrt(Lambda) in Lambda = 1/lambda, where only
+    a carries meaning and b absorbs the boundary term; and "raw_ratio",
+    the single-constant mean(N/Lambda).
     """
     counts = [len(v) for v in (s.pos, s.neg) if len(v)]
     if not counts:
@@ -203,41 +169,47 @@ def fit_limit(s: Spectrum, window=None,
             "intercept": intercept,
             "raw_ratio": raw,
         }
-    return FitResult((k_lo, k_hi), sides)
+    return {"window": [k_lo, k_hi], "sides": sides}
 
 
-def convergence_study(make_problem, levels, window=None, k_each=120,
-                      quad_order: int = 2, dense_limit: int = _DENSE_LIMIT,
-                      seed: int = 0, csv_path=None):
+def convergence_study(make_problem, levels, window=None, t: float = 0.0,
+                      k_each=120, quad_order: int = 2,
+                      dense_limit: int = _DENSE_LIMIT, seed: int = 0,
+                      csv_path=None):
     """Per-level Weyl-limit deviations for a refinement family.
 
     `make_problem(level)` returns (mesh, metric, weight, bc); each level is
-    assembled, solved for k_each eigenvalues per sign at t = 0, and fitted
-    against its own quadrature target. Returns a list of row dicts and
-    optionally writes them as CSV; deviations are expected to decrease with
-    level but this is reported, not asserted.
+    assembled, solved for k_each eigenvalues per sign at t, and fitted
+    against its own quadrature target. Returns (rows, p, s): the row dicts
+    in level order, and the pencil and spectrum of the finest level (the
+    first one, if the largest level repeats). Optionally writes the rows as
+    CSV. Deviations are expected to decrease with level, but this is
+    reported, not asserted.
     """
     levels = list(levels)
     if len(levels) < 2:
         raise ValueError("a convergence study needs at least 2 levels")
     rows = []
+    finest = None
     for level in levels:
         m, g, w, bc = make_problem(level)
         p = assemble(m, g, w, bc, quad_order)
-        s = solve_weighted(p, 0.0, k_each=k_each, dense_limit=dense_limit,
+        s = solve_weighted(p, t, k_each=k_each, dense_limit=dense_limit,
                            seed=seed, vectors=False)
         rows.append(_convergence_row(level, p, s, window))
+        if finest is None or level > finest[0]:
+            finest = (level, p, s)
     if csv_path is not None:
         _write_convergence_csv(rows, csv_path)
-    return rows
+    return rows, finest[1], finest[2]
 
 
 def _convergence_row(level, p, s, window):
     """One level's row: the fit of s against the target of p's own sample."""
-    fit = fit_limit(s, window, target=weyl_constants(p.quad))
+    sides = fit_limit(s, window, target=weyl_constants(p.quad))["sides"]
     row = {"level": int(level), "free_dofs": int(p.n_free)}
     for label in ("plus", "minus"):
-        side = fit.sides[label]
+        side = sides[label]
         empty = side == "empty side"
         row["estimate_{}".format(label)] = None if empty else side["estimate"]
         row["rel_dev_{}".format(label)] = None if empty else side["rel_dev"]

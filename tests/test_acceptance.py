@@ -86,10 +86,10 @@ def test_01_square_eigenvalues_match_separation_of_variables(fine_square):
 def test_02_weyl_slope_matches_volume_over_4pi(fine_square):
     """Two-parameter counting fit N ~ a Lambda + b sqrt(Lambda) over the
     first 500 eigenvalues recovers a within 10% of 1/(4 pi)."""
-    fit = fit_limit(fine_square["s"], (10, 500), target=fine_square["target"])
-    slope, intercept = fit.fit(+1)
-    assert abs(slope - FOUR_PI_INV) / FOUR_PI_INV < 0.10
-    assert intercept < 0.0  # Dirichlet boundary deficit
+    plus = fit_limit(fine_square["s"], (10, 500),
+                     target=fine_square["target"])["sides"]["plus"]
+    assert abs(plus["slope"] - FOUR_PI_INV) / FOUR_PI_INV < 0.10
+    assert plus["intercept"] < 0.0  # Dirichlet boundary deficit
     assert fine_square["elapsed"] < 300.0
 
 
@@ -108,9 +108,9 @@ def test_04_graph_cone_disk_fitted_limit(cone_disk):
     the target being the quadrature integral of sqrt(det G) = sqrt(2)."""
     target = cone_disk["target"]
     assert target.c_plus == pytest.approx(np.sqrt(2.0) / 4.0, rel=2e-3)
-    fit = fit_limit(cone_disk["s"], target=target)
-    assert fit.deviation(+1) < 0.10
-    assert abs(fit.estimate(+1) - np.sqrt(2.0) / 4.0) / (np.sqrt(2.0) / 4.0) < 0.10
+    plus = fit_limit(cone_disk["s"], target=target)["sides"]["plus"]
+    assert plus["rel_dev"] < 0.10
+    assert abs(plus["estimate"] - np.sqrt(2.0) / 4.0) / (np.sqrt(2.0) / 4.0) < 0.10
 
 
 def test_05_two_and_four_part_bracketing_inequalities():

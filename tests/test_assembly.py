@@ -415,6 +415,41 @@ class TestHouseholderReduction:
         for A in (p.Kf, p.Mmf, p.Rf):
             self.assert_matches(H, A.toarray())
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_blocked_update_equals_the_outer_product_form(self, order):
+        # 150 rows: two full 64-row blocks and a partial one
+        rng = np.random.default_rng(5)
+        n = 150
+        B = rng.standard_normal((n, n))
+        A = np.array(B + B.T, order=order)
+        H = _Householder(rng.standard_normal(n))
+        u = H.u
+        Au = A @ u
+        w = 2.0 * Au - (2.0 * float(u @ Au)) * u
+        U = np.outer(u, w)
+        U += U.T
+        want = (A - U)[:-1, :-1]
+        red = H.reduce(A)
+        np.testing.assert_array_equal(red, want)
+        np.testing.assert_array_equal(red, red.T)
+        assert red.flags.f_contiguous
+
+    def test_reduce_makes_no_square_temporary(self):
+        # the traced peak is the returned (n-1) block; the update itself
+        # allocates row blocks of O(64 n)
+        rng = np.random.default_rng(6)
+        n = 400
+        B = rng.standard_normal((n, n))
+        A = np.asfortranarray(B + B.T)
+        H = _Householder(rng.standard_normal(n))
+        tracemalloc.start()
+        try:
+            H.reduce(A)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * A.nbytes, peak / A.nbytes
+
 
 def assemble_reference(m, g, w, quad_order=2):
     """K, Mm and R from the same element kernels as `assemble`, summed by

@@ -9,6 +9,7 @@ import pytest
 
 import roughweyl.cli
 import roughweyl.varprin
+import roughweyl.weyl
 from roughweyl.cli import (
     ConfigError,
     ExperimentConfig,
@@ -23,7 +24,7 @@ from roughweyl.cli import (
 from roughweyl.fields import MetricField, WeightField
 from roughweyl.mesh import generate_unit_square
 from roughweyl.spectral import Spectrum
-from roughweyl.weyl import WeylTarget
+from roughweyl.weyl import WeylTarget, convergence_study
 
 
 def write_config(path, text):
@@ -135,6 +136,8 @@ svg = true
         ("[solver]\ntrials = 0\n", r"solver\.trials: must be >= 1"),
         ("[solver]\nmode = fast\n", "auto, dense, or sparse"),
         ("[solver]\nwindow = 15\n", "k_lo,k_hi"),
+        ("[solver]\nlevels = 0,2\n", r"solver\.levels: .* >= 1"),
+        ("[solver]\nlevels = 4,-1\n", r"solver\.levels: .* >= 1"),
         ("[solver]\npartition = thirds\n", "halves or quadrants"),
         ("[output]\nsvg = maybe\n", "boolean"),
     ])
@@ -407,8 +410,8 @@ class TestRunReportTasks:
             asked.append(kw.get("vectors", True))
             return solve(*args, **kw)
 
-        monkeypatch.setattr(roughweyl.cli, "solve_weighted", spy)
-        monkeypatch.setattr(roughweyl.varprin, "solve_weighted", spy)
+        for module in (roughweyl.cli, roughweyl.varprin, roughweyl.weyl):
+            monkeypatch.setattr(module, "solve_weighted", spy)
         cfg = ExperimentConfig.from_text(
             "task = {}\n[domain]\nlevel = 4\n{}[output]\ndir = {}\n".format(
                 task, self.TASK_CONFIGS[task], tmp_path / "out"))
@@ -463,6 +466,28 @@ class TestRunReportTasks:
             .format(tmp_path / "out"))
         assert run(cfg) == 2
         assert "at least 2 levels" in capsys.readouterr().err
+
+    def test_converge_passes_t_to_the_study(self, tmp_path):
+        fields = {"weight": "halves:1,-0.5", "boundary": "neumann"}
+        out = tmp_path / "out"
+        cfg = ExperimentConfig.from_text(
+            "task = converge\n[weight]\nweight = {weight}\n"
+            "[boundary]\nboundary = {boundary}\n[solver]\nt = 0.5\n"
+            "k_each = 30\nlevels = 3,4\nwindow = 10,29\n[output]\n"
+            "dir = {out}\n".format(out=out, **fields))
+        assert run(cfg) == 0
+
+        def make(level):
+            return (generate_unit_square(2 ** level), build_metric("euclidean"),
+                    build_weight(fields["weight"]),
+                    build_boundary(fields["boundary"]))
+
+        for t, name in ((0.5, "t.csv"), (0.0, "zero.csv")):
+            convergence_study(make, [3, 4], (10, 29), t, k_each=30,
+                              csv_path=tmp_path / name)
+        written = (out / "convergence.csv").read_bytes()
+        assert written == (tmp_path / "t.csv").read_bytes()
+        assert written != (tmp_path / "zero.csv").read_bytes()
 
 
 def synthetic_spectrum(c, count, with_minus=False):

@@ -21,7 +21,6 @@ from roughweyl import (
     halves_weight,
     poincare_constant,
     project_constraint,
-    solve_laplace,
     solve_weighted,
 )
 from roughweyl.assembly import _Householder
@@ -36,49 +35,59 @@ def square_pencil(n, w=None, bc=None):
                     w or constant_weight(1.0), bc or BoundarySpec.dirichlet())
 
 
-class TestSolveLaplace:
+class TestLaplaceSpectrum:
+    """The Laplace eigenvalues are the rho = 1 case of the weighted problem:
+    Lambda_k = 1/lambda_k^+ at t = 0 and 1/lambda_k^+ - t at t > 0."""
+
     def test_dirichlet_targets(self):
-        lam = solve_laplace(square_pencil(32), 6)
-        rel = np.abs(lam / DIRICHLET_TARGETS - 1.0)
+        s = solve_weighted(square_pencil(32), 0.0, 6, vectors=False)
+        rel = np.abs(1.0 / s.pos / DIRICHLET_TARGETS - 1.0)
         assert rel.max() < 0.012
 
     def test_dirichlet_convergence_rate(self):
-        errs = [solve_laplace(square_pencil(n), 1)[0] / DIRICHLET_TARGETS[0] - 1.0
-                for n in (8, 16, 32)]
-        for a, b in zip(errs, errs[1:]):
-            assert 3.5 < a / b < 4.5
+        # O(h^2) on the simple eigenvalues 2 pi^2 and 8 pi^2
+        simple = [0, 3]
+        errs = np.array([
+            1.0 / solve_weighted(square_pencil(n), 0.0, 4,
+                                 vectors=False).pos[simple]
+            / DIRICHLET_TARGETS[simple] - 1.0
+            for n in (8, 16, 32)])
+        ratios = errs[:-1] / errs[1:]
+        assert np.all((3.5 < ratios) & (ratios < 4.5))
 
-    def test_neumann_zero_mode(self):
-        p = square_pencil(16, bc=BoundarySpec.neumann())
-        lam, V = solve_laplace(p, 3, return_vectors=True)
-        assert abs(lam[0]) < 1e-8
-        const = V[:, 0]
+    def test_neumann_zero_mode_at_positive_t(self):
+        # the constants carry no energy and R = Mm, so they take 1/t
+        t = 0.5
+        s = solve_weighted(square_pencil(16, bc=BoundarySpec.neumann()), t, 3)
+        assert not s.meta["constrained"]
+        assert s.pos[0] == pytest.approx(1.0 / t, rel=1e-10)
+        const = s.vec_pos[:, 0]
         assert const.std() / abs(const.mean()) < 1e-8
-        np.testing.assert_allclose(lam[1], PI2, rtol=5e-3)
-
-    def test_ascending(self):
-        lam = solve_laplace(square_pencil(8), 12)
-        assert np.all(np.diff(lam) >= -1e-12)
+        np.testing.assert_allclose(1.0 / s.pos[1] - t, PI2, rtol=5e-3)
 
     @pytest.mark.parametrize("bc", [BoundarySpec.dirichlet(),
                                     BoundarySpec.neumann()],
                              ids=["dirichlet", "neumann"])
-    def test_sparse_matches_dense(self, bc):
+    def test_sparse_matches_dense_at_unit_shift(self, bc):
+        # the pencil (Mm, K + Mm), zero mode included on the Neumann square
         p = square_pencil(16, bc=bc)
-        dense = solve_laplace(p, 10)
-        sparse_vals = solve_laplace(p, 10, dense_limit=50)
-        np.testing.assert_allclose(sparse_vals, dense, rtol=1e-9, atol=1e-12)
+        dense = solve_weighted(p, 1.0, 10, vectors=False)
+        sparse = solve_weighted(p, 1.0, 10, dense_limit=50, vectors=False)
+        assert sparse.meta["method"] == "sparse-lanczos"
+        np.testing.assert_allclose(sparse.pos, dense.pos, rtol=1e-9)
 
     @pytest.mark.parametrize("dense_limit", [3000, 50])
     @pytest.mark.parametrize("bc", [BoundarySpec.dirichlet(),
                                     BoundarySpec.neumann()],
                              ids=["dirichlet", "neumann"])
-    def test_vectors_mass_orthonormal(self, bc, dense_limit):
+    def test_eigenpairs_at_unit_shift(self, bc, dense_limit):
+        # Mm V = (K + Mm) V diag(lambda), (K + Mm)-orthonormal columns
         p = square_pencil(16, bc=bc)
-        lam, V = solve_laplace(p, 8, dense_limit=dense_limit,
-                               return_vectors=True)
-        np.testing.assert_allclose(V.T @ (p.Mmf @ V), np.eye(8), atol=1e-10)
-        residual = p.Kf @ V - (p.Mmf @ V) * lam
+        s = solve_weighted(p, 1.0, 8, dense_limit=dense_limit)
+        V, lam = s.vec_pos, s.pos
+        Kt = p.Kf + p.Mmf
+        np.testing.assert_allclose(V.T @ (Kt @ V), np.eye(8), atol=1e-10)
+        residual = p.Mmf @ V - (Kt @ V) * lam
         assert np.abs(residual).max() < 1e-10 * lam.max()
 
 
@@ -92,12 +101,6 @@ class TestSolveWeighted:
         assert errs[-1] < 2.5e-3
         for a, b in zip(errs, errs[1:]):
             assert 3.5 < a / b < 4.5
-
-    def test_inverse_relation_to_laplace(self):
-        p = square_pencil(16)
-        s = solve_weighted(p, 0.0, 6)
-        lam = solve_laplace(p, 6)
-        np.testing.assert_allclose(s.pos * lam, 1.0, rtol=1e-9)
 
     def test_negated_weight_swaps_signs(self):
         a = solve_weighted(square_pencil(12, halves_weight(2.0, -1.0)), 0.0, 8)
@@ -153,10 +156,11 @@ class TestSolveWeighted:
         np.testing.assert_allclose(a.pos, b.pos, rtol=1e-10)
         np.testing.assert_allclose(a.neg, b.neg, rtol=1e-10)
 
+    @pytest.mark.parametrize("dense_limit", [3000, 50])
     @pytest.mark.parametrize("t", [0.0, 0.5])
-    def test_eigenvector_orthonormality(self, t):
+    def test_eigenvector_orthonormality(self, t, dense_limit):
         p = square_pencil(12, halves_weight(2.0, -1.0))
-        s = solve_weighted(p, t, 6)
+        s = solve_weighted(p, t, 6, dense_limit=dense_limit)
         Kt = p.Kf.toarray() + t * p.Mmf.toarray()
         V = np.hstack([s.vec_pos, s.vec_neg])
         gram = V.T @ Kt @ V
@@ -178,9 +182,8 @@ class TestSolveWeighted:
 
     @pytest.mark.parametrize("solve", [
         lambda p: solve_weighted(p, 0.0, 1),
-        lambda p: solve_laplace(p, 1),
         lambda p: poincare_constant(p),
-    ], ids=["solve_weighted", "solve_laplace", "poincare_constant"])
+    ], ids=["solve_weighted", "poincare_constant"])
     def test_no_free_dofs(self, solve):
         # every vertex of the size-1 square is on the Dirichlet boundary
         p = square_pencil(1)
@@ -290,7 +293,8 @@ class TestLanczosReach:
         "weighted": lambda p, **kw: solve_weighted(p, 0.0, p.n_free, **kw).pos,
         # no dense limit to pass: the reach rule alone sends n <= 2 dense
         "poincare": lambda p, **_: poincare_constant(p),
-        "laplace": lambda p, **kw: solve_laplace(p, p.n_free, **kw),
+        # the pencil (Mm, K + Mm) of the shifted Laplacian
+        "shifted": lambda p, **kw: solve_weighted(p, 1.0, p.n_free, **kw).pos,
     }
 
     @pytest.mark.parametrize("solve", sorted(SOLVES))
@@ -483,41 +487,6 @@ class TestEigenvaluesOnly:
         p = square_pencil(16, halves_weight(1.0, -0.5), BoundarySpec.neumann())
         solve_weighted(p, 0.0, 8, dense_limit=0, vectors=False)
         assert calls == [("BE", False)]
-
-    @pytest.mark.parametrize("dense_limit", [3000, 50])
-    @pytest.mark.parametrize("bc", [BoundarySpec.dirichlet(),
-                                    BoundarySpec.neumann()])
-    def test_solve_laplace_without_vectors(self, bc, dense_limit):
-        p = square_pencil(16, bc=bc)
-        lam, V = solve_laplace(p, 10, dense_limit=dense_limit,
-                               return_vectors=True)
-        assert V.shape == (p.n_free, 10)
-        only = solve_laplace(p, 10, dense_limit=dense_limit)
-        assert isinstance(only, np.ndarray)
-        np.testing.assert_allclose(only, lam, rtol=1e-12, atol=1e-12)
-
-    @pytest.mark.parametrize("dense_limit", [3000, 50])
-    def test_solve_laplace_skips_vectors(self, monkeypatch, dense_limit):
-        import scipy.linalg
-        import scipy.sparse.linalg as sla
-
-        import roughweyl.spectral
-
-        asked = []
-        eigh, eigsh = scipy.linalg.eigh, sla.eigsh
-
-        def eigh_spy(*args, **kwargs):
-            asked.append(not kwargs.get("eigvals_only", False))
-            return eigh(*args, **kwargs)
-
-        def eigsh_spy(*args, **kwargs):
-            asked.append(kwargs.get("return_eigenvectors", True))
-            return eigsh(*args, **kwargs)
-
-        monkeypatch.setattr(roughweyl.spectral, "eigh", eigh_spy)
-        monkeypatch.setattr(sla, "eigsh", eigsh_spy)
-        solve_laplace(square_pencil(16), 6, dense_limit=dense_limit)
-        assert asked == [False]
 
 
 class TestProjectConstraint:

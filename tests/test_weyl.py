@@ -27,7 +27,6 @@ from roughweyl.cli import build_metric, build_weight
 from roughweyl.mesh import triangle_areas
 from roughweyl.spectral import Spectrum
 from roughweyl.weyl import (
-    FitResult,
     WeylTarget,
     convergence_study,
     counting,
@@ -218,23 +217,22 @@ class TestFitLimit:
         s = Spectrum(c / ks, np.array([]), None, None, {})
         for window in ((10, 40), (30, 110), None):
             fit = fit_limit(s, window)
-            assert fit.estimate(+1) == pytest.approx(c, rel=1e-14)
+            assert fit["sides"]["plus"]["estimate"] == pytest.approx(
+                c, rel=1e-14)
 
     def test_lattice_oracle_slope_near_classical_constant(self):
         s = lattice_spectrum(500)
         m = generate_unit_square(4)
         tgt = weyl_target(m, euclidean_metric(), constant_weight(1.0), 2)
-        fit = fit_limit(s, target=tgt)
-        a, b = fit.fit(+1)
-        assert abs(a - FOUR_PI_INV) / FOUR_PI_INV < 0.05
+        plus = fit_limit(s, target=tgt)["sides"]["plus"]
+        assert abs(plus["slope"] - FOUR_PI_INV) / FOUR_PI_INV < 0.05
         # Dirichlet boundary term pulls the correction negative
-        assert b < 0.0
-        assert fit.deviation(+1) < 0.10
+        assert plus["intercept"] < 0.0
+        assert plus["rel_dev"] < 0.10
 
     def test_default_window_is_middle_third(self):
         s = lattice_spectrum(300)
-        fit = fit_limit(s)
-        assert fit.window == (100, 200)
+        assert fit_limit(s)["window"] == [100, 200]
 
     def test_window_validation(self):
         s = lattice_spectrum(120)
@@ -248,13 +246,13 @@ class TestFitLimit:
     def test_single_signed_spectrum_reports_empty_side(self):
         s = lattice_spectrum(120)
         fit = fit_limit(s, (10, 60))
-        assert fit.sides["minus"] == "empty side"
-        with pytest.raises(ValueError, match="empty side"):
-            fit.estimate(-1)
+        assert fit["sides"]["minus"] == "empty side"
+        assert set(fit["sides"]["plus"]) == {
+            "estimate", "rel_dev", "slope", "intercept", "raw_ratio"}
 
     def test_deviation_requires_target(self):
         fit = fit_limit(lattice_spectrum(120), (10, 60))
-        assert fit.deviation(+1) is None
+        assert fit["sides"]["plus"]["rel_dev"] is None
 
 
 class TestConvergenceStudy:
@@ -272,8 +270,8 @@ class TestConvergenceStudy:
 
     def test_square_deviation_decreases_with_level(self, tmp_path):
         path = tmp_path / "conv.csv"
-        rows = convergence_study(self.square_problem(), [4, 5, 6],
-                                 k_each=60, csv_path=path)
+        rows, _, _ = convergence_study(self.square_problem(), [4, 5, 6],
+                                       k_each=60, csv_path=path)
         devs = [r["rel_dev_plus"] for r in rows]
         assert devs[0] > devs[1] > devs[2]
         with open(path, newline="") as fh:
@@ -283,9 +281,10 @@ class TestConvergenceStudy:
         assert float(table[1][4]) == pytest.approx(devs[0], rel=1e-15)
 
     def test_conformal_scaling_leaves_deviations_unchanged(self):
-        rows_1 = convergence_study(self.square_problem(), [4, 5], k_each=60)
-        rows_c = convergence_study(self.square_problem(scale=2.5), [4, 5],
-                                   k_each=60)
+        rows_1, _, _ = convergence_study(self.square_problem(), [4, 5],
+                                         k_each=60)
+        rows_c, _, _ = convergence_study(self.square_problem(scale=2.5),
+                                         [4, 5], k_each=60)
         for r1, rc in zip(rows_1, rows_c):
             assert rc["rel_dev_plus"] == pytest.approx(r1["rel_dev_plus"],
                                                        rel=1e-9)
@@ -294,23 +293,37 @@ class TestConvergenceStudy:
         def make(level):
             return (generate_unit_square(2 ** level), euclidean_metric(),
                     checkerboard_weight(1.0, -1.0), BoundarySpec.dirichlet())
-        rows = convergence_study(make, [4, 5], k_each=60)
+        rows, _, _ = convergence_study(make, [4, 5], k_each=60)
         for row in rows:
             assert row["rel_dev_minus"] == pytest.approx(
                 row["rel_dev_plus"], abs=1e-9)
 
-    def test_solves_for_eigenvalues_only(self, monkeypatch):
+    def test_solves_for_eigenvalues_only_at_t(self, monkeypatch):
         asked = []
         solve = roughweyl.weyl.solve_weighted
 
-        def spy(*args, **kw):
-            asked.append(kw.get("vectors", True))
-            return solve(*args, **kw)
+        def spy(p, t, **kw):
+            asked.append((t, kw.get("vectors", True)))
+            return solve(p, t, **kw)
 
         monkeypatch.setattr(roughweyl.weyl, "solve_weighted", spy)
         convergence_study(self.square_problem(), [3, 4], window=(10, 29),
-                          k_each=30)
-        assert asked == [False, False]
+                          t=0.5, k_each=30)
+        assert asked == [(0.5, False), (0.5, False)]
+
+    def test_returns_first_finest_pencil_and_spectrum(self, monkeypatch):
+        solved = []
+        solve = roughweyl.weyl.solve_weighted
+
+        def spy(p, *args, **kw):
+            solved.append((p, solve(p, *args, **kw)))
+            return solved[-1][1]
+
+        monkeypatch.setattr(roughweyl.weyl, "solve_weighted", spy)
+        rows, p, s = convergence_study(self.square_problem(), [4, 3, 4],
+                                       window=(10, 29), k_each=30)
+        assert [row["level"] for row in rows] == [4, 3, 4]
+        assert p is solved[0][0] and s is solved[0][1]
 
     def test_too_few_levels_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
