@@ -30,7 +30,7 @@ def main():
 
     square = generate_unit_square(12)
     image = Mesh(square.vertices @ J.T, square.triangles,
-                 square.boundary_edges, level=square.level)
+                 square.boundary_edges)
 
     w_image = expression_weight("x - y + 0.2")
     w_pulled = WeightField(lambda pts: w_image.values(pts @ J.T))

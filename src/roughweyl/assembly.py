@@ -116,21 +116,18 @@ class Pencil:
     vertices; `free_dofs` indexes the non-Dirichlet vertices; `r` is the
     full-length vector of weight functionals r_i = integral rho phi_i d mu;
     `tau` is 1 exactly when the free space contains the constants with
-    K 1 = 0 (pure Neumann), else 0. `quad` is the compacted `Quadrature`
+    K 1 = 0 (pure Neumann), else 0; `rho_range` is the (min, max) of rho
+    over the quadrature points. `quad` is the compacted `Quadrature`
     of the assembly (measure and rho), or None for a hand-built pencil.
     """
 
-    def __init__(self, K, Mm, R, free_dofs, r, tau, mesh, bc, quad_order,
-                 rho_range, quad=None):
+    def __init__(self, K, Mm, R, free_dofs, r, tau, rho_range, quad=None):
         self.K = K
         self.Mm = Mm
         self.R = R
         self.free_dofs = np.asarray(free_dofs, dtype=np.int64)
         self.r = np.asarray(r, dtype=float)
         self.tau = int(tau)
-        self.mesh = mesh
-        self.bc = bc
-        self.quad_order = int(quad_order)
         self.rho_range = (float(rho_range[0]), float(rho_range[1]))
         self.quad = quad
         self._reduced = {}
@@ -170,8 +167,8 @@ class Pencil:
         return self.r[self.free_dofs]
 
     def __repr__(self):
-        return "Pencil({} vertices, {} free, tau={}, bc={})".format(
-            self.n_vertices, self.n_free, self.tau, self.bc.kind
+        return "Pencil({} vertices, {} free, tau={})".format(
+            self.n_vertices, self.n_free, self.tau
         )
 
 
@@ -312,7 +309,7 @@ def assemble(m: Mesh, g: MetricField, w: WeightField, bc: BoundarySpec,
             tau = 1
 
     rho_range = (float(q.rho.min()), float(q.rho.max())) if q.rho.size else (0.0, 0.0)
-    return Pencil(K, Mm, R, free, r, tau, m, bc, quad_order, rho_range, quad=q)
+    return Pencil(K, Mm, R, free, r, tau, rho_range, quad=q)
 
 
 class _Householder:
@@ -368,7 +365,7 @@ class _Householder:
         return out
 
 
-def poincare_constant(p: Pencil, seed: int = 0) -> float:
+def poincare_constant(p: Pencil) -> float:
     """Smallest eigenvalue mu_min of the energy against the mass on Z(rho).
 
     Z(rho) is the whole free space when the energy is already coercive
@@ -384,7 +381,7 @@ def poincare_constant(p: Pencil, seed: int = 0) -> float:
 
     # Mm is positive definite: only the top end runs; dense limit 0
     top = _signed_ends(p.Mmf, p.Kf, project_constraint(p), (1.0, 1.0), 1,
-                       0, seed, False)[0]
+                       0, False)[0]
     mu = 1.0 / float(top[0])
     if mu <= 1e-12:
         raise ModelingError(

@@ -8,8 +8,8 @@ Exit codes: 0 when every enabled check passes, 1 when a check fails,
 integrates to zero on a pure Neumann problem), 4 for solver failures.
 
 Everything written is a pure function of the config: floats go through
-repr, JSON keys are sorted, the SVG carries no timestamps, so a rerun with
-the same seed reproduces every artifact byte for byte.
+repr, JSON keys are sorted, the SVG carries no timestamps, so a rerun of
+one config reproduces every artifact byte for byte.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .fields import (
     halves_weight,
     pullback_metric,
 )
-from .mesh import Mesh, MeshFormatError, generate_disk, generate_unit_square
+from .mesh import MeshFormatError, generate_disk, generate_unit_square
 from .spectral import SolverError, Spectrum, solve_weighted
 from .varprin import (
     check_bracketing,
@@ -239,8 +239,8 @@ class ExperimentConfig:
                                    sol.get("levels", "4,5"))
         if min(self.levels) < 1:
             raise ConfigError("solver.levels: every level must be >= 1")
-        window = sol.get("window")
-        self.window = (None if window is None
+        window = sol.get("window", "auto")
+        self.window = (None if window == "auto"
                        else _as_int_list("solver", "window", window))
         if self.window is not None and len(self.window) != 2:
             raise ConfigError("solver.window: expected k_lo,k_hi")
@@ -424,9 +424,8 @@ def build_boundary(spec):
     raise ConfigError("boundary: unknown boundary kind {!r}".format(head))
 
 
-def _build_mesh(kind, size, level):
-    m = generate_unit_square(size) if kind == "square" else generate_disk(size)
-    return Mesh(m.vertices, m.triangles, m.boundary_edges, level=level)
+def _build_mesh(kind, size):
+    return generate_unit_square(size) if kind == "square" else generate_disk(size)
 
 
 def named_partition(m, name):
@@ -570,7 +569,7 @@ def _fields(cfg):
 
 
 def _solve_stack(cfg):
-    return assemble(_build_mesh(cfg.domain_kind, cfg.size, cfg.level),
+    return assemble(_build_mesh(cfg.domain_kind, cfg.size),
                     *_fields(cfg), cfg.quad_order)
 
 
@@ -578,7 +577,7 @@ def _level_problem(cfg):
     """`make_problem(level)` for `convergence_study`: the config's fields
     on the mesh of size 2^level."""
     fields = _fields(cfg)
-    return lambda level: (_build_mesh(cfg.domain_kind, 2 ** level, level),
+    return lambda level: (_build_mesh(cfg.domain_kind, 2 ** level),
                           *fields)
 
 
@@ -615,7 +614,7 @@ def run(cfg: ExperimentConfig) -> int:
             rows, p, s = convergence_study(
                 _level_problem(cfg), cfg.levels, cfg.window, cfg.t,
                 k_each=cfg.k_each, quad_order=cfg.quad_order,
-                dense_limit=cfg.dense_limit(), seed=cfg.seed,
+                dense_limit=cfg.dense_limit(),
                 csv_path=os.path.join(out_dir, "convergence.csv"))
             tgt, artifacts = _spectrum_artifacts(cfg, p, s, out_dir)
             artifacts["convergence_csv"] = "convergence.csv"
@@ -627,17 +626,16 @@ def run(cfg: ExperimentConfig) -> int:
                     if row["rel_dev_{}".format(side)] is not None]
             checks["deviations_finite"] = all(np.isfinite(devs))
         elif cfg.task == "bracket":
-            m = _build_mesh(cfg.domain_kind, cfg.size, cfg.level)
+            m = _build_mesh(cfg.domain_kind, cfg.size)
             g, w, bc = _fields(cfg)
             t = cfg.t if cfg.t > 0.0 else 1.0
             p = assemble(m, g, w, bc, cfg.quad_order)
             s = solve_weighted(p, t, k_each=max(cfg.k_each, cfg.k_max),
-                               dense_limit=cfg.dense_limit(), seed=cfg.seed,
-                               vectors=False)
+                               dense_limit=cfg.dense_limit(), vectors=False)
             report = check_bracketing(
                 m, named_partition(m, cfg.partition), g, w, bc, t,
                 k_max=cfg.k_max, quad_order=cfg.quad_order,
-                dense_limit=cfg.dense_limit(), seed=cfg.seed, s_global=s)
+                dense_limit=cfg.dense_limit(), s_global=s)
             _, artifacts = _spectrum_artifacts(cfg, p, _leading(s, cfg.k_each),
                                                out_dir)
             summary["report"] = report
@@ -646,11 +644,9 @@ def run(cfg: ExperimentConfig) -> int:
             p = _solve_stack(cfg)
             s = solve_weighted(p, 0.0, k_each=max(cfg.k_each,
                                                   cfg.k_max + p.tau),
-                               dense_limit=cfg.dense_limit(), seed=cfg.seed,
-                               vectors=False)
+                               dense_limit=cfg.dense_limit(), vectors=False)
             report = check_sandwich(p, cfg.t_list, k_max=cfg.k_max,
-                                    dense_limit=cfg.dense_limit(),
-                                    seed=cfg.seed, s0=s)
+                                    dense_limit=cfg.dense_limit(), s0=s)
             _, artifacts = _spectrum_artifacts(cfg, p, _leading(s, cfg.k_each),
                                                out_dir)
             summary["report"] = report
@@ -658,7 +654,7 @@ def run(cfg: ExperimentConfig) -> int:
         elif cfg.task == "varprin":
             p = _solve_stack(cfg)
             s = solve_weighted(p, cfg.t, k_each=max(cfg.k_each, cfg.k + 1),
-                               dense_limit=cfg.dense_limit(), seed=cfg.seed)
+                               dense_limit=cfg.dense_limit())
             reports = [
                 check_poincare_minmax(s, p, cfg.k, cfg.trials, cfg.seed),
                 check_rayleigh(s, p, cfg.k, cfg.trials, cfg.seed),
@@ -672,8 +668,7 @@ def run(cfg: ExperimentConfig) -> int:
         else:  # solve and weyl share the pipeline
             p = _solve_stack(cfg)
             s = solve_weighted(p, cfg.t, k_each=cfg.k_each,
-                               dense_limit=cfg.dense_limit(), seed=cfg.seed,
-                               vectors=False)
+                               dense_limit=cfg.dense_limit(), vectors=False)
             tgt, artifacts = _spectrum_artifacts(cfg, p, s, out_dir)
             summary["targets"] = {"c_plus": tgt.c_plus,
                                   "c_minus": tgt.c_minus, "vol": tgt.vol}

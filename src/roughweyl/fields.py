@@ -117,19 +117,16 @@ class MetricField:
 
 
 class WeightField:
-    """Measurable real map x -> rho(x) with declared integrability exponent.
+    """Measurable real map x -> rho(x).
 
-    `eval` is vectorized, (m, 2) points -> (m,) values. `beta` must exceed
-    n/2 = 1 (declared metadata, not certified); `nonzero_mean_required`
-    mirrors the hypothesis that the weight does not integrate to zero,
-    enforced against the assembled quadrature value.
+    `eval` is vectorized, (m, 2) points -> (m,) values. The model assumes
+    rho in L^beta for some beta > n/2 = 1, a hypothesis that is not checked.
+    `nonzero_mean_required` mirrors the hypothesis that the weight does
+    not integrate to zero, enforced against the assembled quadrature value.
     """
 
-    def __init__(self, eval, beta=2.0, nonzero_mean_required=False):
+    def __init__(self, eval, nonzero_mean_required=False):
         self.eval = eval
-        self.beta = float(beta)
-        if not self.beta > 1.0:
-            raise ValueError("beta must exceed n/2 = 1")
         self.nonzero_mean_required = bool(nonzero_mean_required)
 
     def values(self, points):
@@ -237,6 +234,8 @@ def piecewise_metric(regions) -> MetricField:
 
 def checkerboard_metric(a=1.0, b=2.0, cells=2) -> MetricField:
     """Checkerboard of a*I and b*I on a cells x cells grid over [0,1]^2."""
+    if cells < 1:
+        raise ValueError("cells must be >= 1")
 
     def even(points):
         ix = np.floor(points[:, 0] * cells).astype(int)
@@ -293,6 +292,8 @@ def halves_weight(v_plus: float, v_minus: float) -> WeightField:
 
 def checkerboard_weight(v_a: float, v_b: float, cells=2) -> WeightField:
     """v_a / v_b alternating on a cells x cells checkerboard over [0,1]^2."""
+    if cells < 1:
+        raise ValueError("cells must be >= 1")
     v_a, v_b = float(v_a), float(v_b)
 
     def batch(points):
@@ -452,7 +453,7 @@ def _eval_node(node, x, y):
     return fn(*(_eval_node(a, x, y) for a in args))
 
 
-def expression_weight(text: str, beta=2.0) -> WeightField:
+def expression_weight(text: str) -> WeightField:
     """Weight from an arithmetic expression over x and y.
 
     Operators +, -, *, /, ^ (right-associative), functions abs, sin, cos,
@@ -468,7 +469,7 @@ def expression_weight(text: str, beta=2.0) -> WeightField:
             out = _eval_node(tree, points[:, 0], points[:, 1])
         return np.broadcast_to(np.asarray(out, dtype=float), (len(points),))
 
-    return WeightField(batch, beta=beta)
+    return WeightField(batch)
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +559,6 @@ class Quadrature:
 
     def __init__(self, m, g: MetricField, w: WeightField = None, order: int = 2):
         bary, wq = triangle_quadrature(order)
-        self.order = int(order)
         self.corners = m.vertices[m.triangles]
         self.areas = corner_areas(self.corners)
         self.points = (bary @ self.corners).reshape(-1, 2)
@@ -572,7 +572,7 @@ class Quadrature:
         self.rho = None if w is None else w.values(self.points)
 
     def compact(self):
-        """A copy holding only `order`, `measure` and `rho`, the data later
+        """A copy holding only `measure` and `rho`, the data later
         integrals read; the other arrays become None."""
         out = copy.copy(self)
         out.corners = out.areas = out.points = out.G = out.sqrtdet = None

@@ -50,14 +50,12 @@ class Mesh:
     boundary_edges : (nb, 3) int array
         Rows (i, j, tag); (i, j) is a directed boundary edge, tag a small
         nonnegative integer labeling its boundary segment.
-    level : int
-        Refinement depth, >= 0.
 
     All arrays are copied and frozen; Mesh values are safe to share
     read-only across threads.
     """
 
-    def __init__(self, vertices, triangles, boundary_edges, level=0):
+    def __init__(self, vertices, triangles, boundary_edges):
         self.vertices = np.array(vertices, dtype=float)
         self.triangles = np.array(triangles, dtype=np.int64)
         self.boundary_edges = np.array(boundary_edges, dtype=np.int64)
@@ -72,9 +70,6 @@ class Mesh:
             raise ValueError("triangles must be an (nt, 3) array")
         if self.boundary_edges.ndim != 2 or self.boundary_edges.shape[1] != 3:
             raise ValueError("boundary_edges must be an (nb, 3) array")
-        self.level = int(level)
-        if self.level < 0:
-            raise ValueError("level must be >= 0")
         for a in (self.vertices, self.triangles, self.boundary_edges):
             a.flags.writeable = False
 
@@ -87,8 +82,8 @@ class Mesh:
         return self.triangles.shape[0]
 
     def __repr__(self):
-        return "Mesh({} vertices, {} triangles, {} boundary edges, level {})".format(
-            self.num_vertices, self.num_triangles, self.boundary_edges.shape[0], self.level
+        return "Mesh({} vertices, {} triangles, {} boundary edges)".format(
+            self.num_vertices, self.num_triangles, self.boundary_edges.shape[0]
         )
 
 
@@ -138,7 +133,7 @@ def generate_unit_square(n: int) -> Mesh:
     walk = np.concatenate([k, n + k * (n + 1), (n + 1) ** 2 - 1 - k,
                            (n - k) * (n + 1)])
     boundary = np.column_stack([walk, np.roll(walk, -1), np.repeat(np.arange(4), n)])
-    return Mesh(vertices, triangles, boundary, level=0)
+    return Mesh(vertices, triangles, boundary)
 
 
 def generate_disk(rings: int) -> Mesh:
@@ -186,7 +181,7 @@ def generate_disk(rings: int) -> Mesh:
     i = np.arange(6 * rings)
     boundary = np.column_stack([ring_vertex(rings, i), ring_vertex(rings, i + 1),
                                 np.zeros_like(i)])
-    return Mesh(vertices, np.concatenate(tris), boundary, level=0)
+    return Mesh(vertices, np.concatenate(tris), boundary)
 
 
 def _undirected_edges(pairs, nv):
@@ -218,7 +213,7 @@ def refine_uniform(m: Mesh) -> Mesh:
     Edge midpoints become new vertices (deduplicated across neighbors),
     numbered in the order the edges are first met: ab, bc, ca of each
     triangle in turn, then the boundary edges. Boundary edges split in two
-    inheriting their tag, level increments.
+    inheriting their tag.
     """
     nv, nt = m.num_vertices, m.num_triangles
     pairs = np.concatenate([_triangle_edges(m.triangles), m.boundary_edges[:, :2]])
@@ -235,8 +230,7 @@ def refine_uniform(m: Mesh) -> Mesh:
     i, j, tag = m.boundary_edges.T
     k = mid[3 * nt :]
     boundary = np.stack([i, k, tag, k, j, tag], axis=1)
-    return Mesh(vertices, triangles.reshape(-1, 3), boundary.reshape(-1, 3),
-                level=m.level + 1)
+    return Mesh(vertices, triangles.reshape(-1, 3), boundary.reshape(-1, 3))
 
 
 def edge_incidence(m: Mesh):
@@ -394,4 +388,4 @@ def load_mesh(path) -> Mesh:
         if out.any():
             raise MeshFormatError("{} index {} out of range".format(
                 what, idx.ravel()[out.argmax()]))
-    return Mesh(vertices, triangles, boundary, level=0)
+    return Mesh(vertices, triangles, boundary)

@@ -26,10 +26,10 @@ oblique pencil (Pi^T R Pi, K + gamma r r^T), where Pi projects onto
 {r . v = 0} along the constants and M is inverted through K with one vertex
 grounded. For rho of both signs one Krylov space serves both families:
 ARPACK's "BE" mode takes k_each eigenvalues from each spectral end in a
-single run. Every SPD form that is inverted is factored by `_spd_inverse`:
-sparse LU in symmetric mode, minimum-degree ordering on A + A^T, no
-pivoting, and a check that the pivots stayed on the diagonal and bounded
-away from zero.
+single run. Lanczos always starts from one fixed vector. Every SPD form that
+is inverted is factored by `_spd_inverse`: sparse LU in symmetric mode,
+minimum-degree ordering on A + A^T, no pivoting, and a check that the pivots
+stayed on the diagonal and bounded away from zero.
 
 Eigenvectors are optional (`solve_weighted(..., vectors=False)`): the
 dense path then skips the eigenvector back-substitution and the sparse
@@ -68,7 +68,7 @@ class Spectrum:
     pos holds lambda_1^+ >= lambda_2^+ >= ... > 0; neg holds the magnitudes
     of the negative eigenvalues, again descending, so neg[k-1] = |lambda_k^-|.
     Eigenvector columns (free-DOF coefficients) align with the lists and are
-    E_t-orthonormal. meta records the problem descriptor.
+    E_t-orthonormal. meta holds t, method, n_free, k_each and constrained.
     """
 
     def __init__(self, pos, neg, vec_pos=None, vec_neg=None, meta=None):
@@ -145,10 +145,6 @@ def _split_signed(w, V, k_each):
     vp = V[:, ipos] if V is not None else None
     vn = V[:, ineg] if V is not None else None
     return pos, neg, vp, vn
-
-
-def _seeded_start(n, seed):
-    return np.random.default_rng(seed).standard_normal(n)
 
 
 def _dense_weighted(A, M, rf, k_each, vectors):
@@ -244,7 +240,7 @@ def _lanczos_ends(A, M, Minv, v0, rho_range, k_each, vectors):
     return pos, neg, vp, vn
 
 
-def _sparse_weighted(R, K, rf, rho_range, k_each, seed, vectors):
+def _sparse_weighted(R, K, rf, rho_range, k_each, vectors):
     """Signed lists of R v = lambda K v by Lanczos at the spectral ends.
 
     `rho_range` bounds the sign of R, which picks the ends to run. Without
@@ -260,7 +256,7 @@ def _sparse_weighted(R, K, rf, rho_range, k_each, seed, vectors):
     not for a hand-built pencil or for Mm in R's place.
     """
     nf = K.shape[0]
-    v0 = _seeded_start(nf, seed)
+    v0 = np.random.default_rng(0).standard_normal(nf)
     K = K.tocsr()
     R = R.tocsr()
     if rf is None:
@@ -307,7 +303,7 @@ def _goes_dense(n, k_each, dense_limit):
     return n <= max(dense_limit, k_each + 1)
 
 
-def _signed_ends(A, M, rf, rho_range, k_each, dense_limit, seed, vectors):
+def _signed_ends(A, M, rf, rho_range, k_each, dense_limit, vectors):
     """Signed lists (pos, neg, vec_pos, vec_neg) of A v = lambda M v.
 
     The one entry point of every eigensolve: the dense solve where
@@ -321,11 +317,11 @@ def _signed_ends(A, M, rf, rho_range, k_each, dense_limit, seed, vectors):
         raise SolverError("no free DOFs")
     if _goes_dense(M.shape[0], k_each, dense_limit):
         return _dense_weighted(A, M, rf, k_each, vectors)
-    return _sparse_weighted(A, M, rf, rho_range, k_each, seed, vectors)
+    return _sparse_weighted(A, M, rf, rho_range, k_each, vectors)
 
 
 def solve_weighted(p: Pencil, t: float = 0.0, k_each: int = 6,
-                   dense_limit: int = _DENSE_LIMIT, seed: int = 0,
+                   dense_limit: int = _DENSE_LIMIT,
                    vectors: bool = True) -> Spectrum:
     """Solve R v = lambda (K + t Mm) v, k_each eigenvalues per sign.
 
@@ -345,16 +341,13 @@ def solve_weighted(p: Pencil, t: float = 0.0, k_each: int = 6,
     constrained = rf is not None
     Kt = p.Kf + t * p.Mmf if t > 0.0 else p.Kf
     pos, neg, vp, vn = _signed_ends(p.Rf, Kt, rf, p.rho_range, k_each,
-                                    dense_limit, seed, vectors)
+                                    dense_limit, vectors)
     method = "dense"
     if not _goes_dense(p.n_free, k_each, dense_limit):
         method = "sparse-projected" if constrained else "sparse-lanczos"
     meta = {
         "t": float(t),
-        "bc": p.bc.kind,
-        "level": p.mesh.level,
         "method": method,
-        "seed": int(seed),
         "n_free": p.n_free,
         "k_each": int(k_each),
         "constrained": constrained,

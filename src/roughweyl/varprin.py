@@ -312,7 +312,7 @@ def _partition_cells(m: Mesh, partition):
 
 def check_bracketing(m: Mesh, partition, g, w, bc: BoundarySpec, t: float,
                      k_max: int = 50, quad_order: int = 2,
-                     dense_limit: int = _DENSE_LIMIT, seed: int = 0,
+                     dense_limit: int = _DENSE_LIMIT,
                      s_global: Spectrum | None = None) -> dict:
     """Dirichlet-Neumann bracketing of the t-regularized problem.
 
@@ -353,14 +353,14 @@ def check_bracketing(m: Mesh, partition, g, w, bc: BoundarySpec, t: float,
     if s_global is None:
         s_global = solve_weighted(assemble(m, g, w, bc, quad_order), t,
                                   k_each=k_max, dense_limit=dense_limit,
-                                  seed=seed, vectors=False)
+                                  vectors=False)
     else:
         _check_supplied(s_global, t, m.num_vertices - len(dirichlet), k_max)
 
     nu = {"plus": [], "minus": []}
     eta = {"plus": [], "minus": []}
     for cell in cells:
-        sub = Mesh(m.vertices, m.triangles[cell], (), level=m.level)
+        sub = Mesh(m.vertices, m.triangles[cell], ())
         part = assemble(sub, g, w, BoundarySpec.neumann(), quad_order)
         used = np.unique(m.triangles[cell])
         interface = np.intersect1d(used, np.delete(m.triangles, cell, axis=0))
@@ -373,7 +373,7 @@ def check_bracketing(m: Mesh, partition, g, w, bc: BoundarySpec, t: float,
                 continue
             K, Mm, R = (A[free][:, free] for A in (part.K, part.Mm, part.R))
             pos, neg, _, _ = _signed_ends(R, K + t * Mm, None, part.rho_range,
-                                          k_max, dense_limit, seed, False)
+                                          k_max, dense_limit, False)
             target["plus"].extend(pos)
             target["minus"].extend(neg)
 
@@ -386,7 +386,6 @@ def check_bracketing(m: Mesh, partition, g, w, bc: BoundarySpec, t: float,
         "parts": len(cells),
         "bc": bc.kind,
         "tolerance": TOLERANCE,
-        "seed": int(seed),
     }
     for label, sign in (("plus", 1), ("minus", -1)):
         lam = s_global.values(sign)[:k_max]
@@ -407,7 +406,7 @@ def check_bracketing(m: Mesh, partition, g, w, bc: BoundarySpec, t: float,
 
 
 def check_sandwich(p, t_list=(0.5, 0.1, 0.02), k_max: int = 100,
-                   dense_limit: int = _DENSE_LIMIT, seed: int = 0,
+                   dense_limit: int = _DENSE_LIMIT,
                    s0: Spectrum | None = None) -> dict:
     """Sandwich bounds around the t = 0 eigenvalues.
 
@@ -430,20 +429,18 @@ def check_sandwich(p, t_list=(0.5, 0.1, 0.02), k_max: int = 100,
     tau = p.tau
     if s0 is None:
         s0 = solve_weighted(p, 0.0, k_each=k_max + tau,
-                            dense_limit=dense_limit, seed=seed,
-                            vectors=False)
+                            dense_limit=dense_limit, vectors=False)
     else:
         _check_supplied(s0, 0.0, p.n_free, k_max + tau)
-    C = poincare_constant(p, seed=seed)
+    C = poincare_constant(p)
     per_t = []
     all_ok = True
     shift_flags = []
     for t in t_list:
         st = solve_weighted(p, t, k_each=k_max + tau,
-                            dense_limit=dense_limit, seed=seed, vectors=False)
+                            dense_limit=dense_limit, vectors=False)
         sct = solve_weighted(p, C * t, k_each=k_max + tau,
-                             dense_limit=dense_limit, seed=seed,
-                             vectors=False)
+                             dense_limit=dense_limit, vectors=False)
         sides = {}
         t_shift = []
         for label, sign in (("plus", 1), ("minus", -1)):

@@ -174,8 +174,7 @@ def fit_limit(s: Spectrum, window=None, target: WeylTarget = None) -> dict:
 
 def convergence_study(make_problem, levels, window=None, t: float = 0.0,
                       k_each=120, quad_order: int = 2,
-                      dense_limit: int = _DENSE_LIMIT, seed: int = 0,
-                      csv_path=None):
+                      dense_limit: int = _DENSE_LIMIT, csv_path=None):
     """Per-level Weyl-limit deviations for a refinement family.
 
     `make_problem(level)` returns (mesh, metric, weight, bc); each level is
@@ -195,7 +194,7 @@ def convergence_study(make_problem, levels, window=None, t: float = 0.0,
         m, g, w, bc = make_problem(level)
         p = assemble(m, g, w, bc, quad_order)
         s = solve_weighted(p, t, k_each=k_each, dense_limit=dense_limit,
-                           seed=seed, vectors=False)
+                           vectors=False)
         rows.append(_convergence_row(level, p, s, window))
         if finest is None or level > finest[0]:
             finest = (level, p, s)

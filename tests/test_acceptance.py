@@ -161,8 +161,7 @@ def test_07_shear_pullback_pencil_and_spectrum_equality():
     tr = shear ** 2 + 2.0
     s_hi = np.sqrt((tr + np.sqrt(tr * tr - 4.0)) / 2.0)
     msq = generate_unit_square(16)
-    mim = Mesh(msq.vertices @ J.T, msq.triangles, msq.boundary_edges,
-               level=msq.level)
+    mim = Mesh(msq.vertices @ J.T, msq.triangles, msq.boundary_edges)
     w_im = expression_weight("x - y + 0.2")
     w_pb = WeightField(lambda pts: w_im.values(pts @ J.T))
     g_pb = pullback_metric(

@@ -223,10 +223,8 @@ class TestInvariants:
                                  jac_bounds=(1.0 / s_hi, s_hi))
         w_image = expression_weight("1 + x*y")
         w_pull = WeightField(lambda pts: 1.0 + (
-                                 pts[:, 0] + 0.5 * pts[:, 1]) * pts[:, 1],
-                             beta=2.0)
-        m_image = Mesh(phi(m.vertices), m.triangles, m.boundary_edges,
-                       level=m.level)
+                                 pts[:, 0] + 0.5 * pts[:, 1]) * pts[:, 1])
+        m_image = Mesh(phi(m.vertices), m.triangles, m.boundary_edges)
         bc = BoundarySpec.dirichlet()
         a = assemble(m, g_pull, w_pull, bc)
         b = assemble(m_image, euclidean_metric(), w_image, bc)
@@ -271,7 +269,7 @@ class TestConstraintData:
 
     def test_zero_mean_rejected_when_required(self):
         w = WeightField(lambda pts: np.where(pts[:, 0] < 0.5, 1.0, -1.0),
-                        beta=2.0, nonzero_mean_required=True)
+                        nonzero_mean_required=True)
         with pytest.raises(ModelingError):
             assemble(generate_unit_square(4), euclidean_metric(), w,
                      BoundarySpec.neumann())
@@ -517,7 +515,7 @@ def reference_cases(draw):
         tris = tris + (tris >= k)
         boundary = np.column_stack([boundary[:, :2] + (boundary[:, :2] >= k),
                                     boundary[:, 2]])
-    m = Mesh(vertices, tris, boundary, level=m.level)
+    m = Mesh(vertices, tris, boundary)
     g = REFERENCE_METRICS[draw(st.sampled_from(sorted(REFERENCE_METRICS)))]()
     w = REFERENCE_WEIGHTS[draw(st.sampled_from(sorted(REFERENCE_WEIGHTS)))]()
     return m, g, w
@@ -637,8 +635,7 @@ class TestRestriction:
         p = assemble(generate_unit_square(3), euclidean_metric(),
                      constant_weight(1.0), BoundarySpec.neumann())
         idx = np.roll(np.arange(p.n_vertices), 1)
-        q = Pencil(p.K, p.Mm, p.R, idx, p.r, p.tau, p.mesh, p.bc,
-                   p.quad_order, p.rho_range)
+        q = Pencil(p.K, p.Mm, p.R, idx, p.r, p.tau, p.rho_range)
         want = p.K.toarray()[np.ix_(idx, idx)]
         assert not np.array_equal(want, p.K.toarray())
         np.testing.assert_array_equal(q.Kf.toarray(), want)

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -144,6 +145,16 @@ svg = true
     def test_bad_values_rejected(self, text, pattern):
         with pytest.raises(ConfigError, match=pattern):
             ExperimentConfig.from_text(text)
+
+    def test_readme_defaults_block_parses_to_the_defaults(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        text = readme.read_text(encoding="utf-8")
+        block = text.split("All keys with their defaults:", 1)[1]
+        block = block.split("```ini\n", 1)[1].split("```", 1)[0]
+        # inline comments are the README's, not the parser's
+        block = "\n".join(line.split("#", 1)[0] for line in block.splitlines())
+        assert (ExperimentConfig.from_text(block).resolved()
+                == ExperimentConfig.from_text("").resolved())
 
     def test_comments_and_blanks_ignored(self):
         cfg = ExperimentConfig.from_text(
@@ -310,6 +321,28 @@ class TestRunWeyl:
         assert summary["passed"] is False
         assert summary["fit"]["sides"]["minus"] == "empty side"
 
+    @pytest.mark.parametrize("weight, boundary", [
+        ("halves:1,-1", "dirichlet"),
+        ("halves:1,-0.5", "neumann"),
+    ])
+    def test_seed_does_not_reach_the_eigensolver(self, tmp_path, weight,
+                                                 boundary):
+        # Lanczos starts from one fixed vector; the seed feeds only the
+        # variational checkers' subspace trials
+        config = write_config(
+            tmp_path / "run.cfg",
+            "[domain]\nlevel = 5\n[weight]\nweight = {}\n[boundary]\n"
+            "boundary = {}\n[solver]\nmode = sparse\nk_each = 60\n"
+            "[output]\ndir = {}\n".format(weight, boundary, tmp_path / "out"))
+        written = []
+        for seed in ("0", "7"):
+            out = tmp_path / seed
+            assert main(["weyl", "--config", config, "--out", str(out),
+                         "--seed", seed]) in (0, 1)
+            summary = json.loads((out / "summary.json").read_text())
+            assert summary["method"].startswith("sparse")
+            written.append((out / "spectrum.csv").read_bytes())
+        assert written[0] == written[1]
 
     def test_metric_sampled_once(self, tmp_path, monkeypatch):
         # assembly and the Weyl target share one quadrature sample
@@ -593,6 +626,20 @@ class TestMain:
             "[output]\ndir = {}\n".format(tmp_path / "out"))
         assert main(["solve", "--config", config]) == 2
         assert "alpha" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, spec", [
+        ("metric", "checkerboard:a=1,b=2,cells=0"),
+        ("weight", "checkerboard:1,2,cells=0"),
+        ("weight", "checkerboard:1,2,cells=-3"),
+    ])
+    def test_checkerboard_without_cells_exits_2(self, tmp_path, capsys,
+                                                section, spec):
+        config = write_config(
+            tmp_path / "run.cfg",
+            "[domain]\nlevel = 3\n[{0}]\n{0} = {1}\n[output]\ndir = {2}\n"
+            .format(section, spec, tmp_path / "out"))
+        assert main(["solve", "--config", config]) == 2
+        assert "cells must be >= 1" in capsys.readouterr().err
 
     def test_unknown_subcommand_rejected_by_argparse(self, capsys):
         with pytest.raises(SystemExit) as exc:

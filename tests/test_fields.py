@@ -191,9 +191,13 @@ class TestWeights:
         vals = w.values(np.array([[0.25, 0.25], [0.75, 0.25], [0.75, 0.75]]))
         assert list(vals) == [1.0, -1.0, 1.0]
 
-    def test_beta_must_exceed_one(self):
-        with pytest.raises(ValueError):
-            WeightField(lambda pts: np.ones(len(pts)), beta=1.0)
+    @pytest.mark.parametrize("make", [checkerboard_metric,
+                                      checkerboard_weight])
+    @pytest.mark.parametrize("cells", [0, -1])
+    def test_checkerboard_needs_a_cell(self, make, cells):
+        # cells = 0 would give the constant field a, cells < 0 a mirror image
+        with pytest.raises(ValueError, match="cells must be >= 1"):
+            make(1.0, 2.0, cells=cells)
 
 
 class TestExpressionWeight:

@@ -123,12 +123,10 @@ class TestRefine:
     def test_two_triangle_square_becomes_eight(self):
         m = refine_uniform(generate_unit_square(1))
         assert m.num_triangles == 8
-        assert m.level == 1
 
     def test_refine_twice_gives_32(self):
         m = refine_uniform(refine_uniform(generate_unit_square(1)))
         assert m.num_triangles == 32
-        assert m.level == 2
 
     def test_child_areas_quarter_parent(self):
         m = generate_disk(2)
@@ -172,8 +170,7 @@ def refine_reference(m):
     for i, j, tag in m.boundary_edges.tolist():
         k = mid(i, j)
         boundary += [(i, k, tag), (k, j, tag)]
-    return Mesh(np.array(verts).reshape(-1, 2), triangles, boundary,
-                level=m.level + 1)
+    return Mesh(np.array(verts).reshape(-1, 2), triangles, boundary)
 
 
 def assert_same_mesh(got, want):
@@ -182,7 +179,6 @@ def assert_same_mesh(got, want):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert a.tobytes() == b.tobytes(), name
-    assert got.level == want.level
 
 
 @st.composite
@@ -216,7 +212,7 @@ def shuffled_meshes(draw):
     boundary = boundary + extra
     at = draw(st.integers(min_value=0, max_value=len(boundary)))
     boundary = boundary[at:] + boundary[:at]
-    return Mesh(vertices, tris, boundary, level=draw(st.integers(0, 3)))
+    return Mesh(vertices, tris, boundary)
 
 
 class TestRefineAgainstReference:

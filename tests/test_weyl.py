@@ -99,8 +99,7 @@ class TestWeylTarget:
     def test_relabeling_triangles_changes_nothing(self):
         m = generate_unit_square(6)
         perm = np.random.default_rng(3).permutation(m.num_triangles)
-        shuffled = Mesh(m.vertices, m.triangles[perm], m.boundary_edges,
-                        level=m.level)
+        shuffled = Mesh(m.vertices, m.triangles[perm], m.boundary_edges)
         w = halves_weight(2.0, -0.5)
         a = weyl_target(m, euclidean_metric(), w, 2)
         b = weyl_target(shuffled, euclidean_metric(), w, 2)
