@@ -16,10 +16,10 @@ The three forms share one sparsity pattern, numbered once per call
 triangle edge, in CSR order. Each form scatters its element matrices into
 that pattern with one `np.bincount` in element order, so assembled
 matrices are bit-reproducible, then symmetrizes each edge's pair of
-entries to their mean and drops exact zeros. Element arrays are formed one
-form at a time and the per-point metric samples are released as soon as
-the stiffness coefficient is formed, so the peak memory of `assemble`
-stays within a few times what the pencil keeps.
+entries to their mean and drops exact zeros. The P1 gradients are formed
+before the metric is sampled, element arrays one form at a time, and each
+per-point array is released as soon as it has been used, so the peak
+memory of `assemble` stays within a few times what the pencil keeps.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from .fields import MetricField, Quadrature, WeightField, triangle_quadrature
+from .fields import (MetricField, WeightField, cell_geometry, sample_metric,
+                     triangle_quadrature)
 from .mesh import Mesh
 
 __all__ = [
@@ -117,11 +118,13 @@ class Pencil:
     full-length vector of weight functionals r_i = integral rho phi_i d mu;
     `tau` is 1 exactly when the free space contains the constants with
     K 1 = 0 (pure Neumann), else 0; `rho_range` is the (min, max) of rho
-    over the quadrature points. `quad` is the compacted `Quadrature`
-    of the assembly (measure and rho), or None for a hand-built pencil.
+    over the quadrature points. `measure` and `rho` are the assembly's
+    flat per-point samples of w_q sqrt(det G) |cell| and of the weight,
+    or None for a hand-built pencil.
     """
 
-    def __init__(self, K, Mm, R, free_dofs, r, tau, rho_range, quad=None):
+    def __init__(self, K, Mm, R, free_dofs, r, tau, rho_range, measure=None,
+                 rho=None):
         self.K = K
         self.Mm = Mm
         self.R = R
@@ -129,7 +132,8 @@ class Pencil:
         self.r = np.asarray(r, dtype=float)
         self.tau = int(tau)
         self.rho_range = (float(rho_range[0]), float(rho_range[1]))
-        self.quad = quad
+        self.measure = measure
+        self.rho = rho
         self._reduced = {}
 
     @property
@@ -237,16 +241,11 @@ class _Pattern:
                                  shape=(nv, nv))
 
 
-def _stiffness_elements(corners, areas, coeff):
-    """The (nt, 3, 3) element stiffness matrices |cell| B^T C B of cells
-    with the given corners, areas and quadrature-summed coefficients C,
-    where the columns of B are the constant P1 gradients."""
-    # grad phi_i = rot90(edge opposite i) / (2 area)
+def _gradients(corners, areas):
+    """The (nt, 3, 2) constant P1 gradients of cells with the given
+    corners and areas: grad phi_i = rot90(edge opposite i) / (2 area)."""
     grads = corners[:, [2, 0, 1]] - corners[:, [1, 2, 0]]
-    grads = grads[:, :, ::-1] * [-1.0, 1.0] / (2.0 * areas)[:, None, None]
-    Ke = grads @ coeff @ grads.transpose(0, 2, 1)
-    Ke *= areas[:, None, None]
-    return Ke
+    return grads[:, :, ::-1] * [-1.0, 1.0] / (2.0 * areas)[:, None, None]
 
 
 def assemble(m: Mesh, g: MetricField, w: WeightField, bc: BoundarySpec,
@@ -266,26 +265,32 @@ def assemble(m: Mesh, g: MetricField, w: WeightField, bc: BoundarySpec,
     """
     bc = bc.resolve(m)
     bary, wq = triangle_quadrature(quad_order)
-    q = Quadrature(m, g, w, quad_order)
-    corners, areas = q.corners, q.areas
+    corners, areas, points = cell_geometry(m, bary)
     if areas.size == 0 or areas.min() <= 0.0:
         raise ValueError("mesh has nonpositive triangle areas")
     nt, nq, nv = m.num_triangles, len(wq), m.num_vertices
+    grads = _gradients(corners, areas)
+    del corners
 
     # stiffness: coefficient G^{-1} sqrt(det G) = adj(G) / sqrt(det G),
     # 0-homogeneous in G in 2-D
-    coeff = (wq / q.sqrtdet.reshape(nt, nq))[:, None, :] @ q.G.reshape(nt, nq, 4)
+    G, sqrtdet, measure = sample_metric(g, points, areas, wq)
+    coeff = (wq / sqrtdet.reshape(nt, nq))[:, None, :] @ G.reshape(nt, nq, 4)
+    del G, sqrtdet
     coeff = (coeff[:, 0, [3, 1, 2, 0]] * [1.0, -1.0, -1.0, 1.0]).reshape(nt, 2, 2)
-    q = q.compact()  # the per-point metric samples die here
+    rho = w.values(points)
+    del points
     pattern = _Pattern(m.triangles, nv)
-    K = pattern.form(_stiffness_elements(corners, areas, coeff))
-    del corners, areas, coeff
+    # element stiffness |cell| B^T C B, the columns of B the gradients
+    K = pattern.form(grads @ coeff @ grads.transpose(0, 2, 1)
+                     * areas[:, None, None])
+    del grads, areas, coeff
 
     # mass and weighted mass share phi_i(x_q) phi_j(x_q) = bary outer products
     phi2 = (bary[:, :, None] * bary[:, None, :]).reshape(nq, 9)
-    mu = q.measure.reshape(nt, nq)  # w_q sqrt(det G) |cell|
+    mu = measure.reshape(nt, nq)  # w_q sqrt(det G) |cell|
     Mm = pattern.form(mu @ phi2)
-    R = pattern.form((mu * q.rho.reshape(nt, nq)) @ phi2)
+    R = pattern.form((mu * rho.reshape(nt, nq)) @ phi2)
 
     dirichlet = bc.dirichlet_vertices(m)
     free = np.ones(nv, dtype=bool)
@@ -308,8 +313,8 @@ def assemble(m: Mesh, g: MetricField, w: WeightField, bc: BoundarySpec,
         if drift <= 1e-10 * max(1.0, knorm):
             tau = 1
 
-    rho_range = (float(q.rho.min()), float(q.rho.max())) if q.rho.size else (0.0, 0.0)
-    return Pencil(K, Mm, R, free, r, tau, rho_range, quad=q)
+    rho_range = (float(rho.min()), float(rho.max())) if rho.size else (0.0, 0.0)
+    return Pencil(K, Mm, R, free, r, tau, rho_range, measure, rho)
 
 
 class _Householder:

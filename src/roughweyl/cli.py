@@ -587,7 +587,7 @@ def _leading(s, k):
 
 
 def _spectrum_artifacts(cfg, p, s, out_dir):
-    tgt = weyl_constants(p.quad)
+    tgt = weyl_constants(p.measure, p.rho)
     csv_path = os.path.join(out_dir, "spectrum.csv")
     write_spectrum_csv(s, tgt, csv_path)
     artifacts = {"spectrum_csv": "spectrum.csv"}

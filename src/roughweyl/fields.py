@@ -2,10 +2,10 @@
 
 A field is known only through its samples, so every field callable takes
 one (m, 2) array of chart points and answers for all of them at once: a
-metric (m, 2, 2), a weight or integrand (m,), a gradient or map image
-(m, 2), a Jacobian (m, 2, 2) and a region predicate (m,) booleans. The
-callable runs once per batch; a result of any other shape raises
-ValueError, and a non-finite sample raises ComparabilityError.
+metric (m, 2, 2), a weight (m,), a gradient or map image (m, 2), a
+Jacobian (m, 2, 2) and a region predicate (m,) booleans. The callable
+runs once per batch; a result of any other shape raises ValueError, and
+a non-finite sample raises ComparabilityError.
 
 A MetricField is such a map x -> SPD 2x2 matrix together with
 caller-declared comparability constants c_lo <= c_hi: at every point actually
@@ -17,14 +17,13 @@ rules place every point strictly inside its cell, so declared singular points
 WeightField is the scalar analogue for the sign-changing density rho.
 Construction helpers cover the identity metric, metrics of Lipschitz graphs
 G = I + grad_f grad_f^T, radially scaled cone metrics, piecewise-constant
-regions, and pullbacks J^T G(phi(x)) J. `Quadrature` is the one audited sample
-of the fields at the quadrature points; `measure_integral` integrates over it
-against the induced area measure sqrt(det G) dx.
+regions, and pullbacks J^T G(phi(x)) J. A problem's fields are sampled in
+two steps: `cell_geometry` places the quadrature points of a mesh, and
+`sample_metric` is the one audited sample of the metric there, with the
+induced area measure sqrt(det G) dx of every point.
 """
 
 from __future__ import annotations
-
-import copy
 
 import numpy as np
 
@@ -47,8 +46,8 @@ __all__ = [
     "checkerboard_weight",
     "expression_weight",
     "triangle_quadrature",
-    "Quadrature",
-    "measure_integral",
+    "cell_geometry",
+    "sample_metric",
     "sym_eigvals_2x2",
     "comparability_audit",
 ]
@@ -57,7 +56,7 @@ __all__ = [
 class ComparabilityError(ValueError):
     """A sampled field value violated a field hypothesis: a metric outside
     its declared eigenvalue bounds, or a non-finite metric, weight,
-    gradient, map, Jacobian or integrand sample."""
+    gradient, map or Jacobian sample."""
 
 
 class SingularPointError(ValueError):
@@ -232,15 +231,21 @@ def piecewise_metric(regions) -> MetricField:
     return MetricField(batch, np.sqrt(eigs.min()), np.sqrt(eigs.max()))
 
 
+def _even_cell(points, cells):
+    """(m,) booleans: whether each point lies in a cell (ix, iy) of the
+    cells x cells grid over [0,1]^2 with ix + iy even."""
+    ix = np.floor(points[:, 0] * cells).astype(int)
+    iy = np.floor(points[:, 1] * cells).astype(int)
+    return (ix + iy) % 2 == 0
+
+
 def checkerboard_metric(a=1.0, b=2.0, cells=2) -> MetricField:
     """Checkerboard of a*I and b*I on a cells x cells grid over [0,1]^2."""
     if cells < 1:
         raise ValueError("cells must be >= 1")
 
     def even(points):
-        ix = np.floor(points[:, 0] * cells).astype(int)
-        iy = np.floor(points[:, 1] * cells).astype(int)
-        return (ix + iy) % 2 == 0
+        return _even_cell(points, cells)
 
     def odd(points):
         return ~even(points)
@@ -297,9 +302,7 @@ def checkerboard_weight(v_a: float, v_b: float, cells=2) -> WeightField:
     v_a, v_b = float(v_a), float(v_b)
 
     def batch(points):
-        ix = np.floor(points[:, 0] * cells).astype(int)
-        iy = np.floor(points[:, 1] * cells).astype(int)
-        return np.where((ix + iy) % 2 == 0, v_a, v_b)
+        return np.where(_even_cell(points, cells), v_a, v_b)
 
     return WeightField(batch)
 
@@ -549,45 +552,24 @@ def comparability_audit(g: MetricField, points):
     return G
 
 
-class Quadrature:
-    """The metric, evaluated and audited once, and optionally the weight at
-    the quadrature points of a mesh, from one gather of the cell corners.
-    Per cell: `corners` (nt, 3, 2) and the signed `areas`. Flat per point:
-    `points`, `G`, `sqrtdet`, `measure` = w_q sqrt(det G) |cell|, and `rho`
-    (None without a weight).
+def cell_geometry(m, bary):
+    """The quadrature geometry of mesh m: per cell the (nt, 3, 2) `corners`
+    and signed `areas`, and the flat (nt * nq, 2) `points` at the nq
+    barycentric rows of `bary`, cell by cell."""
+    corners = m.vertices[m.triangles]
+    return corners, corner_areas(corners), (bary @ corners).reshape(-1, 2)
+
+
+def sample_metric(g: MetricField, points, areas, wq):
+    """The one audited sample of g at the quadrature `points` of cells with
+    the given `areas` and rule weights `wq`: flat per point, the matrices
+    `G`, `sqrtdet` = sqrt(det G) and `measure` = w_q sqrt(det G) |cell|.
+    Runs `comparability_audit` and refuses a nonpositive det G.
     """
-
-    def __init__(self, m, g: MetricField, w: WeightField = None, order: int = 2):
-        bary, wq = triangle_quadrature(order)
-        self.corners = m.vertices[m.triangles]
-        self.areas = corner_areas(self.corners)
-        self.points = (bary @ self.corners).reshape(-1, 2)
-        self.G = G = comparability_audit(g, self.points)
-        det = G[:, 0, 0] * G[:, 1, 1] - G[:, 0, 1] * G[:, 1, 0]
-        if det.size and det.min() <= 0.0:
-            raise ComparabilityError("nonpositive det G sampled")
-        self.sqrtdet = sqrtdet = np.sqrt(det)
-        self.measure = (sqrtdet.reshape(-1, len(wq)) * wq
-                        * self.areas[:, None]).ravel()
-        self.rho = None if w is None else w.values(self.points)
-
-    def compact(self):
-        """A copy holding only `measure` and `rho`, the data later
-        integrals read; the other arrays become None."""
-        out = copy.copy(self)
-        out.corners = out.areas = out.points = out.G = out.sqrtdet = None
-        return out
-
-
-def measure_integral(m, g: MetricField, f, quad_order: int = 2) -> float:
-    """Integral of f against the induced measure sqrt(det G) dx.
-
-    `f` is a number or a callable mapping (m, 2) points to (m,) values.
-    Cellwise quadrature over one audited `Quadrature` sample: the sum over
-    cells and points of w * f(x) * sqrt(det G(x)) * |cell|.
-    """
-    q = Quadrature(m, g, order=quad_order)
-    if np.isscalar(f):
-        c = float(f)
-        f = lambda points: np.full(len(points), c)
-    return float(np.sum(_sample(f, q.points, (), "integrand") * q.measure))
+    G = comparability_audit(g, points)
+    det = G[:, 0, 0] * G[:, 1, 1] - G[:, 0, 1] * G[:, 1, 0]
+    if det.size and det.min() <= 0.0:
+        raise ComparabilityError("nonpositive det G sampled")
+    sqrtdet = np.sqrt(det)
+    measure = (sqrtdet.reshape(-1, len(wq)) * wq * areas[:, None]).ravel()
+    return G, sqrtdet, measure

@@ -7,13 +7,12 @@ refinement; `validate` audits the conformity invariants; `save_mesh` and
 `load_mesh` round-trip the RWMESH 1 text format.
 
 Everything works on whole arrays: no Python loop runs over vertices,
-triangles or edges, except in `edge_incidence`'s dictionary. Edges come
-from one sort of the keys min * nv + max (`_undirected_edges`), numbered
-in the order they are first met, as a dictionary filled triangle by
-triangle would number them; refinement is bit-identical to that
-algorithm. Hanging nodes are sought only among the vertices in an edge's
-x-range. RWMESH sections are written by one `str.format` and read by one
-`np.loadtxt` each.
+triangles or edges. Edges come from one sort of the keys min * nv + max
+(`_undirected_edges`), numbered in the order they are first met, as a
+dictionary filled triangle by triangle would number them; refinement is
+bit-identical to that algorithm. Hanging nodes are sought only among the
+vertices in an edge's x-range. RWMESH sections are written by one
+`str.format` and read by one `np.loadtxt` each.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ __all__ = [
     "save_mesh",
     "load_mesh",
     "triangle_areas",
-    "edge_incidence",
 ]
 
 
@@ -231,16 +229,6 @@ def refine_uniform(m: Mesh) -> Mesh:
     k = mid[3 * nt :]
     boundary = np.stack([i, k, tag, k, j, tag], axis=1)
     return Mesh(vertices, triangles.reshape(-1, 3), boundary.reshape(-1, 3))
-
-
-def edge_incidence(m: Mesh):
-    """Map undirected edge (i, j) with i < j -> list of incident triangle indices."""
-    inc = {}
-    for t, (a, b, c) in enumerate(m.triangles):
-        for i, j in ((a, b), (b, c), (c, a)):
-            key = (i, j) if i < j else (j, i)
-            inc.setdefault(key, []).append(t)
-    return inc
 
 
 def validate(m: Mesh) -> list:

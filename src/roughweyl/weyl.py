@@ -2,9 +2,9 @@
 
 The dimension is n = 2 throughout, since every mesh here triangulates a
 2-D domain: the Weyl scaling lambda_k k^(2/n) is lambda_k k, and each
-constant is 1/(4 pi) times an integral of |rho|. Only
-`weyl_constant_factor(n)` keeps the generic formula, whose value at n = 2
-is that 1/(4 pi). Eigenvalue windows default to the middle third band
+constant is 1/(4 pi) times an integral of |rho|: 1/(4 pi) is the value
+at n = 2 of the generic factor (omega_n / (2 pi)^n)^(2/n), omega_n the
+unit-ball volume. Eigenvalue windows default to the middle third band
 [N/3, 2N/3]: low k is preasymptotic and the top of the computed range is
 polluted by discretization (P1 elements overestimate high eigenvalues).
 """
@@ -12,17 +12,15 @@ polluted by discretization (P1 elements overestimate high eigenvalues).
 from __future__ import annotations
 
 import csv
-import math
 
 import numpy as np
 
 from .assembly import _DENSE_LIMIT, assemble
-from .fields import Quadrature
+from .fields import cell_geometry, sample_metric, triangle_quadrature
 from .spectral import Spectrum, solve_weighted
 
 __all__ = [
     "WeylTarget",
-    "weyl_constant_factor",
     "counting",
     "weyl_constants",
     "weyl_target",
@@ -30,12 +28,6 @@ __all__ = [
     "convergence_study",
     "write_spectrum_csv",
 ]
-
-
-def weyl_constant_factor(n: int = 2) -> float:
-    """(omega_n / (2 pi)^n)^(2/n) with omega_n the unit-ball volume."""
-    omega = np.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
-    return float((omega / (2.0 * np.pi) ** n) ** (2.0 / n))
 
 
 class WeylTarget:
@@ -83,24 +75,28 @@ def counting(s: Spectrum, lam: float, sign=1) -> int:
     return int(np.count_nonzero(vals > lam))
 
 
-def weyl_constants(q: Quadrature) -> WeylTarget:
-    """Weyl constants c_± = factor(2) * integral_{M^±} |rho| and
-    vol = Vol(M, g) from one audited quadrature sample `q` with weight.
+def weyl_constants(measure, rho) -> WeylTarget:
+    """Weyl constants c_± = 1/(4 pi) * integral_{M^±} |rho| and
+    vol = Vol(M, g) from one audited quadrature sample: the flat per-point
+    `measure` w_q sqrt(det G) |cell| and weight values `rho`.
 
     M^± is realized as the set of quadrature points where ±rho > 0, so a
     constant is zero exactly when its side carries no quadrature mass.
     """
-    factor = weyl_constant_factor(2)
-    mass = np.abs(q.rho) * q.measure
-    int_plus = float(np.sum(mass * (q.rho > 0.0)))
-    int_minus = float(np.sum(mass * (q.rho < 0.0)))
-    vol = float(np.sum(q.measure))
+    factor = 1.0 / (4.0 * np.pi)
+    mass = np.abs(rho) * measure
+    int_plus = float(np.sum(mass * (rho > 0.0)))
+    int_minus = float(np.sum(mass * (rho < 0.0)))
+    vol = float(np.sum(measure))
     return WeylTarget(factor * int_plus, factor * int_minus, vol)
 
 
 def weyl_target(m, g, w, quad_order: int = 2) -> WeylTarget:
     """`weyl_constants` of a fresh quadrature sample of (m, g, w)."""
-    return weyl_constants(Quadrature(m, g, w, quad_order).compact())
+    bary, wq = triangle_quadrature(quad_order)
+    areas, points = cell_geometry(m, bary)[1:]  # the corners die here
+    measure = sample_metric(g, points, areas, wq)[2]
+    return weyl_constants(measure, w.values(points))
 
 
 def _two_parameter_fit(lam, ks):
@@ -205,7 +201,7 @@ def convergence_study(make_problem, levels, window=None, t: float = 0.0,
 
 def _convergence_row(level, p, s, window):
     """One level's row: the fit of s against the target of p's own sample."""
-    sides = fit_limit(s, window, target=weyl_constants(p.quad))["sides"]
+    sides = fit_limit(s, window, weyl_constants(p.measure, p.rho))["sides"]
     row = {"level": int(level), "free_dofs": int(p.n_free)}
     for label in ("plus", "minus"):
         side = sides[label]

@@ -19,7 +19,6 @@ from roughweyl import (
     MetricField,
     ModelingError,
     Pencil,
-    Quadrature,
     SingularPointError,
     WeightField,
     assemble,
@@ -35,7 +34,9 @@ from roughweyl import (
     poincare_constant,
     pullback_metric,
     refine_uniform,
+    sample_metric,
     triangle_quadrature,
+    weyl_target,
 )
 from roughweyl.assembly import _Householder, _Pattern
 from roughweyl.mesh import triangle_areas
@@ -457,13 +458,14 @@ def assemble_reference(m, g, w, quad_order=2):
     areas = triangle_areas(m)
     edges = np.roll(corners, -2, axis=1) - np.roll(corners, -1, axis=1)
     grads = edges[:, :, ::-1] * [-1.0, 1.0] / (2.0 * areas)[:, None, None]
-    q = Quadrature(m, g, w, quad_order)
+    points = (bary @ corners).reshape(-1, 2)
+    G, sqrtdet, measure = sample_metric(g, points, areas, wq)
     nt, nq, nv = m.num_triangles, len(wq), m.num_vertices
-    adj = q.G.reshape(nt, nq, 4)[:, :, [3, 1, 2, 0]] * [1.0, -1.0, -1.0, 1.0]
-    coeff = ((wq / q.sqrtdet.reshape(nt, nq))[:, None, :] @ adj).reshape(nt, 2, 2)
+    adj = G.reshape(nt, nq, 4)[:, :, [3, 1, 2, 0]] * [1.0, -1.0, -1.0, 1.0]
+    coeff = ((wq / sqrtdet.reshape(nt, nq))[:, None, :] @ adj).reshape(nt, 2, 2)
     Ke = grads @ coeff @ grads.transpose(0, 2, 1) * areas[:, None, None]
     phi2 = (bary[:, :, None] * bary[:, None, :]).reshape(nq, 9)
-    mu = q.measure.reshape(nt, nq)
+    mu = measure.reshape(nt, nq)
     rows = np.repeat(m.triangles, 3, axis=1).ravel()
     cols = np.tile(m.triangles, (1, 3)).ravel()
 
@@ -474,7 +476,8 @@ def assemble_reference(m, g, w, quad_order=2):
         A.sort_indices()
         return A
 
-    return build(Ke), build(mu @ phi2), build((mu * q.rho.reshape(nt, nq)) @ phi2)
+    rho = w.values(points).reshape(nt, nq)
+    return build(Ke), build(mu @ phi2), build((mu * rho) @ phi2)
 
 
 SHEAR = np.array([[1.0, 0.5], [0.0, 1.0]])
@@ -613,9 +616,29 @@ def test_peak_memory_within_four_times_the_pencil():
         tracemalloc.stop()
     kept = sum(a.nbytes for A in (p.K, p.Mm, p.R)
                for a in (A.data, A.indices, A.indptr))
-    kept += p.r.nbytes + p.free_dofs.nbytes + p.quad.measure.nbytes
-    kept += p.quad.rho.nbytes
+    kept += p.r.nbytes + p.free_dofs.nbytes + p.measure.nbytes + p.rho.nbytes
     assert peak <= 4.0 * kept, (peak, kept)
+
+
+def test_weyl_target_peak_memory_within_twelve_samples_per_point():
+    # the corners die before the metric is sampled and G as soon as
+    # `sample_metric` returns, so the traced peak of one L6 weyl_target
+    # stays within 12 floats per quadrature point. The peak (about 11.3)
+    # falls inside the shear pullback's `g.matrices`: the points (2 floats
+    # per point) and cell areas (1/3) live there next to the returned G (4)
+    # and about 5 floats of the pullback's temporaries, its J^T G_b product
+    # among them. Corners still alive there would add 2 more (13.3).
+    m = refine_uniform(generate_unit_square(32))
+    g, w = REFERENCE_METRICS["shear"](), REFERENCE_WEIGHTS["expr"]()
+    weyl_target(generate_unit_square(2), g, w)
+    tracemalloc.start()
+    try:
+        weyl_target(m, g, w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    points = m.num_triangles * len(triangle_quadrature(2)[1])
+    assert peak <= 12 * 8 * points, peak / (8 * points)
 
 
 class TestRestriction:

@@ -34,3 +34,15 @@ def test_layer_metrics_find_every_traced_name():
     assert metrics["spectral.eigs"] == 3
     assert metrics["spectral.dense_s"] > 0.0
     assert not hasattr(rw.assemble, "__wrapped__")  # uninstalled
+
+
+def test_metric_sample_is_a_span_inside_assemble():
+    spans = load_spans()
+    with spans.Tracer() as tracer:
+        rw.assemble(rw.generate_unit_square(4), rw.euclidean_metric(),
+                    rw.constant_weight(1.0), rw.BoundarySpec.dirichlet())
+    names = [span[0] for span in tracer.spans]
+    samples = [span for span in tracer.spans
+               if span[0] == "fields.sample_metric"]
+    assert len(samples) == 1
+    assert names[samples[0][3]] == "assembly.assemble"

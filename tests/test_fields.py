@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from roughweyl.fields import (
     ComparabilityError,
@@ -9,6 +7,7 @@ from roughweyl.fields import (
     MetricField,
     SingularPointError,
     WeightField,
+    cell_geometry,
     checkerboard_metric,
     checkerboard_weight,
     comparability_audit,
@@ -19,12 +18,13 @@ from roughweyl.fields import (
     graph_cone_metric,
     halves_weight,
     lipschitz_graph_metric,
-    measure_integral,
     piecewise_metric,
     pullback_metric,
+    sample_metric,
     triangle_quadrature,
 )
 from roughweyl.mesh import Mesh, generate_disk, generate_unit_square, triangle_areas
+from roughweyl.weyl import weyl_target
 
 REFERENCE = Mesh(
     [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)],
@@ -105,7 +105,7 @@ class TestCone:
         # sqrt(det G) = csc(alpha/2) is constant, so the mesh volume is
         # csc(alpha/2) times the inscribed polygon area, tending to sqrt(2)*pi
         m = generate_disk(8)
-        vol = measure_integral(m, cone_metric(np.pi / 2), 1.0)
+        vol = weyl_target(m, cone_metric(np.pi / 2), constant_weight(1.0)).vol
         sides = 6 * 8
         oracle = np.sqrt(2.0) * 0.5 * sides * np.sin(2 * np.pi / sides)
         assert vol == pytest.approx(oracle, rel=1e-12)
@@ -256,24 +256,28 @@ class TestQuadrature:
         # p! q! / (p + q + 2)!
         from math import factorial
 
-        g = euclidean_metric()
+        bary, wq = triangle_quadrature(order)
+        _, areas, pts = cell_geometry(REFERENCE, bary)
+        measure = sample_metric(euclidean_metric(), pts, areas, wq)[2]
         for p in range(degree + 1):
             for q in range(degree + 1 - p):
-                val = measure_integral(
-                    REFERENCE, g, lambda pts: pts[:, 0] ** p * pts[:, 1] ** q, order
-                )
+                val = np.sum(pts[:, 0] ** p * pts[:, 1] ** q * measure)
                 oracle = factorial(p) * factorial(q) / factorial(p + q + 2)
                 assert val == pytest.approx(oracle, rel=1e-14), (p, q)
 
 
 class TestMeasureIntegral:
+    """Integrals against the induced measure sqrt(det G) dx, read off the
+    audited sample as `weyl_target`'s volume and side constants."""
+
     def test_unit_square_euclidean_is_one(self):
         m = generate_unit_square(4)
-        assert measure_integral(m, euclidean_metric(), 1.0) == pytest.approx(1.0, abs=1e-14)
+        vol = weyl_target(m, euclidean_metric(), constant_weight(1.0)).vol
+        assert vol == pytest.approx(1.0, abs=1e-14)
 
     def test_graph_cone_volume(self):
         m = generate_disk(8)
-        vol = measure_integral(m, graph_cone_metric(), 1.0)
+        vol = weyl_target(m, graph_cone_metric(), constant_weight(1.0)).vol
         oracle = np.sqrt(2.0) * triangle_areas(m).sum()
         assert vol == pytest.approx(oracle, rel=1e-12)
         assert abs(vol - np.sqrt(2.0) * np.pi) < 0.01 * np.sqrt(2.0) * np.pi
@@ -281,9 +285,9 @@ class TestMeasureIntegral:
     def test_checkerboard_color_areas(self):
         m = generate_unit_square(8)
         w = checkerboard_weight(1.0, -1.0, cells=2)
-        g = euclidean_metric()
-        plus = measure_integral(m, g, lambda pts: (w.values(pts) > 0).astype(float))
-        absval = measure_integral(m, g, lambda pts: np.abs(w.values(pts)))
+        t = weyl_target(m, euclidean_metric(), w)
+        plus = 4.0 * np.pi * t.c_plus
+        absval = 4.0 * np.pi * (t.c_plus + t.c_minus)
         assert plus == pytest.approx(0.5, abs=1e-14)
         assert absval == pytest.approx(1.0, abs=1e-14)
 
@@ -291,30 +295,12 @@ class TestMeasureIntegral:
         # the cone tip is a mesh vertex and quadrature points are interior
         m = generate_disk(2)
         for order in (1, 2, 4):
-            measure_integral(m, graph_cone_metric(), 1.0, order)
-
-    @settings(max_examples=20, deadline=None)
-    @given(a=st.floats(-5, 5), b=st.floats(-5, 5))
-    def test_linear_in_integrand(self, a, b):
-        m = generate_unit_square(3)
-        g = checkerboard_metric(1.0, 2.0)
-        f1 = lambda pts: np.sin(pts[:, 0])
-        f2 = lambda pts: pts[:, 1] ** 2
-        combined = measure_integral(m, g, lambda pts: a * f1(pts) + b * f2(pts))
-        parts = a * measure_integral(m, g, f1) + b * measure_integral(m, g, f2)
-        assert combined == pytest.approx(parts, abs=1e-12)
+            weyl_target(m, graph_cone_metric(), constant_weight(1.0), order)
 
     def test_audits_declared_bounds(self):
         g = MetricField(lambda pts: np.broadcast_to(3.0 * np.eye(2), (len(pts), 2, 2)), 1.0, 1.0)
         with pytest.raises(ComparabilityError, match="eigenvalues"):
-            measure_integral(generate_unit_square(2), g, 1.0)
-
-    def test_monotone_in_integrand(self):
-        m = generate_disk(3)
-        g = graph_cone_metric()
-        lo = measure_integral(m, g, lambda pts: pts[:, 0])
-        hi = measure_integral(m, g, lambda pts: pts[:, 0] + 0.25)
-        assert lo < hi
+            weyl_target(generate_unit_square(2), g, constant_weight(1.0))
 
 
 class TestBatchContract:
@@ -327,14 +313,10 @@ class TestBatchContract:
         lambda pts: piecewise_metric([(lambda p: p[0] < 0.5, np.eye(2)),
                                       (lambda p: p[0] >= 0.5, np.eye(2))]
                                      ).matrices(pts),
-        # the size-2 square has 8 cells, so 8 points at order 1
-        lambda pts: measure_integral(generate_unit_square(2),
-                                     euclidean_metric(), lambda p: p[0], 1),
-    ], ids=["metric", "weight", "predicate", "integrand"])
+    ], ids=["metric", "weight", "predicate"])
     def test_single_point_callable_rejected(self, sample):
-        pts = sample_points()[:8]
         with pytest.raises(ValueError, match="shape"):
-            sample(pts)
+            sample(sample_points())
 
 
 class TestAudit:

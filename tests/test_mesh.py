@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from roughweyl.mesh import (
     Mesh,
     MeshFormatError,
-    edge_incidence,
     generate_disk,
     generate_unit_square,
     load_mesh,
@@ -509,11 +508,3 @@ class TestMeshIO:
         assert np.array_equal(back.vertices, m.vertices)
         assert np.array_equal(back.triangles, m.triangles)
         assert np.array_equal(back.boundary_edges, m.boundary_edges)
-
-
-def test_edge_incidence_interior_vs_boundary():
-    m = generate_unit_square(2)
-    inc = edge_incidence(m)
-    counts = sorted(len(v) for v in inc.values())
-    assert counts.count(1) == 8  # boundary edges
-    assert all(c in (1, 2) for c in counts)

@@ -31,7 +31,6 @@ from roughweyl.weyl import (
     convergence_study,
     counting,
     fit_limit,
-    weyl_constant_factor,
     weyl_constants,
     weyl_target,
     write_spectrum_csv,
@@ -50,19 +49,17 @@ def lattice_spectrum(count=500):
 
 class TestWeylConstantFactor:
     def test_plane_value(self):
-        assert weyl_constant_factor(2) == pytest.approx(FOUR_PI_INV, rel=1e-15)
-
-    def test_generic_formula_at_other_dimensions(self):
-        # omega_3 = 4 pi / 3, so the factor is (1/(6 pi^2))^(2/3)
-        assert weyl_constant_factor(3) == pytest.approx(
-            (1.0 / (6.0 * np.pi ** 2)) ** (2.0 / 3.0), rel=1e-14)
-        assert weyl_constant_factor(1) == pytest.approx(
-            (2.0 / (2.0 * np.pi)) ** 2.0, rel=1e-14)
+        # (omega_2 / (2 pi)^2)^(2/2) = 1/(4 pi), the constant of the
+        # Euclidean unit square with weight 1
+        p = assemble(generate_unit_square(4), build_metric("euclidean"),
+                     build_weight("const:1"), BoundarySpec.dirichlet())
+        t = weyl_constants(p.measure, p.rho)
+        assert t.c_plus == pytest.approx(FOUR_PI_INV, rel=1e-14)
+        assert t.c_minus == 0.0
 
 
 def test_import_leaves_scipy_special_unloaded():
-    # the Weyl constant needs only the gamma function of the standard
-    # library; scipy.special is a slow import nothing else needs
+    # scipy.special is a slow import nothing needs
     code = "import sys, roughweyl; print('scipy.special' in sys.modules)"
     src = os.path.dirname(os.path.dirname(roughweyl.__file__))
     out = subprocess.run([sys.executable, "-c", code], check=True,
@@ -141,7 +138,7 @@ class TestWeylTarget:
         m = generate_unit_square(8) if mesh == "square" else generate_disk(6)
         g, w = build_metric(metric), build_weight(weight)
         p = assemble(m, g, w, BoundarySpec.dirichlet())
-        a, b = weyl_target(m, g, w), weyl_constants(p.quad)
+        a, b = weyl_target(m, g, w), weyl_constants(p.measure, p.rho)
         assert (a.c_plus, a.c_minus, a.vol) == (b.c_plus, b.c_minus, b.vol)
 
     def test_quadrature_orders_agree_for_piecewise_constant(self):
