@@ -16,10 +16,12 @@ The three forms share one sparsity pattern, numbered once per call
 triangle edge, in CSR order. Each form scatters its element matrices into
 that pattern with one `np.bincount` in element order, so assembled
 matrices are bit-reproducible, then symmetrizes each edge's pair of
-entries to their mean and drops exact zeros. The P1 gradients are formed
-before the metric is sampled, element arrays one form at a time, and each
-per-point array is released as soon as it has been used, so the peak
-memory of `assemble` stays within a few times what the pencil keeps.
+entries to their mean and drops exact zeros. The stiffness is formed from
+the edge vectors of each cell and one quadrature sum of G / sqrt(det G),
+with no gradients and no batched matrix products; element arrays are made
+one form at a time, and each per-point array is released as soon as it
+has been used, so the peak memory of `assemble` stays within a few times
+what the pencil keeps.
 """
 
 from __future__ import annotations
@@ -241,13 +243,6 @@ class _Pattern:
                                  shape=(nv, nv))
 
 
-def _gradients(corners, areas):
-    """The (nt, 3, 2) constant P1 gradients of cells with the given
-    corners and areas: grad phi_i = rot90(edge opposite i) / (2 area)."""
-    grads = corners[:, [2, 0, 1]] - corners[:, [1, 2, 0]]
-    return grads[:, :, ::-1] * [-1.0, 1.0] / (2.0 * areas)[:, None, None]
-
-
 def assemble(m: Mesh, g: MetricField, w: WeightField, bc: BoundarySpec,
              quad_order: int = 2) -> Pencil:
     """Assemble the stiffness/mass/weighted-mass pencil on P1 elements.
@@ -259,6 +254,12 @@ def assemble(m: Mesh, g: MetricField, w: WeightField, bc: BoundarySpec,
         Mm_e(i,j) = sum_q w_q phi_i phi_j sqrt(det G) |cell|
         R_e(i,j)  = sum_q w_q rho phi_i phi_j sqrt(det G) |cell|
 
+    In 2-D the stiffness needs no gradients. With e_i the edge opposite
+    vertex i, grad phi_i = rot90(e_i) / (2 |cell|), and the rotation turns
+    the coefficient adj(G) / sqrt(det G) back into G / sqrt(det G), so
+
+        K_e(i,j)  = e_i . H e_j / (4 |cell|),  H = sum_q w_q G / sqrt(det G)
+
     The comparability audit runs on every quadrature point. Dirichlet
     vertices (any incident Dirichlet-tagged edge) are removed from
     `free_dofs`.
@@ -266,25 +267,47 @@ def assemble(m: Mesh, g: MetricField, w: WeightField, bc: BoundarySpec,
     bc = bc.resolve(m)
     bary, wq = triangle_quadrature(quad_order)
     corners, areas, points = cell_geometry(m, bary)
-    if areas.size == 0 or areas.min() <= 0.0:
-        raise ValueError("mesh has nonpositive triangle areas")
     nt, nq, nv = m.num_triangles, len(wq), m.num_vertices
-    grads = _gradients(corners, areas)
+    # edges[d, i]: coordinate d of the edge from local vertex i + 1 to i + 2
+    edges = np.empty((2, 3, nt))
+    for i in range(3):
+        for d in range(2):
+            np.subtract(corners[:, (i + 2) % 3, d], corners[:, (i + 1) % 3, d],
+                        out=edges[d, i])
     del corners
 
-    # stiffness: coefficient G^{-1} sqrt(det G) = adj(G) / sqrt(det G),
-    # 0-homogeneous in G in 2-D
+    # H / (4 |cell|), its entries 00, 01, 10, 11 as the rows of h; only the
+    # symmetric part of H reaches the symmetrized K, so h[1] takes the mean
+    # of the two off-diagonal entries
     G, sqrtdet, measure = sample_metric(g, points, areas, wq)
-    coeff = (wq / sqrtdet.reshape(nt, nq))[:, None, :] @ G.reshape(nt, nq, 4)
-    del G, sqrtdet
-    coeff = (coeff[:, 0, [3, 1, 2, 0]] * [1.0, -1.0, -1.0, 1.0]).reshape(nt, 2, 2)
+    G = G.reshape(nt, nq, 4)
+    scale = wq / sqrtdet.reshape(nt, nq)
+    del sqrtdet
+    h = np.zeros((4, nt))
+    for q in range(nq):
+        h += G[:, q].T * scale[:, q]
+    del G, scale
+    h /= 4.0 * areas
+    h[1] += h[2]
+    h[1] *= 0.5
     rho = w.values(points)
-    del points
+    del points, areas
     pattern = _Pattern(m.triangles, nv)
-    # element stiffness |cell| B^T C B, the columns of B the gradients
-    K = pattern.form(grads @ coeff @ grads.transpose(0, 2, 1)
-                     * areas[:, None, None])
-    del grads, areas, coeff
+    # element stiffness e_i . H e_j, one entry per pair i <= j
+    x, y = edges
+    elements = np.empty((nt, 3, 3))
+    for j in range(3):
+        hx = h[0] * x[j]
+        hx += h[1] * y[j]
+        hy = h[1] * x[j]
+        hy += h[3] * y[j]
+        for i in range(j + 1):
+            np.multiply(x[i], hx, out=elements[:, i, j])
+            elements[:, i, j] += y[i] * hy
+            elements[:, j, i] = elements[:, i, j]
+    del edges, x, y, h, hx, hy
+    K = pattern.form(elements)
+    del elements
 
     # mass and weighted mass share phi_i(x_q) phi_j(x_q) = bary outer products
     phi2 = (bary[:, :, None] * bary[:, None, :]).reshape(nq, 9)

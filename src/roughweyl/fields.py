@@ -156,7 +156,13 @@ def lipschitz_graph_metric(grad_f, lipschitz_bound,
 
     def batch(points):
         v = _sample(grad_f, points, (2,), "gradient")
-        return np.eye(2) + v[:, :, None] * v[:, None, :]
+        out = np.empty((len(v), 2, 2))
+        np.multiply(v[:, 0], v[:, 1], out=out[:, 0, 1])
+        out[:, 1, 0] = out[:, 0, 1]
+        for i in range(2):
+            np.multiply(v[:, i], v[:, i], out=out[:, i, i])
+            out[:, i, i] += 1.0
+        return out
 
     return MetricField(batch, 1.0, np.sqrt(1.0 + L * L),
                        singular_points=singular_points)
@@ -214,19 +220,20 @@ def piecewise_metric(regions) -> MetricField:
             raise ValueError("region matrix must be positive definite")
         mats.append(mat)
     eigs = np.concatenate([np.linalg.eigvalsh(m) for m in mats])
+    mats = np.array(mats)
 
     def batch(points):
-        out = np.empty((len(points), 2, 2))
+        which = np.zeros(len(points), dtype=np.intp)  # the first region hit
         remaining = np.ones(len(points), dtype=bool)
-        for (pred, _), mat in zip(regions, mats):
+        for k, (pred, _) in enumerate(regions):
             mask = _sample(pred, points, (), "region predicate").astype(bool)
             hit = remaining & mask
-            out[hit] = mat
+            which[hit] = k
             remaining &= ~hit
         if remaining.any():
             p = points[np.nonzero(remaining)[0][0]]
             raise ValueError("point {} matches no region".format(tuple(p)))
-        return out
+        return np.take(mats, which, axis=0)
 
     return MetricField(batch, np.sqrt(eigs.min()), np.sqrt(eigs.max()))
 
@@ -268,12 +275,37 @@ def pullback_metric(base: MetricField, phi, jacobian,
     def batch(points):
         J = _sample(jacobian, points, (2, 2), "Jacobian")
         det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-        if np.abs(det).min() < 1e-14:
+        if det.size and np.abs(det).min() < 1e-14:
             raise ValueError("singular Jacobian sample")
-        Gb = base.matrices(_sample(phi, points, (2,), "map"))
-        return J.transpose(0, 2, 1) @ Gb @ J
+        del det
+        return _congruence(J, base.matrices(_sample(phi, points, (2,), "map")))
 
     return MetricField(batch, base.c_lo * s_lo, base.c_hi * s_hi)
+
+
+def _congruence(J, G):
+    """J^T G J of (m, 2, 2) batches, entry by entry, from the upper triangle
+    of G: exactly symmetric wherever G is. Where the lower triangle of G
+    differs, its remainder (G_10 - G_01) J^T e_1 e_0^T J is added, so an
+    asymmetric G stays visible to the audit."""
+    out = np.empty(J.shape)
+    a, b, c = G[:, 0, 0], G[:, 0, 1], G[:, 1, 1]
+    for k in range(2):
+        x, y = J[:, 0, k], J[:, 1, k]  # column k of J, and G times it
+        gx = a * x
+        gx += b * y
+        gy = b * x
+        gy += c * y
+        np.multiply(x, gx, out=out[:, k, k])
+        out[:, k, k] += y * gy
+    # gx, gy hold G times column 1 of J; entry 01 is its product with column 0
+    np.multiply(J[:, 0, 0], gx, out=out[:, 0, 1])
+    out[:, 0, 1] += J[:, 1, 0] * gy
+    out[:, 1, 0] = out[:, 0, 1]
+    lower = G[:, 1, 0]
+    if (lower != b).any():
+        out += (lower - b)[:, None, None] * J[:, 1, :, None] * J[:, 0, None, :]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -554,10 +586,16 @@ def comparability_audit(g: MetricField, points):
 
 def cell_geometry(m, bary):
     """The quadrature geometry of mesh m: per cell the (nt, 3, 2) `corners`
-    and signed `areas`, and the flat (nt * nq, 2) `points` at the nq
-    barycentric rows of `bary`, cell by cell."""
+    and `areas`, and the flat (nt * nq, 2) `points` at the nq barycentric
+    rows of `bary`, cell by cell. Refuses a mesh with no cells, or with a
+    clockwise or degenerate cell (area <= 0)."""
     corners = m.vertices[m.triangles]
-    return corners, corner_areas(corners), (bary @ corners).reshape(-1, 2)
+    areas = corner_areas(corners)
+    if areas.size == 0:
+        raise ValueError("mesh has no triangles")
+    if areas.min() <= 0.0:
+        raise ValueError("mesh has nonpositive triangle areas")
+    return corners, areas, (bary @ corners).reshape(-1, 2)
 
 
 def sample_metric(g: MetricField, points, areas, wq):

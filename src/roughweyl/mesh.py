@@ -12,7 +12,7 @@ triangles or edges. Edges come from one sort of the keys min * nv + max
 dictionary filled triangle by triangle would number them; refinement is
 bit-identical to that algorithm. Hanging nodes are sought only among the
 vertices in an edge's x-range. RWMESH sections are written by one
-`str.format` and read by one `np.loadtxt` each.
+%-format and read by one `np.loadtxt` each.
 """
 
 from __future__ import annotations
@@ -312,11 +312,12 @@ def save_mesh(m: Mesh, path) -> None:
     same bits.
     """
     text = ["RWMESH 1\n"]
-    for name, a in (("VERTICES", m.vertices), ("TRIANGLES", m.triangles),
-                    ("BOUNDARY", m.boundary_edges)):
-        row = " ".join(["{}"] * a.shape[1]) + "\n"
-        text.append("{} {}\n".format(name, len(a)))
-        text.append((row * len(a)).format(*a.ravel().tolist()))
+    for name, a, field in (("VERTICES", m.vertices, "%r"),
+                           ("TRIANGLES", m.triangles, "%d"),
+                           ("BOUNDARY", m.boundary_edges, "%d")):
+        row = " ".join([field] * a.shape[1]) + "\n"
+        text.append("%s %d\n" % (name, len(a)))
+        text.append((row * len(a)) % tuple(a.ravel().tolist()))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("".join(text))
 

@@ -563,6 +563,37 @@ class TestAgainstCooReference:
         g, w = REFERENCE_METRICS[metric](), halves_weight(1.0, -1.0)
         self.assert_matches(assemble(m, g, w, BoundarySpec.dirichlet()), m, g, w)
 
+    def test_single_cells_under_constant_metrics(self):
+        # the edge-vector stiffness e_i . H e_j / (4 |cell|) of `assemble`
+        # against the gradient form of `assemble_reference`, one random
+        # cell at a time: acute, obtuse and nearly degenerate. Both forms
+        # round to about cond(G) ulps of the largest entry, so the random
+        # SPD metric keeps its condition number within 4.
+        rng = np.random.default_rng(11)
+        w = WeightField(lambda pts: np.ones(len(pts)))
+        eps = np.finfo(float).eps
+        for t in range(150):
+            P = rng.standard_normal((3, 2)) * 10.0 ** rng.uniform(-3, 3)
+            if t % 3:  # apex at relative height 0.05 or 1e-7 over a base
+                base = P[1] - P[0]
+                height = (0.05 if t % 3 == 1 else 1e-7) * np.linalg.norm(base)
+                P[2] = (P[0] + rng.uniform(-0.5, 1.5) * base
+                        + height * rng.standard_normal(2))
+            m = Mesh(P, [(0, 1, 2)], [(0, 1, 0), (1, 2, 0), (2, 0, 0)])
+            if triangle_areas(m)[0] < 0.0:
+                m = Mesh(P, [(0, 2, 1)], [(0, 2, 0), (2, 1, 0), (1, 0, 0)])
+            turn = rng.uniform(0.0, np.pi)
+            rot = np.array([[np.cos(turn), -np.sin(turn)],
+                            [np.sin(turn), np.cos(turn)]])
+            lam = rng.uniform(0.5, 2.0, 2) * 10.0 ** rng.uniform(-2, 2)
+            G = (rot * lam) @ rot.T
+            G[1, 0] = G[0, 1]
+            g = MetricField(lambda pts, G=G: np.broadcast_to(G, (len(pts), 2, 2)),
+                            0.99 * np.sqrt(lam.min()), 1.01 * np.sqrt(lam.max()))
+            K = assemble(m, g, w, BoundarySpec.neumann()).K.toarray()
+            want = assemble_reference(m, g, w)[0].toarray()
+            assert np.abs(K - want).max() <= 4.0 * eps * np.abs(want).max(), t
+
     def test_unused_vertex_has_empty_rows(self):
         m = generate_unit_square(3)
         m = Mesh(np.vstack([m.vertices, [[0.5, 2.0]]]), m.triangles,
@@ -623,11 +654,13 @@ def test_peak_memory_within_four_times_the_pencil():
 def test_weyl_target_peak_memory_within_twelve_samples_per_point():
     # the corners die before the metric is sampled and G as soon as
     # `sample_metric` returns, so the traced peak of one L6 weyl_target
-    # stays within 12 floats per quadrature point. The peak (about 11.3)
-    # falls inside the shear pullback's `g.matrices`: the points (2 floats
-    # per point) and cell areas (1/3) live there next to the returned G (4)
-    # and about 5 floats of the pullback's temporaries, its J^T G_b product
-    # among them. Corners still alive there would add 2 more (13.3).
+    # stays within 12 floats per quadrature point. The peak (about 10.7)
+    # falls in `sample_metric` as it forms the measure: the points (2
+    # floats per point) and cell areas (1/3) live there next to G (4),
+    # det G and its square root (2) and the measure with one temporary
+    # (2). The shear pullback's `g.matrices` peaks lower (9.3): it forms
+    # J^T G_b J entry by entry, with 3 floats of temporaries next to the
+    # G it returns. Corners still alive would add 2 more.
     m = refine_uniform(generate_unit_square(32))
     g, w = REFERENCE_METRICS["shear"](), REFERENCE_WEIGHTS["expr"]()
     weyl_target(generate_unit_square(2), g, w)

@@ -86,6 +86,14 @@ class TestLipschitzGraph:
             g.matrices(np.array([[0.5, 0.5]]))
 
 
+    def test_entries_are_identity_plus_outer_product(self):
+        v = np.random.default_rng(3).standard_normal((200, 2))
+        G = lipschitz_graph_metric(lambda pts: v, 10.0).matrices(
+            np.zeros((200, 2)))
+        np.testing.assert_array_equal(G, np.eye(2) + v[:, :, None] * v[:, None, :])
+        np.testing.assert_array_equal(G[:, 0, 1], G[:, 1, 0])
+
+
 class TestCone:
     def test_flat_cone_is_euclidean(self):
         g = cone_metric(np.pi)
@@ -169,6 +177,39 @@ class TestPullback:
                             lambda pts: np.zeros((len(pts), 2, 2)))
         with pytest.raises(ValueError, match="[Ss]ingular"):
             g.matrices(np.array([[0.5, 0.5]]))
+
+    def test_empty_batch(self):
+        g = pullback_metric(euclidean_metric(), lambda pts: pts,
+                            lambda pts: np.broadcast_to(np.eye(2), (len(pts), 2, 2)))
+        assert g.matrices(np.empty((0, 2))).shape == (0, 2, 2)
+
+    @staticmethod
+    def random_pullback(Gb, n=300, seed=4):
+        """The pullback of the per-point base matrices Gb by random
+        Jacobians J, and J."""
+        J = np.random.default_rng(seed).standard_normal((n, 2, 2))
+        base = MetricField(lambda pts: Gb, 1.0, 1.0)
+        return pullback_metric(base, lambda pts: pts, lambda pts: J), J
+
+    def test_entries_are_the_congruence(self):
+        A = np.random.default_rng(5).standard_normal((300, 2, 2))
+        Gb = A @ A.transpose(0, 2, 1) + 0.1 * np.eye(2)
+        g, J = self.random_pullback(Gb)
+        G = g.matrices(np.zeros((300, 2)))
+        want = J.transpose(0, 2, 1) @ Gb @ J
+        tol = 8 * np.finfo(float).eps * np.abs(J).max(axis=(1, 2)) ** 2 \
+            * np.abs(Gb).max(axis=(1, 2))
+        assert (np.abs(G - want).max(axis=(1, 2)) <= tol).all()
+        np.testing.assert_array_equal(G[:, 0, 1], G[:, 1, 0])
+
+    def test_asymmetric_base_stays_asymmetric(self):
+        Gb = np.broadcast_to([[2.0, 0.25], [0.5, 1.0]], (300, 2, 2))
+        g, J = self.random_pullback(Gb)
+        G = g.matrices(np.zeros((300, 2)))
+        np.testing.assert_allclose(G, J.transpose(0, 2, 1) @ Gb @ J,
+                                   rtol=0, atol=1e-12 * np.abs(G).max())
+        with pytest.raises(ComparabilityError, match="asymmetry"):
+            comparability_audit(g, np.zeros((300, 2)))
 
 
 class TestWeights:

@@ -152,6 +152,30 @@ class TestWeylTarget:
         with pytest.raises(ValueError, match="nonnegative"):
             WeylTarget(-0.1, 0.0, 1.0)
 
+    @pytest.mark.parametrize("reversed_", ["one", "all"])
+    @pytest.mark.parametrize("metric", ["euclidean", "pullback:shear=0.5"])
+    def test_clockwise_cells_rejected(self, reversed_, metric):
+        m = generate_unit_square(4)
+        tris = m.triangles.copy()
+        flip = slice(0, 1) if reversed_ == "one" else slice(None)
+        tris[flip] = tris[flip, ::-1]
+        m = Mesh(m.vertices, tris, m.boundary_edges)
+        g, w = build_metric(metric), constant_weight(1.0)
+        for call in (lambda: weyl_target(m, g, w),
+                     lambda: assemble(m, g, w, BoundarySpec.dirichlet())):
+            with pytest.raises(ValueError, match="nonpositive triangle areas"):
+                call()
+
+    @pytest.mark.parametrize("metric", ["euclidean", "pullback:shear=0.5"])
+    def test_mesh_without_triangles_rejected(self, metric):
+        m = generate_unit_square(2)
+        m = Mesh(m.vertices, np.empty((0, 3), dtype=np.int64), m.boundary_edges)
+        g, w = build_metric(metric), constant_weight(1.0)
+        for call in (lambda: weyl_target(m, g, w),
+                     lambda: assemble(m, g, w, BoundarySpec.dirichlet())):
+            with pytest.raises(ValueError, match="no triangles"):
+                call()
+
 
 class TestCounting:
     def crafted(self):
