@@ -323,11 +323,6 @@ def assemble(m: Mesh, g: MetricField, w: WeightField, bc: BoundarySpec,
     ones = np.ones(nv)
     r = R @ ones  # r_i = integral rho phi_i d mu, by partition of unity
 
-    mean = float(r.sum())
-    scale = max(1.0, float(np.abs(r).sum()))
-    if w.nonzero_mean_required and abs(mean) <= 1e-10 * scale:
-        raise ModelingError("weight mean vanishes: integral of rho d mu = 0")
-
     # tau = 1 iff constants are free (no Dirichlet vertex) and K 1 = 0
     tau = 0
     if dirichlet.size == 0:

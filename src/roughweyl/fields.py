@@ -120,13 +120,10 @@ class WeightField:
 
     `eval` is vectorized, (m, 2) points -> (m,) values. The model assumes
     rho in L^beta for some beta > n/2 = 1, a hypothesis that is not checked.
-    `nonzero_mean_required` mirrors the hypothesis that the weight does
-    not integrate to zero, enforced against the assembled quadrature value.
     """
 
-    def __init__(self, eval, nonzero_mean_required=False):
+    def __init__(self, eval):
         self.eval = eval
-        self.nonzero_mean_required = bool(nonzero_mean_required)
 
     def values(self, points):
         """Evaluate at an (m, 2) array of points; returns (m,)."""
@@ -186,7 +183,8 @@ def cone_metric(alpha: float) -> MetricField:
     """Cone of opening angle alpha: csc^2(alpha/2) radially, 1 tangentially.
 
     In Cartesian chart coordinates G(x) = csc^2(a/2) P_r(x) + P_t(x) with
-    P_r, P_t the radial and tangential projectors at x. Flat exactly when
+    P_r, P_t the radial and tangential projectors at x, formed entry by
+    entry as I + (csc^2(a/2) - 1) x x^T / |x|^2. Flat exactly when
     alpha = pi. The tip (origin) is singular.
     """
     alpha = float(alpha)
@@ -195,9 +193,20 @@ def cone_metric(alpha: float) -> MetricField:
     c2 = 1.0 / np.sin(alpha / 2.0) ** 2
 
     def batch(points):
-        r2 = (points ** 2).sum(axis=1)
-        pr = points[:, :, None] * points[:, None, :] / r2[:, None, None]
-        return c2 * pr + (np.eye(2) - pr)
+        x, y = points[:, 0], points[:, 1]
+        s = x * x
+        s += y * y
+        np.divide(c2 - 1.0, s, out=s)  # (c2 - 1) / |x|^2
+        G = np.empty((len(points), 2, 2))
+        sx = s * x
+        np.multiply(sx, x, out=G[:, 0, 0])
+        np.multiply(sx, y, out=G[:, 0, 1])
+        G[:, 1, 0] = G[:, 0, 1]
+        s *= y
+        np.multiply(s, y, out=G[:, 1, 1])
+        G[:, 0, 0] += 1.0
+        G[:, 1, 1] += 1.0
+        return G
 
     return MetricField(batch, 1.0, np.sqrt(c2), singular_points=[(0.0, 0.0)])
 
@@ -247,17 +256,19 @@ def _even_cell(points, cells):
 
 
 def checkerboard_metric(a=1.0, b=2.0, cells=2) -> MetricField:
-    """Checkerboard of a*I and b*I on a cells x cells grid over [0,1]^2."""
+    """Checkerboard of a*I and b*I on a cells x cells grid over [0,1]^2.
+    Regions match first-hit, so the odd cells are whatever the even
+    predicate leaves."""
     if cells < 1:
         raise ValueError("cells must be >= 1")
 
     def even(points):
         return _even_cell(points, cells)
 
-    def odd(points):
-        return ~even(points)
+    def rest(points):
+        return np.ones(len(points), dtype=bool)
 
-    return piecewise_metric([(even, a * np.eye(2)), (odd, b * np.eye(2))])
+    return piecewise_metric([(even, a * np.eye(2)), (rest, b * np.eye(2))])
 
 
 def pullback_metric(base: MetricField, phi, jacobian,
@@ -316,8 +327,7 @@ def constant_weight(v: float) -> WeightField:
     v = float(v)
     if v == 0.0:
         raise ValueError("constant weight must be nonzero")
-    return WeightField(lambda points: np.full(len(points), v),
-                       nonzero_mean_required=True)
+    return WeightField(lambda points: np.full(len(points), v))
 
 
 def halves_weight(v_plus: float, v_minus: float) -> WeightField:
@@ -608,6 +618,6 @@ def sample_metric(g: MetricField, points, areas, wq):
     det = G[:, 0, 0] * G[:, 1, 1] - G[:, 0, 1] * G[:, 1, 0]
     if det.size and det.min() <= 0.0:
         raise ComparabilityError("nonpositive det G sampled")
-    sqrtdet = np.sqrt(det)
+    sqrtdet = np.sqrt(det, out=det)
     measure = (sqrtdet.reshape(-1, len(wq)) * wq * areas[:, None]).ravel()
     return G, sqrtdet, measure

@@ -124,7 +124,7 @@ def project_constraint(p: Pencil):
     if p.tau == 0:
         return None
     rf = p.r_free
-    scale = max(1.0, float(np.abs(rf).sum()))
+    scale = float(np.abs(rf).sum())
     if np.linalg.norm(rf) <= 1e-14 * scale:
         raise ModelingError("constraint vector r vanishes")
     if abs(float(rf.sum())) <= 1e-10 * scale:
@@ -136,9 +136,10 @@ def project_constraint(p: Pencil):
 
 
 def _split_signed(w, V, k_each):
-    """Split ascending (w, columns) into descending signed lists."""
-    scale = max(1.0, float(np.abs(w).max()) if len(w) else 1.0)
-    ztol = 1e-12 * scale
+    """Split ascending (w, columns) into descending signed lists. Values
+    within 1e-12 of the largest |w| count as zero, a relative cut, since
+    scaling the weight scales the spectrum."""
+    ztol = 1e-12 * float(np.abs(w).max()) if len(w) else 0.0
     ipos = np.nonzero(w > ztol)[0][::-1][:k_each]
     ineg = np.nonzero(w < -ztol)[0][:k_each]
     pos, neg = w[ipos], -w[ineg]

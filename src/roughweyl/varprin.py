@@ -6,13 +6,16 @@ collect results across checks. Margins are signed so that anything at or
 above -tolerance passes; the tolerance is absolute, 1e-9, because the
 discrete inequalities hold exactly up to roundoff.
 
-Subspace trials draw Gaussian coefficient vectors from a seeded generator
-and orthonormalize in the E_t inner product, which makes the sampled
-subspaces rotation-invariant and the reports reproducible. For constrained
-spectra (tau = 1, t = 0) all operators are first reduced onto an
-orthonormal basis of the constraint subspace, a rank-two Householder
-update, so the samplers never leave it and projected pencils stay
-nonsingular.
+Each trial draws Gaussian columns from a seeded generator, takes the
+extremum of the Rayleigh quotient R/E_t over the subspace they define and
+records its signed margin against lambda_k; one summary per family keeps
+the worst margin, the violation count and the attainment gap. The
+max-min extremum over V = span(X) is an extreme eigenvalue of the k x k
+projected pencil (X^T R X, X^T Kt X), which depends on V alone, not on
+the basis X. For constrained spectra (tau = 1, t = 0) all operators are
+first reduced onto an orthonormal basis of the constraint subspace, a
+rank-two Householder update, so the samplers never leave it and
+projected pencils stay nonsingular.
 
 The Courant checker works in Cholesky standard form: with Kt = L L^T
 factored once, C = L^{-1} R L^{-T} carries the pencil, and the extremum
@@ -35,7 +38,7 @@ from __future__ import annotations
 import json
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky, eigh, qr, solve_triangular
+from scipy.linalg import cholesky, eigh, qr, solve_triangular
 
 from .assembly import (
     _DENSE_LIMIT,
@@ -62,7 +65,6 @@ __all__ = [
 ]
 
 TOLERANCE = 1e-9
-_MAX_RESAMPLE = 50
 
 
 def _reduced_operators(s: Spectrum, p):
@@ -101,17 +103,6 @@ def _signed_items(s: Spectrum, vp, vn, k):
     return out
 
 
-def _orthonormal_sample(rng, n, k, Kt):
-    """Gaussian k-frame, E_t-orthonormalized; None when degenerate."""
-    X = rng.standard_normal((n, k))
-    G = X.T @ Kt @ X
-    try:
-        L = cholesky(G, lower=True)
-    except LinAlgError:
-        return None
-    return X @ solve_triangular(L, np.eye(k), lower=True).T
-
-
 def _check_supplied(s: Spectrum, t, n_free, need):
     """Reject a precomputed spectrum that is not of the checked pencil at
     t, or that a smaller k_each cut short of `need` values on a side."""
@@ -137,6 +128,18 @@ def _require_positive(**counts):
             raise ValueError("{} must be >= 1, got {}".format(name, value))
 
 
+def _side(lam_k, margins, attained):
+    """One family's summary: the worst of its trial margins, how many of
+    them fall below -tolerance, and how far the attaining subspace's
+    extremum lies from lambda_k."""
+    margins = np.asarray(margins)
+    return {
+        "worst_margin": float(margins.min()),
+        "violations": int((margins < -TOLERANCE).sum()),
+        "attainment_gap": float(abs(attained - lam_k)),
+    }
+
+
 def _finish(name, k, trials, seed, sides):
     passed = bool(sides) and all(
         d["violations"] == 0 and d["attainment_gap"] <= TOLERANCE
@@ -158,41 +161,25 @@ def check_poincare_minmax(s: Spectrum, p, k: int, trials: int = 100,
     """Max-min principle: every k-dim subspace V has min_V ratio <= lambda_k^+
     and max_V ratio >= -lambda_k^- where those families have k members.
 
-    The extremum over V is an eigenvalue of the projected k x k pencil; with
-    an E_t-orthonormal basis X the pencil is just (X^T R X, I). Attainment:
-    V spanned by the first k eigenvectors of the matching sign gives
-    equality. Degenerate draws are resampled and counted.
+    V is the span of k Gaussian columns X, and the extremum over it is the
+    bottom (top) eigenvalue of the projected pencil (X^T R X, X^T Kt X).
+    Attainment: V spanned by the first k eigenvectors of the matching sign
+    gives equality.
     """
     _require_positive(k=k, trials=trials)
     Kt, R, vp, vn = _reduced_operators(s, p)
     rng = np.random.default_rng(seed)
+    n = Kt.shape[0]
+
+    def extremum(X, sign):
+        ritz = eigh(X.T @ R @ X, X.T @ Kt @ X, eigvals_only=True)
+        return (sign * ritz).min()
+
     sides = {}
     for label, lam_k, vecs, sign in _signed_items(s, vp, vn, k):
-        worst = np.inf
-        violations = 0
-        resamples = 0
-        done = 0
-        while done < trials and resamples < _MAX_RESAMPLE:
-            X = _orthonormal_sample(rng, Kt.shape[0], k, Kt)
-            if X is None:
-                resamples += 1
-                continue
-            done += 1
-            ritz = np.linalg.eigvalsh(X.T @ R @ X)
-            extremum = ritz[0] if sign == 1 else ritz[-1]
-            margin = lam_k - sign * extremum
-            worst = min(worst, margin)
-            if margin < -TOLERANCE:
-                violations += 1
-        E = vecs[:, :k]
-        ritz = np.linalg.eigvalsh(E.T @ R @ E)
-        attained = sign * (ritz[0] if sign == 1 else ritz[-1])
-        sides[label] = {
-            "worst_margin": float(worst),
-            "violations": violations,
-            "resamples": resamples,
-            "attainment_gap": float(abs(attained - lam_k)),
-        }
+        margins = [lam_k - extremum(rng.standard_normal((n, k)), sign)
+                   for _ in range(trials)]
+        sides[label] = _side(lam_k, margins, extremum(vecs[:, :k], sign))
     return _finish("poincare_minmax", k, trials, seed, sides)
 
 
@@ -206,29 +193,22 @@ def check_rayleigh(s: Spectrum, p, k: int, trials: int = 100,
     _require_positive(k=k, trials=trials)
     Kt, R, vp, vn = _reduced_operators(s, p)
     rng = np.random.default_rng(seed)
+
+    def ratio(u):
+        return float(u @ R @ u) / float(u @ Kt @ u)
+
     sides = {}
     for label, lam_k, vecs, sign in _signed_items(s, vp, vn, k):
         Phi = vecs[:, : k - 1]
         KPhi = Kt @ Phi
-        worst = np.inf
-        violations = 0
+        margins = []
         for _ in range(trials):
             u = rng.standard_normal(Kt.shape[0])
             # two Gram-Schmidt passes; the basis is E_t-orthonormal
             u = u - Phi @ (KPhi.T @ u)
             u = u - Phi @ (KPhi.T @ u)
-            ratio = float(u @ R @ u) / float(u @ Kt @ u)
-            margin = lam_k - sign * ratio
-            worst = min(worst, margin)
-            if margin < -TOLERANCE:
-                violations += 1
-        uk = vecs[:, k - 1]
-        attained = sign * float(uk @ R @ uk) / float(uk @ Kt @ uk)
-        sides[label] = {
-            "worst_margin": float(worst),
-            "violations": violations,
-            "attainment_gap": float(abs(attained - lam_k)),
-        }
+            margins.append(lam_k - sign * ratio(u))
+        sides[label] = _side(lam_k, margins, sign * ratio(vecs[:, k - 1]))
     return _finish("rayleigh", k, trials, seed, sides)
 
 
@@ -271,21 +251,11 @@ def check_courant(s: Spectrum, p, k: int, trials: int = 100,
 
     sides = {}
     for label, lam_k, vecs, sign in _signed_items(s, vp, vn, k):
-        worst = np.inf
-        violations = 0
-        for _ in range(trials):
-            Y = rng.standard_normal((n, k - 1))
-            extremum = extremum_over_complement(Y, sign)
-            margin = extremum - lam_k
-            worst = min(worst, margin)
-            if margin < -TOLERANCE:
-                violations += 1
-        attained = extremum_over_complement(vecs[:, : k - 1], sign)
-        sides[label] = {
-            "worst_margin": float(worst),
-            "violations": violations,
-            "attainment_gap": float(abs(attained - lam_k)),
-        }
+        margins = [extremum_over_complement(rng.standard_normal((n, k - 1)),
+                                            sign) - lam_k
+                   for _ in range(trials)]
+        sides[label] = _side(lam_k, margins,
+                             extremum_over_complement(vecs[:, : k - 1], sign))
     return _finish("courant", k, trials, seed, sides)
 
 

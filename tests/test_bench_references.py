@@ -1,12 +1,18 @@
 """The benchmark's output check, in the test suite: one `pencil_build`
-pass (`bench/workloads.py`) must reproduce `bench/references/` under the
-rule of `bench/run.py`, numbers to 1e-10 relative and counts and flags
-exactly, so a kernel change that moves an nnz or a norm fails here, not
-only under `bench/run.py`."""
+pass and the `certify` CLI tasks (`bench/workloads.py`) must reproduce
+`bench/references/` under the rule of `bench/run.py`, numbers to 1e-10
+relative and counts, flags and lengths exactly, so a kernel change that
+moves an nnz or a norm, or a checker change that moves a certified
+spectrum, fails here, not only under `bench/run.py`."""
 
+import csv
 import importlib.util
 import json
 from pathlib import Path
+
+import numpy as np
+
+from roughweyl.cli import main
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 REL_TOL = 1e-10
@@ -35,3 +41,33 @@ def test_pencil_build_matches_the_stored_references(tmp_path):
             assert abs(got - ref) <= REL_TOL * abs(ref), (key, got, ref)
         else:
             assert got == ref, (key, got, ref)
+
+
+def read_spectrum(path):
+    """{"pos": [...], "neg": [...]} from a spectrum.csv."""
+    out = {"pos": [], "neg": []}
+    with open(path, newline="", encoding="utf-8") as fh:
+        for row in csv.DictReader(fh):
+            for key, column in (("pos", "lambda_plus"),
+                                ("neg", "lambda_minus")):
+                if row[column]:
+                    out[key].append(float(row[column]))
+    return out
+
+
+def test_certify_tasks_match_the_stored_references(tmp_path):
+    workloads = load_workloads()
+    with open(BENCH / "references" / "certify.json", encoding="utf-8") as fh:
+        want = json.load(fh)
+    jobs = workloads.write_configs("certify", 7, str(tmp_path))
+    assert {task_id for task_id, _, _ in jobs} == set(want)
+    for task_id, argv, out_dir in jobs:
+        assert main(argv) == 0, task_id
+        out = Path(out_dir)
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["passed"] is True, task_id
+        got = read_spectrum(out / "spectrum.csv")
+        for key, ref in want[task_id].items():
+            assert len(got[key]) == len(ref), (task_id, key)
+            np.testing.assert_allclose(got[key], ref, rtol=REL_TOL, atol=0,
+                                       err_msg="{} {}".format(task_id, key))

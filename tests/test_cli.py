@@ -271,6 +271,17 @@ class TestRunSolve:
         assert run(cfg) == 3
         assert "modeling error" in capsys.readouterr().err
 
+    def test_tiny_constant_weight_solves(self, tmp_path):
+        # the spectrum of c rho is c times that of rho at every scale c
+        out = tmp_path / "out"
+        cfg = ExperimentConfig.from_text(
+            "task = solve\n[domain]\nlevel = 3\n[weight]\nweight = const:1e-11\n"
+            "[solver]\nk_each = 4\n[output]\ndir = {}\n".format(out))
+        assert run(cfg) == 0
+        rows = (out / "spectrum.csv").read_text().strip().splitlines()
+        assert len(rows) == 5
+        assert 0.0 < float(rows[1].split(",")[1]) < 1e-12
+
     def test_non_finite_weight_is_field_hypothesis_error(self, tmp_path,
                                                          capsys):
         cfg = ExperimentConfig.from_text(

@@ -486,6 +486,38 @@ class TestEigenvaluesOnly:
         assert calls == [("BE", False)]
 
 
+SCALED_WEIGHTS = {
+    "const": constant_weight,
+    "halves": lambda c: halves_weight(2.0 * c, -c),
+}
+
+
+class TestWeightScale:
+    """The spectrum of c rho is c times the spectrum of rho, so no zero
+    test on the way may hold an absolute floor."""
+
+    @pytest.mark.parametrize("c", [1e-12, 1e6])
+    @pytest.mark.parametrize("weight", list(SCALED_WEIGHTS))
+    @pytest.mark.parametrize("dense_limit", [3000, 0],
+                             ids=["dense", "sparse"])
+    @pytest.mark.parametrize("bc", [BoundarySpec.dirichlet(),
+                                    BoundarySpec.neumann()],
+                             ids=["dirichlet", "neumann"])
+    def test_spectrum_scales_with_weight(self, bc, dense_limit, weight, c):
+        make = SCALED_WEIGHTS[weight]
+        ref, got = (solve_weighted(square_pencil(10, make(scale), bc), 0.0,
+                                   6, dense_limit=dense_limit, vectors=False)
+                    for scale in (1.0, c))
+        assert got.meta["constrained"] == (bc.kind == "neumann")
+        assert len(ref.pos) == 6
+        assert len(ref.neg) == (6 if weight == "halves" else 0)
+        for sign in (1, -1):
+            want = c * ref.values(sign)
+            assert len(got.values(sign)) == len(want)
+            np.testing.assert_allclose(got.values(sign), want, rtol=1e-12,
+                                       atol=0)
+
+
 class TestProjectConstraint:
     def test_dirichlet_identity(self):
         assert project_constraint(square_pencil(6)) is None

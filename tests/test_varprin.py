@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import eigh, qr
+from scipy.linalg import cholesky, eigh, qr, solve_triangular
 
 from roughweyl import (
     BoundarySpec,
@@ -204,11 +204,9 @@ class TestEigenvaluesOnlySpectrum:
                   trials=5, seed=0)
 
 
-def courant_reference(s, p, k, trials, seed):
-    """Courant margins by the projected generalized pencil: a full QR of
-    Kt Y gives a basis B of the complement, and eigh(B^T R B, B^T Kt B)
-    its extremum. Same draws as check_courant; returns, per side,
-    (lambda_k, worst margin, attainment gap)."""
+def reduced_reference_operators(s, p):
+    """Dense (Kt, R, vec_pos, vec_neg) on the checked space, built through
+    an explicit basis of the constraint subspace when there is one."""
     Kt = p.Kf.toarray() + s.meta["t"] * p.Mmf.toarray()
     R = p.Rf.toarray()
     vp, vn = s.vec_pos, s.vec_neg
@@ -217,6 +215,71 @@ def courant_reference(s, p, k, trials, seed):
         Kt, R = Q.T @ Kt @ Q, Q.T @ R @ Q
         vp = Q.T @ vp if vp is not None else None
         vn = Q.T @ vn if vn is not None else None
+    return Kt, R, vp, vn
+
+
+def minmax_reference(s, p, k, trials, seed):
+    """Max-min margins by an E_t-orthonormal basis: X is divided by the
+    Cholesky factor of X^T Kt X, and eigvalsh of X^T R X gives the
+    extremum over span(X). Same draws as check_poincare_minmax; returns,
+    per side, (lambda_k, worst margin, attainment gap)."""
+    Kt, R, vp, vn = reduced_reference_operators(s, p)
+    n = Kt.shape[0]
+    rng = np.random.default_rng(seed)
+
+    def extremum(X, sign):
+        L = cholesky(X.T @ Kt @ X, lower=True)
+        X = solve_triangular(L, X.T, lower=True).T
+        ritz = np.linalg.eigvalsh(X.T @ R @ X)
+        return sign * (ritz[0] if sign == 1 else ritz[-1])
+
+    out = {}
+    for label, vals, vecs, sign in (("plus", s.pos, vp, 1),
+                                    ("minus", s.neg, vn, -1)):
+        if len(vals) < k:
+            continue
+        lam_k = float(vals[k - 1])
+        worst = min(lam_k - extremum(rng.standard_normal((n, k)), sign)
+                    for _ in range(trials))
+        gap = abs(extremum(vecs[:, :k], sign) - lam_k)
+        out[label] = (lam_k, worst, gap)
+    return out
+
+
+class TestMinmaxProjectedPencil:
+    """check_poincare_minmax against the orthonormal-basis formula it
+    replaced."""
+
+    @pytest.mark.parametrize("case", ["dirichlet", "mirror", "neumann"])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_margins_match_orthonormal_basis(self, case, k):
+        if case == "neumann":
+            p = assemble(generate_unit_square(10), euclidean_metric(),
+                         constant_weight(1.0), BoundarySpec.neumann())
+        else:
+            w = halves_weight(1.0, -1.0) if case == "mirror" else None
+            _, p = dirichlet_problem(n=10, w=w)
+        s = solve_weighted(p, 0.0, k_each=6)
+        rep = check_poincare_minmax(s, p, k, trials=15, seed=2)
+        ref = minmax_reference(s, p, k, trials=15, seed=2)
+        assert set(rep["sides"]) == set(ref)
+        if case == "mirror":
+            assert set(ref) == {"plus", "minus"}
+        for label, (lam_k, worst, gap) in ref.items():
+            side = rep["sides"][label]
+            assert side["worst_margin"] == pytest.approx(worst, rel=0,
+                                                         abs=1e-10 * lam_k)
+            assert side["attainment_gap"] == pytest.approx(gap, rel=0,
+                                                           abs=1e-10 * lam_k)
+            assert side["violations"] == 0
+
+
+def courant_reference(s, p, k, trials, seed):
+    """Courant margins by the projected generalized pencil: a full QR of
+    Kt Y gives a basis B of the complement, and eigh(B^T R B, B^T Kt B)
+    its extremum. Same draws as check_courant; returns, per side,
+    (lambda_k, worst margin, attainment gap)."""
+    Kt, R, vp, vn = reduced_reference_operators(s, p)
     n = Kt.shape[0]
     rng = np.random.default_rng(seed)
 
