@@ -12,16 +12,16 @@ reduced stiffness positive definite and makes the bracketing inequalities
 exact at the discrete level.
 
 The three forms share one sparsity pattern, numbered once per call
-(`_Pattern`): every vertex's diagonal entry and both orientations of every
-triangle edge, in CSR order. Each form scatters its element matrices into
-that pattern with one `np.bincount` in element order, so assembled
-matrices are bit-reproducible, then symmetrizes each edge's pair of
-entries to their mean and drops exact zeros. The stiffness is formed from
-the edge vectors of each cell and one quadrature sum of G / sqrt(det G),
-with no gradients and no batched matrix products; element arrays are made
-one form at a time, and each per-point array is released as soon as it
-has been used, so the peak memory of `assemble` stays within a few times
-what the pencil keeps.
+(`_Pattern`): one entry per vertex and one per undirected triangle edge.
+Every element matrix is symmetric, so each form sums only its six upper
+entries (i <= j) into that pattern, with one `np.bincount` in element
+order, so assembled matrices are bit-reproducible; each symmetric pair of
+the result is that one sum, gathered into CSR order with exact zeros
+dropped. The stiffness is formed from the edge vectors of each cell and
+one quadrature sum of G / sqrt(det G), with no gradients and no batched
+matrix products; element entries are made one form at a time, and each
+per-point array is released as soon as it has been used, so the peak
+memory of `assemble` stays within a few times what the pencil keeps.
 """
 
 from __future__ import annotations
@@ -40,9 +40,6 @@ __all__ = [
     "assemble",
     "poincare_constant",
 ]
-
-_DENSE_LIMIT = 3000  # free-DOF count below which dense eigensolves are used
-
 
 class ModelingError(ValueError):
     """A hypothesis of the model is violated (e.g. the weight mean vanishes)."""
@@ -118,11 +115,11 @@ class Pencil:
     K, Mm, R are full (unreduced) sparse symmetric matrices over all mesh
     vertices; `free_dofs` indexes the non-Dirichlet vertices; `r` is the
     full-length vector of weight functionals r_i = integral rho phi_i d mu;
-    `tau` is 1 exactly when the free space contains the constants with
-    K 1 = 0 (pure Neumann), else 0; `rho_range` is the (min, max) of rho
-    over the quadrature points. `measure` and `rho` are the assembly's
-    flat per-point samples of w_q sqrt(det G) |cell| and of the weight,
-    or None for a hand-built pencil.
+    `tau` is 1 exactly when no vertex is Dirichlet, so that the free space
+    holds the constants, which K annihilates, else 0; `rho_range` is the
+    (min, max) of rho over the quadrature points. `measure` and `rho` are
+    the assembly's flat per-point samples of w_q sqrt(det G) |cell| and of
+    the weight, or None for a hand-built pencil.
     """
 
     def __init__(self, K, Mm, R, free_dofs, r, tau, rho_range, measure=None,
@@ -178,62 +175,59 @@ class Pencil:
         )
 
 
-def _element_slots(triangles, nv):
-    """The sorted edge keys min * nv + max of a mesh, and the (nt, 3, 3)
-    entry numbers of its element matrices (see `_Pattern`)."""
-    # local edge k joins local vertices k + 1 and k + 2 (mod 3)
-    a, b = triangles[:, [1, 2, 0]], triangles[:, [2, 0, 1]]
-    keys, edge = np.unique(np.minimum(a, b) * nv + np.maximum(a, b),
-                           return_inverse=True)
-    fwd = nv + edge.reshape(a.shape)
-    bwd = fwd + len(keys)
-    up = a < b  # local k + 1 is the lower end of edge k
-    slots = np.empty(triangles.shape + (3,), dtype=np.intp)
-    for k in range(3):
-        i, j = (k + 1) % 3, (k + 2) % 3
-        slots[:, k, k] = triangles[:, k]
-        slots[:, i, j] = np.where(up[:, k], fwd[:, k], bwd[:, k])
-        slots[:, j, i] = np.where(up[:, k], bwd[:, k], fwd[:, k])
-    return keys, slots
+# the six upper entries (i, j), i <= j, of a symmetric element matrix,
+# listed by column: each column's first pair is (0, j)
+_PAIRS = tuple((i, j) for j in range(3) for i in range(j + 1))
 
 
 class _Pattern:
     """The P1 sparsity pattern of a mesh, numbered once and shared by the
     forms assembled on it.
 
-    Directed entries are numbered diagonal first (vertex v is entry v),
-    then each undirected edge e = {i < j}, in the order of its key
-    i * nv + j, as i -> j (entry nv + e) and as j -> i (entry nv + ne + e).
-    `slots` (nt, 3, 3) numbers the entries of every element matrix;
-    `order` lists the entries in CSR order, whose column indices and row
-    pointers are `indices` and `indptr`.
+    Undirected entries are numbered diagonal first (vertex v is entry v),
+    then each edge e = {i < j}, in the order of its key i * nv + j, as
+    entry nv + e. `slots` (nt, 6) numbers the upper entries `_PAIRS` of
+    every element matrix; `take` lists, in CSR order, the entry that
+    fills each stored position, whose column indices and row pointers
+    are `indices` and `indptr`.
     """
 
     def __init__(self, triangles, nv):
         self.nv = nv
-        keys, self.slots = _element_slots(triangles, nv)
-        self.ne = len(keys)
+        # local edge k joins local vertices k + 1 and k + 2 (mod 3)
+        a, b = triangles[:, [1, 2, 0]], triangles[:, [2, 0, 1]]
+        keys, edge = np.unique(np.minimum(a, b) * nv + np.maximum(a, b),
+                               return_inverse=True)
+        del a, b
+        edge = nv + edge.reshape(triangles.shape)
+        self.slots = np.empty((len(triangles), len(_PAIRS)), dtype=np.intp)
+        for p, (i, j) in enumerate(_PAIRS):
+            # pair (i, j), i < j, is local edge 3 - i - j
+            self.slots[:, p] = triangles[:, i] if i == j else edge[:, 3 - i - j]
+        del edge
+        self.ne = ne = len(keys)
         lo, hi = np.divmod(keys, nv)
+        del keys
         diag = np.arange(nv)
         row = np.concatenate([diag, lo, hi])
         col = np.concatenate([diag, hi, lo])
-        self.order = np.argsort(row * nv + col)
-        self.indices = col[self.order].astype(np.int32)
+        del diag, lo, hi
+        order = np.argsort(row * nv + col)
+        self.indices = col[order].astype(np.int32)
         self.indptr = np.zeros(nv + 1, dtype=np.int32)
         np.cumsum(np.bincount(row, minlength=nv), out=self.indptr[1:])
+        # entry nv + ne + e of row/col is edge e from its upper end
+        order[order >= nv + ne] -= ne
+        self.take = order
 
-    def form(self, elements):
-        """The CSR matrix (A + A^T) / 2 of the summed (nt, 3, 3) element
-        matrices A, exact zeros dropped."""
-        nv, ne = self.nv, self.ne
-        v = np.bincount(self.slots.ravel(), weights=elements.ravel(),
-                        minlength=nv + 2 * ne)
-        # both orientations of an edge take the mean of their two sums
-        fwd = v[nv:nv + ne]
-        fwd += v[nv + ne:]
-        fwd *= 0.5
-        v[nv + ne:] = fwd
-        data = v[self.order]
+    def form(self, upper):
+        """The CSR symmetric matrix whose entries are the sums of the
+        (nt, 6) upper element entries `upper`, exact zeros dropped."""
+        nv = self.nv
+        v = np.bincount(self.slots.ravel(), weights=upper.ravel(),
+                        minlength=nv + self.ne)
+        data = v[self.take]
+        del v
         keep = data != 0.0
         # every row holds its diagonal, so no row of the pattern is empty
         indptr = np.zeros_like(self.indptr)
@@ -264,7 +258,6 @@ def assemble(m: Mesh, g: MetricField, w: WeightField, bc: BoundarySpec,
     vertices (any incident Dirichlet-tagged edge) are removed from
     `free_dofs`.
     """
-    bc = bc.resolve(m)
     bary, wq = triangle_quadrature(quad_order)
     corners, areas, points = cell_geometry(m, bary)
     nt, nq, nv = m.num_triangles, len(wq), m.num_vertices
@@ -277,7 +270,7 @@ def assemble(m: Mesh, g: MetricField, w: WeightField, bc: BoundarySpec,
     del corners
 
     # H / (4 |cell|), its entries 00, 01, 10, 11 as the rows of h; only the
-    # symmetric part of H reaches the symmetrized K, so h[1] takes the mean
+    # symmetric part of H reaches the symmetric K, so h[1] takes the mean
     # of the two off-diagonal entries
     G, sqrtdet, measure = sample_metric(g, points, areas, wq)
     G = G.reshape(nt, nq, 4)
@@ -295,22 +288,21 @@ def assemble(m: Mesh, g: MetricField, w: WeightField, bc: BoundarySpec,
     pattern = _Pattern(m.triangles, nv)
     # element stiffness e_i . H e_j, one entry per pair i <= j
     x, y = edges
-    elements = np.empty((nt, 3, 3))
-    for j in range(3):
-        hx = h[0] * x[j]
-        hx += h[1] * y[j]
-        hy = h[1] * x[j]
-        hy += h[3] * y[j]
-        for i in range(j + 1):
-            np.multiply(x[i], hx, out=elements[:, i, j])
-            elements[:, i, j] += y[i] * hy
-            elements[:, j, i] = elements[:, i, j]
+    upper = np.empty((nt, len(_PAIRS)))
+    for p, (i, j) in enumerate(_PAIRS):
+        if i == 0:
+            hx = h[0] * x[j]
+            hx += h[1] * y[j]
+            hy = h[1] * x[j]
+            hy += h[3] * y[j]
+        np.multiply(x[i], hx, out=upper[:, p])
+        upper[:, p] += y[i] * hy
     del edges, x, y, h, hx, hy
-    K = pattern.form(elements)
-    del elements
+    K = pattern.form(upper)
+    del upper
 
-    # mass and weighted mass share phi_i(x_q) phi_j(x_q) = bary outer products
-    phi2 = (bary[:, :, None] * bary[:, None, :]).reshape(nq, 9)
+    # mass and weighted mass share phi_i(x_q) phi_j(x_q), a bary product
+    phi2 = np.stack([bary[:, i] * bary[:, j] for i, j in _PAIRS], axis=1)
     mu = measure.reshape(nt, nq)  # w_q sqrt(det G) |cell|
     Mm = pattern.form(mu @ phi2)
     R = pattern.form((mu * rho.reshape(nt, nq)) @ phi2)
@@ -320,16 +312,10 @@ def assemble(m: Mesh, g: MetricField, w: WeightField, bc: BoundarySpec,
     free[dirichlet] = False
     free = np.flatnonzero(free)
 
-    ones = np.ones(nv)
-    r = R @ ones  # r_i = integral rho phi_i d mu, by partition of unity
-
-    # tau = 1 iff constants are free (no Dirichlet vertex) and K 1 = 0
-    tau = 0
-    if dirichlet.size == 0:
-        drift = float(np.abs(K @ ones).max())
-        knorm = float(np.abs(K.data).max()) if K.nnz else 1.0
-        if drift <= 1e-10 * max(1.0, knorm):
-            tau = 1
+    r = R @ np.ones(nv)  # r_i = integral rho phi_i d mu, by partition of unity
+    # the edges of a cell sum to zero, so K 1 = 0 and the constants are in
+    # the kernel of the energy exactly when no vertex is Dirichlet
+    tau = int(dirichlet.size == 0)
 
     rho_range = (float(rho.min()), float(rho.max())) if rho.size else (0.0, 0.0)
     return Pencil(K, Mm, R, free, r, tau, rho_range, measure, rho)

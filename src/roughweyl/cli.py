@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .assembly import _DENSE_LIMIT, BoundarySpec, ModelingError, assemble
+from .assembly import BoundarySpec, ModelingError, assemble
 from .fields import (
     ComparabilityError,
     SingularPointError,
@@ -36,7 +36,7 @@ from .fields import (
     pullback_metric,
 )
 from .mesh import MeshFormatError, generate_disk, generate_unit_square
-from .spectral import SolverError, Spectrum, solve_weighted
+from .spectral import _DENSE_LIMIT, SolverError, Spectrum, solve_weighted
 from .varprin import (
     check_bracketing,
     check_courant,

@@ -12,7 +12,7 @@ callers: `solve_weighted` (R, K + t Mm), `assembly.poincare_constant`
 (Mm, K; Lanczos wherever it reaches) and `varprin.check_bracketing` (each
 subdomain's pencil).
 
-Two code paths. Dense (rows <= the dense limit `assembly._DENSE_LIMIT`, or
+Two code paths. Dense (rows <= the dense limit `_DENSE_LIMIT`, or
 <= k_each + 1, which Lanczos cannot reach): Cholesky-based reduction of the
 pencil and a full symmetric eigensolve, which doubles as the trusted oracle.
 The forms are densified in Fortran order, so LAPACK takes them without a
@@ -43,7 +43,7 @@ import numpy as np
 from scipy.linalg import eigh
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator
 
-from .assembly import _DENSE_LIMIT, ModelingError, Pencil, _Householder
+from .assembly import ModelingError, Pencil, _Householder
 
 __all__ = [
     "Spectrum",
@@ -52,6 +52,7 @@ __all__ = [
     "project_constraint",
 ]
 
+_DENSE_LIMIT = 3000  # free-DOF count below which dense eigensolves are used
 _MULT_TOL = 1e-8  # relative clustering width for multiplicity reporting
 # smallest pivot of an SPD factorization, relative to the largest: SPD
 # forms on the problem ladder give 0.25-0.31, a singular K about 5e-14
@@ -90,8 +91,8 @@ class Spectrum:
     def groups(self, sign=1):
         """Cluster a list into (value, multiplicity) pairs.
 
-        Eigenvalues within 1e-8 * max(1, |value|) of the running cluster
-        head count as one eigenvalue; discretization splits the exact
+        Eigenvalues within 1e-8 * |value| of the running cluster head
+        count as one eigenvalue; discretization splits the exact
         multiplicities of symmetric domains by about that much.
         """
         vals = self.values(sign)
@@ -100,7 +101,7 @@ class Spectrum:
         while i < len(vals):
             head = vals[i]
             j = i + 1
-            while j < len(vals) and abs(vals[j] - head) <= _MULT_TOL * max(1.0, abs(head)):
+            while j < len(vals) and abs(vals[j] - head) <= _MULT_TOL * abs(head):
                 j += 1
             out.append((float(vals[i:j].mean()), j - i))
             i = j

@@ -41,7 +41,6 @@ import numpy as np
 from scipy.linalg import cholesky, eigh, qr, solve_triangular
 
 from .assembly import (
-    _DENSE_LIMIT,
     BoundarySpec,
     _Householder,
     assemble,
@@ -49,6 +48,7 @@ from .assembly import (
 )
 from .mesh import Mesh
 from .spectral import (
+    _DENSE_LIMIT,
     Spectrum,
     _signed_ends,
     project_constraint,

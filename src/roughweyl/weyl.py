@@ -15,9 +15,9 @@ import csv
 
 import numpy as np
 
-from .assembly import _DENSE_LIMIT, assemble
+from .assembly import assemble
 from .fields import cell_geometry, sample_metric, triangle_quadrature
-from .spectral import Spectrum, solve_weighted
+from .spectral import _DENSE_LIMIT, Spectrum, solve_weighted
 
 __all__ = [
     "WeylTarget",

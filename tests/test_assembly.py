@@ -38,7 +38,7 @@ from roughweyl import (
     triangle_quadrature,
     weyl_target,
 )
-from roughweyl.assembly import _Householder, _Pattern
+from roughweyl.assembly import _PAIRS, _Householder, _Pattern
 from roughweyl.mesh import triangle_areas
 
 # hand integration on the reference triangle (0,0),(1,0),(0,1):
@@ -55,6 +55,24 @@ def reference_triangle():
         [(0, 1, 2)],
         [(0, 1, 0), (1, 2, 0), (2, 0, 0)],
     )
+
+
+SHEAR = np.array([[1.0, 0.5], [0.0, 1.0]])
+SHEAR_HI = 0.25 + np.sqrt(0.25 ** 2 + 1.0)  # largest singular value
+REFERENCE_METRICS = {
+    "euclidean": euclidean_metric,
+    "checkerboard": lambda: checkerboard_metric(1.0, 2.0, 4),
+    "cone": graph_cone_metric,
+    "shear": lambda: pullback_metric(
+        euclidean_metric(), lambda pts: pts @ SHEAR.T,
+        lambda pts: np.broadcast_to(SHEAR, (len(pts), 2, 2)),
+        jac_bounds=(1.0 / SHEAR_HI, SHEAR_HI)),
+}
+REFERENCE_WEIGHTS = {
+    "one": lambda: constant_weight(1.0),
+    "halves": lambda: halves_weight(1.0, -1.0),
+    "expr": lambda: expression_weight("x - y + 0.2"),
+}
 
 
 def scaled_identity_metric(c):
@@ -194,13 +212,17 @@ class TestInvariants:
         np.testing.assert_allclose(scaled.Mm.toarray(), c * base.Mm.toarray(),
                                    rtol=1e-12)
 
-    def test_neumann_row_sums_vanish(self):
-        m = generate_disk(6)
-        for g in (euclidean_metric(), graph_cone_metric()):
-            p = assemble(m, g, constant_weight(1.0), BoundarySpec.neumann())
-            ones = np.ones(p.n_vertices)
-            scale = max(1.0, abs(p.K).max())
-            assert np.abs(p.K @ ones).max() <= 1e-10 * scale
+    # tau = 1 on a pencil without Dirichlet vertices rests on K 1 = 0
+    @pytest.mark.parametrize("domain", ["square", "disk"])
+    @pytest.mark.parametrize("metric", sorted(REFERENCE_METRICS))
+    def test_neumann_row_sums_vanish(self, domain, metric):
+        m = generate_disk(6) if domain == "disk" else generate_unit_square(6)
+        p = assemble(m, REFERENCE_METRICS[metric](), constant_weight(1.0),
+                     BoundarySpec.neumann())
+        assert p.tau == 1
+        ones = np.ones(p.n_vertices)
+        scale = max(1.0, abs(p.K).max())
+        assert np.abs(p.K @ ones).max() <= 1e-10 * scale
 
     def test_weighted_mass_linear_in_weight(self):
         m = generate_unit_square(4)
@@ -473,24 +495,6 @@ def assemble_reference(m, g, w, quad_order=2):
     return build(Ke), build(mu @ phi2), build((mu * rho) @ phi2)
 
 
-SHEAR = np.array([[1.0, 0.5], [0.0, 1.0]])
-SHEAR_HI = 0.25 + np.sqrt(0.25 ** 2 + 1.0)  # largest singular value
-REFERENCE_METRICS = {
-    "euclidean": euclidean_metric,
-    "checkerboard": lambda: checkerboard_metric(1.0, 2.0, 4),
-    "cone": graph_cone_metric,
-    "shear": lambda: pullback_metric(
-        euclidean_metric(), lambda pts: pts @ SHEAR.T,
-        lambda pts: np.broadcast_to(SHEAR, (len(pts), 2, 2)),
-        jac_bounds=(1.0 / SHEAR_HI, SHEAR_HI)),
-}
-REFERENCE_WEIGHTS = {
-    "one": lambda: constant_weight(1.0),
-    "halves": lambda: halves_weight(1.0, -1.0),
-    "expr": lambda: expression_weight("x - y + 0.2"),
-}
-
-
 @st.composite
 def reference_cases(draw):
     """A refined or plain square or disk with its triangles in random order
@@ -599,19 +603,21 @@ class TestAgainstCooReference:
             assert A.indptr[last] == A.indptr[last + 1] == A.nnz
 
     def test_any_element_matrices(self):
-        # the pattern's scatter alone, on element matrices that are not
-        # symmetric, against the COO sum of the same elements
+        # the pattern's scatter alone, on random upper entries, against the
+        # COO sum of the symmetric element matrices they define
         m = refine_uniform(generate_disk(3))
         rng = np.random.default_rng(5)
         m = Mesh(m.vertices, m.triangles[rng.permutation(m.num_triangles)],
                  m.boundary_edges)
-        elements = rng.standard_normal((m.num_triangles, 3, 3))
-        A = _Pattern(m.triangles, m.num_vertices).form(elements)
+        upper = rng.standard_normal((m.num_triangles, len(_PAIRS)))
+        A = _Pattern(m.triangles, m.num_vertices).form(upper)
+        elements = np.empty((m.num_triangles, 3, 3))
+        for p, (i, j) in enumerate(_PAIRS):
+            elements[:, i, j] = elements[:, j, i] = upper[:, p]
         rows = np.repeat(m.triangles, 3, axis=1).ravel()
         cols = np.tile(m.triangles, (1, 3)).ravel()
         B = sparse.coo_matrix((elements.ravel(), (rows, cols)),
                               shape=A.shape).tocsr()
-        B = (B + B.T) * 0.5
         assert A.has_canonical_format and (A != A.T).nnz == 0
         tol = 4.0 * np.finfo(float).eps * abs(B).max()
         assert np.abs((A - B).toarray()).max() <= tol
@@ -625,9 +631,9 @@ class TestAgainstCooReference:
 
 
 def test_peak_memory_within_four_times_the_pencil():
-    # the per-point metric samples and each form's element arrays die as
+    # the per-point metric samples and each form's element entries die as
     # soon as they are used, so the traced peak of one L6 assemble stays a
-    # small multiple (about 2.4) of the bytes the pencil keeps
+    # small multiple (about 1.9) of the bytes the pencil keeps
     m = refine_uniform(generate_unit_square(32))
     g, w = checkerboard_metric(1.0, 2.0, 4), halves_weight(1.0, -1.0)
     bc = BoundarySpec.dirichlet()

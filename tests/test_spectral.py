@@ -576,3 +576,9 @@ class TestSpectrum:
         # Lambda/pi^2 = 2, 5, 5, 8, 10, 10: multiplicity pattern 1, 2, 1, 2
         s = solve_weighted(square_pencil(16), 0.0, 6)
         assert [m for _, m in s.groups(1)] == [1, 2, 1, 2]
+
+    @pytest.mark.parametrize("c", [1e-11, 1.0, 1e6])
+    def test_groups_do_not_depend_on_the_weight_scale(self, c):
+        # lambda(c rho) = c lambda(rho), so the clusters scale with c
+        s = solve_weighted(square_pencil(16, constant_weight(c)), 0.0, 10)
+        assert [m for _, m in s.groups(1)] == [1, 2, 1, 2, 2, 2]
