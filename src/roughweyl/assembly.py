@@ -119,7 +119,12 @@ class Pencil:
     holds the constants, which K annihilates, else 0; `rho_range` is the
     (min, max) of rho over the quadrature points. `measure` and `rho` are
     the assembly's flat per-point samples of w_q sqrt(det G) |cell| and of
-    the weight, or None for a hand-built pencil.
+    the weight, or None for a hand-built pencil. They are carried for
+    `masses`, the weight's mass on each sign, which picks the spectral ends
+    the eigensolver runs and weighs their imbalance in its dense-or-Lanczos
+    cost rule (`spectral` module docstring); `rho_range` cannot see an
+    imbalance in area, and stands in for the masses only on a hand-built
+    pencil, which keeps the fixed dense limit.
     """
 
     def __init__(self, K, Mm, R, free_dofs, r, tau, rho_range, measure=None,
@@ -168,6 +173,14 @@ class Pencil:
     @property
     def r_free(self):
         return self.r[self.free_dofs]
+
+    @property
+    def masses(self):
+        """`sign_masses` of the assembly's sample; None for a hand-built
+        pencil, which carries none."""
+        if self.measure is None:
+            return None
+        return sign_masses(self.measure, self.rho)
 
     def __repr__(self):
         return "Pencil({} vertices, {} free, tau={})".format(
@@ -321,6 +334,15 @@ def assemble(m: Mesh, g: MetricField, w: WeightField, bc: BoundarySpec,
     return Pencil(K, Mm, R, free, r, tau, rho_range, measure, rho)
 
 
+def sign_masses(measure, rho):
+    """(integral of rho over M^+, integral of |rho| over M^-) from one
+    flat quadrature sample: the per-point `measure` w_q sqrt(det G) |cell|
+    and weight values `rho`, with M^± the points where ±rho > 0."""
+    mass = np.abs(rho) * measure
+    return (float(np.sum(mass * (rho > 0.0))),
+            float(np.sum(mass * (rho < 0.0))))
+
+
 class _Householder:
     """The reflector H = I - 2 u u^T that maps r onto a multiple of e_n.
 
@@ -388,8 +410,9 @@ def poincare_constant(p: Pencil) -> float:
     """
     from .spectral import _signed_ends, project_constraint
 
-    # Mm is positive definite: only the top end runs; dense limit 0
-    top = _signed_ends(p.Mmf, p.Kf, project_constraint(p), (1.0, 1.0), 1,
+    # Mm is positive definite, a single-sign pencil: only the top end runs;
+    # dense limit 0
+    top = _signed_ends(p.Mmf, p.Kf, project_constraint(p), (1.0, 0.0), 1,
                        0, False)[0]
     mu = 1.0 / float(top[0])
     if mu <= 1e-12:

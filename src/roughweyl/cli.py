@@ -36,7 +36,7 @@ from .fields import (
     pullback_metric,
 )
 from .mesh import MeshFormatError, generate_disk, generate_unit_square
-from .spectral import _DENSE_LIMIT, SolverError, Spectrum, solve_weighted
+from .spectral import SolverError, Spectrum, solve_weighted
 from .varprin import (
     check_bracketing,
     check_courant,
@@ -261,11 +261,12 @@ class ExperimentConfig:
             raise ConfigError("cannot read config: {}".format(exc))
 
     def dense_limit(self):
+        """The solves' `dense_limit`: None under `auto`, the cost rule."""
         if self.mode == "dense":
             return 10 ** 9
         if self.mode == "sparse":
             return 0
-        return _DENSE_LIMIT
+        return None
 
     def resolved(self):
         return {

@@ -12,9 +12,34 @@ callers: `solve_weighted` (R, K + t Mm), `assembly.poincare_constant`
 (Mm, K; Lanczos wherever it reaches) and `varprin.check_bracketing` (each
 subdomain's pencil).
 
-Two code paths. Dense (rows <= the dense limit `_DENSE_LIMIT`, or
-<= k_each + 1, which Lanczos cannot reach): Cholesky-based reduction of the
-pencil and a full symmetric eigensolve, which doubles as the trusted oracle.
+Two code paths, chosen per solve by `_goes_dense`. Lanczos returns at most
+n - 2 values per end of an n-row pencil, so a pencil of <= k_each + 1 rows
+is always solved densely. Otherwise a dense solve costs about n^3 whatever
+k_each, and a Lanczos run grows with n, with k_each and with the imbalance
+of the two signs: its cost grows roughly as sqrt(c_max / c_min), where c_±
+are the weight's masses on each sign (`Pencil.masses`, the integrals of
+|rho| over {±rho > 0}; the ratio counts as 1 on a single-sign pencil). So
+an n-row pencil goes to Lanczos when
+
+    n^2 > C k_each sqrt(c_max / c_min),   C = `_CROSSOVER` = 1.4e4,
+
+and never densely above `_DENSE_LIMIT` = 3000 rows, the memory cap. C was
+fitted on a grid of 100 eigenvalues-only solves of the Dirichlet unit
+square on 2 cores: n = 529, 961, 1521, 2116 and 2916; k_each = 30, 60,
+100 and 200; weights `const:1`, `halves:1,-1`, `halves:1,-0.25`,
+`halves:1,-0.1` and `expr:x - 0.9` (c_max / c_min = 1, 1, 4, 10 and 81).
+Break-even fell at n^2 / (k_each sqrt(c_max / c_min)) = 0.9e4 to 1.2e4
+for n <= 1521 and 1.34e4 to 1.42e4 above. C = 1.4e4 gives the least total
+time over the grid, 37.3 s, within 0.1 s of the per-solve best (a fixed
+3000-row limit: 75.5 s).
+
+A caller-given integer `dense_limit` replaces the rule by a fixed limit
+(n <= dense_limit goes dense). A pencil built by hand carries no sample,
+hence no masses; it keeps the fixed limit `_DENSE_LIMIT`, and the signs of
+its `rho_range` pick the ends.
+
+Dense: Cholesky-based reduction of the pencil and a full symmetric
+eigensolve, which doubles as the trusted oracle.
 The forms are densified in Fortran order, so LAPACK takes them without a
 copy and overwrites them. Eigenvalues alone come from `dsygv`, which asks
 for its optimal workspace and so tridiagonalizes on the blocked path
@@ -52,7 +77,8 @@ __all__ = [
     "project_constraint",
 ]
 
-_DENSE_LIMIT = 3000  # free-DOF count below which dense eigensolves are used
+_DENSE_LIMIT = 3000  # free-DOF cap of a dense solve: nothing larger is densified
+_CROSSOVER = 1.4e4  # C of the cost rule n^2 > C k_each sqrt(c_max / c_min)
 _MULT_TOL = 1e-8  # relative clustering width for multiplicity reporting
 # smallest pivot of an SPD factorization, relative to the largest: SPD
 # forms on the problem ladder give 0.25-0.31, a singular K about 5e-14
@@ -203,7 +229,7 @@ def _spd_inverse(A):
     return LinearOperator(A.shape, matvec=lu.solve, dtype=float)
 
 
-def _lanczos_ends(A, M, Minv, v0, rho_range, k_each, vectors):
+def _lanczos_ends(A, M, Minv, v0, masses, k_each, vectors):
     """Signed lists of A v = lambda M v from Lanczos at the spectral ends.
 
     A sign-changing weight needs k_each eigenvalues at each end, which one
@@ -227,25 +253,25 @@ def _lanczos_ends(A, M, Minv, v0, rho_range, k_each, vectors):
         except ArpackNoConvergence as exc:
             raise SolverError("Lanczos did not converge ({})".format(exc)) from exc
 
-    rho_lo, rho_hi = rho_range
-    if rho_lo < 0.0 < rho_hi and 2 * k_each <= n - 2:
+    plus, minus = masses[0] > 0.0, masses[1] > 0.0
+    if plus and minus and 2 * k_each <= n - 2:
         w, V = run("BE", 2 * k_each)
         return _split_signed(w, V, k_each)
     pos = neg = np.empty(0)
     vp = vn = None
-    if rho_hi > 0.0:
+    if plus:
         w, V = run("LA", k_each)
         pos, _, vp, _ = _split_signed(w, V, k_each)
-    if rho_lo < 0.0:
+    if minus:
         w, V = run("SA", k_each)
         _, neg, _, vn = _split_signed(w, V, k_each)
     return pos, neg, vp, vn
 
 
-def _sparse_weighted(R, K, rf, rho_range, k_each, vectors):
+def _sparse_weighted(R, K, rf, masses, k_each, vectors):
     """Signed lists of R v = lambda K v by Lanczos at the spectral ends.
 
-    `rho_range` bounds the sign of R, which picks the ends to run. Without
+    `masses`, the weight's mass on each sign, picks the ends to run. Without
     a constraint vector (rf None), K must be SPD and the pencil is (R, K).
     With one, K is semidefinite with K 1 = 0 and the problem lives on
     S = {rf . v = 0}: the pencil is the oblique (Pi^T R Pi, K + gamma rf rf^T),
@@ -262,7 +288,7 @@ def _sparse_weighted(R, K, rf, rho_range, k_each, vectors):
     K = K.tocsr()
     R = R.tocsr()
     if rf is None:
-        return _lanczos_ends(R, K, _spd_inverse(K), v0, rho_range, k_each,
+        return _lanczos_ends(R, K, _spd_inverse(K), v0, masses, k_each,
                              vectors)
     r1 = float(rf.sum())
     gamma = (float(K.diagonal().mean()) or 1.0) / float(rf @ rf)
@@ -295,35 +321,48 @@ def _sparse_weighted(R, K, rf, rho_range, k_each, vectors):
     M = LinearOperator((nf, nf), matvec=lambda v: K @ v + gamma * rdot(v) * rf,
                        dtype=float)
     Minv = LinearOperator((nf, nf), matvec=minv, dtype=float)
-    return _lanczos_ends(A, M, Minv, pi(v0), rho_range, k_each, vectors)
+    return _lanczos_ends(A, M, Minv, pi(v0), masses, k_each, vectors)
 
 
-def _goes_dense(n, k_each, dense_limit):
-    """Whether `_signed_ends` solves an n-row pencil densely: up to
-    `dense_limit` rows, and wherever Lanczos, which returns at most n - 2
-    values per end, cannot reach k_each."""
-    return n <= max(dense_limit, k_each + 1)
+def _goes_dense(n, k_each, masses, dense_limit):
+    """Whether `_signed_ends` solves an n-row pencil densely (rule: module
+    docstring). Always where Lanczos cannot reach k_each; else up to an
+    integer `dense_limit` rows; with `dense_limit` None, by the cost rule
+    on the sign `masses`, up to `_DENSE_LIMIT` rows."""
+    if n <= k_each + 1:
+        return True
+    if dense_limit is not None:
+        return n <= dense_limit
+    if n > _DENSE_LIMIT:
+        return False
+    lo, hi = sorted(masses)
+    balance = hi / lo if lo > 0.0 else 1.0
+    return n * n <= _CROSSOVER * k_each * np.sqrt(balance)
 
 
-def _signed_ends(A, M, rf, rho_range, k_each, dense_limit, vectors):
-    """Signed lists (pos, neg, vec_pos, vec_neg) of A v = lambda M v.
+def _signed_ends(A, M, rf, masses, k_each, dense_limit, vectors):
+    """Signed lists and path (pos, neg, vec_pos, vec_neg, method) of
+    A v = lambda M v.
 
     The one entry point of every eigensolve: the dense solve where
-    `_goes_dense` says so, Lanczos at the spectral ends otherwise. M is
-    SPD, or, with a constraint vector rf, semidefinite with M 1 = 0 and
-    the problem posed on {rf . v = 0}. `rho_range` bounds the sign of A.
-    A pencil with no rows, as left by Dirichlet conditions on every
-    vertex, raises SolverError.
+    `_goes_dense` says so, Lanczos at the spectral ends otherwise; method
+    is "dense", "sparse-lanczos" or, with a constraint, "sparse-projected".
+    M is SPD, or, with a constraint vector rf, semidefinite with M 1 = 0
+    and the problem posed on {rf . v = 0}. `masses` (m_plus, m_minus) are
+    A's weight masses on each sign; a sign's end runs only where its mass
+    is positive. A pencil with no rows, as left by Dirichlet conditions on
+    every vertex, raises SolverError.
     """
     if M.shape[0] == 0:
         raise SolverError("no free DOFs")
-    if _goes_dense(M.shape[0], k_each, dense_limit):
-        return _dense_weighted(A, M, rf, k_each, vectors)
-    return _sparse_weighted(A, M, rf, rho_range, k_each, vectors)
+    if _goes_dense(M.shape[0], k_each, masses, dense_limit):
+        return (*_dense_weighted(A, M, rf, k_each, vectors), "dense")
+    method = "sparse-lanczos" if rf is None else "sparse-projected"
+    return (*_sparse_weighted(A, M, rf, masses, k_each, vectors), method)
 
 
 def solve_weighted(p: Pencil, t: float = 0.0, k_each: int = 6,
-                   dense_limit: int = _DENSE_LIMIT,
+                   dense_limit: int | None = None,
                    vectors: bool = True) -> Spectrum:
     """Solve R v = lambda (K + t Mm) v, k_each eigenvalues per sign.
 
@@ -336,17 +375,23 @@ def solve_weighted(p: Pencil, t: float = 0.0, k_each: int = 6,
     it. The eigenvalues agree either way to roundoff. With rho = 1 and
     t = 0 the positive list inverts the Laplace eigenvalues, Lambda_k =
     1 / lambda_k^+ (on a pure-Neumann pencil, those above the zero mode).
+    The default `dense_limit` None picks the path by the cost rule (module
+    docstring); an integer forces the dense path up to that many rows and
+    Lanczos above.
     """
     if t < 0.0:
         raise ValueError("t must be >= 0")
     rf = project_constraint(p) if t == 0.0 else None
     constrained = rf is not None
     Kt = p.Kf + t * p.Mmf if t > 0.0 else p.Kf
-    pos, neg, vp, vn = _signed_ends(p.Rf, Kt, rf, p.rho_range, k_each,
-                                    dense_limit, vectors)
-    method = "dense"
-    if not _goes_dense(p.n_free, k_each, dense_limit):
-        method = "sparse-projected" if constrained else "sparse-lanczos"
+    masses = p.masses
+    if masses is None:  # hand-built, no sample: rho_range's signs, fixed limit
+        lo, hi = p.rho_range
+        masses = (float(hi > 0.0), float(lo < 0.0))
+        if dense_limit is None:
+            dense_limit = _DENSE_LIMIT
+    pos, neg, vp, vn, method = _signed_ends(p.Rf, Kt, rf, masses, k_each,
+                                            dense_limit, vectors)
     meta = {
         "t": float(t),
         "method": method,

@@ -48,7 +48,6 @@ from .assembly import (
 )
 from .mesh import Mesh
 from .spectral import (
-    _DENSE_LIMIT,
     Spectrum,
     _signed_ends,
     project_constraint,
@@ -282,7 +281,7 @@ def _partition_cells(m: Mesh, partition):
 
 def check_bracketing(m: Mesh, partition, g, w, bc: BoundarySpec, t: float,
                      k_max: int = 50, quad_order: int = 2,
-                     dense_limit: int = _DENSE_LIMIT,
+                     dense_limit: int | None = None,
                      s_global: Spectrum | None = None) -> dict:
     """Dirichlet-Neumann bracketing of the t-regularized problem.
 
@@ -334,6 +333,7 @@ def check_bracketing(m: Mesh, partition, g, w, bc: BoundarySpec, t: float,
         part = assemble(sub, g, w, BoundarySpec.neumann(), quad_order)
         used = np.unique(m.triangles[cell])
         interface = np.intersect1d(used, np.delete(m.triangles, cell, axis=0))
+        masses = part.masses
         for target, blocked in (
             (nu, np.union1d(dirichlet, interface)),
             (eta, dirichlet),
@@ -342,8 +342,8 @@ def check_bracketing(m: Mesh, partition, g, w, bc: BoundarySpec, t: float,
             if free.size == 0:
                 continue
             K, Mm, R = (A[free][:, free] for A in (part.K, part.Mm, part.R))
-            pos, neg, _, _ = _signed_ends(R, K + t * Mm, None, part.rho_range,
-                                          k_max, dense_limit, False)
+            pos, neg = _signed_ends(R, K + t * Mm, None, masses, k_max,
+                                    dense_limit, False)[:2]
             target["plus"].extend(pos)
             target["minus"].extend(neg)
 
@@ -376,7 +376,7 @@ def check_bracketing(m: Mesh, partition, g, w, bc: BoundarySpec, t: float,
 
 
 def check_sandwich(p, t_list=(0.5, 0.1, 0.02), k_max: int = 100,
-                   dense_limit: int = _DENSE_LIMIT,
+                   dense_limit: int | None = None,
                    s0: Spectrum | None = None) -> dict:
     """Sandwich bounds around the t = 0 eigenvalues.
 

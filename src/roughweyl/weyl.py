@@ -15,9 +15,9 @@ import csv
 
 import numpy as np
 
-from .assembly import assemble
+from .assembly import assemble, sign_masses
 from .fields import cell_geometry, sample_metric, triangle_quadrature
-from .spectral import _DENSE_LIMIT, Spectrum, solve_weighted
+from .spectral import Spectrum, solve_weighted
 
 __all__ = [
     "WeylTarget",
@@ -84,9 +84,7 @@ def weyl_constants(measure, rho) -> WeylTarget:
     constant is zero exactly when its side carries no quadrature mass.
     """
     factor = 1.0 / (4.0 * np.pi)
-    mass = np.abs(rho) * measure
-    int_plus = float(np.sum(mass * (rho > 0.0)))
-    int_minus = float(np.sum(mass * (rho < 0.0)))
+    int_plus, int_minus = sign_masses(measure, rho)
     vol = float(np.sum(measure))
     return WeylTarget(factor * int_plus, factor * int_minus, vol)
 
@@ -170,7 +168,7 @@ def fit_limit(s: Spectrum, window=None, target: WeylTarget = None) -> dict:
 
 def convergence_study(make_problem, levels, window=None, t: float = 0.0,
                       k_each=120, quad_order: int = 2,
-                      dense_limit: int = _DENSE_LIMIT, csv_path=None):
+                      dense_limit: int | None = None, csv_path=None):
     """Per-level Weyl-limit deviations for a refinement family.
 
     `make_problem(level)` returns (mesh, metric, weight, bc); each level is

@@ -304,6 +304,26 @@ class TestRunSolve:
         assert summary["counts"]["minus"] == 30
         assert summary["targets"]["c_plus"] == pytest.approx(1 / (8 * np.pi))
 
+    @pytest.mark.parametrize("weight, k_each, auto, mode, forced", [
+        ("halves:1,-1", 60, "sparse-lanczos", "dense", "dense"),
+        ("const:1", 200, "dense", "sparse", "sparse-lanczos"),
+    ])
+    def test_mode_forces_its_path(self, tmp_path, weight, k_each, auto, mode,
+                                  forced):
+        # at 961 free DOFs the auto cost rule picks one path; the mode
+        # key must still force the other
+        methods = {}
+        for key in ("auto", mode):
+            out = tmp_path / key
+            cfg = ExperimentConfig.from_text(
+                "task = solve\n[domain]\nlevel = 5\n[weight]\nweight = {}\n"
+                "[solver]\nk_each = {}\nmode = {}\n[output]\ndir = {}\n"
+                .format(weight, k_each, key, out))
+            assert run(cfg) == 0
+            summary = json.loads((out / "summary.json").read_text())
+            methods[key] = summary["method"]
+        assert methods == {"auto": auto, mode: forced}
+
 
 class TestRunWeyl:
     def test_acceptance_resolution_deviation_below_ten_percent(self, tmp_path):

@@ -71,7 +71,7 @@ class TestLaplaceSpectrum:
     def test_sparse_matches_dense_at_unit_shift(self, bc):
         # the pencil (Mm, K + Mm), zero mode included on the Neumann square
         p = square_pencil(16, bc=bc)
-        dense = solve_weighted(p, 1.0, 10, vectors=False)
+        dense = solve_weighted(p, 1.0, 10, dense_limit=3000, vectors=False)
         sparse = solve_weighted(p, 1.0, 10, dense_limit=50, vectors=False)
         assert sparse.meta["method"] == "sparse-lanczos"
         np.testing.assert_allclose(sparse.pos, dense.pos, rtol=1e-9)
@@ -123,7 +123,7 @@ class TestSolveWeighted:
 
     def test_sparse_matches_dense_indefinite(self):
         p = square_pencil(16, halves_weight(2.0, -1.0))
-        d = solve_weighted(p, 0.0, 8)
+        d = solve_weighted(p, 0.0, 8, dense_limit=3000)
         s = solve_weighted(p, 0.0, 8, dense_limit=50)
         assert s.meta["method"] == "sparse-lanczos"
         np.testing.assert_allclose(s.pos, d.pos, rtol=1e-7)
@@ -131,7 +131,7 @@ class TestSolveWeighted:
 
     def test_sparse_matches_dense_regularized(self):
         p = square_pencil(16, halves_weight(1.0, -1.0), BoundarySpec.neumann())
-        d = solve_weighted(p, 0.5, 6)
+        d = solve_weighted(p, 0.5, 6, dense_limit=3000)
         s = solve_weighted(p, 0.5, 6, dense_limit=50)
         np.testing.assert_allclose(s.pos, d.pos, rtol=1e-7)
         np.testing.assert_allclose(s.neg, d.neg, rtol=1e-7)
@@ -219,7 +219,7 @@ class TestSparseBothEnds:
 
     @staticmethod
     def _agree(p, k_each):
-        d = solve_weighted(p, 0.0, k_each)
+        d = solve_weighted(p, 0.0, k_each, dense_limit=3000)
         s = solve_weighted(p, 0.0, k_each, dense_limit=0)
         assert s.meta["method"] != "dense"
         assert (len(s.pos), len(s.neg)) == (len(d.pos), len(d.neg))
@@ -274,6 +274,55 @@ class TestSparseBothEnds:
         assert (len(s.pos), len(s.neg)) == (508, 21)
 
 
+class TestCostRule:
+    """The default path of each solve, picked by the cost rule
+    n^2 > C k_each sqrt(c_max / c_min), against the dense oracle. Cases lie
+    on both sides of the crossover at n = 529, 961 and 2116 (625 and 2116
+    on the Neumann square); the routes marked "pinned" are those of the
+    benchmark's pencils and of an unbalanced weight that must stay dense."""
+
+    @pytest.mark.parametrize("size, weight, bc, k_each, method", [
+        (24, "const:1", "dirichlet", 16, "sparse-lanczos"),
+        (24, "halves:1,-0.25", "dirichlet", 60, "dense"),
+        (24, "halves:1,-0.5", "neumann", 16, "sparse-projected"),
+        (24, "halves:1,-0.5", "neumann", 60, "dense"),
+        (28, "const:1", "dirichlet", 100, "dense"),  # pinned: sandwich
+        (32, "const:1", "dirichlet", 200, "dense"),  # pinned: weyl
+        (32, "halves:1,-1", "dirichlet", 60, "sparse-lanczos"),  # pinned
+        (32, "halves:1,-0.25", "dirichlet", 30, "sparse-lanczos"),
+        (32, "expr:x - 0.9", "dirichlet", 30, "dense"),
+        (47, "const:1", "dirichlet", 60, "sparse-lanczos"),
+        (47, "expr:x - 0.9", "dirichlet", 30, "sparse-lanczos"),
+        (47, "expr:x - 0.9", "dirichlet", 60, "dense"),  # pinned
+        (45, "halves:1,-0.5", "neumann", 60, "sparse-projected"),
+    ])
+    def test_routed_spectrum_matches_oracle(self, size, weight, bc, k_each,
+                                            method):
+        from roughweyl.cli import build_boundary, build_weight
+
+        p = square_pencil(size, build_weight(weight), build_boundary(bc))
+        assert p.n_free in (529, 625, 729, 961, 2116)
+        s = solve_weighted(p, 0.0, k_each, vectors=False)
+        assert s.meta["method"] == method
+        d = solve_weighted(p, 0.0, k_each, dense_limit=10 ** 9, vectors=False)
+        for sign in (1, -1):
+            got, want = s.values(sign), d.values(sign)
+            assert len(got) == len(want)
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
+
+    def test_hand_built_pencil_keeps_the_fixed_limit(self):
+        # no sample, no masses: at 961 rows and k_each = 60, where the
+        # assembled pencil goes to Lanczos, the hand-built one stays dense
+        from roughweyl import Pencil
+
+        p = square_pencil(32, halves_weight(1.0, -1.0))
+        q = Pencil(p.K, p.Mm, p.R, p.free_dofs, p.r, p.tau, p.rho_range)
+        assert solve_weighted(p, 0.0, 60, vectors=False).meta["method"] == (
+            "sparse-lanczos")
+        assert solve_weighted(q, 0.0, 60, vectors=False).meta["method"] == (
+            "dense")
+
+
 class TestLanczosReach:
     """Lanczos returns at most n - 2 values per end; pencils it cannot
     serve go dense whatever dense_limit says."""
@@ -281,7 +330,7 @@ class TestLanczosReach:
     def test_single_sign_k_each_at_n_free(self):
         p = square_pencil(6)
         assert p.n_free == 25
-        dense = solve_weighted(p, 0.0, p.n_free)
+        dense = solve_weighted(p, 0.0, p.n_free, dense_limit=3000)
         s = solve_weighted(p, 0.0, p.n_free, dense_limit=0)
         assert s.meta["method"] == "dense"
         assert len(s.pos) == p.n_free
@@ -304,7 +353,8 @@ class TestLanczosReach:
         p = square_pencil(2, bc=bc)
         assert p.n_free == n_free
         solve = self.SOLVES[solve]
-        np.testing.assert_array_equal(solve(p, dense_limit=0), solve(p))
+        np.testing.assert_array_equal(solve(p, dense_limit=0),
+                                      solve(p, dense_limit=3000))
 
 
 class TestConstrainedSolves:
@@ -327,7 +377,7 @@ class TestConstrainedSolves:
 
     def test_sparse_semidefinite_matches_dense(self):
         p = square_pencil(16, bc=BoundarySpec.neumann())
-        d = solve_weighted(p, 0.0, 5)
+        d = solve_weighted(p, 0.0, 5, dense_limit=3000)
         s = solve_weighted(p, 0.0, 5, dense_limit=50)
         assert s.meta["method"] == "sparse-projected"
         assert len(s.neg) == 0
@@ -337,7 +387,7 @@ class TestConstrainedSolves:
         w = expression_weight("x - 0.3")  # sign-changing, mean 0.2
         p = square_pencil(16, w, BoundarySpec.neumann())
         assert p.tau == 1
-        d = solve_weighted(p, 0.0, 6)
+        d = solve_weighted(p, 0.0, 6, dense_limit=3000)
         s = solve_weighted(p, 0.0, 6, dense_limit=50)
         np.testing.assert_allclose(s.pos, d.pos, rtol=1e-7)
         np.testing.assert_allclose(s.neg, d.neg, rtol=1e-7)
@@ -372,7 +422,7 @@ class TestSparseConstrained:
             p = assemble(generate_disk(8), graph_cone_metric(), w,
                          BoundarySpec.neumann())
         assert p.tau == 1
-        d = solve_weighted(p, 0.0, 12)
+        d = solve_weighted(p, 0.0, 12, dense_limit=3000)
         s = solve_weighted(p, 0.0, 12, dense_limit=0)
         assert s.meta["method"] == "sparse-projected"
         assert (len(s.pos), len(s.neg)) == (len(d.pos), len(d.neg))
@@ -391,7 +441,7 @@ class TestSparseConstrained:
         p = square_pencil(12, halves_weight(1.0, -0.5), BoundarySpec.neumann())
         r = p.r * (1.0 + generate_unit_square(12).vertices[:, 0])
         q = Pencil(p.K, p.Mm, p.R, p.free_dofs, r, 1, p.rho_range)
-        d = solve_weighted(q, 0.0, 12)
+        d = solve_weighted(q, 0.0, 12, dense_limit=3000)
         s = solve_weighted(q, 0.0, 12, dense_limit=0)
         np.testing.assert_allclose(s.pos, d.pos, rtol=1e-9)
         np.testing.assert_allclose(s.neg, d.neg, rtol=1e-9)

@@ -401,7 +401,7 @@ class TestBracketing:
             m, g = generate_unit_square(16), euclidean_metric()
             w = checkerboard_weight(1.0, -1.0, cells=4)
         args = (m, named_partition(m, scheme), g, w, bc, 1.0)
-        full = check_bracketing(*args, k_max=30)
+        full = check_bracketing(*args, k_max=30, dense_limit=3000)
         assert full["passed"]
         orders = []
         for module in (roughweyl.spectral, roughweyl.varprin):
@@ -427,7 +427,7 @@ class TestBracketing:
         m = generate_unit_square(4)
         args = (m, named_partition(m, "quadrants"), euclidean_metric(),
                 constant_weight(1.0), BoundarySpec.dirichlet(), 1.0)
-        full = check_bracketing(*args, k_max=5)
+        full = check_bracketing(*args, k_max=5, dense_limit=3000)
         limited = check_bracketing(*args, k_max=5, dense_limit=0)
         for key in ("nu", "eta"):
             assert limited["plus"][key] == full["plus"][key]
