@@ -124,7 +124,7 @@ class Pencil:
     the eigensolver runs and weighs their imbalance in its dense-or-Lanczos
     cost rule (`spectral` module docstring); `rho_range` cannot see an
     imbalance in area, and stands in for the masses only on a hand-built
-    pencil, which keeps the fixed dense limit.
+    pencil.
     """
 
     def __init__(self, K, Mm, R, free_dofs, r, tau, rho_range, measure=None,

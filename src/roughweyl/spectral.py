@@ -35,8 +35,8 @@ time over the grid, 37.3 s, within 0.1 s of the per-solve best (a fixed
 
 A caller-given integer `dense_limit` replaces the rule by a fixed limit
 (n <= dense_limit goes dense). A pencil built by hand carries no sample,
-hence no masses; it keeps the fixed limit `_DENSE_LIMIT`, and the signs of
-its `rho_range` pick the ends.
+hence no masses: the signs of its `rho_range` pick the ends, and the rule
+takes the ratio as 1.
 
 Dense: Cholesky-based reduction of the pencil and a full symmetric
 eigensolve, which doubles as the trusted oracle.
@@ -385,11 +385,9 @@ def solve_weighted(p: Pencil, t: float = 0.0, k_each: int = 6,
     constrained = rf is not None
     Kt = p.Kf + t * p.Mmf if t > 0.0 else p.Kf
     masses = p.masses
-    if masses is None:  # hand-built, no sample: rho_range's signs, fixed limit
+    if masses is None:  # hand-built, no sample: rho_range's signs, ratio 1
         lo, hi = p.rho_range
         masses = (float(hi > 0.0), float(lo < 0.0))
-        if dense_limit is None:
-            dense_limit = _DENSE_LIMIT
     pos, neg, vp, vn, method = _signed_ends(p.Rf, Kt, rf, masses, k_each,
                                             dense_limit, vectors)
     meta = {

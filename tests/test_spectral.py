@@ -310,18 +310,6 @@ class TestCostRule:
             assert len(got) == len(want)
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
 
-    def test_hand_built_pencil_keeps_the_fixed_limit(self):
-        # no sample, no masses: at 961 rows and k_each = 60, where the
-        # assembled pencil goes to Lanczos, the hand-built one stays dense
-        from roughweyl import Pencil
-
-        p = square_pencil(32, halves_weight(1.0, -1.0))
-        q = Pencil(p.K, p.Mm, p.R, p.free_dofs, p.r, p.tau, p.rho_range)
-        assert solve_weighted(p, 0.0, 60, vectors=False).meta["method"] == (
-            "sparse-lanczos")
-        assert solve_weighted(q, 0.0, 60, vectors=False).meta["method"] == (
-            "dense")
-
 
 class TestLanczosReach:
     """Lanczos returns at most n - 2 values per end; pencils it cannot
