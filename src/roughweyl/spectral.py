@@ -60,13 +60,15 @@ Eigenvectors are optional (`solve_weighted(..., vectors=False)`): the
 dense path then skips the eigenvector back-substitution and the sparse
 path ARPACK's Ritz-vector pass, which dominates a Lanczos run at large
 k_each. Only the variational checkers read eigenvectors.
+
+scipy's solvers (`scipy.linalg`, `scipy.sparse.linalg`: LAPACK, ARPACK and
+SuperLU) are imported inside the functions that call them, so a process
+that only builds pencils never loads them.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import eigh
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator
 
 from .assembly import ModelingError, Pencil, _Householder
 
@@ -179,6 +181,8 @@ def _dense_weighted(A, M, rf, k_each, vectors):
     """Signed lists of A v = lambda M v by a full dense eigensolve, on
     {rf . v = 0} when a constraint vector is given. LAPACK overwrites the
     Fortran-ordered dense forms in place (drivers: module docstring)."""
+    from scipy.linalg import eigh
+
     H = None if rf is None else _Householder(rf)
     # one form at a time, so that at most one unreduced copy is alive
     M = M.toarray(order="F")
@@ -211,7 +215,7 @@ def _spd_inverse(A):
     LDL^T). A matrix that is singular or indefinite shows a row swap or a
     pivot that is negative or tiny against the largest one.
     """
-    from scipy.sparse.linalg import splu
+    from scipy.sparse.linalg import LinearOperator, splu
 
     failed = ("coercive form could not be factorized; supply t > 0 or a "
               "constraint ({})")
@@ -239,7 +243,7 @@ def _lanczos_ends(A, M, Minv, v0, masses, k_each, vectors):
     pencil here only when k_each <= n - 2. Without `vectors`, ARPACK
     skips its Ritz-vector pass and the columns come back as None.
     """
-    from scipy.sparse.linalg import eigsh
+    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
     n = len(v0)
 
@@ -283,6 +287,8 @@ def _sparse_weighted(R, K, rf, masses, k_each, vectors):
     R - rf rf^T / (rf . 1) needs rf = R 1, which holds for assembled R but
     not for a hand-built pencil or for Mm in R's place.
     """
+    from scipy.sparse.linalg import LinearOperator
+
     nf = K.shape[0]
     v0 = np.random.default_rng(0).standard_normal(nf)
     K = K.tocsr()

@@ -38,7 +38,6 @@ from __future__ import annotations
 import json
 
 import numpy as np
-from scipy.linalg import cholesky, eigh, qr, solve_triangular
 
 from .assembly import (
     BoundarySpec,
@@ -165,6 +164,8 @@ def check_poincare_minmax(s: Spectrum, p, k: int, trials: int = 100,
     Attainment: V spanned by the first k eigenvectors of the matching sign
     gives equality.
     """
+    from scipy.linalg import eigh
+
     _require_positive(k=k, trials=trials)
     Kt, R, vp, vn = _reduced_operators(s, p)
     rng = np.random.default_rng(seed)
@@ -229,6 +230,8 @@ def check_courant(s: Spectrum, p, k: int, trials: int = 100,
     computed. k = 1 bounds the whole space. The complement of the first
     k-1 eigenvectors attains equality.
     """
+    from scipy.linalg import cholesky, eigh, qr, solve_triangular
+
     _require_positive(k=k, trials=trials)
     Kt, R, vp, vn = _reduced_operators(s, p)
     rng = np.random.default_rng(seed)

@@ -58,14 +58,31 @@ class TestWeylConstantFactor:
         assert t.c_minus == 0.0
 
 
-def test_import_leaves_scipy_special_unloaded():
-    # scipy.special is a slow import nothing needs
-    code = "import sys, roughweyl; print('scipy.special' in sys.modules)"
+def test_import_leaves_scipy_special_unloaded(tmp_path):
+    # scipy.special is a slow import nothing needs, and the solver stack
+    # (LAPACK, ARPACK, SuperLU) loads at the first solve: building a
+    # pencil, its Weyl target and mesh I/O leave all three unloaded
+    code = """if True:
+        import sys
+        import roughweyl as rw
+        m = rw.generate_unit_square(8)
+        g, w = rw.euclidean_metric(), rw.halves_weight(1.0, -1.0)
+        p = rw.assemble(m, g, w, rw.BoundarySpec.dirichlet())
+        rw.weyl_target(m, g, w)
+        rw.save_mesh(m, sys.argv[1])
+        rw.validate(rw.load_mesh(sys.argv[1]))
+        solver = ("scipy.linalg", "scipy.sparse.linalg")
+        print([name in sys.modules for name in solver + ("scipy.special",)])
+        rw.solve_weighted(p, 0.0, k_each=4, dense_limit=0)
+        print([name in sys.modules for name in solver])
+    """
     src = os.path.dirname(os.path.dirname(roughweyl.__file__))
-    out = subprocess.run([sys.executable, "-c", code], check=True,
-                         capture_output=True, text=True,
+    out = subprocess.run([sys.executable, "-c", code,
+                          str(tmp_path / "square.rwmesh")],
+                         check=True, capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=src))
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split("\n")[:2] == ["[False, False, False]",
+                                           "[True, True]"]
 
 
 class TestWeylTarget:
