@@ -11,10 +11,12 @@ import numpy as np
 
 from roughweyl import (
     BoundarySpec,
+    assemble,
     check_bracketing,
     constant_weight,
     generate_disk,
     graph_cone_metric,
+    solve_weighted,
 )
 from roughweyl.cli import named_partition
 
@@ -23,8 +25,10 @@ def main():
     m = generate_disk(12)
     g = graph_cone_metric()
     w = constant_weight(1.0)
-    report = check_bracketing(m, named_partition(m, "halves"), g, w,
-                              BoundarySpec.dirichlet(), t=0.5, k_max=12)
+    bc = BoundarySpec.dirichlet()
+    s = solve_weighted(assemble(m, g, w, bc), 0.5, k_each=12, vectors=False)
+    report = check_bracketing(s, m, named_partition(m, "halves"), g, w, bc,
+                              k_max=12)
 
     print("bracketing on {} triangles, t = {}, passed: {}".format(
         m.num_triangles, report["t"], report["passed"]))

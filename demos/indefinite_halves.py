@@ -25,7 +25,7 @@ def main():
     g = euclidean_metric()
     w = halves_weight(1.0, -1.0)
     p = assemble(m, g, w, BoundarySpec.dirichlet(), 2)
-    s = solve_weighted(p, 0.0, k_each=150, dense_limit=3000)
+    s = solve_weighted(p, 0.0, k_each=150)
 
     print("computed {} positive and {} negative eigenvalues".format(
         len(s.pos), len(s.neg)))

@@ -49,8 +49,8 @@ def main():
                        - getattr(on_image, name)).toarray()).max()
         print("  {:2s}: {:.2e}".format(name, diff))
 
-    sa = solve_weighted(on_square, 0.0, k_each=30, dense_limit=3000)
-    sb = solve_weighted(on_image, 0.0, k_each=30, dense_limit=3000)
+    sa = solve_weighted(on_square, 0.0, k_each=30)
+    sb = solve_weighted(on_image, 0.0, k_each=30)
     print("spectra: {} positive, {} negative eigenvalues each".format(
         len(sa.pos), len(sa.neg)))
     print("max eigenvalue difference: {:.2e}".format(

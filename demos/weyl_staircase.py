@@ -28,7 +28,7 @@ def main():
     g = euclidean_metric()
     w = constant_weight(1.0)
     p = assemble(m, g, w, BoundarySpec.dirichlet(), 2)
-    s = solve_weighted(p, 0.0, k_each=200, dense_limit=3000)
+    s = solve_weighted(p, 0.0, k_each=200)
 
     target = weyl_target(m, g, w)
     print("Weyl constant c_+ = {:.6f}  (1/(4 pi) = {:.6f})".format(

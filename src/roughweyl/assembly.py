@@ -116,26 +116,21 @@ class Pencil:
     vertices; `free_dofs` indexes the non-Dirichlet vertices; `r` is the
     full-length vector of weight functionals r_i = integral rho phi_i d mu;
     `tau` is 1 exactly when no vertex is Dirichlet, so that the free space
-    holds the constants, which K annihilates, else 0; `rho_range` is the
-    (min, max) of rho over the quadrature points. `measure` and `rho` are
-    the assembly's flat per-point samples of w_q sqrt(det G) |cell| and of
-    the weight, or None for a hand-built pencil. They are carried for
-    `masses`, the weight's mass on each sign, which picks the spectral ends
-    the eigensolver runs and weighs their imbalance in its dense-or-Lanczos
-    cost rule (`spectral` module docstring); `rho_range` cannot see an
-    imbalance in area, and stands in for the masses only on a hand-built
-    pencil.
+    holds the constants, which K annihilates, else 0. `measure` and `rho`
+    are flat per-point samples of w_q sqrt(det G) |cell| and of the
+    weight, the assembly's own for an assembled pencil. They are carried
+    for `masses`, the weight's mass on each sign, which picks the spectral
+    ends the eigensolver runs and weighs their imbalance in its
+    dense-or-Lanczos cost rule (`spectral` module docstring).
     """
 
-    def __init__(self, K, Mm, R, free_dofs, r, tau, rho_range, measure=None,
-                 rho=None):
+    def __init__(self, K, Mm, R, free_dofs, r, tau, measure, rho):
         self.K = K
         self.Mm = Mm
         self.R = R
         self.free_dofs = np.asarray(free_dofs, dtype=np.int64)
         self.r = np.asarray(r, dtype=float)
         self.tau = int(tau)
-        self.rho_range = (float(rho_range[0]), float(rho_range[1]))
         self.measure = measure
         self.rho = rho
         self._reduced = {}
@@ -176,10 +171,7 @@ class Pencil:
 
     @property
     def masses(self):
-        """`sign_masses` of the assembly's sample; None for a hand-built
-        pencil, which carries none."""
-        if self.measure is None:
-            return None
+        """`sign_masses` of the pencil's sample."""
         return sign_masses(self.measure, self.rho)
 
     def __repr__(self):
@@ -330,8 +322,7 @@ def assemble(m: Mesh, g: MetricField, w: WeightField, bc: BoundarySpec,
     # the kernel of the energy exactly when no vertex is Dirichlet
     tau = int(dirichlet.size == 0)
 
-    rho_range = (float(rho.min()), float(rho.max())) if rho.size else (0.0, 0.0)
-    return Pencil(K, Mm, R, free, r, tau, rho_range, measure, rho)
+    return Pencil(K, Mm, R, free, r, tau, measure, rho)
 
 
 def sign_masses(measure, rho):
@@ -410,10 +401,9 @@ def poincare_constant(p: Pencil) -> float:
     """
     from .spectral import _signed_ends, project_constraint
 
-    # Mm is positive definite, a single-sign pencil: only the top end runs;
-    # dense limit 0
+    # Mm is positive definite, a single-sign pencil: only the top end runs
     top = _signed_ends(p.Mmf, p.Kf, project_constraint(p), (1.0, 0.0), 1,
-                       0, False)[0]
+                       "sparse", False)[0]
     mu = 1.0 / float(top[0])
     if mu <= 1e-12:
         raise ModelingError(

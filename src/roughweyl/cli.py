@@ -36,7 +36,7 @@ from .fields import (
     pullback_metric,
 )
 from .mesh import MeshFormatError, generate_disk, generate_unit_square
-from .spectral import SolverError, Spectrum, solve_weighted
+from .spectral import MODES, SolverError, Spectrum, solve_weighted
 from .varprin import (
     check_bracketing,
     check_courant,
@@ -213,7 +213,7 @@ class ExperimentConfig:
             raise ConfigError("solver.t: must be >= 0")
         self.k_each = _as_int("solver", "k_each", sol.get("k_each", "200"))
         self.mode = sol.get("mode", "auto")
-        if self.mode not in ("auto", "dense", "sparse"):
+        if self.mode not in MODES:
             raise ConfigError(
                 "solver.mode: expected auto, dense, or sparse, got {!r}"
                 .format(self.mode))
@@ -259,14 +259,6 @@ class ExperimentConfig:
                 return cls.from_text(fh.read())
         except OSError as exc:
             raise ConfigError("cannot read config: {}".format(exc))
-
-    def dense_limit(self):
-        """The solves' `dense_limit`: None under `auto`, the cost rule."""
-        if self.mode == "dense":
-            return 10 ** 9
-        if self.mode == "sparse":
-            return 0
-        return None
 
     def resolved(self):
         return {
@@ -614,8 +606,7 @@ def run(cfg: ExperimentConfig) -> int:
         if cfg.task == "converge":
             rows, p, s = convergence_study(
                 _level_problem(cfg), cfg.levels, cfg.window, cfg.t,
-                k_each=cfg.k_each, quad_order=cfg.quad_order,
-                dense_limit=cfg.dense_limit(),
+                k_each=cfg.k_each, quad_order=cfg.quad_order, mode=cfg.mode,
                 csv_path=os.path.join(out_dir, "convergence.csv"))
             tgt, artifacts = _spectrum_artifacts(cfg, p, s, out_dir)
             artifacts["convergence_csv"] = "convergence.csv"
@@ -632,11 +623,10 @@ def run(cfg: ExperimentConfig) -> int:
             t = cfg.t if cfg.t > 0.0 else 1.0
             p = assemble(m, g, w, bc, cfg.quad_order)
             s = solve_weighted(p, t, k_each=max(cfg.k_each, cfg.k_max),
-                               dense_limit=cfg.dense_limit(), vectors=False)
+                               mode=cfg.mode, vectors=False)
             report = check_bracketing(
-                m, named_partition(m, cfg.partition), g, w, bc, t,
-                k_max=cfg.k_max, quad_order=cfg.quad_order,
-                dense_limit=cfg.dense_limit(), s_global=s)
+                s, m, named_partition(m, cfg.partition), g, w, bc,
+                k_max=cfg.k_max, quad_order=cfg.quad_order, mode=cfg.mode)
             _, artifacts = _spectrum_artifacts(cfg, p, _leading(s, cfg.k_each),
                                                out_dir)
             summary["report"] = report
@@ -645,9 +635,9 @@ def run(cfg: ExperimentConfig) -> int:
             p = _solve_stack(cfg)
             s = solve_weighted(p, 0.0, k_each=max(cfg.k_each,
                                                   cfg.k_max + p.tau),
-                               dense_limit=cfg.dense_limit(), vectors=False)
-            report = check_sandwich(p, cfg.t_list, k_max=cfg.k_max,
-                                    dense_limit=cfg.dense_limit(), s0=s)
+                               mode=cfg.mode, vectors=False)
+            report = check_sandwich(s, p, cfg.t_list, k_max=cfg.k_max,
+                                    mode=cfg.mode)
             _, artifacts = _spectrum_artifacts(cfg, p, _leading(s, cfg.k_each),
                                                out_dir)
             summary["report"] = report
@@ -655,7 +645,7 @@ def run(cfg: ExperimentConfig) -> int:
         elif cfg.task == "varprin":
             p = _solve_stack(cfg)
             s = solve_weighted(p, cfg.t, k_each=max(cfg.k_each, cfg.k + 1),
-                               dense_limit=cfg.dense_limit())
+                               mode=cfg.mode)
             reports = [
                 check_poincare_minmax(s, p, cfg.k, cfg.trials, cfg.seed),
                 check_rayleigh(s, p, cfg.k, cfg.trials, cfg.seed),
@@ -668,8 +658,8 @@ def run(cfg: ExperimentConfig) -> int:
                 checks[rep["check"]] = rep["passed"]
         else:  # solve and weyl share the pipeline
             p = _solve_stack(cfg)
-            s = solve_weighted(p, cfg.t, k_each=cfg.k_each,
-                               dense_limit=cfg.dense_limit(), vectors=False)
+            s = solve_weighted(p, cfg.t, k_each=cfg.k_each, mode=cfg.mode,
+                               vectors=False)
             tgt, artifacts = _spectrum_artifacts(cfg, p, s, out_dir)
             summary["targets"] = {"c_plus": tgt.c_plus,
                                   "c_minus": tgt.c_minus, "vol": tgt.vol}

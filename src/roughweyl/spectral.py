@@ -12,31 +12,31 @@ callers: `solve_weighted` (R, K + t Mm), `assembly.poincare_constant`
 (Mm, K; Lanczos wherever it reaches) and `varprin.check_bracketing` (each
 subdomain's pencil).
 
-Two code paths, chosen per solve by `_goes_dense`. Lanczos returns at most
-n - 2 values per end of an n-row pencil, so a pencil of <= k_each + 1 rows
-is always solved densely. Otherwise a dense solve costs about n^3 whatever
-k_each, and a Lanczos run grows with n, with k_each and with the imbalance
-of the two signs: its cost grows roughly as sqrt(c_max / c_min), where c_±
-are the weight's masses on each sign (`Pencil.masses`, the integrals of
-|rho| over {±rho > 0}; the ratio counts as 1 on a single-sign pencil). So
-an n-row pencil goes to Lanczos when
+Two code paths, chosen per solve by `_goes_dense` from the caller's
+`mode`, which takes the values of the CLI's `[solver] mode`. Lanczos
+returns at most n - 2 values per end of an n-row pencil, so a pencil of
+<= k_each + 1 rows is always solved densely. Otherwise "dense" and
+"sparse" force their path, and "auto" follows a cost rule: a dense solve
+costs about n^3 whatever k_each, and a Lanczos run grows with n, with
+k_each and with the imbalance of the two signs: its cost grows roughly as
+sqrt(c_max / c_min), where c_± are the weight's masses on each sign
+(`Pencil.masses`, the integrals of |rho| over {±rho > 0}; the ratio counts
+as 1 on a single-sign pencil). So under "auto" an n-row pencil goes to
+Lanczos when
 
     n^2 > C k_each sqrt(c_max / c_min),   C = `_CROSSOVER` = 1.4e4,
 
-and never densely above `_DENSE_LIMIT` = 3000 rows, the memory cap. C was
-fitted on a grid of 100 eigenvalues-only solves of the Dirichlet unit
-square on 2 cores: n = 529, 961, 1521, 2116 and 2916; k_each = 30, 60,
-100 and 200; weights `const:1`, `halves:1,-1`, `halves:1,-0.25`,
-`halves:1,-0.1` and `expr:x - 0.9` (c_max / c_min = 1, 1, 4, 10 and 81).
-Break-even fell at n^2 / (k_each sqrt(c_max / c_min)) = 0.9e4 to 1.2e4
-for n <= 1521 and 1.34e4 to 1.42e4 above. C = 1.4e4 gives the least total
-time over the grid, 37.3 s, within 0.1 s of the per-solve best (a fixed
-3000-row limit: 75.5 s).
-
-A caller-given integer `dense_limit` replaces the rule by a fixed limit
-(n <= dense_limit goes dense). A pencil built by hand carries no sample,
-hence no masses: the signs of its `rho_range` pick the ends, and the rule
-takes the ratio as 1.
+and always above `_DENSE_LIMIT` = 3000 rows, the memory cap of the dense
+path. A pencil above the cap that "dense" or the reach rule would send
+dense raises SolverError before any form is densified. C was fitted on a
+grid of 100 eigenvalues-only solves of the Dirichlet unit square on 2
+cores: n = 529, 961, 1521, 2116 and 2916; k_each = 30, 60, 100 and 200;
+weights `const:1`, `halves:1,-1`, `halves:1,-0.25`, `halves:1,-0.1` and
+`expr:x - 0.9` (c_max / c_min = 1, 1, 4, 10 and 81). Break-even fell at
+n^2 / (k_each sqrt(c_max / c_min)) = 0.9e4 to 1.2e4 for n <= 1521 and
+1.34e4 to 1.42e4 above. C = 1.4e4 gives the least total time over the
+grid, 37.3 s, within 0.1 s of the per-solve best (a fixed 3000-row limit:
+75.5 s).
 
 Dense: Cholesky-based reduction of the pencil and a full symmetric
 eigensolve, which doubles as the trusted oracle.
@@ -79,6 +79,7 @@ __all__ = [
     "project_constraint",
 ]
 
+MODES = ("auto", "dense", "sparse")  # the `mode` of every solve
 _DENSE_LIMIT = 3000  # free-DOF cap of a dense solve: nothing larger is densified
 _CROSSOVER = 1.4e4  # C of the cost rule n^2 > C k_each sqrt(c_max / c_min)
 _MULT_TOL = 1e-8  # relative clustering width for multiplicity reporting
@@ -177,12 +178,21 @@ def _split_signed(w, V, k_each):
     return pos, neg, vp, vn
 
 
+def _refuse_dense(n):
+    """Raise SolverError for a dense form of n rows above `_DENSE_LIMIT`."""
+    if n > _DENSE_LIMIT:
+        raise SolverError("{} rows would be densified, above the {}-row cap "
+                          "of the dense path".format(n, _DENSE_LIMIT))
+
+
 def _dense_weighted(A, M, rf, k_each, vectors):
     """Signed lists of A v = lambda M v by a full dense eigensolve, on
     {rf . v = 0} when a constraint vector is given. LAPACK overwrites the
-    Fortran-ordered dense forms in place (drivers: module docstring)."""
+    Fortran-ordered dense forms in place (drivers: module docstring). A
+    pencil above `_DENSE_LIMIT` rows is refused before it is densified."""
     from scipy.linalg import eigh
 
+    _refuse_dense(M.shape[0])
     H = None if rf is None else _Householder(rf)
     # one form at a time, so that at most one unreduced copy is alive
     M = M.toarray(order="F")
@@ -330,23 +340,24 @@ def _sparse_weighted(R, K, rf, masses, k_each, vectors):
     return _lanczos_ends(A, M, Minv, pi(v0), masses, k_each, vectors)
 
 
-def _goes_dense(n, k_each, masses, dense_limit):
+def _goes_dense(n, k_each, masses, mode):
     """Whether `_signed_ends` solves an n-row pencil densely (rule: module
-    docstring). Always where Lanczos cannot reach k_each; else up to an
-    integer `dense_limit` rows; with `dense_limit` None, by the cost rule
-    on the sign `masses`, up to `_DENSE_LIMIT` rows."""
-    if n <= k_each + 1:
+    docstring). Always where Lanczos cannot reach k_each; else as `mode`
+    forces, or under "auto" by the cost rule on the sign `masses`, up to
+    `_DENSE_LIMIT` rows."""
+    if mode not in MODES:
+        raise ValueError("mode must be one of {}, got {!r}".format(
+            ", ".join(MODES), mode))
+    if n <= k_each + 1 or mode == "dense":
         return True
-    if dense_limit is not None:
-        return n <= dense_limit
-    if n > _DENSE_LIMIT:
+    if mode == "sparse" or n > _DENSE_LIMIT:
         return False
     lo, hi = sorted(masses)
     balance = hi / lo if lo > 0.0 else 1.0
     return n * n <= _CROSSOVER * k_each * np.sqrt(balance)
 
 
-def _signed_ends(A, M, rf, masses, k_each, dense_limit, vectors):
+def _signed_ends(A, M, rf, masses, k_each, mode, vectors):
     """Signed lists and path (pos, neg, vec_pos, vec_neg, method) of
     A v = lambda M v.
 
@@ -357,19 +368,19 @@ def _signed_ends(A, M, rf, masses, k_each, dense_limit, vectors):
     and the problem posed on {rf . v = 0}. `masses` (m_plus, m_minus) are
     A's weight masses on each sign; a sign's end runs only where its mass
     is positive. A pencil with no rows, as left by Dirichlet conditions on
-    every vertex, raises SolverError.
+    every vertex, raises SolverError, as does one above `_DENSE_LIMIT` rows
+    that would go dense.
     """
     if M.shape[0] == 0:
         raise SolverError("no free DOFs")
-    if _goes_dense(M.shape[0], k_each, masses, dense_limit):
+    if _goes_dense(M.shape[0], k_each, masses, mode):
         return (*_dense_weighted(A, M, rf, k_each, vectors), "dense")
     method = "sparse-lanczos" if rf is None else "sparse-projected"
     return (*_sparse_weighted(A, M, rf, masses, k_each, vectors), method)
 
 
 def solve_weighted(p: Pencil, t: float = 0.0, k_each: int = 6,
-                   dense_limit: int | None = None,
-                   vectors: bool = True) -> Spectrum:
+                   mode: str = "auto", vectors: bool = True) -> Spectrum:
     """Solve R v = lambda (K + t Mm) v, k_each eigenvalues per sign.
 
     t = 0 requires a coercive K on the working space: either eliminated
@@ -381,21 +392,16 @@ def solve_weighted(p: Pencil, t: float = 0.0, k_each: int = 6,
     it. The eigenvalues agree either way to roundoff. With rho = 1 and
     t = 0 the positive list inverts the Laplace eigenvalues, Lambda_k =
     1 / lambda_k^+ (on a pure-Neumann pencil, those above the zero mode).
-    The default `dense_limit` None picks the path by the cost rule (module
-    docstring); an integer forces the dense path up to that many rows and
-    Lanczos above.
+    `mode` "auto" picks the path by the cost rule, "dense" and "sparse"
+    force theirs (module docstring); any other value raises ValueError.
     """
     if t < 0.0:
         raise ValueError("t must be >= 0")
     rf = project_constraint(p) if t == 0.0 else None
     constrained = rf is not None
     Kt = p.Kf + t * p.Mmf if t > 0.0 else p.Kf
-    masses = p.masses
-    if masses is None:  # hand-built, no sample: rho_range's signs, ratio 1
-        lo, hi = p.rho_range
-        masses = (float(hi > 0.0), float(lo < 0.0))
-    pos, neg, vp, vn, method = _signed_ends(p.Rf, Kt, rf, masses, k_each,
-                                            dense_limit, vectors)
+    pos, neg, vp, vn, method = _signed_ends(p.Rf, Kt, rf, p.masses, k_each,
+                                            mode, vectors)
     meta = {
         "t": float(t),
         "method": method,
@@ -404,4 +410,3 @@ def solve_weighted(p: Pencil, t: float = 0.0, k_each: int = 6,
         "constrained": constrained,
     }
     return Spectrum(pos, neg, vp, vn, meta)
-

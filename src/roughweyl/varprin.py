@@ -27,10 +27,13 @@ interface is the set of vertices it shares with other cells, and every
 cell's pencil goes through the same `spectral._signed_ends` dispatch as
 the global one.
 
-`check_sandwich` and `check_bracketing` solve their reference spectra
-themselves unless the caller passes one it has already computed (`s0`,
-`s_global`); a supplied spectrum must be of the same pencil at the same t
-and deep enough for the check, or the checker raises ValueError.
+`check_sandwich` and `check_bracketing` take the reference spectrum they
+check as their first argument, as the other checkers do; it must be of
+the checked pencil, at the checked t and deep enough for the check, or
+the checker raises ValueError.
+
+Every checker that densifies a form refuses, with SolverError, a pencil
+above the dense path's cap of `spectral._DENSE_LIMIT` rows.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from .assembly import (
 from .mesh import Mesh
 from .spectral import (
     Spectrum,
+    _refuse_dense,
     _signed_ends,
     project_constraint,
     solve_weighted,
@@ -68,7 +72,9 @@ TOLERANCE = 1e-9
 def _reduced_operators(s: Spectrum, p):
     """Dense (Kt, R, vec_pos, vec_neg), reduced to the constraint subspace
     when the spectrum was computed there. A spectrum solved without
-    eigenvectors is rejected: the variational checks need them."""
+    eigenvectors is rejected: the variational checks need them. A pencil
+    above the dense cap raises SolverError before anything is densified."""
+    _refuse_dense(p.n_free)
     for vals, vecs in ((s.pos, s.vec_pos), (s.neg, s.vec_neg)):
         if len(vals) and vecs is None:
             raise ValueError("spectrum carries no eigenvectors; solve with "
@@ -102,8 +108,8 @@ def _signed_items(s: Spectrum, vp, vn, k):
 
 
 def _check_supplied(s: Spectrum, t, n_free, need):
-    """Reject a precomputed spectrum that is not of the checked pencil at
-    t, or that a smaller k_each cut short of `need` values on a side."""
+    """Reject a reference spectrum that is not of the checked pencil at t,
+    or that a smaller k_each cut short of `need` values on a side."""
     if s.meta.get("t") != float(t):
         raise ValueError("supplied spectrum has t = {}, the check needs "
                          "t = {}".format(s.meta.get("t"), float(t)))
@@ -282,11 +288,13 @@ def _partition_cells(m: Mesh, partition):
     return cells
 
 
-def check_bracketing(m: Mesh, partition, g, w, bc: BoundarySpec, t: float,
+def check_bracketing(s: Spectrum, m: Mesh, partition, g, w, bc: BoundarySpec,
                      k_max: int = 50, quad_order: int = 2,
-                     dense_limit: int | None = None,
-                     s_global: Spectrum | None = None) -> dict:
+                     mode: str = "auto") -> dict:
     """Dirichlet-Neumann bracketing of the t-regularized problem.
+
+    `s` is the global spectrum at t = s.meta["t"] > 0, with at least k_max
+    values per sign where the pencil has them.
 
     The partition is a list of triangle-index sets covering the mesh once;
     anything overlapping, out of range, or not covering is rejected.
@@ -297,12 +305,8 @@ def check_bracketing(m: Mesh, partition, g, w, bc: BoundarySpec, t: float,
     that a triangle outside it also touches. Each cell is assembled alone
     with natural conditions; its eta problem frees every vertex off the
     global Dirichlet set, and its nu problem also pins the interface to
-    zero. Each is solved like the global pencil, for its top k_max values
-    per sign (the merged top k_max lie among them).
-    `s_global`, when given, is the global spectrum at t with at least
-    k_max values per sign where the pencil has them; otherwise the
-    checker assembles and solves the global pencil itself, eigenvalues
-    only.
+    zero. Each is solved by `mode`, as `solve_weighted` solves, for its
+    top k_max values per sign (the merged top k_max lie among them).
 
     The report holds, under "plus" and "minus", the descending lists
     "nu", "lam" and "eta", each cut at k_max. nu comes from the cells'
@@ -316,18 +320,13 @@ def check_bracketing(m: Mesh, partition, g, w, bc: BoundarySpec, t: float,
     are none.
     """
     _require_positive(k_max=k_max)
+    t = float(s.meta.get("t", 0.0))
     if t <= 0.0:
         raise ValueError("bracketing needs t > 0")
     cells = _partition_cells(m, partition)
     bc = bc.resolve(m)
     dirichlet = bc.dirichlet_vertices(m)
-
-    if s_global is None:
-        s_global = solve_weighted(assemble(m, g, w, bc, quad_order), t,
-                                  k_each=k_max, dense_limit=dense_limit,
-                                  vectors=False)
-    else:
-        _check_supplied(s_global, t, m.num_vertices - len(dirichlet), k_max)
+    _check_supplied(s, t, m.num_vertices - len(dirichlet), k_max)
 
     nu = {"plus": [], "minus": []}
     eta = {"plus": [], "minus": []}
@@ -346,7 +345,7 @@ def check_bracketing(m: Mesh, partition, g, w, bc: BoundarySpec, t: float,
                 continue
             K, Mm, R = (A[free][:, free] for A in (part.K, part.Mm, part.R))
             pos, neg = _signed_ends(R, K + t * Mm, None, masses, k_max,
-                                    dense_limit, False)[:2]
+                                    mode, False)[:2]
             target["plus"].extend(pos)
             target["minus"].extend(neg)
 
@@ -361,7 +360,7 @@ def check_bracketing(m: Mesh, partition, g, w, bc: BoundarySpec, t: float,
         "tolerance": TOLERANCE,
     }
     for label, sign in (("plus", 1), ("minus", -1)):
-        lam = s_global.values(sign)[:k_max]
+        lam = s.values(sign)[:k_max]
         nus = np.sort(np.asarray(nu[label], dtype=float))[::-1][:k_max]
         etas = np.sort(np.asarray(eta[label], dtype=float))[::-1][:k_max]
         for side, lower, upper in (("dirichlet", nus, lam),
@@ -378,10 +377,9 @@ def check_bracketing(m: Mesh, partition, g, w, bc: BoundarySpec, t: float,
     return report
 
 
-def check_sandwich(p, t_list=(0.5, 0.1, 0.02), k_max: int = 100,
-                   dense_limit: int | None = None,
-                   s0: Spectrum | None = None) -> dict:
-    """Sandwich bounds around the t = 0 eigenvalues.
+def check_sandwich(s0: Spectrum, p, t_list=(0.5, 0.1, 0.02),
+                   k_max: int = 100, mode: str = "auto") -> dict:
+    """Sandwich bounds around the t = 0 eigenvalues s0 of p.
 
     With C the discrete Poincare constant and tau the constraint
     codimension, lambda_{k+tau}(W, t) <= lambda_k(W) <= (1-t)^{-1} *
@@ -390,30 +388,25 @@ def check_sandwich(p, t_list=(0.5, 0.1, 0.02), k_max: int = 100,
     regularized eigenvalue exceeds the reference (near-constant vectors are
     cheap for E_t but excluded from the constrained problem). The pinch gap
     between the two bounds is monitored, not asserted; it closes as t -> 0.
-    `s0`, when given, is the t = 0 spectrum of p with at least k_max + tau
-    values per sign where the pencil has them; otherwise the checker
-    solves it itself. Every spectrum solved here is eigenvalues only, as
-    the CLI solves the one it supplies, so the two reports agree.
+    `s0` must hold at least k_max + tau values per sign where the pencil
+    has them. The regularized spectra are solved by `mode`, eigenvalues
+    only.
     """
     _require_positive(k_max=k_max)
     for t in t_list:
         if not 0.0 < t < 1.0:
             raise ValueError("sandwich t values must lie in (0, 1)")
     tau = p.tau
-    if s0 is None:
-        s0 = solve_weighted(p, 0.0, k_each=k_max + tau,
-                            dense_limit=dense_limit, vectors=False)
-    else:
-        _check_supplied(s0, 0.0, p.n_free, k_max + tau)
+    _check_supplied(s0, 0.0, p.n_free, k_max + tau)
     C = poincare_constant(p)
     per_t = []
     all_ok = True
     shift_flags = []
     for t in t_list:
-        st = solve_weighted(p, t, k_each=k_max + tau,
-                            dense_limit=dense_limit, vectors=False)
-        sct = solve_weighted(p, C * t, k_each=k_max + tau,
-                             dense_limit=dense_limit, vectors=False)
+        st = solve_weighted(p, t, k_each=k_max + tau, mode=mode,
+                            vectors=False)
+        sct = solve_weighted(p, C * t, k_each=k_max + tau, mode=mode,
+                             vectors=False)
         sides = {}
         t_shift = []
         for label, sign in (("plus", 1), ("minus", -1)):

@@ -168,16 +168,16 @@ def fit_limit(s: Spectrum, window=None, target: WeylTarget = None) -> dict:
 
 def convergence_study(make_problem, levels, window=None, t: float = 0.0,
                       k_each=120, quad_order: int = 2,
-                      dense_limit: int | None = None, csv_path=None):
+                      mode: str = "auto", csv_path=None):
     """Per-level Weyl-limit deviations for a refinement family.
 
     `make_problem(level)` returns (mesh, metric, weight, bc); each level is
-    assembled, solved for k_each eigenvalues per sign at t, and fitted
-    against its own quadrature target. Returns (rows, p, s): the row dicts
-    in level order, and the pencil and spectrum of the finest level (the
-    first one, if the largest level repeats). Optionally writes the rows as
-    CSV. Deviations are expected to decrease with level, but this is
-    reported, not asserted.
+    assembled, solved by `mode` for k_each eigenvalues per sign at t, and
+    fitted against its own quadrature target. Returns (rows, p, s): the
+    row dicts in level order, and the pencil and spectrum of the finest
+    level (the first one, if the largest level repeats). Optionally writes
+    the rows as CSV. Deviations are expected to decrease with level, but
+    this is reported, not asserted.
     """
     levels = list(levels)
     if len(levels) < 2:
@@ -187,8 +187,7 @@ def convergence_study(make_problem, levels, window=None, t: float = 0.0,
     for level in levels:
         m, g, w, bc = make_problem(level)
         p = assemble(m, g, w, bc, quad_order)
-        s = solve_weighted(p, t, k_each=k_each, dense_limit=dense_limit,
-                           vectors=False)
+        s = solve_weighted(p, t, k_each=k_each, mode=mode, vectors=False)
         rows.append(_convergence_row(level, p, s, window))
         if finest is None or level > finest[0]:
             finest = (level, p, s)

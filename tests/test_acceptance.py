@@ -50,7 +50,7 @@ def fine_square():
     g = euclidean_metric()
     w = constant_weight(1.0)
     p = assemble(m, g, w, BoundarySpec.dirichlet(), 2)
-    s = solve_weighted(p, 0.0, k_each=500, dense_limit=3000, vectors=False)
+    s = solve_weighted(p, 0.0, k_each=500, vectors=False)
     elapsed = time.perf_counter() - t0
     return {"s": s, "target": weyl_target(m, g, w), "elapsed": elapsed}
 
@@ -61,8 +61,7 @@ def fine_halves():
     m = generate_unit_square(128)
     p = assemble(m, euclidean_metric(), halves_weight(1.0, -1.0),
                  BoundarySpec.dirichlet(), 2)
-    return solve_weighted(p, 0.0, k_each=300, dense_limit=3000,
-                          vectors=False)
+    return solve_weighted(p, 0.0, k_each=300, vectors=False)
 
 
 @pytest.fixture(scope="module")
@@ -72,7 +71,7 @@ def cone_disk():
     g = graph_cone_metric()
     w = constant_weight(1.0)
     p = assemble(m, g, w, BoundarySpec.dirichlet(), 2)
-    s = solve_weighted(p, 0.0, k_each=900, dense_limit=3000, vectors=False)
+    s = solve_weighted(p, 0.0, k_each=900, vectors=False)
     return {"s": s, "target": weyl_target(m, g, w)}
 
 
@@ -121,9 +120,11 @@ def test_05_two_and_four_part_bracketing_inequalities():
     g = euclidean_metric()
     w = checkerboard_weight(1.0, -1.0, cells=4)
     bc = BoundarySpec.dirichlet()
+    s = solve_weighted(assemble(m, g, w, bc, 2), 1.0, k_each=50,
+                       vectors=False)
     for scheme in ("halves", "quadrants"):
-        report = check_bracketing(m, named_partition(m, scheme), g, w, bc,
-                                  t=1.0, k_max=50)
+        report = check_bracketing(s, m, named_partition(m, scheme), g, w, bc,
+                                  k_max=50)
         assert report["passed"]
         for sign in ("plus", "minus"):
             side = report[sign]
@@ -143,7 +144,8 @@ def test_06_sandwich_inequalities_with_tau_shift():
     w = constant_weight(1.0)
     for bc, tau in ((BoundarySpec.dirichlet(), 0), (BoundarySpec.neumann(), 1)):
         p = assemble(m, g, w, bc, 2)
-        report = check_sandwich(p, (0.5, 0.1, 0.02), k_max=100)
+        s0 = solve_weighted(p, 0.0, k_each=100 + tau, vectors=False)
+        report = check_sandwich(s0, p, (0.5, 0.1, 0.02), k_max=100)
         assert report["tau"] == tau
         assert report["passed"]
         for entry in report["per_t"]:
@@ -176,8 +178,8 @@ def test_07_shear_pullback_pencil_and_spectrum_equality():
         diff = np.abs((getattr(pa, name) - getattr(pb, name)).toarray()).max()
         assert diff < 1e-10
     assert np.abs(pa.r - pb.r).max() < 1e-10
-    sa = solve_weighted(pa, 0.0, k_each=60, dense_limit=3000)
-    sb = solve_weighted(pb, 0.0, k_each=60, dense_limit=3000)
+    sa = solve_weighted(pa, 0.0, k_each=60, mode="dense")
+    sb = solve_weighted(pb, 0.0, k_each=60, mode="dense")
     assert np.abs(sa.pos - sb.pos).max() < 1e-9
     assert np.abs(sa.neg - sb.neg).max() < 1e-9
 
@@ -188,7 +190,7 @@ def test_08_variational_principles_zero_violations():
     m = generate_unit_square(16)
     p = assemble(m, euclidean_metric(), constant_weight(1.0),
                  BoundarySpec.dirichlet(), 2)
-    s = solve_weighted(p, 0.0, k_each=10, dense_limit=3000)
+    s = solve_weighted(p, 0.0, k_each=10, mode="dense")
     for checker in (check_poincare_minmax, check_rayleigh, check_courant):
         report = checker(s, p, k=5, trials=100, seed=0)
         assert report["trials"] == 100
@@ -206,7 +208,7 @@ def test_09_neumann_constraint_and_principal_eigenvalue():
     p = assemble(m, euclidean_metric(), constant_weight(1.0),
                  BoundarySpec.neumann(), 2)
     assert p.tau == 1
-    s = solve_weighted(p, 0.0, k_each=5, dense_limit=3000)
+    s = solve_weighted(p, 0.0, k_each=5)
     assert abs(s.pos[0] - 1.0 / np.pi ** 2) * np.pi ** 2 < 0.01
 
 

@@ -294,7 +294,7 @@ class TestConstraintData:
         p = assemble(generate_unit_square(4), euclidean_metric(),
                      halves_weight(1.0, -1.0), BoundarySpec.dirichlet())
         assert abs(p.r.sum()) <= 1e-12
-        assert p.rho_range == (-1.0, 1.0)
+        assert (p.rho.min(), p.rho.max()) == (-1.0, 1.0)
 
 
 class TestAssembleErrors:
@@ -696,7 +696,7 @@ class TestRestriction:
         p = assemble(generate_unit_square(3), euclidean_metric(),
                      constant_weight(1.0), BoundarySpec.neumann())
         idx = np.roll(np.arange(p.n_vertices), 1)
-        q = Pencil(p.K, p.Mm, p.R, idx, p.r, p.tau, p.rho_range)
+        q = Pencil(p.K, p.Mm, p.R, idx, p.r, p.tau, p.measure, p.rho)
         want = p.K.toarray()[np.ix_(idx, idx)]
         assert not np.array_equal(want, p.K.toarray())
         np.testing.assert_array_equal(q.Kf.toarray(), want)

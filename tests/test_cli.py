@@ -324,6 +324,15 @@ class TestRunSolve:
             methods[key] = summary["method"]
         assert methods == {"auto": auto, mode: forced}
 
+    def test_dense_mode_above_the_cap_is_a_solver_failure(self, tmp_path,
+                                                          capsys):
+        # level 6 leaves 3969 free DOFs, above the dense path's 3000 rows
+        cfg = ExperimentConfig.from_text(
+            "task = weyl\n[domain]\nlevel = 6\n[solver]\nmode = dense\n"
+            "k_each = 30\n[output]\ndir = {}\n".format(tmp_path / "out"))
+        assert run(cfg) == 4
+        assert "3969 rows" in capsys.readouterr().err
+
 
 class TestRunWeyl:
     def test_acceptance_resolution_deviation_below_ten_percent(self, tmp_path):

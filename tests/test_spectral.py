@@ -12,7 +12,10 @@ from roughweyl import (
     Spectrum,
     WeightField,
     assemble,
+    check_bracketing,
+    check_sandwich,
     constant_weight,
+    convergence_study,
     euclidean_metric,
     expression_weight,
     generate_disk,
@@ -24,6 +27,11 @@ from roughweyl import (
     solve_weighted,
 )
 from roughweyl.assembly import _Householder
+
+# Tests parametrized over the forced paths keep the ids of the integer row
+# limits that forced them before `mode` did: "3000" is mode="dense", "50"
+# and "0" are mode="sparse", on pencils of 121 to 289 rows.
+FORCED = ["dense", "sparse"]
 
 PI2 = np.pi ** 2
 # separation of variables on [0,1]^2: Lambda = pi^2 (j^2 + k^2)
@@ -71,19 +79,20 @@ class TestLaplaceSpectrum:
     def test_sparse_matches_dense_at_unit_shift(self, bc):
         # the pencil (Mm, K + Mm), zero mode included on the Neumann square
         p = square_pencil(16, bc=bc)
-        dense = solve_weighted(p, 1.0, 10, dense_limit=3000, vectors=False)
-        sparse = solve_weighted(p, 1.0, 10, dense_limit=50, vectors=False)
+        dense = solve_weighted(p, 1.0, 10, mode="dense", vectors=False)
+        sparse = solve_weighted(p, 1.0, 10, mode="sparse", vectors=False)
         assert sparse.meta["method"] == "sparse-lanczos"
         np.testing.assert_allclose(sparse.pos, dense.pos, rtol=1e-9)
 
-    @pytest.mark.parametrize("dense_limit", [3000, 50])
+    @pytest.mark.parametrize("mode", FORCED, ids=["3000", "50"])
     @pytest.mark.parametrize("bc", [BoundarySpec.dirichlet(),
                                     BoundarySpec.neumann()],
                              ids=["dirichlet", "neumann"])
-    def test_eigenpairs_at_unit_shift(self, bc, dense_limit):
+    def test_eigenpairs_at_unit_shift(self, bc, mode):
         # Mm V = (K + Mm) V diag(lambda), (K + Mm)-orthonormal columns
         p = square_pencil(16, bc=bc)
-        s = solve_weighted(p, 1.0, 8, dense_limit=dense_limit)
+        s = solve_weighted(p, 1.0, 8, mode=mode)
+        assert (s.meta["method"] == "dense") == (mode == "dense")
         V, lam = s.vec_pos, s.pos
         Kt = p.Kf + p.Mmf
         np.testing.assert_allclose(V.T @ (Kt @ V), np.eye(8), atol=1e-10)
@@ -123,23 +132,24 @@ class TestSolveWeighted:
 
     def test_sparse_matches_dense_indefinite(self):
         p = square_pencil(16, halves_weight(2.0, -1.0))
-        d = solve_weighted(p, 0.0, 8, dense_limit=3000)
-        s = solve_weighted(p, 0.0, 8, dense_limit=50)
+        d = solve_weighted(p, 0.0, 8, mode="dense")
+        s = solve_weighted(p, 0.0, 8, mode="sparse")
         assert s.meta["method"] == "sparse-lanczos"
         np.testing.assert_allclose(s.pos, d.pos, rtol=1e-7)
         np.testing.assert_allclose(s.neg, d.neg, rtol=1e-7)
 
     def test_sparse_matches_dense_regularized(self):
         p = square_pencil(16, halves_weight(1.0, -1.0), BoundarySpec.neumann())
-        d = solve_weighted(p, 0.5, 6, dense_limit=3000)
-        s = solve_weighted(p, 0.5, 6, dense_limit=50)
+        d = solve_weighted(p, 0.5, 6, mode="dense")
+        s = solve_weighted(p, 0.5, 6, mode="sparse")
+        assert s.meta["method"] == "sparse-lanczos"
         np.testing.assert_allclose(s.pos, d.pos, rtol=1e-7)
         np.testing.assert_allclose(s.neg, d.neg, rtol=1e-7)
 
     def test_sparse_determinism(self):
         p = square_pencil(16, halves_weight(2.0, -1.0))
-        a = solve_weighted(p, 0.0, 6, dense_limit=50)
-        b = solve_weighted(p, 0.0, 6, dense_limit=50)
+        a = solve_weighted(p, 0.0, 6, mode="sparse")
+        b = solve_weighted(p, 0.0, 6, mode="sparse")
         assert np.array_equal(a.pos, b.pos)
         assert np.array_equal(a.neg, b.neg)
 
@@ -156,11 +166,12 @@ class TestSolveWeighted:
         np.testing.assert_allclose(a.pos, b.pos, rtol=1e-10)
         np.testing.assert_allclose(a.neg, b.neg, rtol=1e-10)
 
-    @pytest.mark.parametrize("dense_limit", [3000, 50])
+    @pytest.mark.parametrize("mode", FORCED, ids=["3000", "50"])
     @pytest.mark.parametrize("t", [0.0, 0.5])
-    def test_eigenvector_orthonormality(self, t, dense_limit):
+    def test_eigenvector_orthonormality(self, t, mode):
         p = square_pencil(12, halves_weight(2.0, -1.0))
-        s = solve_weighted(p, t, 6, dense_limit=dense_limit)
+        s = solve_weighted(p, t, 6, mode=mode)
+        assert (s.meta["method"] == "dense") == (mode == "dense")
         Kt = p.Kf.toarray() + t * p.Mmf.toarray()
         V = np.hstack([s.vec_pos, s.vec_neg])
         gram = V.T @ Kt @ V
@@ -197,7 +208,8 @@ class TestSolveWeighted:
         from roughweyl import Pencil
 
         p = square_pencil(6, bc=BoundarySpec.neumann())
-        lying = Pencil(p.K, p.Mm, p.R, p.free_dofs, p.r, 0, p.rho_range)
+        lying = Pencil(p.K, p.Mm, p.R, p.free_dofs, p.r, 0, p.measure,
+                       p.rho)
         with pytest.raises(SolverError):
             solve_weighted(lying, 0.0, 2)
 
@@ -209,9 +221,10 @@ class TestSolveWeighted:
         from roughweyl import Pencil
 
         p = square_pencil(20, w, BoundarySpec.neumann())
-        lying = Pencil(p.K, p.Mm, p.R, p.free_dofs, p.r, 0, p.rho_range)
+        lying = Pencil(p.K, p.Mm, p.R, p.free_dofs, p.r, 0, p.measure,
+                       p.rho)
         with pytest.raises(SolverError, match="could not be factorized"):
-            solve_weighted(lying, 0.0, 2, dense_limit=0)
+            solve_weighted(lying, 0.0, 2, mode="sparse")
 
 
 class TestSparseBothEnds:
@@ -219,8 +232,8 @@ class TestSparseBothEnds:
 
     @staticmethod
     def _agree(p, k_each):
-        d = solve_weighted(p, 0.0, k_each, dense_limit=3000)
-        s = solve_weighted(p, 0.0, k_each, dense_limit=0)
+        d = solve_weighted(p, 0.0, k_each, mode="dense")
+        s = solve_weighted(p, 0.0, k_each, mode="sparse")
         assert s.meta["method"] != "dense"
         assert (len(s.pos), len(s.neg)) == (len(d.pos), len(d.neg))
         np.testing.assert_allclose(s.pos, d.pos, rtol=1e-9)
@@ -245,7 +258,7 @@ class TestSparseBothEnds:
     def test_one_lanczos_run_serves_both_signs(self, eigsh_calls):
         for bc in (BoundarySpec.dirichlet(), BoundarySpec.neumann()):
             p = square_pencil(12, halves_weight(1.0, -0.5), bc)
-            solve_weighted(p, 0.0, 8, dense_limit=0)
+            solve_weighted(p, 0.0, 8, mode="sparse")
         assert eigsh_calls == ["BE", "BE"]
 
     def test_mirror_weight_dirichlet(self):
@@ -304,7 +317,7 @@ class TestCostRule:
         assert p.n_free in (529, 625, 729, 961, 2116)
         s = solve_weighted(p, 0.0, k_each, vectors=False)
         assert s.meta["method"] == method
-        d = solve_weighted(p, 0.0, k_each, dense_limit=10 ** 9, vectors=False)
+        d = solve_weighted(p, 0.0, k_each, mode="dense", vectors=False)
         for sign in (1, -1):
             got, want = s.values(sign), d.values(sign)
             assert len(got) == len(want)
@@ -313,20 +326,20 @@ class TestCostRule:
 
 class TestLanczosReach:
     """Lanczos returns at most n - 2 values per end; pencils it cannot
-    serve go dense whatever dense_limit says."""
+    serve go dense whatever `mode` says."""
 
     def test_single_sign_k_each_at_n_free(self):
         p = square_pencil(6)
         assert p.n_free == 25
-        dense = solve_weighted(p, 0.0, p.n_free, dense_limit=3000)
-        s = solve_weighted(p, 0.0, p.n_free, dense_limit=0)
+        dense = solve_weighted(p, 0.0, p.n_free, mode="dense")
+        s = solve_weighted(p, 0.0, p.n_free, mode="sparse")
         assert s.meta["method"] == "dense"
         assert len(s.pos) == p.n_free
         np.testing.assert_array_equal(s.pos, dense.pos)
 
     SOLVES = {
         "weighted": lambda p, **kw: solve_weighted(p, 0.0, p.n_free, **kw).pos,
-        # no dense limit to pass: the reach rule alone sends n <= 2 dense
+        # no mode to pass: the reach rule alone sends n <= 2 dense
         "poincare": lambda p, **_: poincare_constant(p),
         # the pencil (Mm, K + Mm) of the shifted Laplacian
         "shifted": lambda p, **kw: solve_weighted(p, 1.0, p.n_free, **kw).pos,
@@ -341,8 +354,64 @@ class TestLanczosReach:
         p = square_pencil(2, bc=bc)
         assert p.n_free == n_free
         solve = self.SOLVES[solve]
-        np.testing.assert_array_equal(solve(p, dense_limit=0),
-                                      solve(p, dense_limit=3000))
+        np.testing.assert_array_equal(solve(p, mode="sparse"),
+                                      solve(p, mode="dense"))
+
+
+class TestMode:
+    """`mode` takes the values of the CLI's `[solver] mode` and no other,
+    in every function that routes a solve."""
+
+    FIELDS = (euclidean_metric(), constant_weight(1.0),
+              BoundarySpec.dirichlet())
+    CALLS = {
+        "solve_weighted": lambda m, p, mode: solve_weighted(p, 0.5, 4,
+                                                            mode=mode),
+        "convergence_study": lambda m, p, mode: convergence_study(
+            lambda level: (generate_unit_square(2 ** level),
+                           *TestMode.FIELDS),
+            (2, 3), k_each=4, mode=mode),
+        "check_bracketing": lambda m, p, mode: check_bracketing(
+            solve_weighted(p, 0.5, 4), m, [range(64), range(64, 128)],
+            *TestMode.FIELDS, k_max=4, mode=mode),
+        "check_sandwich": lambda m, p, mode: check_sandwich(
+            solve_weighted(p, 0.0, 4), p, (0.5,), k_max=4, mode=mode),
+    }
+
+    @pytest.mark.parametrize("mode", ["fast", "Dense", 3000, None])
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_unknown_mode_rejected(self, call, mode):
+        m = generate_unit_square(8)
+        p = assemble(m, *self.FIELDS)
+        with pytest.raises(ValueError, match="mode must be one of"):
+            self.CALLS[call](m, p, mode)
+
+
+class TestDenseCap:
+    """No solve densifies a pencil above the dense path's 3000-row cap:
+    one that `mode` or the reach rule would send dense is refused before
+    any form is densified. The L6 Dirichlet square has 3969 free DOFs."""
+
+    @pytest.fixture(scope="class")
+    def pencil(self):
+        p = square_pencil(64)
+        assert p.n_free == 3969
+        return p
+
+    @pytest.fixture(autouse=True)
+    def no_densify(self, pencil, monkeypatch):
+        def fail(self, *args, **kwargs):
+            raise AssertionError("densified above the cap")
+
+        monkeypatch.setattr(type(pencil.Kf), "toarray", fail)
+
+    def test_dense_mode_refused(self, pencil):
+        with pytest.raises(SolverError, match="3969 rows.*3000-row cap"):
+            solve_weighted(pencil, 0.0, 4, mode="dense")
+
+    def test_beyond_lanczos_reach_refused(self, pencil):
+        with pytest.raises(SolverError, match="3969 rows.*3000-row cap"):
+            solve_weighted(pencil, 0.0, pencil.n_free - 1, vectors=False)
 
 
 class TestConstrainedSolves:
@@ -365,8 +434,8 @@ class TestConstrainedSolves:
 
     def test_sparse_semidefinite_matches_dense(self):
         p = square_pencil(16, bc=BoundarySpec.neumann())
-        d = solve_weighted(p, 0.0, 5, dense_limit=3000)
-        s = solve_weighted(p, 0.0, 5, dense_limit=50)
+        d = solve_weighted(p, 0.0, 5, mode="dense")
+        s = solve_weighted(p, 0.0, 5, mode="sparse")
         assert s.meta["method"] == "sparse-projected"
         assert len(s.neg) == 0
         np.testing.assert_allclose(s.pos, d.pos, rtol=1e-7)
@@ -375,8 +444,9 @@ class TestConstrainedSolves:
         w = expression_weight("x - 0.3")  # sign-changing, mean 0.2
         p = square_pencil(16, w, BoundarySpec.neumann())
         assert p.tau == 1
-        d = solve_weighted(p, 0.0, 6, dense_limit=3000)
-        s = solve_weighted(p, 0.0, 6, dense_limit=50)
+        d = solve_weighted(p, 0.0, 6, mode="dense")
+        s = solve_weighted(p, 0.0, 6, mode="sparse")
+        assert s.meta["method"] == "sparse-projected"
         np.testing.assert_allclose(s.pos, d.pos, rtol=1e-7)
         np.testing.assert_allclose(s.neg, d.neg, rtol=1e-7)
         assert np.abs(p.r_free @ s.vec_pos).max() < 1e-10
@@ -410,8 +480,8 @@ class TestSparseConstrained:
             p = assemble(generate_disk(8), graph_cone_metric(), w,
                          BoundarySpec.neumann())
         assert p.tau == 1
-        d = solve_weighted(p, 0.0, 12, dense_limit=3000)
-        s = solve_weighted(p, 0.0, 12, dense_limit=0)
+        d = solve_weighted(p, 0.0, 12, mode="dense")
+        s = solve_weighted(p, 0.0, 12, mode="sparse")
         assert s.meta["method"] == "sparse-projected"
         assert (len(s.pos), len(s.neg)) == (len(d.pos), len(d.neg))
         np.testing.assert_allclose(s.pos, d.pos, rtol=1e-9)
@@ -428,9 +498,10 @@ class TestSparseConstrained:
 
         p = square_pencil(12, halves_weight(1.0, -0.5), BoundarySpec.neumann())
         r = p.r * (1.0 + generate_unit_square(12).vertices[:, 0])
-        q = Pencil(p.K, p.Mm, p.R, p.free_dofs, r, 1, p.rho_range)
-        d = solve_weighted(q, 0.0, 12, dense_limit=3000)
-        s = solve_weighted(q, 0.0, 12, dense_limit=0)
+        q = Pencil(p.K, p.Mm, p.R, p.free_dofs, r, 1, p.measure, p.rho)
+        d = solve_weighted(q, 0.0, 12, mode="dense")
+        s = solve_weighted(q, 0.0, 12, mode="sparse")
+        assert s.meta["method"] == "sparse-projected"
         np.testing.assert_allclose(s.pos, d.pos, rtol=1e-9)
         np.testing.assert_allclose(s.neg, d.neg, rtol=1e-9)
         assert np.abs(r @ np.hstack([s.vec_pos, s.vec_neg])).max() < 1e-10
@@ -452,7 +523,7 @@ class TestSparseConstrained:
                  (BoundarySpec.neumann(), constant_weight(1.0), 0.0),
                  (BoundarySpec.neumann(), halves, 0.0)]
         for bc, w, t in cases:
-            solve_weighted(square_pencil(12, w, bc), t, 8, dense_limit=0)
+            solve_weighted(square_pencil(12, w, bc), t, 8, mode="sparse")
         assert modes == [True] * len(cases)
 
 
@@ -469,10 +540,9 @@ class TestEigenvaluesOnly:
         "k_each_at_n_free": (expression_weight("x + y - 0.3"), None, 0.0),
     }
 
-    @pytest.mark.parametrize("dense_limit", [3000, 0])
+    @pytest.mark.parametrize("mode", FORCED, ids=["3000", "0"])
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_values_match_eigenpair_solve(self, monkeypatch, case,
-                                          dense_limit):
+    def test_values_match_eigenpair_solve(self, monkeypatch, case, mode):
         import scipy.linalg
 
         drivers = []
@@ -488,9 +558,8 @@ class TestEigenvaluesOnly:
         forms = [(A, A.data.copy(), A.indices.copy(), A.indptr.copy())
                  for A in (p.Kf, p.Mmf, p.Rf)]
         k_each = p.n_free - 2 if case == "k_each_at_n_free" else 20
-        full = solve_weighted(p, t, k_each, dense_limit=dense_limit)
-        only = solve_weighted(p, t, k_each, dense_limit=dense_limit,
-                              vectors=False)
+        full = solve_weighted(p, t, k_each, mode=mode)
+        only = solve_weighted(p, t, k_each, mode=mode, vectors=False)
         # eigenpairs by divide and conquer, eigenvalues alone by dsygv; a
         # dense run must show both calls in the spy, a Lanczos run none
         dense = full.meta["method"] == "dense"
@@ -521,7 +590,7 @@ class TestEigenvaluesOnly:
 
         monkeypatch.setattr(sla, "eigsh", spy)
         p = square_pencil(16, halves_weight(1.0, -0.5), BoundarySpec.neumann())
-        solve_weighted(p, 0.0, 8, dense_limit=0, vectors=False)
+        solve_weighted(p, 0.0, 8, mode="sparse", vectors=False)
         assert calls == [("BE", False)]
 
 
@@ -537,15 +606,14 @@ class TestWeightScale:
 
     @pytest.mark.parametrize("c", [1e-12, 1e6])
     @pytest.mark.parametrize("weight", list(SCALED_WEIGHTS))
-    @pytest.mark.parametrize("dense_limit", [3000, 0],
-                             ids=["dense", "sparse"])
+    @pytest.mark.parametrize("mode", FORCED)
     @pytest.mark.parametrize("bc", [BoundarySpec.dirichlet(),
                                     BoundarySpec.neumann()],
                              ids=["dirichlet", "neumann"])
-    def test_spectrum_scales_with_weight(self, bc, dense_limit, weight, c):
+    def test_spectrum_scales_with_weight(self, bc, mode, weight, c):
         make = SCALED_WEIGHTS[weight]
         ref, got = (solve_weighted(square_pencil(10, make(scale), bc), 0.0,
-                                   6, dense_limit=dense_limit, vectors=False)
+                                   6, mode=mode, vectors=False)
                     for scale in (1.0, c))
         assert got.meta["constrained"] == (bc.kind == "neumann")
         assert len(ref.pos) == 6

@@ -8,6 +8,7 @@ from scipy.linalg import cholesky, eigh, qr, solve_triangular
 
 from roughweyl import (
     BoundarySpec,
+    SolverError,
     assemble,
     checkerboard_weight,
     constant_weight,
@@ -46,6 +47,23 @@ def triples(rep, label):
     side = rep[label]
     rows = list(zip(side["nu"], side["lam"], side["eta"]))
     return np.array(rows).reshape(-1, 3)
+
+
+def bracket(m, partition, g, w, bc, t, k_max=50, mode="auto"):
+    """check_bracketing against the global spectrum at t, solved by `mode`
+    for k_max eigenvalues per sign, eigenvalues only."""
+    s = solve_weighted(assemble(m, g, w, bc), t, k_each=k_max, mode=mode,
+                       vectors=False)
+    return check_bracketing(s, m, partition, g, w, bc, k_max=k_max,
+                            mode=mode)
+
+
+def sandwich(p, t_list=(0.5, 0.1, 0.02), k_max=100, mode="auto"):
+    """check_sandwich against the t = 0 spectrum of p, solved by `mode` for
+    k_max + tau eigenvalues per sign, eigenvalues only."""
+    s0 = solve_weighted(p, 0.0, k_each=k_max + p.tau, mode=mode,
+                        vectors=False)
+    return check_sandwich(s0, p, t_list, k_max=k_max, mode=mode)
 
 
 def quadrant_partition(m):
@@ -175,9 +193,9 @@ class TestNothingToCompare:
         lambda m, p, s: check_courant(s, p, 0),
         lambda m, p, s: check_courant(s, p, 2, trials=0),
         lambda m, p, s: check_bracketing(
-            m, quadrant_partition(m), euclidean_metric(),
-            constant_weight(1.0), BoundarySpec.dirichlet(), 1.0, k_max=0),
-        lambda m, p, s: check_sandwich(p, k_max=0),
+            s, m, quadrant_partition(m), euclidean_metric(),
+            constant_weight(1.0), BoundarySpec.dirichlet(), k_max=0),
+        lambda m, p, s: check_sandwich(s, p, k_max=0),
     ], ids=["minmax-k", "minmax-trials", "rayleigh-k", "rayleigh-trials",
             "courant-k", "courant-trials", "bracketing", "sandwich"])
     def test_depth_and_trials_below_one_rejected(self, check):
@@ -202,6 +220,24 @@ class TestEigenvaluesOnlySpectrum:
         with pytest.raises(ValueError, match="carries no eigenvectors"):
             check(solve_weighted(p, 0.0, k_each=4, vectors=False), p, 2,
                   trials=5, seed=0)
+
+
+class TestDenseCap:
+    @pytest.mark.parametrize("check", [check_poincare_minmax, check_rayleigh,
+                                       check_courant])
+    def test_checkers_refuse_pencil_above_the_cap(self, monkeypatch, check):
+        # the L6 Dirichlet square: 3969 free DOFs, above the 3000-row cap
+        p = assemble(generate_unit_square(64), euclidean_metric(),
+                     constant_weight(1.0), BoundarySpec.dirichlet())
+        s = solve_weighted(p, 0.0, k_each=2)
+        assert s.meta["method"] == "sparse-lanczos"
+
+        def fail(self, *args, **kwargs):
+            raise AssertionError("densified above the cap")
+
+        monkeypatch.setattr(type(p.Kf), "toarray", fail)
+        with pytest.raises(SolverError, match="3969 rows.*3000-row cap"):
+            check(s, p, 1, trials=1)
 
 
 def reduced_reference_operators(s, p):
@@ -332,9 +368,9 @@ class TestCourantStandardForm:
 class TestBracketing:
     def test_trivial_partition_gives_equalities(self):
         m, _ = dirichlet_problem(n=8)
-        rep = check_bracketing(m, [range(m.num_triangles)],
-                               euclidean_metric(), constant_weight(1.0),
-                               BoundarySpec.dirichlet(), t=1.0, k_max=40)
+        rep = bracket(m, [range(m.num_triangles)], euclidean_metric(),
+                      constant_weight(1.0), BoundarySpec.dirichlet(), 1.0,
+                      k_max=40)
         assert rep["passed"]
         tri = triples(rep, "plus")
         assert np.abs(tri[:, 0] - tri[:, 1]).max() <= 1e-12
@@ -344,9 +380,8 @@ class TestBracketing:
         m, _ = dirichlet_problem(n=8)
         cx = m.vertices[m.triangles].mean(axis=1)[:, 0]
         parts = [np.nonzero(cx < 0.5)[0], np.nonzero(cx > 0.5)[0]]
-        rep = check_bracketing(m, parts, euclidean_metric(),
-                               constant_weight(1.0), BoundarySpec.dirichlet(),
-                               t=1.0, k_max=50)
+        rep = bracket(m, parts, euclidean_metric(), constant_weight(1.0),
+                      BoundarySpec.dirichlet(), 1.0, k_max=50)
         assert rep["passed"]
         tri = triples(rep, "plus")
         # interface elimination leaves fewer Dirichlet-side eigenvalues
@@ -361,9 +396,9 @@ class TestBracketing:
             np.nonzero(((cen[:, 0] > 0.5) == ix) & ((cen[:, 1] > 0.5) == iy))[0]
             for ix in (False, True) for iy in (False, True)
         ]
-        rep = check_bracketing(m, parts, euclidean_metric(),
-                               checkerboard_weight(1.0, -1.0),
-                               BoundarySpec.dirichlet(), t=1.0, k_max=20)
+        rep = bracket(m, parts, euclidean_metric(),
+                      checkerboard_weight(1.0, -1.0),
+                      BoundarySpec.dirichlet(), 1.0, k_max=20)
         assert rep["passed"]
         assert triples(rep, "plus").shape[0] > 0
         assert triples(rep, "minus").shape[0] > 0
@@ -372,9 +407,8 @@ class TestBracketing:
         m, _ = dirichlet_problem(n=8)
         cx = m.vertices[m.triangles].mean(axis=1)[:, 0]
         parts = [np.nonzero(cx < 0.5)[0], np.nonzero(cx > 0.5)[0]]
-        rep = check_bracketing(m, parts, euclidean_metric(),
-                               constant_weight(1.0), BoundarySpec.neumann(),
-                               t=0.5, k_max=30)
+        rep = bracket(m, parts, euclidean_metric(), constant_weight(1.0),
+                      BoundarySpec.neumann(), 0.5, k_max=30)
         assert rep["passed"]
 
     @pytest.mark.parametrize("domain, scheme, bc", [
@@ -391,6 +425,7 @@ class TestBracketing:
     ])
     def test_subdomains_honour_dense_limit(self, monkeypatch, domain, scheme,
                                            bc):
+        # the cells' solves follow `mode` as the global one does
         import scipy.linalg
 
         if domain == "disk":
@@ -399,7 +434,8 @@ class TestBracketing:
         else:
             m, g = generate_unit_square(16), euclidean_metric()
             w = checkerboard_weight(1.0, -1.0, cells=4)
-        args = (m, named_partition(m, scheme), g, w, bc, 1.0)
+        p = assemble(m, g, w, bc)
+        args = (m, named_partition(m, scheme), g, w, bc)
         orders = []
 
         def spy(a, b=None, *rest, **kwargs):
@@ -408,13 +444,18 @@ class TestBracketing:
             return eigh(a, b, *rest, **kwargs)
 
         monkeypatch.setattr(scipy.linalg, "eigh", spy)
-        full = check_bracketing(*args, k_max=30, dense_limit=3000)
-        assert full["passed"]
-        # every cell is dense at 3000 rows: the spy sees the solves
-        assert orders
+        s = solve_weighted(p, 1.0, k_each=30, mode="dense", vectors=False)
         orders.clear()
-        limited = check_bracketing(*args, k_max=30, dense_limit=40)
-        assert max(orders, default=0) <= 40
+        full = check_bracketing(s, *args, k_max=30, mode="dense")
+        assert full["passed"]
+        # every cell is dense: the spy sees the solves
+        assert orders
+        s = solve_weighted(p, 1.0, k_each=30, mode="sparse", vectors=False)
+        assert s.meta["method"] != "dense"
+        orders.clear()
+        limited = check_bracketing(s, *args, k_max=30, mode="sparse")
+        # only cells that Lanczos cannot serve go dense
+        assert max(orders, default=0) <= 30 + 1
         for label in ("plus", "minus"):
             for key in ("nu", "lam", "eta"):
                 got, want = limited[label][key], full[label][key]
@@ -424,48 +465,49 @@ class TestBracketing:
         assert {k: limited[k] for k in rest} == {k: full[k] for k in rest}
 
     def test_cells_smaller_than_k_max_solved_in_full(self):
-        # at dense_limit=0 the quadrants' Dirichlet cells hold one DOF,
-        # too few for Lanczos
+        # under "sparse" the quadrants' Dirichlet cells hold one DOF, too
+        # few for Lanczos
         m = generate_unit_square(4)
         args = (m, named_partition(m, "quadrants"), euclidean_metric(),
                 constant_weight(1.0), BoundarySpec.dirichlet(), 1.0)
-        full = check_bracketing(*args, k_max=5, dense_limit=3000)
-        limited = check_bracketing(*args, k_max=5, dense_limit=0)
+        full = bracket(*args, k_max=5, mode="dense")
+        limited = bracket(*args, k_max=5, mode="sparse")
         for key in ("nu", "eta"):
             assert limited["plus"][key] == full["plus"][key]
         np.testing.assert_allclose(limited["plus"]["lam"],
                                    full["plus"]["lam"], rtol=1e-10)
 
     def test_malformed_partitions_rejected(self):
-        m, _ = dirichlet_problem(n=4)
+        m, p = dirichlet_problem(n=4)
         g, w = euclidean_metric(), constant_weight(1.0)
         bc = BoundarySpec.dirichlet()
+        s = solve_weighted(p, 1.0, k_each=50, vectors=False)
         half = list(range(m.num_triangles // 2))
         rest = list(range(m.num_triangles // 2, m.num_triangles))
         with pytest.raises(ValueError, match="cover"):
-            check_bracketing(m, [half], g, w, bc, t=1.0)
+            check_bracketing(s, m, [half], g, w, bc)
         with pytest.raises(ValueError, match="overlap"):
-            check_bracketing(m, [half, rest, half[:1]], g, w, bc, t=1.0)
+            check_bracketing(s, m, [half, rest, half[:1]], g, w, bc)
         with pytest.raises(ValueError, match="out of range"):
-            check_bracketing(m, [half, rest + [m.num_triangles]], g, w,
-                             bc, t=1.0)
+            check_bracketing(s, m, [half, rest + [m.num_triangles]], g, w,
+                             bc)
         with pytest.raises(ValueError, match="empty"):
-            check_bracketing(m, [half, rest, []], g, w, bc, t=1.0)
+            check_bracketing(s, m, [half, rest, []], g, w, bc)
         with pytest.raises(ValueError, match="repeats a triangle"):
-            check_bracketing(m, [half + half[:1], rest], g, w, bc, t=1.0)
+            check_bracketing(s, m, [half + half[:1], rest], g, w, bc)
 
     def test_regularization_required(self):
-        m, _ = dirichlet_problem(n=4)
+        m, p = dirichlet_problem(n=4)
         with pytest.raises(ValueError, match="t > 0"):
-            check_bracketing(m, [range(m.num_triangles)], euclidean_metric(),
-                             constant_weight(1.0), BoundarySpec.dirichlet(),
-                             t=0.0)
+            check_bracketing(solve_weighted(p, 0.0, k_each=50), m,
+                             [range(m.num_triangles)], euclidean_metric(),
+                             constant_weight(1.0), BoundarySpec.dirichlet())
 
     def test_report_serializes_to_json(self, tmp_path):
         m, _ = dirichlet_problem(n=4)
-        rep = check_bracketing(m, [range(m.num_triangles)],
-                               euclidean_metric(), constant_weight(1.0),
-                               BoundarySpec.dirichlet(), t=1.0, k_max=10)
+        rep = bracket(m, [range(m.num_triangles)], euclidean_metric(),
+                      constant_weight(1.0), BoundarySpec.dirichlet(), 1.0,
+                      k_max=10)
         path = tmp_path / "bracket.json"
         save_report(rep, path)
         loaded = json.loads(path.read_text())
@@ -483,10 +525,9 @@ class TestBracketing:
         m, p = dirichlet_problem(n=8)
         s = solve_weighted(p, 1.0, k_each=12, vectors=False)
         scaled = Spectrum(scale * s.pos, s.neg, meta=s.meta)
-        rep = check_bracketing(m, named_partition(m, "halves"),
+        rep = check_bracketing(scaled, m, named_partition(m, "halves"),
                                euclidean_metric(), constant_weight(1.0),
-                               BoundarySpec.dirichlet(), 1.0, k_max=12,
-                               s_global=scaled)
+                               BoundarySpec.dirichlet(), k_max=12)
         assert rep["passed"] is False
         violations = rep["violations"]
         assert len(violations) == 11
@@ -503,7 +544,7 @@ class TestBracketing:
 class TestSandwich:
     def test_dirichlet_bounds_hold(self):
         _, p = dirichlet_problem()
-        rep = check_sandwich(p, (0.5, 0.1, 0.02), k_max=50)
+        rep = sandwich(p, (0.5, 0.1, 0.02), k_max=50)
         assert rep["passed"]
         assert rep["tau"] == 0
         assert "tau_shift_necessary" not in rep
@@ -516,7 +557,7 @@ class TestSandwich:
         m = generate_unit_square(12)
         p = assemble(m, euclidean_metric(), constant_weight(1.0),
                      BoundarySpec.neumann())
-        rep = check_sandwich(p, (0.5, 0.1, 0.02), k_max=30)
+        rep = sandwich(p, (0.5, 0.1, 0.02), k_max=30)
         assert rep["tau"] == 1
         # sufficient: shifted inequalities hold
         assert rep["passed"]
@@ -525,13 +566,13 @@ class TestSandwich:
 
     def test_sign_changing_weight_bounds_both_families(self):
         _, p = dirichlet_problem(w=halves_weight(2.0, -1.0))
-        rep = check_sandwich(p, (0.5, 0.1), k_max=20)
+        rep = sandwich(p, (0.5, 0.1), k_max=20)
         assert rep["passed"]
         assert set(rep["per_t"][0]["sides"]) == {"plus", "minus"}
 
     def test_pinch_tightens_as_t_shrinks(self):
         _, p = dirichlet_problem()
-        rep = check_sandwich(p, (0.5, 0.02), k_max=40)
+        rep = sandwich(p, (0.5, 0.02), k_max=40)
         gaps = [pt["sides"]["plus"]["pinch_gap"] for pt in rep["per_t"]]
         assert gaps[0] > gaps[1] > 0.0
 
@@ -539,74 +580,77 @@ class TestSandwich:
         _, p = dirichlet_problem(n=4)
         for bad in (0.0, 1.0, -0.1, 2.0):
             with pytest.raises(ValueError, match="in \\(0, 1\\)"):
-                check_sandwich(p, (bad,), k_max=5)
+                sandwich(p, (bad,), k_max=5)
 
 
 class TestSuppliedSpectrum:
-    """The checkers take a precomputed reference spectrum only when it is
-    of the checked pencil, at the checked t, and deep enough."""
+    """The sandwich and bracketing checkers take the reference spectrum
+    they check only when it is of the checked pencil, at the checked t,
+    and deep enough; the report reads its first k_max (+ tau) values."""
 
     def test_sandwich_report_unchanged(self):
+        # a deeper reference than the check needs gives the same report
         _, p = dirichlet_problem(w=halves_weight(2.0, -1.0))
-        own = check_sandwich(p, (0.5, 0.1), k_max=20)
-        s0 = solve_weighted(p, 0.0, k_each=40, vectors=False)
-        assert check_sandwich(p, (0.5, 0.1), k_max=20, s0=s0) == own
+        deep = solve_weighted(p, 0.0, k_each=40, vectors=False)
+        assert (check_sandwich(deep, p, (0.5, 0.1), k_max=20)
+                == sandwich(p, (0.5, 0.1), k_max=20))
 
     def test_sandwich_rejects_mismatch(self):
         _, p = dirichlet_problem()
         with pytest.raises(ValueError, match="t = 0.1"):
-            check_sandwich(p, (0.5,), k_max=10,
-                           s0=solve_weighted(p, 0.1, k_each=10))
+            check_sandwich(solve_weighted(p, 0.1, k_each=10), p, (0.5,),
+                           k_max=10)
         _, other = dirichlet_problem(n=10)
         with pytest.raises(ValueError, match="free DOFs"):
-            check_sandwich(p, (0.5,), k_max=10,
-                           s0=solve_weighted(other, 0.0, k_each=10))
+            check_sandwich(solve_weighted(other, 0.0, k_each=10), p, (0.5,),
+                           k_max=10)
         with pytest.raises(ValueError, match="needs 10"):
-            check_sandwich(p, (0.5,), k_max=10,
-                           s0=solve_weighted(p, 0.0, k_each=9))
+            check_sandwich(solve_weighted(p, 0.0, k_each=9), p, (0.5,),
+                           k_max=10)
 
     def test_sandwich_counts_the_constraint_shift(self):
         m = generate_unit_square(8)
         p = assemble(m, euclidean_metric(), constant_weight(1.0),
                      BoundarySpec.neumann())
         with pytest.raises(ValueError, match="needs 11"):
-            check_sandwich(p, (0.5,), k_max=10,
-                           s0=solve_weighted(p, 0.0, k_each=10))
-        own = check_sandwich(p, (0.5,), k_max=10)
+            check_sandwich(solve_weighted(p, 0.0, k_each=10), p, (0.5,),
+                           k_max=10)
         s0 = solve_weighted(p, 0.0, k_each=11, vectors=False)
-        assert check_sandwich(p, (0.5,), k_max=10, s0=s0) == own
+        assert check_sandwich(s0, p, (0.5,), k_max=10)["passed"]
 
     def test_short_family_accepted_when_the_pencil_ends(self):
         # a positive weight has no negative family at any k_each
         _, p = dirichlet_problem(n=8)
         s0 = solve_weighted(p, 0.0, k_each=10, vectors=False)
         assert len(s0.neg) == 0
-        rep = check_sandwich(p, (0.5,), k_max=10, s0=s0)
-        assert rep == check_sandwich(p, (0.5,), k_max=10)
+        rep = check_sandwich(s0, p, (0.5,), k_max=10)
+        assert rep["passed"]
+        assert set(rep["per_t"][0]["sides"]) == {"plus"}
 
     def test_bracketing_report_unchanged(self):
+        # a deeper reference than the check needs gives the same report
         w = checkerboard_weight(1.0, -1.0)
         m, p = dirichlet_problem(n=8, w=w)
         args = (m, quadrant_partition(m), euclidean_metric(), w,
-                BoundarySpec.dirichlet(), 0.5)
-        own = check_bracketing(*args, k_max=12)
-        s = solve_weighted(p, 0.5, k_each=30, vectors=False)
-        assert check_bracketing(*args, k_max=12, s_global=s) == own
+                BoundarySpec.dirichlet())
+        deep = solve_weighted(p, 0.5, k_each=30, vectors=False)
+        assert (check_bracketing(deep, *args, k_max=12)
+                == bracket(*args, 0.5, k_max=12))
 
     def test_bracketing_rejects_mismatch(self):
         m, p = dirichlet_problem(n=8)
         args = (m, quadrant_partition(m), euclidean_metric(),
-                constant_weight(1.0), BoundarySpec.dirichlet(), 0.5)
-        with pytest.raises(ValueError, match="t = 1.0"):
-            check_bracketing(*args, k_max=12,
-                             s_global=solve_weighted(p, 1.0, k_each=12))
+                constant_weight(1.0), BoundarySpec.dirichlet())
+        with pytest.raises(ValueError, match="t > 0"):
+            check_bracketing(solve_weighted(p, 0.0, k_each=12), *args,
+                             k_max=12)
         _, other = dirichlet_problem(n=6)
         with pytest.raises(ValueError, match="free DOFs"):
-            check_bracketing(*args, k_max=12,
-                             s_global=solve_weighted(other, 0.5, k_each=12))
+            check_bracketing(solve_weighted(other, 0.5, k_each=12), *args,
+                             k_max=12)
         with pytest.raises(ValueError, match="needs 12"):
-            check_bracketing(*args, k_max=12,
-                             s_global=solve_weighted(p, 0.5, k_each=11))
+            check_bracketing(solve_weighted(p, 0.5, k_each=11), *args,
+                             k_max=12)
 
 
 class TestReportFormat:
@@ -614,10 +658,10 @@ class TestReportFormat:
         lambda m, p, s: check_poincare_minmax(s, p, 2, trials=10, seed=0),
         lambda m, p, s: check_rayleigh(s, p, 2, trials=10, seed=0),
         lambda m, p, s: check_courant(s, p, 2, trials=10, seed=0),
-        lambda m, p, s: check_bracketing(
+        lambda m, p, s: bracket(
             m, quadrant_partition(m), euclidean_metric(),
             constant_weight(1.0), BoundarySpec.dirichlet(), 1.0, k_max=10),
-        lambda m, p, s: check_sandwich(p, (0.5,), k_max=10),
+        lambda m, p, s: sandwich(p, (0.5,), k_max=10),
     ], ids=["minmax", "rayleigh", "courant", "bracketing", "sandwich"])
     def test_report_is_plain_json(self, check):
         m, p = dirichlet_problem(n=8)
@@ -643,7 +687,7 @@ class TestReportFormat:
 
     def test_sandwich_report_serializes(self, tmp_path):
         _, p = dirichlet_problem(n=6)
-        rep = check_sandwich(p, (0.5,), k_max=10)
+        rep = sandwich(p, (0.5,), k_max=10)
         path = tmp_path / "sandwich.json"
         save_report(rep, path)
         assert json.loads(path.read_text())["poincare_constant"] > 0.0

@@ -73,7 +73,7 @@ def test_import_leaves_scipy_special_unloaded(tmp_path):
         rw.validate(rw.load_mesh(sys.argv[1]))
         solver = ("scipy.linalg", "scipy.sparse.linalg")
         print([name in sys.modules for name in solver + ("scipy.special",)])
-        rw.solve_weighted(p, 0.0, k_each=4, dense_limit=0)  # Lanczos
+        rw.solve_weighted(p, 0.0, k_each=4, mode="sparse")  # Lanczos
         print([name in sys.modules for name in solver])
     """
     src = os.path.dirname(os.path.dirname(roughweyl.__file__))
