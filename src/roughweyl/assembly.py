@@ -334,59 +334,6 @@ def sign_masses(measure, rho):
             float(np.sum(mass * (rho < 0.0))))
 
 
-class _Householder:
-    """The reflector H = I - 2 u u^T that maps r onto a multiple of e_n.
-
-    The first n-1 columns Q of H are an orthonormal basis of the hyperplane
-    {v : r . v = 0}. Reductions onto it never form Q: Q^T A Q is H A H, a
-    rank-two update of A, without its last row and column, and mapping
-    vectors in or out costs O(n) per column.
-    """
-
-    def __init__(self, r):
-        nrm = np.linalg.norm(r)
-        if nrm == 0.0:
-            raise ModelingError("constraint vector r vanishes")
-        u = np.asarray(r, dtype=float).copy()
-        u[-1] += np.copysign(nrm, u[-1] if u[-1] != 0 else 1.0)
-        self.u = u / np.linalg.norm(u)
-
-    def basis(self):
-        """Q, the orthonormal (n, n-1) basis of the hyperplane."""
-        n = len(self.u)
-        return (np.eye(n) - 2.0 * np.outer(self.u, self.u))[:, : n - 1]
-
-    def reduce(self, A):
-        """Q^T A Q, F-contiguous, for a dense symmetric A, which it overwrites.
-
-        H A H = A - u w^T - w u^T with w = 2 A u - 2 (u^T A u) u. The
-        update is subtracted 64 rows at a time, so no n x n temporary is
-        made; entry (i, j) loses u_i w_j + w_i u_j, the same sum as at
-        (j, i), so the result stays exactly symmetric. A Fortran-ordered A
-        is updated through its transpose, whose rows are contiguous.
-        """
-        u = self.u
-        Au = A @ u
-        w = 2.0 * Au - (2.0 * float(u @ Au)) * u
-        B = A.T if A.flags.f_contiguous else A
-        for i in range(0, len(u), 64):
-            j = i + 64
-            B[i:j] -= u[i:j, None] * w + w[i:j, None] * u
-        return np.asfortranarray(A[:-1, :-1])
-
-    def restrict(self, V):
-        """Q^T V: coordinates in the basis of (columns of) V."""
-        u = self.u
-        return V[:-1] - 2.0 * np.multiply.outer(u[:-1], u @ V)
-
-    def extend(self, Y):
-        """Q Y: the vectors whose basis coordinates are (the columns of) Y."""
-        u = self.u
-        out = np.multiply.outer(u, -2.0 * (u[:-1] @ Y))
-        out[:-1] += Y
-        return out
-
-
 def poincare_constant(p: Pencil) -> float:
     """Smallest eigenvalue mu_min of the energy against the mass on Z(rho).
 

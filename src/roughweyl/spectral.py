@@ -3,8 +3,11 @@
 The weighted problem is R v = lambda (K + t Mm) v: eigenvalues split by sign
 into descending lists lambda_k^+ and lambda_k^- (stored as magnitudes). For
 t = 0 on a pure-Neumann pencil the form K alone is only semidefinite and the
-solve is restricted to the coercivity subspace {v : r . v = 0}; the restriction
-is a rank-one projection, so the dimension drops by exactly one.
+solve is restricted to the coercivity subspace {v : r . v = 0}, posed one
+way on every path: the oblique pencil (Pi^T R Pi, K + gamma r r^T) of
+`_oblique_terms`, where Pi projects onto the subspace along the constants.
+It keeps all n coordinates, and its one extra eigenvalue, 0 on the
+constants, is dropped, so the dimension drops by exactly one.
 
 Every eigensolve goes through one dispatcher, `_signed_ends(A, M, rf, ...)`:
 the signed lists of a pencil (A, M), on {rf . v = 0} when rf is given. Its
@@ -41,17 +44,17 @@ grid, 37.3 s, within 0.1 s of the per-solve best (a fixed 3000-row limit:
 Dense: Cholesky-based reduction of the pencil and a full symmetric
 eigensolve, which doubles as the trusted oracle.
 The forms are densified in Fortran order, so LAPACK takes them without a
-copy and overwrites them. Eigenvalues alone come from `dsygv`, which asks
-for its optimal workspace and so tridiagonalizes on the blocked path
-(`dsygvd` gets the minimal one from scipy and runs unblocked); eigenpairs
-take divide and conquer (`dsygvd`), whose eigenvector pass is much faster.
+copy and overwrites them; the oblique terms are applied to them in place.
+Eigenvalues alone come from `dsygv`, which asks for its optimal workspace
+and so tridiagonalizes on the blocked path (`dsygvd` gets the minimal one
+from scipy and runs unblocked); eigenpairs take divide and conquer
+(`dsygvd`), whose eigenvector pass is much faster.
 Sparse: one Lanczos driver, `_sparse_weighted`, over a pencil (A, M) with
 M SPD and inverted once: (R, K + t Mm), or in the constrained case the
-oblique pencil (Pi^T R Pi, K + gamma r r^T), where Pi projects onto
-{r . v = 0} along the constants and M is inverted through K with one vertex
-grounded. For rho of both signs one Krylov space serves both families:
-ARPACK's "BE" mode takes k_each eigenvalues from each spectral end in a
-single run. Lanczos always starts from one fixed vector. Every SPD form that
+oblique pencil, whose M is inverted through K with one vertex grounded.
+For rho of both signs one Krylov space serves both families: ARPACK's
+"BE" mode takes k_each eigenvalues from each spectral end in a single
+run. Lanczos always starts from one fixed vector. Every SPD form that
 is inverted is factored by `_spd_inverse`: sparse LU in symmetric mode,
 minimum-degree ordering on A + A^T, no pivoting, and a check that the pivots
 stayed on the diagonal and bounded away from zero.
@@ -70,7 +73,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .assembly import ModelingError, Pencil, _Householder
+from .assembly import ModelingError, Pencil
 
 __all__ = [
     "Spectrum",
@@ -185,22 +188,68 @@ def _refuse_dense(n):
                           "of the dense path".format(n, _DENSE_LIMIT))
 
 
+def _oblique_terms(A, M, rf):
+    """(w, gamma): the low-rank terms of the oblique pencil of (A, M) on
+    S = {rf . v = 0}.
+
+    Pi = I - 1 rf^T / r1, r1 = rf . 1, projects onto S along the constants,
+    and the oblique pencil is (Pi^T A Pi, M + gamma rf rf^T) on all n
+    coordinates. With a = A 1,
+
+        Pi^T A Pi = A - w rf^T - rf w^T,   w = (a - (1 . a) / (2 r1) rf) / r1,
+
+    and gamma = mean(diag M) / (rf . rf) puts the constants on M's scale.
+    a comes from A itself, so the terms stay exact for a hand-built
+    rf != A 1 and for Mm in R's place. Since M 1 = 0, S and span(1) are
+    orthogonal in both forms: on S the pencil is the constrained problem,
+    on span(1) it has the one eigenvalue 0, which `_split_signed` drops.
+    """
+    r1 = float(rf.sum())
+    a = A @ np.ones(len(rf))
+    w = (a - (a.sum() / (2.0 * r1)) * rf) / r1
+    gamma = (float(M.diagonal().mean()) or 1.0) / float(rf @ rf)
+    return w, gamma
+
+
+def _subtract_symmetric(B, u, w):
+    """B -= u w^T + w u^T, in place on a dense square B.
+
+    The update is subtracted 64 rows at a time, so no n x n temporary is
+    made; entry (i, j) loses u_i w_j + w_i u_j, the same sum as at (j, i),
+    so a symmetric B stays exactly symmetric. A Fortran-ordered B is
+    updated through its transpose, whose rows are contiguous.
+    """
+    rows = B.T if B.flags.f_contiguous else B
+    for i in range(0, len(u), 64):
+        j = i + 64
+        rows[i:j] -= u[i:j, None] * w + w[i:j, None] * u
+
+
+def _dense_forms(A, M, rf):
+    """Dense Fortran-ordered (A, M), or with a constraint vector the
+    oblique pencil of `_oblique_terms`. A pencil above `_DENSE_LIMIT` rows
+    is refused before anything is densified."""
+    _refuse_dense(M.shape[0])
+    if rf is None:
+        return A.toarray(order="F"), M.toarray(order="F")
+    w, gamma = _oblique_terms(A, M, rf)
+    M = M.toarray(order="F")
+    _subtract_symmetric(M, rf, -0.5 * gamma * rf)  # M + gamma rf rf^T
+    A = A.toarray(order="F")
+    _subtract_symmetric(A, w, rf)  # Pi^T A Pi
+    return A, M
+
+
 def _dense_weighted(A, M, rf, k_each, vectors):
-    """Signed lists of A v = lambda M v by a full dense eigensolve, on
-    {rf . v = 0} when a constraint vector is given. LAPACK overwrites the
-    Fortran-ordered dense forms in place (drivers: module docstring). A
-    pencil above `_DENSE_LIMIT` rows is refused before it is densified."""
+    """Signed lists of A v = lambda M v by a full dense eigensolve of
+    `_dense_forms`, on {rf . v = 0} when a constraint vector is given: the
+    oblique pencil is solved on all n rows, its eigenvalue 0 on the
+    constants is dropped, and its eigenvectors lie in the constraint
+    subspace. LAPACK overwrites the dense forms in place (drivers: module
+    docstring)."""
     from scipy.linalg import eigh
 
-    _refuse_dense(M.shape[0])
-    H = None if rf is None else _Householder(rf)
-    # one form at a time, so that at most one unreduced copy is alive
-    M = M.toarray(order="F")
-    if H is not None:
-        M = H.reduce(M)
-    A = A.toarray(order="F")
-    if H is not None:
-        A = H.reduce(A)
+    A, M = _dense_forms(A, M, rf)
     try:
         if vectors:
             w, V = eigh(A, M, overwrite_a=True, overwrite_b=True)
@@ -212,8 +261,6 @@ def _dense_weighted(A, M, rf, k_each, vectors):
             "coercive form is not positive definite; supply t > 0 or a "
             "constraint ({})".format(exc)
         ) from exc
-    if H is not None and vectors:
-        V = H.extend(V)
     return _split_signed(w, V, k_each)
 
 
@@ -287,15 +334,10 @@ def _sparse_weighted(R, K, rf, masses, k_each, vectors):
 
     `masses`, the weight's mass on each sign, picks the ends to run. Without
     a constraint vector (rf None), K must be SPD and the pencil is (R, K).
-    With one, K is semidefinite with K 1 = 0 and the problem lives on
-    S = {rf . v = 0}: the pencil is the oblique (Pi^T R Pi, K + gamma rf rf^T),
-    where Pi = I - 1 rf^T / (rf . 1) projects onto S along the constants.
-    Since K 1 = 0, S and span(1) are orthogonal in both forms: on S the
-    pencil is the constrained problem, on span(1) it has the one
-    eigenvalue 0, which Lanczos at the ends never reaches and
-    `_split_signed` drops. Pi^T R Pi is applied as written; the shorter
-    R - rf rf^T / (rf . 1) needs rf = R 1, which holds for assembled R but
-    not for a hand-built pencil or for Mm in R's place.
+    With one, K is semidefinite with K 1 = 0 and the pencil is the oblique
+    one of `_oblique_terms`, whose operators apply its two low-rank terms;
+    its eigenvalue 0 on the constants lies inside the spectrum, where
+    Lanczos at the ends never reaches it.
     """
     from scipy.sparse.linalg import LinearOperator
 
@@ -307,7 +349,7 @@ def _sparse_weighted(R, K, rf, masses, k_each, vectors):
         return _lanczos_ends(R, K, _spd_inverse(K), v0, masses, k_each,
                              vectors)
     r1 = float(rf.sum())
-    gamma = (float(K.diagonal().mean()) or 1.0) / float(rf @ rf)
+    w, gamma = _oblique_terms(R, K, rf)
     # K with free vertex 0 grounded is SPD; x_0 = 0 fixes the constant
     grounded = _spd_inverse(K[1:, 1:])
 
@@ -330,8 +372,7 @@ def _sparse_weighted(R, K, rf, masses, k_each, vectors):
         return pi(x) + s / (gamma * r1 * r1)
 
     def a(v):
-        w = R @ pi(v)
-        return w - rf * (w.sum() / r1)
+        return R @ v - w * rdot(v) - rf * np.einsum("i,i->", w, v)
 
     A = LinearOperator((nf, nf), matvec=a, dtype=float)
     M = LinearOperator((nf, nf), matvec=lambda v: K @ v + gamma * rdot(v) * rf,
@@ -393,10 +434,13 @@ def solve_weighted(p: Pencil, t: float = 0.0, k_each: int = 6,
     t = 0 the positive list inverts the Laplace eigenvalues, Lambda_k =
     1 / lambda_k^+ (on a pure-Neumann pencil, those above the zero mode).
     `mode` "auto" picks the path by the cost rule, "dense" and "sparse"
-    force theirs (module docstring); any other value raises ValueError.
+    force theirs (module docstring); any other value raises ValueError, as
+    do t < 0 and k_each < 1.
     """
     if t < 0.0:
         raise ValueError("t must be >= 0")
+    if k_each < 1:
+        raise ValueError("k_each must be >= 1, got {}".format(k_each))
     rf = project_constraint(p) if t == 0.0 else None
     constrained = rf is not None
     Kt = p.Kf + t * p.Mmf if t > 0.0 else p.Kf

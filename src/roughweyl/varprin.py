@@ -12,10 +12,12 @@ records its signed margin against lambda_k; one summary per family keeps
 the worst margin, the violation count and the attainment gap. The
 max-min extremum over V = span(X) is an extreme eigenvalue of the k x k
 projected pencil (X^T R X, X^T Kt X), which depends on V alone, not on
-the basis X. For constrained spectra (tau = 1, t = 0) all operators are
-first reduced onto an orthonormal basis of the constraint subspace, a
-rank-two Householder update, so the samplers never leave it and
-projected pencils stay nonsingular.
+the basis X. For constrained spectra (tau = 1, t = 0) the checkers run
+on the oblique pencil that the dense solve builds (`spectral._dense_forms`)
+over all n free DOFs. Its mass form is positive definite, so projected
+pencils stay nonsingular; its nonzero spectrum is the constrained one and
+its one extra eigenvalue is 0, so every principle and its attainment hold
+as stated.
 
 The Courant checker works in Cholesky standard form: with Kt = L L^T
 factored once, C = L^{-1} R L^{-T} carries the pencil, and the extremum
@@ -42,16 +44,11 @@ import json
 
 import numpy as np
 
-from .assembly import (
-    BoundarySpec,
-    _Householder,
-    assemble,
-    poincare_constant,
-)
+from .assembly import BoundarySpec, assemble, poincare_constant
 from .mesh import Mesh
 from .spectral import (
     Spectrum,
-    _refuse_dense,
+    _dense_forms,
     _signed_ends,
     project_constraint,
     solve_weighted,
@@ -69,37 +66,31 @@ __all__ = [
 TOLERANCE = 1e-9
 
 
-def _reduced_operators(s: Spectrum, p):
-    """Dense (Kt, R, vec_pos, vec_neg), reduced to the constraint subspace
-    when the spectrum was computed there. A spectrum solved without
-    eigenvectors is rejected: the variational checks need them. A pencil
-    above the dense cap raises SolverError before anything is densified."""
-    _refuse_dense(p.n_free)
+def _dense_operators(s: Spectrum, p):
+    """Dense (Kt, R) of the checked pencil as the dense solve builds them
+    (`spectral._dense_forms`): on a constrained spectrum the oblique
+    pencil, in which its eigenvectors live as they are. Both forms are
+    exactly symmetric and are returned as their transposes, the same
+    matrices in C order, the layout the checkers' products are written
+    for. A pencil above the dense cap raises SolverError before anything
+    is densified, then a spectrum without eigenvectors ValueError."""
+    t = float(s.meta.get("t", 0.0))
+    Kt = p.Kf + t * p.Mmf if t > 0.0 else p.Kf
+    rf = project_constraint(p) if s.meta.get("constrained") else None
+    R, Kt = _dense_forms(p.Rf, Kt, rf)
     for vals, vecs in ((s.pos, s.vec_pos), (s.neg, s.vec_neg)):
         if len(vals) and vecs is None:
             raise ValueError("spectrum carries no eigenvectors; solve with "
                              "vectors=True")
-    t = float(s.meta.get("t", 0.0))
-    Kt = p.Kf.toarray()
-    if t > 0.0:
-        Kt = Kt + t * p.Mmf.toarray()
-    R = p.Rf.toarray()
-    vp, vn = s.vec_pos, s.vec_neg
-    if s.meta.get("constrained"):
-        H = _Householder(project_constraint(p))
-        Kt = H.reduce(Kt)
-        R = H.reduce(R)
-        vp = H.restrict(vp) if vp is not None else None
-        vn = H.restrict(vn) if vn is not None else None
-    return Kt, R, vp, vn
+    return Kt.T, R.T
 
 
-def _signed_items(s: Spectrum, vp, vn, k):
+def _signed_items(s: Spectrum, k):
     """Yield (label, lambda_k, eigenvectors, sign) for sides with k values."""
     out = []
     for label, vals, vecs, sign in (
-        ("plus", s.pos, vp, +1),
-        ("minus", s.neg, vn, -1),
+        ("plus", s.pos, s.vec_pos, +1),
+        ("minus", s.neg, s.vec_neg, -1),
     ):
         if len(vals) < k or vecs.shape[1] < k:
             continue
@@ -173,7 +164,7 @@ def check_poincare_minmax(s: Spectrum, p, k: int, trials: int = 100,
     from scipy.linalg import eigh
 
     _require_positive(k=k, trials=trials)
-    Kt, R, vp, vn = _reduced_operators(s, p)
+    Kt, R = _dense_operators(s, p)
     rng = np.random.default_rng(seed)
     n = Kt.shape[0]
 
@@ -182,7 +173,7 @@ def check_poincare_minmax(s: Spectrum, p, k: int, trials: int = 100,
         return (sign * ritz).min()
 
     sides = {}
-    for label, lam_k, vecs, sign in _signed_items(s, vp, vn, k):
+    for label, lam_k, vecs, sign in _signed_items(s, k):
         margins = [lam_k - extremum(rng.standard_normal((n, k)), sign)
                    for _ in range(trials)]
         sides[label] = _side(lam_k, margins, extremum(vecs[:, :k], sign))
@@ -197,14 +188,14 @@ def check_rayleigh(s: Spectrum, p, k: int, trials: int = 100,
     empty orthogonality set and bounds the whole space.
     """
     _require_positive(k=k, trials=trials)
-    Kt, R, vp, vn = _reduced_operators(s, p)
+    Kt, R = _dense_operators(s, p)
     rng = np.random.default_rng(seed)
 
     def ratio(u):
         return float(u @ R @ u) / float(u @ Kt @ u)
 
     sides = {}
-    for label, lam_k, vecs, sign in _signed_items(s, vp, vn, k):
+    for label, lam_k, vecs, sign in _signed_items(s, k):
         Phi = vecs[:, : k - 1]
         KPhi = Kt @ Phi
         margins = []
@@ -239,7 +230,7 @@ def check_courant(s: Spectrum, p, k: int, trials: int = 100,
     from scipy.linalg import cholesky, eigh, qr, solve_triangular
 
     _require_positive(k=k, trials=trials)
-    Kt, R, vp, vn = _reduced_operators(s, p)
+    Kt, R = _dense_operators(s, p)
     rng = np.random.default_rng(seed)
     n = Kt.shape[0]
     L = cholesky(Kt, lower=True)
@@ -258,7 +249,7 @@ def check_courant(s: Spectrum, p, k: int, trials: int = 100,
         return sign * eigh(A, eigvals_only=True, subset_by_index=[i, i])[0]
 
     sides = {}
-    for label, lam_k, vecs, sign in _signed_items(s, vp, vn, k):
+    for label, lam_k, vecs, sign in _signed_items(s, k):
         margins = [extremum_over_complement(rng.standard_normal((n, k - 1)),
                                             sign) - lam_k
                    for _ in range(trials)]

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
-from scipy.linalg import eigh
+from scipy.linalg import eigh, null_space
 
 from roughweyl import (
     BoundarySpec,
@@ -38,7 +38,7 @@ from roughweyl import (
     triangle_quadrature,
     weyl_target,
 )
-from roughweyl.assembly import _PAIRS, _Householder, _Pattern
+from roughweyl.assembly import _PAIRS, _Pattern
 from roughweyl.mesh import triangle_areas
 
 # hand integration on the reference triangle (0,0),(1,0),(0,1):
@@ -326,11 +326,12 @@ class TestAssembleErrors:
 
 def dense_poincare(p):
     """The dense oracle of `poincare_constant`: 1 / the top eigenvalue of
-    scipy's `eigh` on (Mm, K), reduced to {r . v = 0} when tau = 1."""
+    scipy's `eigh` on (Mm, K), restricted to an orthonormal basis of
+    {r . v = 0} from scipy's `null_space` when tau = 1."""
     Mm, K = p.Mmf.toarray(), p.Kf.toarray()
     if p.tau:
-        H = _Householder(p.r_free)
-        Mm, K = H.reduce(Mm), H.reduce(K)
+        Q = null_space(p.r_free[None])
+        Mm, K = Q.T @ Mm @ Q, Q.T @ K @ Q
     return 1.0 / eigh(Mm, K, eigvals_only=True)[-1]
 
 
@@ -388,81 +389,6 @@ class TestSparsePoincareConstant:
             warnings.simplefilter("error")
             sparse_val = poincare_constant(p)
         np.testing.assert_allclose(sparse_val, dense_poincare(p), rtol=1e-10)
-
-
-class TestHouseholderReduction:
-    """The rank-two update against the explicit basis Q of the hyperplane."""
-
-    @staticmethod
-    def assert_matches(H, A):
-        Q = H.basis()
-        ref = Q.T @ A @ Q
-        red = H.reduce(A)
-        np.testing.assert_allclose(red, ref, rtol=0,
-                                   atol=1e-12 * np.abs(ref).max())
-        np.testing.assert_array_equal(red, red.T)
-
-    @pytest.mark.parametrize("last", [2.0, -0.5, 0.0])
-    def test_random_symmetric_matrix(self, last):
-        rng = np.random.default_rng(3)
-        n = 9
-        r = rng.standard_normal(n)
-        r[-1] = last
-        B = rng.standard_normal((n, n))
-        H = _Householder(r)
-        self.assert_matches(H, B + B.T)
-        Q = H.basis()
-        V = rng.standard_normal((n, 3))
-        Y = rng.standard_normal((n - 1, 3))
-        np.testing.assert_allclose(H.restrict(V), Q.T @ V, atol=1e-12)
-        np.testing.assert_allclose(H.restrict(V[:, 0]), Q.T @ V[:, 0],
-                                   atol=1e-12)
-        np.testing.assert_allclose(H.extend(Y), Q @ Y, atol=1e-12)
-        np.testing.assert_allclose(H.extend(Y[:, 0]), Q @ Y[:, 0],
-                                   atol=1e-12)
-        assert np.abs(r @ H.extend(Y)).max() < 1e-12 * np.abs(r).sum()
-
-    def test_neumann_pencil_forms(self):
-        p = assemble(generate_unit_square(8), euclidean_metric(),
-                     halves_weight(1.0, -0.5), BoundarySpec.neumann())
-        H = _Householder(p.r_free)
-        for A in (p.Kf, p.Mmf, p.Rf):
-            self.assert_matches(H, A.toarray())
-
-    @pytest.mark.parametrize("order", ["C", "F"])
-    def test_blocked_update_equals_the_outer_product_form(self, order):
-        # 150 rows: two full 64-row blocks and a partial one
-        rng = np.random.default_rng(5)
-        n = 150
-        B = rng.standard_normal((n, n))
-        A = np.array(B + B.T, order=order)
-        H = _Householder(rng.standard_normal(n))
-        u = H.u
-        Au = A @ u
-        w = 2.0 * Au - (2.0 * float(u @ Au)) * u
-        U = np.outer(u, w)
-        U += U.T
-        want = (A - U)[:-1, :-1]
-        red = H.reduce(A)
-        np.testing.assert_array_equal(red, want)
-        np.testing.assert_array_equal(red, red.T)
-        assert red.flags.f_contiguous
-
-    def test_reduce_makes_no_square_temporary(self):
-        # the traced peak is the returned (n-1) block; the update itself
-        # allocates row blocks of O(64 n)
-        rng = np.random.default_rng(6)
-        n = 400
-        B = rng.standard_normal((n, n))
-        A = np.asfortranarray(B + B.T)
-        H = _Householder(rng.standard_normal(n))
-        tracemalloc.start()
-        try:
-            H.reduce(A)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.1 * A.nbytes, peak / A.nbytes
 
 
 def assemble_reference(m, g, w, quad_order=2):

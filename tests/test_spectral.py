@@ -1,8 +1,12 @@
 """Eigensolver oracles: separation-of-variables targets on the unit square,
 sign bookkeeping, the Z(rho) constraint, and dense/sparse path agreement."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.linalg import eigh, null_space
 
 from roughweyl import (
     BoundarySpec,
@@ -26,7 +30,7 @@ from roughweyl import (
     project_constraint,
     solve_weighted,
 )
-from roughweyl.assembly import _Householder
+from roughweyl.spectral import MODES, _dense_forms, _subtract_symmetric
 
 # Tests parametrized over the forced paths keep the ids of the integer row
 # limits that forced them before `mode` did: "3000" is mode="dense", "50"
@@ -190,6 +194,18 @@ class TestSolveWeighted:
     def test_negative_t_rejected(self):
         with pytest.raises(ValueError):
             solve_weighted(square_pencil(4), -0.1, 2)
+
+    @pytest.mark.parametrize("k_each", [0, -1])
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("size, n_free", [(8, 49), (2, 1)],
+                             ids=["L3", "one_row"])
+    def test_k_each_below_one_rejected(self, size, n_free, mode, k_each):
+        # a typed error on every path, not ARPACK's own complaint on the
+        # L3 square or an empty spectrum on the 1-row pencil
+        p = square_pencil(size)
+        assert p.n_free == n_free
+        with pytest.raises(ValueError, match="k_each must be >= 1"):
+            solve_weighted(p, 0.0, k_each, mode=mode)
 
     @pytest.mark.parametrize("solve", [
         lambda p: solve_weighted(p, 0.0, 1),
@@ -431,6 +447,17 @@ class TestConstrainedSolves:
         s = solve_weighted(p, 0.0, 4)
         resid = np.abs(p.r_free @ s.vec_pos).max()
         assert resid < 1e-10
+        # the dense oblique solve returns full-length vectors that lie in
+        # the constraint subspace and are K-orthonormal there
+        p = square_pencil(12, halves_weight(1.0, -0.5), BoundarySpec.neumann())
+        s = solve_weighted(p, 0.0, 6, mode="dense")
+        assert s.meta["method"] == "dense" and len(s.neg) == 6
+        V = np.hstack([s.vec_pos, s.vec_neg])
+        assert V.shape == (p.n_free, 12)
+        r = p.r_free
+        assert np.abs(r @ V).max() <= 1e-12 * np.abs(r).sum()
+        gram = V.T @ (p.Kf @ V)
+        assert np.abs(gram - np.eye(12)).max() < 1e-10
 
     def test_sparse_semidefinite_matches_dense(self):
         p = square_pencil(16, bc=BoundarySpec.neumann())
@@ -630,17 +657,29 @@ class TestProjectConstraint:
         assert project_constraint(square_pencil(6)) is None
 
     def test_neumann_rank_one_drop(self):
-        p = square_pencil(6, bc=BoundarySpec.neumann())
-        np.testing.assert_array_equal(project_constraint(p), p.r_free)
-        s = solve_weighted(p, 0.0, k_each=p.n_free, vectors=False)
-        assert len(s.pos) == p.n_free - 1 and len(s.neg) == 0
+        # at k_each = n_free the reach rule sends the solve dense, where the
+        # oblique pencil's eigenvalue 0 on the constants must be dropped
+        for w in (constant_weight(1.0), halves_weight(1.0, -0.5)):
+            p = square_pencil(6, w, BoundarySpec.neumann())
+            np.testing.assert_array_equal(project_constraint(p), p.r_free)
+            s = solve_weighted(p, 0.0, k_each=p.n_free, vectors=False)
+            assert s.meta["method"] == "dense"
+            assert len(s.pos) + len(s.neg) == p.n_free - 1
 
     def test_basis_orthonormal_and_feasible(self):
-        p = square_pencil(6, bc=BoundarySpec.neumann())
-        Q = _Householder(project_constraint(p)).basis()
+        # the constrained spectrum is that of the pencil restricted to an
+        # orthonormal basis Q of {r . v = 0}, taken here from scipy
+        p = square_pencil(6, halves_weight(1.0, -0.5), BoundarySpec.neumann())
+        r = project_constraint(p)
+        Q = null_space(r[None])
         assert Q.shape == (p.n_free, p.n_free - 1)
         np.testing.assert_allclose(Q.T @ Q, np.eye(p.n_free - 1), atol=1e-12)
-        assert np.abs(p.r_free @ Q).max() < 1e-12 * np.abs(p.r_free).sum()
+        assert np.abs(r @ Q).max() < 1e-12 * np.abs(r).sum()
+        w = eigh(Q.T @ p.Rf.toarray() @ Q, Q.T @ p.Kf.toarray() @ Q,
+                 eigvals_only=True)
+        s = solve_weighted(p, 0.0, k_each=p.n_free, mode="dense")
+        np.testing.assert_allclose(s.pos, w[w > 0][::-1], rtol=1e-12)
+        np.testing.assert_allclose(s.neg, -w[w < 0], rtol=1e-12)
 
     def test_zero_weight_integral_rejected(self):
         p = square_pencil(8, halves_weight(1.0, -1.0), BoundarySpec.neumann())
@@ -661,6 +700,86 @@ class TestProjectConstraint:
         s = solve_weighted(p, 1.0, 4)
         assert not s.meta["constrained"]
         assert len(s.pos) == 4 and len(s.neg) == 4
+
+
+def explicit_oblique(A, M, r):
+    """(Pi^T A Pi, M + gamma r r^T) from an explicit dense
+    Pi = I - 1 r^T / (r . 1), with gamma = mean(diag M) / (r . r)."""
+    n = len(r)
+    Pi = np.eye(n) - np.outer(np.ones(n), r) / r.sum()
+    gamma = np.diag(M).mean() / (r @ r)
+    return Pi.T @ A @ Pi, M + gamma * np.outer(r, r)
+
+
+class TestObliqueUpdate:
+    """The dense oblique pencil, built by in-place rank-two updates,
+    against the products with an explicit projector."""
+
+    @staticmethod
+    def assert_matches(A, M, r):
+        want_a, want_m = explicit_oblique(A, M, r)
+        got_a, got_m = _dense_forms(sparse.csr_matrix(A), sparse.csr_matrix(M),
+                                    r)
+        for got, want in ((got_a, want_a), (got_m, want_m)):
+            np.testing.assert_allclose(got, want, rtol=0,
+                                       atol=1e-12 * np.abs(want).max())
+            np.testing.assert_array_equal(got, got.T)
+            assert got.flags.f_contiguous
+        # Pi 1 = 0: the constants are in the kernel of Pi^T A Pi
+        assert np.abs(got_a.sum(axis=1)).max() <= 1e-12 * np.abs(A).sum()
+
+    @pytest.mark.parametrize("mean", [2.0, -0.5, 0.0])
+    def test_random_symmetric_matrix(self, mean):
+        # r of either sign of r . 1, or of a random one about zero
+        rng = np.random.default_rng(3)
+        n = 9
+        r = rng.standard_normal(n) + mean
+        B, C = rng.standard_normal((2, n, n))
+        self.assert_matches(B + B.T, C @ C.T, r)
+
+    def test_neumann_pencil_forms(self):
+        p = assemble(generate_unit_square(8), euclidean_metric(),
+                     halves_weight(1.0, -0.5), BoundarySpec.neumann())
+        K = p.Kf.toarray()
+        for A in (p.Kf, p.Mmf, p.Rf):
+            self.assert_matches(A.toarray(), K, p.r_free)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_blocked_update_equals_the_outer_product_form(self, order):
+        # 150 rows: two full 64-row blocks and a partial one
+        rng = np.random.default_rng(5)
+        n = 150
+        B = rng.standard_normal((n, n))
+        A = np.array(B + B.T, order=order)
+        u, w = rng.standard_normal((2, n))
+        U = np.outer(u, w)
+        U += U.T
+        want = A - U
+        _subtract_symmetric(A, u, w)
+        np.testing.assert_array_equal(A, want)
+        np.testing.assert_array_equal(A, A.T)
+
+    def test_update_makes_no_square_temporary(self):
+        # the update allocates row blocks of O(64 n), and the two dense
+        # forms are the only squares that building the oblique pencil makes
+        rng = np.random.default_rng(6)
+        n = 400
+        B = rng.standard_normal((n, n))
+        A = np.asfortranarray(B + B.T)
+        u, w = rng.standard_normal((2, n))
+        p = assemble(generate_unit_square(32), euclidean_metric(),
+                     halves_weight(1.0, -0.5), BoundarySpec.neumann())
+        tracemalloc.start()
+        try:
+            _subtract_symmetric(A, u, w)
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            Rd, Kd = _dense_forms(p.Rf, p.Kf, p.r_free)
+            _, forms_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * A.nbytes, peak / A.nbytes
+        assert forms_peak <= 2.25 * Rd.nbytes, forms_peak / Rd.nbytes
 
 
 class TestSpectrum:

@@ -19,7 +19,6 @@ from roughweyl import (
     halves_weight,
     solve_weighted,
 )
-from roughweyl.assembly import _Householder
 from roughweyl.cli import named_partition
 from roughweyl.spectral import Spectrum, project_constraint
 from roughweyl.varprin import (
@@ -240,18 +239,20 @@ class TestDenseCap:
             check(s, p, 1, trials=1)
 
 
-def reduced_reference_operators(s, p):
-    """Dense (Kt, R, vec_pos, vec_neg) on the checked space, built through
-    an explicit basis of the constraint subspace when there is one."""
+def reference_operators(s, p):
+    """Dense (Kt, R, vec_pos, vec_neg) of the checked pencil. On a
+    constrained spectrum, the oblique pencil (Pi^T R Pi, K + gamma r r^T),
+    formed with an explicit dense Pi = I - 1 r^T / (r . 1) and
+    gamma = mean(diag K) / (r . r)."""
     Kt = p.Kf.toarray() + s.meta["t"] * p.Mmf.toarray()
     R = p.Rf.toarray()
-    vp, vn = s.vec_pos, s.vec_neg
     if s.meta["constrained"]:
-        Q = _Householder(project_constraint(p)).basis()
-        Kt, R = Q.T @ Kt @ Q, Q.T @ R @ Q
-        vp = Q.T @ vp if vp is not None else None
-        vn = Q.T @ vn if vn is not None else None
-    return Kt, R, vp, vn
+        r = project_constraint(p)
+        n = len(r)
+        Pi = np.eye(n) - np.outer(np.ones(n), r) / r.sum()
+        gamma = np.diag(Kt).mean() / (r @ r)
+        Kt, R = Kt + gamma * np.outer(r, r), Pi.T @ R @ Pi
+    return Kt, R, s.vec_pos, s.vec_neg
 
 
 def minmax_reference(s, p, k, trials, seed):
@@ -259,7 +260,7 @@ def minmax_reference(s, p, k, trials, seed):
     Cholesky factor of X^T Kt X, and eigvalsh of X^T R X gives the
     extremum over span(X). Same draws as check_poincare_minmax; returns,
     per side, (lambda_k, worst margin, attainment gap)."""
-    Kt, R, vp, vn = reduced_reference_operators(s, p)
+    Kt, R, vp, vn = reference_operators(s, p)
     n = Kt.shape[0]
     rng = np.random.default_rng(seed)
 
@@ -315,7 +316,7 @@ def courant_reference(s, p, k, trials, seed):
     Kt Y gives a basis B of the complement, and eigh(B^T R B, B^T Kt B)
     its extremum. Same draws as check_courant; returns, per side,
     (lambda_k, worst margin, attainment gap)."""
-    Kt, R, vp, vn = reduced_reference_operators(s, p)
+    Kt, R, vp, vn = reference_operators(s, p)
     n = Kt.shape[0]
     rng = np.random.default_rng(seed)
 
