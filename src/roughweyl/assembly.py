@@ -14,14 +14,23 @@ exact at the discrete level.
 The three forms share one sparsity pattern, numbered once per call
 (`_Pattern`): one entry per vertex and one per undirected triangle edge.
 Every element matrix is symmetric, so each form sums only its six upper
-entries (i <= j) into that pattern, with one `np.bincount` in element
-order, so assembled matrices are bit-reproducible; each symmetric pair of
-the result is that one sum, gathered into CSR order with exact zeros
-dropped. The stiffness is formed from the edge vectors of each cell and
-one quadrature sum of G / sqrt(det G), with no gradients and no batched
-matrix products; element entries are made one form at a time, and each
-per-point array is released as soon as it has been used, so the peak
-memory of `assemble` stays within a few times what the pencil keeps.
+entries (i <= j) into that pattern; each symmetric pair of the result is
+that one sum, gathered into CSR order with exact zeros dropped. The
+stiffness is formed from the edge vectors of each cell and one quadrature
+sum of G / sqrt(det G), with no gradients and no batched matrix products.
+
+`assemble` works one block of cells at a time (`fields._cell_blocks`): it
+samples the metric and the weight at the block's quadrature points, writes
+their measure and rho into the pencil's flat per-point arrays, forms the
+block's element entries of K, Mm and R and adds them into the pattern's
+sums with `np.add.at`. That adds in element order, block after block, as
+one whole-mesh `np.bincount` would, so assembled matrices are
+bit-reproducible and equal bit for bit to a whole-mesh sum. (Only a
+block of a few cells, such as a short last block, can round its mass
+products `mu @ phi2` differently, since BLAS picks its kernel by size.)
+Only the sums, the pattern and what the pencil keeps grow with the mesh,
+so the peak memory of `assemble` stays within twice what the pencil
+keeps.
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from .fields import (MetricField, WeightField, cell_geometry, sample_metric,
+from .fields import (MetricField, WeightField, _cell_blocks, sample_metric,
                      triangle_quadrature)
 from .mesh import Mesh
 
@@ -183,6 +192,9 @@ class Pencil:
 # the six upper entries (i, j), i <= j, of a symmetric element matrix,
 # listed by column: each column's first pair is (0, j)
 _PAIRS = tuple((i, j) for j in range(3) for i in range(j + 1))
+# the entry of pair (i, j) among a cell's three vertex entries and its three
+# edge entries: vertex i when i == j, else local edge 3 - i - j
+_SLOTS = tuple(i if i == j else 6 - i - j for i, j in _PAIRS)
 
 
 class _Pattern:
@@ -191,24 +203,23 @@ class _Pattern:
 
     Undirected entries are numbered diagonal first (vertex v is entry v),
     then each edge e = {i < j}, in the order of its key i * nv + j, as
-    entry nv + e. `slots` (nt, 6) numbers the upper entries `_PAIRS` of
-    every element matrix; `take` lists, in CSR order, the entry that
-    fills each stored position, whose column indices and row pointers
-    are `indices` and `indptr`.
+    entry nv + e. `edges` (nt, 3) holds the entry of every cell's local
+    edge k, which joins its local vertices k + 1 and k + 2 (mod 3), and
+    `slots` hands a block of cells the entries of the upper pairs
+    `_PAIRS` of its element matrices, for `np.add.at` to sum into. `form`
+    gathers such sums into CSR through `take`, which lists, in CSR order,
+    the entry that fills each stored position, whose column indices and
+    row pointers are `indices` and `indptr`.
     """
 
     def __init__(self, triangles, nv):
         self.nv = nv
-        # local edge k joins local vertices k + 1 and k + 2 (mod 3)
+        self.triangles = triangles
         a, b = triangles[:, [1, 2, 0]], triangles[:, [2, 0, 1]]
         keys, edge = np.unique(np.minimum(a, b) * nv + np.maximum(a, b),
                                return_inverse=True)
         del a, b
-        edge = nv + edge.reshape(triangles.shape)
-        self.slots = np.empty((len(triangles), len(_PAIRS)), dtype=np.intp)
-        for p, (i, j) in enumerate(_PAIRS):
-            # pair (i, j), i < j, is local edge 3 - i - j
-            self.slots[:, p] = triangles[:, i] if i == j else edge[:, 3 - i - j]
+        self.edges = nv + edge.reshape(triangles.shape)
         del edge
         self.ne = ne = len(keys)
         lo, hi = np.divmod(keys, nv)
@@ -225,21 +236,59 @@ class _Pattern:
         order[order >= nv + ne] -= ne
         self.take = order
 
-    def form(self, upper):
-        """The CSR symmetric matrix whose entries are the sums of the
-        (nt, 6) upper element entries `upper`, exact zeros dropped."""
-        nv = self.nv
-        v = np.bincount(self.slots.ravel(), weights=upper.ravel(),
-                        minlength=nv + self.ne)
-        data = v[self.take]
-        del v
+    def slots(self, cells):
+        """The flat (b * 6,) entries of the upper pairs `_PAIRS` of the
+        element matrices of the cells in the slice `cells`, cell by cell."""
+        return np.concatenate((self.triangles[cells], self.edges[cells]),
+                              axis=1).take(_SLOTS, axis=1).ravel()
+
+    def form(self, sums):
+        """The CSR symmetric matrix of the entry sums `sums`, exact zeros
+        dropped."""
+        data = sums[self.take]
+        del sums
         keep = data != 0.0
         # every row holds its diagonal, so no row of the pattern is empty
         indptr = np.zeros_like(self.indptr)
         np.cumsum(np.add.reduceat(keep, self.indptr[:-1], dtype=indptr.dtype),
                   out=indptr[1:])
         return sparse.csr_matrix((data[keep], self.indices[keep], indptr),
-                                 shape=(nv, nv))
+                                 shape=(self.nv, self.nv))
+
+
+def _stiffness(corners, areas, G, sqrtdet, wq):
+    """The (b, 6) upper entries e_i . H e_j / (4 |cell|) of the element
+    stiffness of b cells with (b, 3, 2) `corners` and `areas`, from their
+    flat metric samples `G` and `sqrtdet` at the rule weights `wq`."""
+    b, nq = len(areas), len(wq)
+    # edges[d, i]: coordinate d of the edge from local vertex i + 1 to i + 2
+    edges = np.empty((2, 3, b))
+    for i in range(3):
+        for d in range(2):
+            np.subtract(corners[:, (i + 2) % 3, d], corners[:, (i + 1) % 3, d],
+                        out=edges[d, i])
+    # H / (4 |cell|), its entries 00, 01, 10, 11 as the rows of h; only the
+    # symmetric part of H reaches the symmetric K, so h[1] takes the mean
+    # of the two off-diagonal entries
+    G = G.reshape(b, nq, 4)
+    scale = wq / sqrtdet.reshape(b, nq)
+    h = np.zeros((4, b))
+    for q in range(nq):
+        h += G[:, q].T * scale[:, q]
+    h /= 4.0 * areas
+    h[1] += h[2]
+    h[1] *= 0.5
+    x, y = edges
+    upper = np.empty((b, len(_PAIRS)))
+    for p, (i, j) in enumerate(_PAIRS):
+        if i == 0:
+            hx = h[0] * x[j]
+            hx += h[1] * y[j]
+            hy = h[1] * x[j]
+            hy += h[3] * y[j]
+        np.multiply(x[i], hx, out=upper[:, p])
+        upper[:, p] += y[i] * hy
+    return upper
 
 
 def assemble(m: Mesh, g: MetricField, w: WeightField, bc: BoundarySpec,
@@ -264,53 +313,31 @@ def assemble(m: Mesh, g: MetricField, w: WeightField, bc: BoundarySpec,
     `free_dofs`.
     """
     bary, wq = triangle_quadrature(quad_order)
-    corners, areas, points = cell_geometry(m, bary)
+    blocks = _cell_blocks(m, bary)
     nt, nq, nv = m.num_triangles, len(wq), m.num_vertices
-    # edges[d, i]: coordinate d of the edge from local vertex i + 1 to i + 2
-    edges = np.empty((2, 3, nt))
-    for i in range(3):
-        for d in range(2):
-            np.subtract(corners[:, (i + 2) % 3, d], corners[:, (i + 1) % 3, d],
-                        out=edges[d, i])
-    del corners
-
-    # H / (4 |cell|), its entries 00, 01, 10, 11 as the rows of h; only the
-    # symmetric part of H reaches the symmetric K, so h[1] takes the mean
-    # of the two off-diagonal entries
-    G, sqrtdet, measure = sample_metric(g, points, areas, wq)
-    G = G.reshape(nt, nq, 4)
-    scale = wq / sqrtdet.reshape(nt, nq)
-    del sqrtdet
-    h = np.zeros((4, nt))
-    for q in range(nq):
-        h += G[:, q].T * scale[:, q]
-    del G, scale
-    h /= 4.0 * areas
-    h[1] += h[2]
-    h[1] *= 0.5
-    rho = w.values(points)
-    del points, areas
     pattern = _Pattern(m.triangles, nv)
-    # element stiffness e_i . H e_j, one entry per pair i <= j
-    x, y = edges
-    upper = np.empty((nt, len(_PAIRS)))
-    for p, (i, j) in enumerate(_PAIRS):
-        if i == 0:
-            hx = h[0] * x[j]
-            hx += h[1] * y[j]
-            hy = h[1] * x[j]
-            hy += h[3] * y[j]
-        np.multiply(x[i], hx, out=upper[:, p])
-        upper[:, p] += y[i] * hy
-    del edges, x, y, h, hx, hy
-    K = pattern.form(upper)
-    del upper
-
     # mass and weighted mass share phi_i(x_q) phi_j(x_q), a bary product
     phi2 = np.stack([bary[:, i] * bary[:, j] for i, j in _PAIRS], axis=1)
-    mu = measure.reshape(nt, nq)  # w_q sqrt(det G) |cell|
-    Mm = pattern.form(mu @ phi2)
-    R = pattern.form((mu * rho.reshape(nt, nq)) @ phi2)
+    measure, rho = np.empty(nt * nq), np.empty(nt * nq)
+    sums = [np.zeros(nv + pattern.ne) for _ in range(3)]  # K, Mm and R
+    for cells, corners, areas, points in blocks:
+        at = slice(cells.start * nq, cells.stop * nq)
+        G, sqrtdet, measure[at] = sample_metric(g, points, areas, wq)
+        rho[at] = w.values(points)
+        # each entry adds its element entries in element order, as one
+        # whole-mesh np.bincount would
+        slots = pattern.slots(cells)
+        np.add.at(sums[0], slots,
+                  _stiffness(corners, areas, G, sqrtdet, wq).ravel())
+        mu = measure[at].reshape(-1, nq)  # w_q sqrt(det G) |cell|
+        np.add.at(sums[1], slots, (mu @ phi2).ravel())
+        np.add.at(sums[2], slots,
+                  ((mu * rho[at].reshape(-1, nq)) @ phi2).ravel())
+    # the last block's arrays, whose areas are a view of every cell's, and
+    # the edge numbering, which only the scatter reads, die before the forms
+    del G, sqrtdet, corners, areas, points, slots, mu, pattern.edges
+    # each form's sums die as it is made
+    K, Mm, R = (pattern.form(sums.pop(0)) for _ in range(3))
 
     dirichlet = bc.dirichlet_vertices(m)
     free = np.ones(nv, dtype=bool)

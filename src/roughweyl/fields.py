@@ -17,10 +17,13 @@ rules place every point strictly inside its cell, so declared singular points
 WeightField is the scalar analogue for the sign-changing density rho.
 Construction helpers cover the identity metric, metrics of Lipschitz graphs
 G = I + grad_f grad_f^T, radially scaled cone metrics, piecewise-constant
-regions, and pullbacks J^T G(phi(x)) J. A problem's fields are sampled in
-two steps: `cell_geometry` places the quadrature points of a mesh, and
-`sample_metric` is the one audited sample of the metric there, with the
-induced area measure sqrt(det G) dx of every point.
+regions, and pullbacks J^T G(phi(x)) J. A problem's fields are sampled
+block by block: `_cell_blocks` checks every cell of a mesh and then places
+the quadrature points of at most `_BLOCK` cells at a time, and
+`sample_metric` is the one audited sample of the metric at a block's
+points, with the induced area measure sqrt(det G) dx of every point. A
+field callable therefore runs once per block of cells, and no per-point
+array of the whole mesh is held while the fields are evaluated.
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ __all__ = [
     "checkerboard_weight",
     "expression_weight",
     "triangle_quadrature",
-    "cell_geometry",
     "sample_metric",
     "sym_eigvals_2x2",
     "comparability_audit",
@@ -594,18 +596,35 @@ def comparability_audit(g: MetricField, points):
     return G
 
 
-def cell_geometry(m, bary):
-    """The quadrature geometry of mesh m: per cell the (nt, 3, 2) `corners`
-    and `areas`, and the flat (nt * nq, 2) `points` at the nq barycentric
-    rows of `bary`, cell by cell. Refuses a mesh with no cells, or with a
-    clockwise or degenerate cell (area <= 0)."""
-    corners = m.vertices[m.triangles]
-    areas = corner_areas(corners)
-    if areas.size == 0:
+# cells per block of a field sample: the temporaries of one block stay
+# near 2 MB in `assemble`, so they do not grow with the mesh
+_BLOCK = 4096
+
+
+def _cell_blocks(m, bary):
+    """The quadrature geometry of mesh m, one block of at most `_BLOCK`
+    cells at a time: per block the `slice` of its cells, their (b, 3, 2)
+    `corners` and `areas`, and the flat (b * nq, 2) `points` at the nq
+    barycentric rows of `bary`, cell by cell. Checks every cell before it
+    returns, so a mesh with no cells, or with a clockwise or degenerate
+    cell (area <= 0) anywhere, is refused before any field is evaluated.
+    """
+    nt = m.num_triangles
+    if nt == 0:
         raise ValueError("mesh has no triangles")
+    blocks = [slice(start, min(start + _BLOCK, nt))
+              for start in range(0, nt, _BLOCK)]
+    areas = np.empty(nt)
+    for cells in blocks:
+        areas[cells] = corner_areas(m.vertices.take(m.triangles[cells], 0))
     if areas.min() <= 0.0:
         raise ValueError("mesh has nonpositive triangle areas")
-    return corners, areas, (bary @ corners).reshape(-1, 2)
+
+    def block(cells):
+        corners = m.vertices.take(m.triangles[cells], 0)
+        return cells, corners, areas[cells], (bary @ corners).reshape(-1, 2)
+
+    return map(block, blocks)
 
 
 def sample_metric(g: MetricField, points, areas, wq):

@@ -16,7 +16,7 @@ import csv
 import numpy as np
 
 from .assembly import assemble, sign_masses
-from .fields import cell_geometry, sample_metric, triangle_quadrature
+from .fields import _cell_blocks, sample_metric, triangle_quadrature
 from .spectral import Spectrum, solve_weighted
 
 __all__ = [
@@ -92,9 +92,15 @@ def weyl_constants(measure, rho) -> WeylTarget:
 def weyl_target(m, g, w, quad_order: int = 2) -> WeylTarget:
     """`weyl_constants` of a fresh quadrature sample of (m, g, w)."""
     bary, wq = triangle_quadrature(quad_order)
-    areas, points = cell_geometry(m, bary)[1:]  # the corners die here
-    measure = sample_metric(g, points, areas, wq)[2]
-    return weyl_constants(measure, w.values(points))
+    nq = len(wq)
+    measure = np.empty(m.num_triangles * nq)
+    rho = np.empty_like(measure)
+    for cells, _, areas, points in _cell_blocks(m, bary):
+        at = slice(cells.start * nq, cells.stop * nq)
+        measure[at] = sample_metric(g, points, areas, wq)[2]
+        rho[at] = w.values(points)
+    del areas, points  # the last block's, whose areas view every cell's
+    return weyl_constants(measure, rho)
 
 
 def _two_parameter_fit(lam, ks):

@@ -38,6 +38,7 @@ from roughweyl import (
     triangle_quadrature,
     weyl_target,
 )
+from roughweyl import fields
 from roughweyl.assembly import _PAIRS, _Pattern
 from roughweyl.mesh import triangle_areas
 
@@ -536,7 +537,13 @@ class TestAgainstCooReference:
         m = Mesh(m.vertices, m.triangles[rng.permutation(m.num_triangles)],
                  m.boundary_edges)
         upper = rng.standard_normal((m.num_triangles, len(_PAIRS)))
-        A = _Pattern(m.triangles, m.num_vertices).form(upper)
+        # scattered as `assemble` does, in blocks of 1, 7, 92 and the rest
+        pattern = _Pattern(m.triangles, m.num_vertices)
+        sums = np.zeros(m.num_vertices + pattern.ne)
+        starts = [0, 1, 8, 100, m.num_triangles]
+        for cells in map(slice, starts[:-1], starts[1:]):
+            np.add.at(sums, pattern.slots(cells), upper[cells].ravel())
+        A = pattern.form(sums)
         elements = np.empty((m.num_triangles, 3, 3))
         for p, (i, j) in enumerate(_PAIRS):
             elements[:, i, j] = elements[:, j, i] = upper[:, p]
@@ -603,6 +610,180 @@ def test_weyl_target_peak_memory_within_twelve_samples_per_point(domain):
         tracemalloc.stop()
     points = m.num_triangles * len(triangle_quadrature(2)[1])
     assert peak <= 12 * 8 * points, peak / (8 * points)
+
+
+def test_l7_assemble_peak_memory_within_one_and_three_quarter_pencils():
+    # the fields are sampled, and the element entries formed and scattered,
+    # one block of cells at a time, so the traced peak of one L7 assemble
+    # stays within 1.75 (about 1.43) times the bytes the pencil keeps. The
+    # peak falls as R is formed, next to K, Mm, the per-point measure and
+    # rho and the pattern's CSR numbering; the numbering of the pattern
+    # comes close behind
+    m = refine_uniform(generate_unit_square(64))
+    g, w = checkerboard_metric(1.0, 2.0, 4), halves_weight(1.0, -1.0)
+    bc = BoundarySpec.dirichlet()
+    assemble(generate_unit_square(2), g, w, bc)
+    tracemalloc.start()
+    try:
+        p = assemble(m, g, w, bc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kept = sum(a.nbytes for A in (p.K, p.Mm, p.R)
+               for a in (A.data, A.indices, A.indptr))
+    kept += p.r.nbytes + p.free_dofs.nbytes + p.measure.nbytes + p.rho.nbytes
+    assert peak <= 1.75 * kept, peak / kept
+
+
+@pytest.mark.parametrize("domain", ["shear-square", "cone-disk"])
+def test_l7_weyl_target_peak_memory_within_six_samples_per_point(domain):
+    # one L7 weyl_target keeps, for the whole mesh, only the per-point
+    # measure and rho (2 floats per quadrature point) and the cell areas
+    # (1/3); the metric and weight are sampled one block of cells at a
+    # time. Its traced peak (about 4.5 floats per point) falls in
+    # `weyl_constants`, whose sign masses add two temporaries
+    if domain == "cone-disk":
+        m, g = refine_uniform(generate_disk(64)), cone_metric(np.pi / 2)
+    else:
+        m = refine_uniform(generate_unit_square(64))
+        g = REFERENCE_METRICS["shear"]()
+    w = REFERENCE_WEIGHTS["expr"]()
+    weyl_target(generate_unit_square(2), g, w)
+    tracemalloc.start()
+    try:
+        weyl_target(m, g, w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    points = m.num_triangles * len(triangle_quadrature(2)[1])
+    assert peak <= 6 * 8 * points, peak / (8 * points)
+
+
+BLOCK_MESHES = {
+    "l7-square": lambda: refine_uniform(generate_unit_square(64)),
+    "disk-64": lambda: generate_disk(64),
+}
+BLOCK_CASES = {
+    "shear-expr-dirichlet": ("shear", "expr", "dirichlet"),
+    "checkerboard-halves-neumann": ("checkerboard", "halves", "neumann"),
+    "cone-one-dirichlet": ("cone", "one", "dirichlet"),
+}
+
+
+def blocked_sample(m, case, block, monkeypatch):
+    """The arrays of the pencil and the Weyl constants of `case` on m,
+    sampled in blocks of `block` cells."""
+    metric, weight, kind = BLOCK_CASES[case]
+    g, w = REFERENCE_METRICS[metric](), REFERENCE_WEIGHTS[weight]()
+    monkeypatch.setattr(fields, "_BLOCK", block)
+    p = assemble(m, g, w, BoundarySpec(kind))
+    t = weyl_target(m, g, w)
+    out = {"r": p.r, "measure": p.measure, "rho": p.rho,
+           "constants": np.array([t.c_plus, t.c_minus, t.vol])}
+    for name in ("K", "Mm", "R"):
+        A = getattr(p, name)
+        out.update({name + ".data": A.data, name + ".indices": A.indices,
+                    name + ".indptr": A.indptr})
+    return out
+
+
+def same_bits(a, b):
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
+
+
+class TestBlocks:
+    """`assemble` and `weyl_target` against one whole-mesh block.
+
+    `np.add.at` adds the element entries of each pattern entry in element
+    order, block after block, as one whole-mesh sum would, and every other
+    per-point or per-cell value is computed elementwise.
+    """
+
+    @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+    @pytest.mark.parametrize("mesh", sorted(BLOCK_MESHES))
+    def test_blocks_keep_every_bit(self, mesh, case, monkeypatch):
+        m = BLOCK_MESHES[mesh]()
+        assert m.num_triangles >= 6 * fields._BLOCK
+        blocked = blocked_sample(m, case, fields._BLOCK, monkeypatch)
+        whole = blocked_sample(m, case, m.num_triangles, monkeypatch)
+        for name in whole:
+            assert same_bits(blocked[name], whole[name]), name
+
+    @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+    @pytest.mark.parametrize("mesh", sorted(BLOCK_MESHES))
+    def test_short_blocks_round_only_the_mass_products(self, mesh, case,
+                                                       monkeypatch):
+        # the products mu @ phi2 of 7 rows can take another BLAS kernel
+        # than a whole-mesh one, and round the mass entries of their cells
+        # differently; the stiffness, the sample and the constants cannot
+        m = BLOCK_MESHES[mesh]()
+        short = blocked_sample(m, case, 7, monkeypatch)
+        whole = blocked_sample(m, case, m.num_triangles, monkeypatch)
+        for name in ("K.data", "K.indices", "K.indptr", "measure", "rho",
+                     "constants"):
+            assert same_bits(short[name], whole[name]), name
+        for name in ("Mm.data", "R.data", "r"):
+            a, b = short[name], whole[name]
+            assert a.shape == b.shape, name  # equal nnz
+            tol = 4.0 * np.finfo(float).eps * np.abs(b).max()
+            assert np.abs(a - b).max() <= tol, name
+
+
+class TestChecksAcrossBlocks:
+    """Every cell is checked before any field is evaluated, and the audit
+    reaches every point of every block."""
+
+    @staticmethod
+    def two_blocks():
+        m = generate_unit_square(64)
+        assert m.num_triangles == 2 * fields._BLOCK
+        return m
+
+    @staticmethod
+    def calls():
+        return [lambda m, g, w: assemble(m, g, w, BoundarySpec.dirichlet()),
+                weyl_target]
+
+    def test_clockwise_cell_of_the_last_block_refused_first(self):
+        m = self.two_blocks()
+        tris = m.triangles.copy()
+        tris[-1] = tris[-1, ::-1]
+        m = Mesh(m.vertices, tris, m.boundary_edges)
+        points = []
+
+        def identity(pts):
+            points.append(len(pts))
+            return np.broadcast_to(np.eye(2), (len(pts), 2, 2))
+
+        g, w = MetricField(identity, 1.0, 1.0), constant_weight(1.0)
+        for call in self.calls():
+            with pytest.raises(ValueError, match="nonpositive triangle areas"):
+                call(m, g, w)
+        assert points == []
+
+    def test_metric_leaving_its_bounds_in_the_last_block_refused(self):
+        m = self.two_blocks()
+        corners = m.vertices[m.triangles[-1]]
+        edges = np.column_stack([corners[1] - corners[0],
+                                 corners[2] - corners[0]])
+        points = []
+
+        def bulging(pts):
+            # 4 I inside the last cell, I everywhere else
+            points.append(len(pts))
+            b = np.linalg.solve(edges, (pts - corners[0]).T)
+            inside = (b > 0.0).all(axis=0) & (b.sum(axis=0) < 1.0)
+            G = np.zeros((len(pts), 2, 2))
+            G[:, 0, 0] = G[:, 1, 1] = np.where(inside, 4.0, 1.0)
+            return G
+
+        g, w = MetricField(bulging, 1.0, 1.0), constant_weight(1.0)
+        for call in self.calls():
+            points.clear()
+            with pytest.raises(ComparabilityError, match="leave declared"):
+                call(m, g, w)
+            assert points == [3 * fields._BLOCK] * 2  # the first block passed
 
 
 class TestRestriction:

@@ -46,3 +46,16 @@ def test_metric_sample_is_a_span_inside_assemble():
                if span[0] == "fields.sample_metric"]
     assert len(samples) == 1
     assert names[samples[0][3]] == "assembly.assemble"
+
+
+def test_metric_sample_of_every_block_is_a_span_inside_assemble():
+    spans = load_spans()
+    m = rw.generate_unit_square(64)  # 8192 cells, two blocks
+    with spans.Tracer() as tracer:
+        rw.assemble(m, rw.euclidean_metric(), rw.constant_weight(1.0),
+                    rw.BoundarySpec.dirichlet())
+    names = [span[0] for span in tracer.spans]
+    samples = [span for span in tracer.spans
+               if span[0] == "fields.sample_metric"]
+    assert len(samples) == 2
+    assert all(names[span[3]] == "assembly.assemble" for span in samples)

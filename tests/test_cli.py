@@ -400,6 +400,23 @@ class TestRunWeyl:
         assert run(cfg) == 1  # the coarse-mesh deviation check, as above
         assert calls == [2 * 16 * 16 * 3]
 
+    def test_metric_sampled_once_across_blocks(self, tmp_path, monkeypatch):
+        # at level 7 the sample runs in 8 blocks of cells, which together
+        # cover every quadrature point once
+        calls = []
+        matrices = MetricField.matrices
+
+        def counted(self, points):
+            calls.append(len(points))
+            return matrices(self, points)
+
+        monkeypatch.setattr(MetricField, "matrices", counted)
+        cfg = ExperimentConfig.from_text(
+            "task = weyl\n[domain]\nlevel = 7\n[solver]\nk_each = 60\n"
+            "[output]\ndir = {}\n".format(tmp_path / "out"))
+        assert run(cfg) in (0, 1)
+        assert len(calls) == 8 and sum(calls) == 2 * 128 * 128 * 3
+
 
 class TestRunReportTasks:
     def test_bracket_task(self, tmp_path):

@@ -7,7 +7,7 @@ from roughweyl.fields import (
     MetricField,
     SingularPointError,
     WeightField,
-    cell_geometry,
+    _cell_blocks,
     checkerboard_metric,
     checkerboard_weight,
     comparability_audit,
@@ -312,7 +312,7 @@ class TestQuadrature:
         from math import factorial
 
         bary, wq = triangle_quadrature(order)
-        _, areas, pts = cell_geometry(REFERENCE, bary)
+        ((_, _, areas, pts),) = _cell_blocks(REFERENCE, bary)
         measure = sample_metric(euclidean_metric(), pts, areas, wq)[2]
         for p in range(degree + 1):
             for q in range(degree + 1 - p):
