@@ -21,16 +21,16 @@ sum of G / sqrt(det G), with no gradients and no batched matrix products.
 
 `assemble` works one block of cells at a time (`fields._cell_blocks`): it
 samples the metric and the weight at the block's quadrature points, writes
-their measure and rho into the pencil's flat per-point arrays, forms the
-block's element entries of K, Mm and R and adds them into the pattern's
-sums with `np.add.at`. That adds in element order, block after block, as
-one whole-mesh `np.bincount` would, so assembled matrices are
+each cell's integrals of 1, rho^+ and rho^- (`fields._cell_integrands`),
+forms the block's element entries of K, Mm and R and adds them into the
+pattern's sums with `np.add.at`. That adds in element order, block after
+block, as one whole-mesh `np.bincount` would, so assembled matrices are
 bit-reproducible and equal bit for bit to a whole-mesh sum. (Only a
 block of a few cells, such as a short last block, can round its mass
 products `mu @ phi2` differently, since BLAS picks its kernel by size.)
-Only the sums, the pattern and what the pencil keeps grow with the mesh,
-so the peak memory of `assemble` stays within twice what the pencil
-keeps.
+Only the sums, the pattern, the per-cell integrals and what the pencil
+keeps grow with the mesh, so the peak memory of `assemble` stays within
+twice what the pencil keeps.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from .fields import (MetricField, WeightField, _cell_blocks, sample_metric,
-                     triangle_quadrature)
+from .fields import (MetricField, WeightField, _cell_blocks,
+                     _cell_integrands, sample_metric, triangle_quadrature)
 from .mesh import Mesh
 
 __all__ = [
@@ -125,23 +125,25 @@ class Pencil:
     vertices; `free_dofs` indexes the non-Dirichlet vertices; `r` is the
     full-length vector of weight functionals r_i = integral rho phi_i d mu;
     `tau` is 1 exactly when no vertex is Dirichlet, so that the free space
-    holds the constants, which K annihilates, else 0. `measure` and `rho`
-    are flat per-point samples of w_q sqrt(det G) |cell| and of the
-    weight, the assembly's own for an assembled pencil. They are carried
-    for `masses`, the weight's mass on each sign, which picks the spectral
-    ends the eigensolver runs and weighs their imbalance in its
+    holds the constants, which K annihilates, else 0. `vol` is Vol(M, g)
+    and `masses` the pair (integral of rho over M^+, integral of |rho|
+    over M^-), M^± the quadrature points where ±rho > 0, of the
+    assembly's own sample for an assembled pencil. They give the Weyl
+    constants (`weyl.weyl_constants`), and `masses` also picks the
+    spectral ends the eigensolver runs and weighs their imbalance in its
     dense-or-Lanczos cost rule (`spectral` module docstring).
     """
 
-    def __init__(self, K, Mm, R, free_dofs, r, tau, measure, rho):
+    def __init__(self, K, Mm, R, free_dofs, r, tau, vol, masses):
         self.K = K
         self.Mm = Mm
         self.R = R
         self.free_dofs = np.asarray(free_dofs, dtype=np.int64)
         self.r = np.asarray(r, dtype=float)
         self.tau = int(tau)
-        self.measure = measure
-        self.rho = rho
+        self.vol = float(vol)
+        plus, minus = masses
+        self.masses = (float(plus), float(minus))
         self._reduced = {}
 
     @property
@@ -178,11 +180,6 @@ class Pencil:
     def r_free(self):
         return self.r[self.free_dofs]
 
-    @property
-    def masses(self):
-        """`sign_masses` of the pencil's sample."""
-        return sign_masses(self.measure, self.rho)
-
     def __repr__(self):
         return "Pencil({} vertices, {} free, tau={})".format(
             self.n_vertices, self.n_free, self.tau
@@ -207,34 +204,61 @@ class _Pattern:
     edge k, which joins its local vertices k + 1 and k + 2 (mod 3), and
     `slots` hands a block of cells the entries of the upper pairs
     `_PAIRS` of its element matrices, for `np.add.at` to sum into. `form`
-    gathers such sums into CSR through `take`, which lists, in CSR order,
-    the entry that fills each stored position, whose column indices and
-    row pointers are `indices` and `indptr`.
+    gathers such sums into CSR through the int32 `take`, which lists, in
+    CSR order, the entry that fills each stored position, whose column
+    indices and row pointers are `indices` and `indptr`.
     """
 
     def __init__(self, triangles, nv):
         self.nv = nv
         self.triangles = triangles
-        a, b = triangles[:, [1, 2, 0]], triangles[:, [2, 0, 1]]
-        keys, edge = np.unique(np.minimum(a, b) * nv + np.maximum(a, b),
-                               return_inverse=True)
-        del a, b
-        self.edges = nv + edge.reshape(triangles.shape)
-        del edge
+        # the key i * nv + j of every local edge {i < j}, cell by cell
+        key = np.empty(triangles.shape, dtype=np.int64)
+        for k in range(3):
+            a, b = triangles[:, (k + 1) % 3], triangles[:, (k + 2) % 3]
+            np.minimum(a, b, out=key[:, k])
+            key[:, k] *= nv
+            key[:, k] += np.maximum(a, b)
+        key = key.ravel()
+        order = np.argsort(key)
+        key = key[order]
+        # the edges are the distinct keys, in order: the sorted keys start a
+        # new edge wherever they change, so their running count of changes
+        # numbers the edges, and entry nv + e is that count plus nv - 1
+        new = np.empty(len(key), dtype=bool)
+        new[0] = True
+        np.not_equal(key[1:], key[:-1], out=new[1:])
+        keys = key[new]
         self.ne = ne = len(keys)
+        np.cumsum(new, out=key)
+        del new
+        key += nv - 1
+        edges = np.empty_like(key)
+        edges[order] = key
+        del key, order
+        self.edges = edges.reshape(triangles.shape)
+        # CSR order sorts the stored positions by row * nv + col: vertex v
+        # at v * (nv + 1), and each edge {lo < hi} at its key from its
+        # lower end and at hi * nv + lo from its upper end
         lo, hi = np.divmod(keys, nv)
-        del keys
         diag = np.arange(nv)
-        row = np.concatenate([diag, lo, hi])
-        col = np.concatenate([diag, hi, lo])
-        del diag, lo, hi
-        order = np.argsort(row * nv + col)
-        self.indices = col[order].astype(np.int32)
         self.indptr = np.zeros(nv + 1, dtype=np.int32)
-        np.cumsum(np.bincount(row, minlength=nv), out=self.indptr[1:])
+        np.cumsum(1 + np.bincount(lo, minlength=nv)
+                  + np.bincount(hi, minlength=nv), out=self.indptr[1:])
+        col = np.concatenate([diag, hi, lo], dtype=np.int32,
+                             casting="same_kind")
+        hi *= nv
+        hi += lo
+        del lo
+        pos = np.concatenate([diag * (nv + 1), keys, hi])
+        del diag, keys, hi
+        order = np.argsort(pos)
+        del pos
+        self.indices = col[order]
+        del col
         # entry nv + ne + e of row/col is edge e from its upper end
         order[order >= nv + ne] -= ne
-        self.take = order
+        self.take = order.astype(np.int32)
 
     def slots(self, cells):
         """The flat (b * 6,) entries of the upper pairs `_PAIRS` of the
@@ -244,15 +268,19 @@ class _Pattern:
 
     def form(self, sums):
         """The CSR symmetric matrix of the entry sums `sums`, exact zeros
-        dropped."""
+        dropped, with index arrays of its own."""
         data = sums[self.take]
         del sums
         keep = data != 0.0
-        # every row holds its diagonal, so no row of the pattern is empty
-        indptr = np.zeros_like(self.indptr)
-        np.cumsum(np.add.reduceat(keep, self.indptr[:-1], dtype=indptr.dtype),
-                  out=indptr[1:])
-        return sparse.csr_matrix((data[keep], self.indices[keep], indptr),
+        if keep.all():
+            indices, indptr = self.indices.copy(), self.indptr.copy()
+        else:
+            data, indices = data[keep], self.indices[keep]
+            # every row holds its diagonal, so no row of the pattern is empty
+            indptr = np.zeros_like(self.indptr)
+            np.cumsum(np.add.reduceat(keep, self.indptr[:-1],
+                                      dtype=indptr.dtype), out=indptr[1:])
+        return sparse.csr_matrix((data, indices, indptr),
                                  shape=(self.nv, self.nv))
 
 
@@ -318,24 +346,25 @@ def assemble(m: Mesh, g: MetricField, w: WeightField, bc: BoundarySpec,
     pattern = _Pattern(m.triangles, nv)
     # mass and weighted mass share phi_i(x_q) phi_j(x_q), a bary product
     phi2 = np.stack([bary[:, i] * bary[:, j] for i, j in _PAIRS], axis=1)
-    measure, rho = np.empty(nt * nq), np.empty(nt * nq)
+    integrands = np.empty((3, nt))  # per cell: 1, rho^+ and rho^- d mu
     sums = [np.zeros(nv + pattern.ne) for _ in range(3)]  # K, Mm and R
     for cells, corners, areas, points in blocks:
-        at = slice(cells.start * nq, cells.stop * nq)
-        G, sqrtdet, measure[at] = sample_metric(g, points, areas, wq)
-        rho[at] = w.values(points)
+        G, sqrtdet, mu = sample_metric(g, points, areas, wq)
+        mu = mu.reshape(-1, nq)  # w_q sqrt(det G) |cell|
+        rho = w.values(points).reshape(-1, nq)
+        _cell_integrands(mu, rho, integrands[:, cells])
         # each entry adds its element entries in element order, as one
         # whole-mesh np.bincount would
         slots = pattern.slots(cells)
         np.add.at(sums[0], slots,
                   _stiffness(corners, areas, G, sqrtdet, wq).ravel())
-        mu = measure[at].reshape(-1, nq)  # w_q sqrt(det G) |cell|
         np.add.at(sums[1], slots, (mu @ phi2).ravel())
-        np.add.at(sums[2], slots,
-                  ((mu * rho[at].reshape(-1, nq)) @ phi2).ravel())
+        np.add.at(sums[2], slots, ((mu * rho) @ phi2).ravel())
     # the last block's arrays, whose areas are a view of every cell's, and
     # the edge numbering, which only the scatter reads, die before the forms
-    del G, sqrtdet, corners, areas, points, slots, mu, pattern.edges
+    del G, sqrtdet, mu, rho, corners, areas, points, slots, pattern.edges
+    vol, plus, minus = (float(np.sum(row)) for row in integrands)
+    del integrands
     # each form's sums die as it is made
     K, Mm, R = (pattern.form(sums.pop(0)) for _ in range(3))
 
@@ -349,16 +378,7 @@ def assemble(m: Mesh, g: MetricField, w: WeightField, bc: BoundarySpec,
     # the kernel of the energy exactly when no vertex is Dirichlet
     tau = int(dirichlet.size == 0)
 
-    return Pencil(K, Mm, R, free, r, tau, measure, rho)
-
-
-def sign_masses(measure, rho):
-    """(integral of rho over M^+, integral of |rho| over M^-) from one
-    flat quadrature sample: the per-point `measure` w_q sqrt(det G) |cell|
-    and weight values `rho`, with M^± the points where ±rho > 0."""
-    mass = np.abs(rho) * measure
-    return (float(np.sum(mass * (rho > 0.0))),
-            float(np.sum(mass * (rho < 0.0))))
+    return Pencil(K, Mm, R, free, r, tau, vol, (plus, minus))
 
 
 def poincare_constant(p: Pencil) -> float:

@@ -5,7 +5,8 @@ stack, dispatches the requested task, and writes `spectrum.csv`,
 `summary.json`, and optionally `counting.svg` into the output directory.
 Exit codes: 0 when every enabled check passes, 1 when a check fails,
 2 for config problems, 3 for modeling violations (such as a weight that
-integrates to zero on a pure Neumann problem), 4 for solver failures.
+integrates to zero on a pure Neumann problem), 4 for solver failures,
+5 when the computed spectrum is too short for the Weyl fit window.
 
 Everything written is a pure function of the config: floats go through
 repr, JSON keys are sorted, the SVG carries no timestamps, so a rerun of
@@ -46,6 +47,8 @@ from .varprin import (
     save_report,
 )
 from .weyl import (
+    FitError,
+    _check_window,
     convergence_study,
     fit_limit,
     weyl_constants,
@@ -69,6 +72,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_MODELING = 3
 EXIT_SOLVER = 4
+EXIT_FIT = 5
 
 TASKS = ("solve", "weyl", "bracket", "sandwich", "varprin", "converge")
 
@@ -242,8 +246,13 @@ class ExperimentConfig:
         window = sol.get("window", "auto")
         self.window = (None if window == "auto"
                        else _as_int_list("solver", "window", window))
-        if self.window is not None and len(self.window) != 2:
-            raise ConfigError("solver.window: expected k_lo,k_hi")
+        if self.window is not None:
+            if len(self.window) != 2:
+                raise ConfigError("solver.window: expected k_lo,k_hi")
+            try:
+                _check_window(self.window)
+            except ValueError as exc:
+                raise ConfigError("solver.window: {}".format(exc)) from None
 
         self.out_dir = out.get("dir", "out")
         self.svg = _as_bool("output", "svg", out.get("svg", "false"))
@@ -580,7 +589,7 @@ def _leading(s, k):
 
 
 def _spectrum_artifacts(cfg, p, s, out_dir):
-    tgt = weyl_constants(p.measure, p.rho)
+    tgt = weyl_constants(p.vol, p.masses)
     csv_path = os.path.join(out_dir, "spectrum.csv")
     write_spectrum_csv(s, tgt, csv_path)
     artifacts = {"spectrum_csv": "spectrum.csv"}
@@ -690,6 +699,9 @@ def run(cfg: ExperimentConfig) -> int:
     except SolverError as exc:
         print("solver failure: {}".format(exc), file=sys.stderr)
         return EXIT_SOLVER
+    except FitError as exc:
+        print("fit failure: {}".format(exc), file=sys.stderr)
+        return EXIT_FIT
     except (ConfigError, MeshFormatError, ValueError) as exc:
         print("config error: {}".format(exc), file=sys.stderr)
         return EXIT_CONFIG

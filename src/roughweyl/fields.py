@@ -23,7 +23,9 @@ the quadrature points of at most `_BLOCK` cells at a time, and
 `sample_metric` is the one audited sample of the metric at a block's
 points, with the induced area measure sqrt(det G) dx of every point. A
 field callable therefore runs once per block of cells, and no per-point
-array of the whole mesh is held while the fields are evaluated.
+array of the whole mesh is held while the fields are evaluated. What the
+Weyl law needs of a sample, Vol(M, g) and the weight's mass on each sign,
+is kept per cell (`_cell_integrands`) and summed once over the mesh.
 """
 
 from __future__ import annotations
@@ -640,3 +642,22 @@ def sample_metric(g: MetricField, points, areas, wq):
     sqrtdet = np.sqrt(det, out=det)
     measure = (sqrtdet.reshape(-1, len(wq)) * wq * areas[:, None]).ravel()
     return G, sqrtdet, measure
+
+
+def _cell_integrands(mu, rho, out):
+    """Write into the (3, b) `out` the integrals over each of b cells of
+    1, rho^+ and rho^- against the induced measure, from the (b, nq)
+    per-point measure `mu` = w_q sqrt(det G) |cell| and weight samples
+    `rho`: per cell, the sums in point order of mu, of |rho| mu where
+    rho > 0 and of |rho| mu where rho < 0.
+
+    Each cell's sums read only its own points, so one `np.sum` of each
+    row of the whole mesh's (3, nt) array gives Vol(M, g) and the two
+    sign masses, with the same bits whatever the blocks were.
+    """
+    mass = np.abs(rho) * mu
+    for row, part in zip(out, (mu, np.where(rho > 0.0, mass, 0.0),
+                               np.where(rho < 0.0, mass, 0.0))):
+        row[:] = part[:, 0]
+        for q in range(1, part.shape[1]):
+            row += part[:, q]

@@ -23,9 +23,9 @@ returns at most n - 2 values per end of an n-row pencil, so a pencil of
 costs about n^3 whatever k_each, and a Lanczos run grows with n, with
 k_each and with the imbalance of the two signs: its cost grows roughly as
 sqrt(c_max / c_min), where c_± are the weight's masses on each sign
-(`Pencil.masses`, the integrals of |rho| over {±rho > 0}; the ratio counts
-as 1 on a single-sign pencil). So under "auto" an n-row pencil goes to
-Lanczos when
+(`Pencil.masses`, the integrals of |rho| over {±rho > 0}, which the pencil
+keeps from its assembly; the ratio counts as 1 on a single-sign pencil).
+So under "auto" an n-row pencil goes to Lanczos when
 
     n^2 > C k_each sqrt(c_max / c_min),   C = `_CROSSOVER` = 1.4e4,
 

@@ -15,11 +15,13 @@ import csv
 
 import numpy as np
 
-from .assembly import assemble, sign_masses
-from .fields import _cell_blocks, sample_metric, triangle_quadrature
+from .assembly import assemble
+from .fields import (_cell_blocks, _cell_integrands, sample_metric,
+                     triangle_quadrature)
 from .spectral import Spectrum, solve_weighted
 
 __all__ = [
+    "FitError",
     "WeylTarget",
     "counting",
     "weyl_constants",
@@ -28,6 +30,11 @@ __all__ = [
     "convergence_study",
     "write_spectrum_csv",
 ]
+
+
+class FitError(ValueError):
+    """A spectrum cannot be fitted: it is empty, or it holds too few
+    eigenvalues for the fit window."""
 
 
 class WeylTarget:
@@ -75,32 +82,32 @@ def counting(s: Spectrum, lam: float, sign=1) -> int:
     return int(np.count_nonzero(vals > lam))
 
 
-def weyl_constants(measure, rho) -> WeylTarget:
+def weyl_constants(vol, masses) -> WeylTarget:
     """Weyl constants c_± = 1/(4 pi) * integral_{M^±} |rho| and
-    vol = Vol(M, g) from one audited quadrature sample: the flat per-point
-    `measure` w_q sqrt(det G) |cell| and weight values `rho`.
+    vol = Vol(M, g) from the integrals of one audited quadrature sample:
+    `vol` and the sign `masses` (integral of rho over M^+, integral of
+    |rho| over M^-), as a pencil keeps them.
 
     M^± is realized as the set of quadrature points where ±rho > 0, so a
     constant is zero exactly when its side carries no quadrature mass.
     """
     factor = 1.0 / (4.0 * np.pi)
-    int_plus, int_minus = sign_masses(measure, rho)
-    vol = float(np.sum(measure))
+    int_plus, int_minus = masses
     return WeylTarget(factor * int_plus, factor * int_minus, vol)
 
 
 def weyl_target(m, g, w, quad_order: int = 2) -> WeylTarget:
-    """`weyl_constants` of a fresh quadrature sample of (m, g, w)."""
+    """`weyl_constants` of a fresh quadrature sample of (m, g, w), the
+    same per-cell integrals that `assemble` sums for its pencil."""
     bary, wq = triangle_quadrature(quad_order)
     nq = len(wq)
-    measure = np.empty(m.num_triangles * nq)
-    rho = np.empty_like(measure)
+    integrands = np.empty((3, m.num_triangles))
     for cells, _, areas, points in _cell_blocks(m, bary):
-        at = slice(cells.start * nq, cells.stop * nq)
-        measure[at] = sample_metric(g, points, areas, wq)[2]
-        rho[at] = w.values(points)
-    del areas, points  # the last block's, whose areas view every cell's
-    return weyl_constants(measure, rho)
+        mu = sample_metric(g, points, areas, wq)[2].reshape(-1, nq)
+        _cell_integrands(mu, w.values(points).reshape(-1, nq),
+                         integrands[:, cells])
+    vol, plus, minus = (float(np.sum(row)) for row in integrands)
+    return weyl_constants(vol, (plus, minus))
 
 
 def _two_parameter_fit(lam, ks):
@@ -121,8 +128,11 @@ def fit_limit(s: Spectrum, window=None, target: WeylTarget = None) -> dict:
 
     The window is a pair [k_lo, k_hi] of 1-based ranks, defaulting to the
     middle third of the shortest nonempty family. Requires k_lo >= 10 and at
-    least 20 samples; k_hi beyond the computed range is an error rather than
-    a silent clip.
+    least 20 samples (`_check_window`; ValueError for a given window); k_hi
+    beyond the computed range is an error rather than a silent clip. The
+    spectrum is at fault, and FitError raised, when it is empty, when the
+    default window of a short family holds fewer than 20 samples and when
+    k_hi exceeds the values computed on a side.
 
     Returns {"window": [k_lo, k_hi], "sides": {"plus": ..., "minus": ...}},
     as `summary.json` stores it. An empty family's side is "empty side";
@@ -135,15 +145,16 @@ def fit_limit(s: Spectrum, window=None, target: WeylTarget = None) -> dict:
     """
     counts = [len(v) for v in (s.pos, s.neg) if len(v)]
     if not counts:
-        raise ValueError("spectrum has no eigenvalues to fit")
+        raise FitError("spectrum has no eigenvalues to fit")
     if window is None:
         N = min(counts)
-        window = (max(10, N // 3), (2 * N) // 3)
-    k_lo, k_hi = int(window[0]), int(window[1])
-    if k_lo < 10:
-        raise ValueError("window must start at k_lo >= 10")
-    if k_hi - k_lo + 1 < 20:
-        raise ValueError("window holds fewer than 20 samples")
+        k_lo, k_hi = max(10, N // 3), (2 * N) // 3
+        if k_hi - k_lo + 1 < 20:
+            raise FitError(
+                "the default window [{}, {}] of {} eigenvalues holds fewer "
+                "than 20 samples; compute more".format(k_lo, k_hi, N))
+    else:
+        k_lo, k_hi = _check_window(window)
 
     sides = {}
     for label, sign in (("plus", 1), ("minus", -1)):
@@ -152,7 +163,7 @@ def fit_limit(s: Spectrum, window=None, target: WeylTarget = None) -> dict:
             sides[label] = "empty side"
             continue
         if k_hi > len(vals):
-            raise ValueError(
+            raise FitError(
                 "window end {} exceeds the {} available {} eigenvalues"
                 .format(k_hi, len(vals), label))
         ks = np.arange(k_lo, k_hi + 1)
@@ -170,6 +181,17 @@ def fit_limit(s: Spectrum, window=None, target: WeylTarget = None) -> dict:
             "raw_ratio": raw,
         }
     return {"window": [k_lo, k_hi], "sides": sides}
+
+
+def _check_window(window):
+    """The fit window (k_lo, k_hi) as ints; ValueError unless k_lo >= 10
+    and it holds at least 20 samples."""
+    k_lo, k_hi = int(window[0]), int(window[1])
+    if k_lo < 10:
+        raise ValueError("window must start at k_lo >= 10")
+    if k_hi - k_lo + 1 < 20:
+        raise ValueError("window holds fewer than 20 samples")
+    return k_lo, k_hi
 
 
 def convergence_study(make_problem, levels, window=None, t: float = 0.0,
@@ -204,7 +226,7 @@ def convergence_study(make_problem, levels, window=None, t: float = 0.0,
 
 def _convergence_row(level, p, s, window):
     """One level's row: the fit of s against the target of p's own sample."""
-    sides = fit_limit(s, window, weyl_constants(p.measure, p.rho))["sides"]
+    sides = fit_limit(s, window, weyl_constants(p.vol, p.masses))["sides"]
     row = {"level": int(level), "free_dofs": int(p.n_free)}
     for label in ("plus", "minus"):
         side = sides[label]

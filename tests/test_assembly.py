@@ -2,7 +2,6 @@
 conformal scaling, pullback equality, the COO-summed reference assembly,
 peak memory, and the discrete Poincare constant."""
 
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -295,7 +294,7 @@ class TestConstraintData:
         p = assemble(generate_unit_square(4), euclidean_metric(),
                      halves_weight(1.0, -1.0), BoundarySpec.dirichlet())
         assert abs(p.r.sum()) <= 1e-12
-        assert (p.rho.min(), p.rho.max()) == (-1.0, 1.0)
+        assert p.masses == pytest.approx((0.5, 0.5), rel=1e-12)
 
 
 class TestAssembleErrors:
@@ -555,6 +554,22 @@ class TestAgainstCooReference:
         tol = 4.0 * np.finfo(float).eps * abs(B).max()
         assert np.abs((A - B).toarray()).max() <= tol
 
+    def test_edges_numbered_in_key_order(self):
+        # edge {i < j} is entry nv + e, e the rank of its key i * nv + j
+        # among the distinct keys, as np.unique numbers them
+        m = refine_uniform(generate_disk(3))
+        rng = np.random.default_rng(7)
+        tris = m.triangles[rng.permutation(m.num_triangles)]
+        nv = m.num_vertices
+        a, b = tris[:, [1, 2, 0]], tris[:, [2, 0, 1]]
+        keys, edge = np.unique(np.minimum(a, b) * nv + np.maximum(a, b),
+                               return_inverse=True)
+        pattern = _Pattern(tris, nv)
+        assert pattern.ne == len(keys)
+        np.testing.assert_array_equal(pattern.edges,
+                                      nv + edge.reshape(tris.shape))
+        assert pattern.take.dtype == np.int32
+
     def test_exact_stiffness_zeros_dropped_as_in_reference(self):
         m = generate_unit_square(8)
         g, w = euclidean_metric(), constant_weight(1.0)
@@ -563,100 +578,101 @@ class TestAgainstCooReference:
         assert p.K.nnz == 369 < p.Mm.nnz == 497
 
 
-def test_peak_memory_within_four_times_the_pencil():
+def kept_bytes(p):
+    """The bytes of the arrays a pencil keeps: K, Mm, R, r and free_dofs."""
+    kept = sum(a.nbytes for A in (p.K, p.Mm, p.R)
+               for a in (A.data, A.indices, A.indptr))
+    return kept + p.r.nbytes + p.free_dofs.nbytes
+
+
+def test_peak_memory_within_four_times_the_pencil(traced_peak):
     # the per-point metric samples and each form's element entries die as
     # soon as they are used, so the traced peak of one L6 assemble stays a
-    # small multiple (about 1.9) of the bytes the pencil keeps
+    # small multiple (about 3.0) of the bytes the pencil keeps
     m = refine_uniform(generate_unit_square(32))
     g, w = checkerboard_metric(1.0, 2.0, 4), halves_weight(1.0, -1.0)
     bc = BoundarySpec.dirichlet()
-    assemble(generate_unit_square(2), g, w, bc)
-    tracemalloc.start()
-    try:
-        p = assemble(m, g, w, bc)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    kept = sum(a.nbytes for A in (p.K, p.Mm, p.R)
-               for a in (A.data, A.indices, A.indptr))
-    kept += p.r.nbytes + p.free_dofs.nbytes + p.measure.nbytes + p.rho.nbytes
+    kept = kept_bytes(assemble(m, g, w, bc))
+    peak = traced_peak(lambda: assemble(m, g, w, bc))
     assert peak <= 4.0 * kept, (peak, kept)
 
 
-@pytest.mark.parametrize("domain", ["shear-square", "cone-disk"])
-def test_weyl_target_peak_memory_within_twelve_samples_per_point(domain):
-    # the corners die before the metric is sampled and G as soon as
-    # `sample_metric` returns, so the traced peak of one L6 weyl_target
-    # stays within 12 floats per quadrature point. The peak (about 10.3)
-    # falls in `sample_metric` as it forms the measure: the points (2
-    # floats per point) and cell areas (1/3) live there next to G (4),
-    # det G, whose square root overwrites it (1), and the measure with
-    # one temporary (2). Both metrics form G entry by entry and peak lower
-    # in `g.matrices`: the shear pullback with 3 floats of temporaries
-    # next to the G it returns, the cone with 2. Corners still alive
-    # would add 2 more.
+def weyl_target_peak_per_point(domain, n, traced_peak):
+    """The traced peak of one weyl_target of the `expr` weight on the
+    refined size-n shear square or graph-cone disk, in floats per
+    quadrature point."""
     if domain == "cone-disk":
-        m, g = refine_uniform(generate_disk(32)), cone_metric(np.pi / 2)
+        m, g = refine_uniform(generate_disk(n)), cone_metric(np.pi / 2)
     else:
-        m = refine_uniform(generate_unit_square(32))
+        m = refine_uniform(generate_unit_square(n))
         g = REFERENCE_METRICS["shear"]()
     w = REFERENCE_WEIGHTS["expr"]()
-    weyl_target(generate_unit_square(2), g, w)
-    tracemalloc.start()
-    try:
-        weyl_target(m, g, w)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
     points = m.num_triangles * len(triangle_quadrature(2)[1])
-    assert peak <= 12 * 8 * points, peak / (8 * points)
+    return traced_peak(lambda: weyl_target(m, g, w)) / (8 * points)
 
 
-def test_l7_assemble_peak_memory_within_one_and_three_quarter_pencils():
+@pytest.mark.parametrize("domain", ["shear-square", "cone-disk"])
+def test_weyl_target_peak_memory_within_twelve_samples_per_point(
+        domain, traced_peak):
+    # the corners die before the metric is sampled and G as soon as
+    # `sample_metric` returns, so the traced peak of one L6 weyl_target
+    # stays within 12 floats per quadrature point. An L6 mesh is two
+    # blocks, so the peak (about 7.8 on the shear square, 3.5 on the cone
+    # disk) falls while a block is sampled: its points (2 floats per point
+    # of the block), G (4) and the metric's temporaries, the shear
+    # pullback's more than the cone's
+    per_point = weyl_target_peak_per_point(domain, 32, traced_peak)
+    assert per_point <= 12, per_point
+
+
+def test_l7_assemble_peak_memory_within_one_and_three_quarter_pencils(
+        traced_peak):
     # the fields are sampled, and the element entries formed and scattered,
     # one block of cells at a time, so the traced peak of one L7 assemble
-    # stays within 1.75 (about 1.43) times the bytes the pencil keeps. The
-    # peak falls as R is formed, next to K, Mm, the per-point measure and
-    # rho and the pattern's CSR numbering; the numbering of the pattern
-    # comes close behind
+    # stays within 1.75 (about 1.53) times the bytes the pencil keeps. The
+    # peak falls in the scatter of a block, next to the pattern, the three
+    # sums and the per-cell integrals; forming R, whose halves weight
+    # leaves exact zeros to drop, comes close behind
     m = refine_uniform(generate_unit_square(64))
     g, w = checkerboard_metric(1.0, 2.0, 4), halves_weight(1.0, -1.0)
     bc = BoundarySpec.dirichlet()
-    assemble(generate_unit_square(2), g, w, bc)
-    tracemalloc.start()
-    try:
-        p = assemble(m, g, w, bc)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    kept = sum(a.nbytes for A in (p.K, p.Mm, p.R)
-               for a in (A.data, A.indices, A.indptr))
-    kept += p.r.nbytes + p.free_dofs.nbytes + p.measure.nbytes + p.rho.nbytes
+    kept = kept_bytes(assemble(m, g, w, bc))
+    peak = traced_peak(lambda: assemble(m, g, w, bc))
     assert peak <= 1.75 * kept, peak / kept
 
 
 @pytest.mark.parametrize("domain", ["shear-square", "cone-disk"])
-def test_l7_weyl_target_peak_memory_within_six_samples_per_point(domain):
-    # one L7 weyl_target keeps, for the whole mesh, only the per-point
-    # measure and rho (2 floats per quadrature point) and the cell areas
-    # (1/3); the metric and weight are sampled one block of cells at a
-    # time. Its traced peak (about 4.5 floats per point) falls in
-    # `weyl_constants`, whose sign masses add two temporaries
-    if domain == "cone-disk":
-        m, g = refine_uniform(generate_disk(64)), cone_metric(np.pi / 2)
-    else:
-        m = refine_uniform(generate_unit_square(64))
-        g = REFERENCE_METRICS["shear"]()
-    w = REFERENCE_WEIGHTS["expr"]()
-    weyl_target(generate_unit_square(2), g, w)
-    tracemalloc.start()
-    try:
-        weyl_target(m, g, w)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    points = m.num_triangles * len(triangle_quadrature(2)[1])
-    assert peak <= 6 * 8 * points, peak / (8 * points)
+def test_l7_weyl_target_peak_memory_within_six_samples_per_point(
+        domain, traced_peak):
+    # one L7 weyl_target keeps, for the whole mesh, only three integrals
+    # per cell (1 float per quadrature point) and the cell areas (1/3);
+    # the metric and weight are sampled one block of cells at a time
+    per_point = weyl_target_peak_per_point(domain, 64, traced_peak)
+    assert per_point <= 6, per_point
+
+
+@pytest.mark.parametrize("domain", ["shear-square", "cone-disk"])
+def test_l7_weyl_target_peak_memory_within_three_and_a_half_floats_per_point(
+        domain, traced_peak):
+    # the sign masses and the volume are summed from per-cell integrals,
+    # so no per-point array of the whole mesh is formed: the peak (about
+    # 3.0 floats per point on the shear square, 1.9 on the cone disk) is
+    # the per-cell integrals (1), the cell areas (1/3) and one block's
+    # sample
+    per_point = weyl_target_peak_per_point(domain, 64, traced_peak)
+    assert per_point <= 3.5, per_point
+
+
+def test_l7_pattern_peak_memory_within_six_edge_arrays(traced_peak):
+    # the edges are numbered by one argsort of their keys and a running
+    # count of where the sorted keys change, and the CSR positions are
+    # sorted as one key array of their own, so the traced peak of
+    # numbering the pattern of the L7 square stays within 6 (about 4.2)
+    # times the bytes of its (nt, 3) edge numbering
+    m = refine_uniform(generate_unit_square(64))
+    edges = _Pattern(m.triangles, m.num_vertices).edges.nbytes
+    peak = traced_peak(lambda: _Pattern(m.triangles, m.num_vertices))
+    assert peak <= 6 * edges, peak / edges
 
 
 BLOCK_MESHES = {
@@ -678,7 +694,7 @@ def blocked_sample(m, case, block, monkeypatch):
     monkeypatch.setattr(fields, "_BLOCK", block)
     p = assemble(m, g, w, BoundarySpec(kind))
     t = weyl_target(m, g, w)
-    out = {"r": p.r, "measure": p.measure, "rho": p.rho,
+    out = {"r": p.r, "integrals": np.array([p.vol, *p.masses]),
            "constants": np.array([t.c_plus, t.c_minus, t.vol])}
     for name in ("K", "Mm", "R"):
         A = getattr(p, name)
@@ -720,7 +736,7 @@ class TestBlocks:
         m = BLOCK_MESHES[mesh]()
         short = blocked_sample(m, case, 7, monkeypatch)
         whole = blocked_sample(m, case, m.num_triangles, monkeypatch)
-        for name in ("K.data", "K.indices", "K.indptr", "measure", "rho",
+        for name in ("K.data", "K.indices", "K.indptr", "integrals",
                      "constants"):
             assert same_bits(short[name], whole[name]), name
         for name in ("Mm.data", "R.data", "r"):
@@ -728,6 +744,28 @@ class TestBlocks:
             assert a.shape == b.shape, name  # equal nnz
             tol = 4.0 * np.finfo(float).eps * np.abs(b).max()
             assert np.abs(a - b).max() <= tol, name
+
+    @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+    @pytest.mark.parametrize("mesh", sorted(BLOCK_MESHES))
+    def test_integrals_match_a_whole_mesh_sample(self, mesh, case):
+        # the per-cell integrals summed once against per-point arrays of
+        # the whole mesh, sampled in one batch and summed pairwise
+        m = BLOCK_MESHES[mesh]()
+        metric, weight, kind = BLOCK_CASES[case]
+        g, w = REFERENCE_METRICS[metric](), REFERENCE_WEIGHTS[weight]()
+        bary, wq = triangle_quadrature(2)
+        points = (bary @ m.vertices[m.triangles]).reshape(-1, 2)
+        measure = sample_metric(g, points, triangle_areas(m), wq)[2]
+        rho = w.values(points)
+        mass = np.abs(rho) * measure
+        want = [np.sum(measure), np.sum(mass[rho > 0.0]),
+                np.sum(mass[rho < 0.0])]
+        p = assemble(m, g, w, BoundarySpec(kind))
+        t = weyl_target(m, g, w)
+        four_pi = 4.0 * np.pi
+        for got in ([p.vol, *p.masses],
+                    [t.vol, four_pi * t.c_plus, four_pi * t.c_minus]):
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
 
 class TestChecksAcrossBlocks:
@@ -803,7 +841,7 @@ class TestRestriction:
         p = assemble(generate_unit_square(3), euclidean_metric(),
                      constant_weight(1.0), BoundarySpec.neumann())
         idx = np.roll(np.arange(p.n_vertices), 1)
-        q = Pencil(p.K, p.Mm, p.R, idx, p.r, p.tau, p.measure, p.rho)
+        q = Pencil(p.K, p.Mm, p.R, idx, p.r, p.tau, p.vol, p.masses)
         want = p.K.toarray()[np.ix_(idx, idx)]
         assert not np.array_equal(want, p.K.toarray())
         np.testing.assert_array_equal(q.Kf.toarray(), want)

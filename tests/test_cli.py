@@ -137,6 +137,7 @@ svg = true
         ("[solver]\ntrials = 0\n", r"solver\.trials: must be >= 1"),
         ("[solver]\nmode = fast\n", "auto, dense, or sparse"),
         ("[solver]\nwindow = 15\n", "k_lo,k_hi"),
+        ("[solver]\nwindow = 10,28\n", "fewer than 20"),
         ("[solver]\nlevels = 0,2\n", r"solver\.levels: .* >= 1"),
         ("[solver]\nlevels = 4,-1\n", r"solver\.levels: .* >= 1"),
         ("[solver]\npartition = thirds\n", "halves or quadrants"),
@@ -416,6 +417,42 @@ class TestRunWeyl:
             "[output]\ndir = {}\n".format(tmp_path / "out"))
         assert run(cfg) in (0, 1)
         assert len(calls) == 8 and sum(calls) == 2 * 128 * 128 * 3
+
+
+class TestFitFailures:
+    """A spectrum too short for the fit window exits 5 after the solve; a
+    window that cannot be a fit window exits 2 before it."""
+
+    @staticmethod
+    def weyl(tmp_path, solver):
+        # the Dirichlet square of level 3 has 49 free DOFs
+        config = write_config(
+            tmp_path / "run.cfg",
+            "[domain]\nlevel = 3\n[solver]\n{}[output]\ndir = {}\n".format(
+                solver, tmp_path / "out"))
+        return main(["weyl", "--config", config])
+
+    def test_window_past_the_computed_values_exits_5(self, tmp_path,
+                                                     capsys):
+        assert self.weyl(tmp_path, "k_each = 30\nwindow = 10,40\n") == 5
+        err = capsys.readouterr().err
+        assert "fit failure" in err and "exceeds the 30" in err
+
+    def test_short_spectrum_for_the_default_window_exits_5(self, tmp_path,
+                                                          capsys):
+        # the middle third of 25 values is [10, 16], 7 samples
+        assert self.weyl(tmp_path, "k_each = 25\n") == 5
+        assert "fewer than 20" in capsys.readouterr().err
+
+    def test_window_below_k_10_exits_2_before_the_solve(self, tmp_path,
+                                                       capsys, monkeypatch):
+        solves = []
+        monkeypatch.setattr(roughweyl.cli, "solve_weighted",
+                            lambda *a, **kw: solves.append(a))
+        assert self.weyl(tmp_path, "k_each = 60\nwindow = 5,40\n") == 2
+        assert "solver.window: window must start at k_lo >= 10" in (
+            capsys.readouterr().err)
+        assert solves == []
 
 
 class TestRunReportTasks:

@@ -1,8 +1,6 @@
 """Eigensolver oracles: separation-of-variables targets on the unit square,
 sign bookkeeping, the Z(rho) constraint, and dense/sparse path agreement."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from scipy import sparse
@@ -224,8 +222,8 @@ class TestSolveWeighted:
         from roughweyl import Pencil
 
         p = square_pencil(6, bc=BoundarySpec.neumann())
-        lying = Pencil(p.K, p.Mm, p.R, p.free_dofs, p.r, 0, p.measure,
-                       p.rho)
+        lying = Pencil(p.K, p.Mm, p.R, p.free_dofs, p.r, 0, p.vol,
+                       p.masses)
         with pytest.raises(SolverError):
             solve_weighted(lying, 0.0, 2)
 
@@ -237,8 +235,8 @@ class TestSolveWeighted:
         from roughweyl import Pencil
 
         p = square_pencil(20, w, BoundarySpec.neumann())
-        lying = Pencil(p.K, p.Mm, p.R, p.free_dofs, p.r, 0, p.measure,
-                       p.rho)
+        lying = Pencil(p.K, p.Mm, p.R, p.free_dofs, p.r, 0, p.vol,
+                       p.masses)
         with pytest.raises(SolverError, match="could not be factorized"):
             solve_weighted(lying, 0.0, 2, mode="sparse")
 
@@ -525,7 +523,7 @@ class TestSparseConstrained:
 
         p = square_pencil(12, halves_weight(1.0, -0.5), BoundarySpec.neumann())
         r = p.r * (1.0 + generate_unit_square(12).vertices[:, 0])
-        q = Pencil(p.K, p.Mm, p.R, p.free_dofs, r, 1, p.measure, p.rho)
+        q = Pencil(p.K, p.Mm, p.R, p.free_dofs, r, 1, p.vol, p.masses)
         d = solve_weighted(q, 0.0, 12, mode="dense")
         s = solve_weighted(q, 0.0, 12, mode="sparse")
         assert s.meta["method"] == "sparse-projected"
@@ -759,7 +757,7 @@ class TestObliqueUpdate:
         np.testing.assert_array_equal(A, want)
         np.testing.assert_array_equal(A, A.T)
 
-    def test_update_makes_no_square_temporary(self):
+    def test_update_makes_no_square_temporary(self, traced_peak):
         # the update allocates row blocks of O(64 n), and the two dense
         # forms are the only squares that building the oblique pencil makes
         rng = np.random.default_rng(6)
@@ -769,17 +767,11 @@ class TestObliqueUpdate:
         u, w = rng.standard_normal((2, n))
         p = assemble(generate_unit_square(32), euclidean_metric(),
                      halves_weight(1.0, -0.5), BoundarySpec.neumann())
-        tracemalloc.start()
-        try:
-            _subtract_symmetric(A, u, w)
-            _, peak = tracemalloc.get_traced_memory()
-            tracemalloc.reset_peak()
-            Rd, Kd = _dense_forms(p.Rf, p.Kf, p.r_free)
-            _, forms_peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: _subtract_symmetric(A, u, w))
+        forms_peak = traced_peak(lambda: _dense_forms(p.Rf, p.Kf, p.r_free))
+        square = 8 * p.n_free ** 2  # the bytes of one dense form
         assert peak <= 1.1 * A.nbytes, peak / A.nbytes
-        assert forms_peak <= 2.25 * Rd.nbytes, forms_peak / Rd.nbytes
+        assert forms_peak <= 2.25 * square, forms_peak / square
 
 
 class TestSpectrum:

@@ -27,6 +27,7 @@ from roughweyl.cli import build_metric, build_weight
 from roughweyl.mesh import triangle_areas
 from roughweyl.spectral import Spectrum
 from roughweyl.weyl import (
+    FitError,
     WeylTarget,
     convergence_study,
     counting,
@@ -53,7 +54,7 @@ class TestWeylConstantFactor:
         # Euclidean unit square with weight 1
         p = assemble(generate_unit_square(4), build_metric("euclidean"),
                      build_weight("const:1"), BoundarySpec.dirichlet())
-        t = weyl_constants(p.measure, p.rho)
+        t = weyl_constants(p.vol, p.masses)
         assert t.c_plus == pytest.approx(FOUR_PI_INV, rel=1e-14)
         assert t.c_minus == 0.0
 
@@ -155,7 +156,7 @@ class TestWeylTarget:
         m = generate_unit_square(8) if mesh == "square" else generate_disk(6)
         g, w = build_metric(metric), build_weight(weight)
         p = assemble(m, g, w, BoundarySpec.dirichlet())
-        a, b = weyl_target(m, g, w), weyl_constants(p.measure, p.rho)
+        a, b = weyl_target(m, g, w), weyl_constants(p.vol, p.masses)
         assert (a.c_plus, a.c_minus, a.vol) == (b.c_plus, b.c_minus, b.vol)
 
     def test_quadrature_orders_agree_for_piecewise_constant(self):
@@ -279,6 +280,15 @@ class TestFitLimit:
             fit_limit(s, (10, 15))
         with pytest.raises(ValueError, match="exceeds"):
             fit_limit(s, (10, 500))
+
+    def test_spectrum_at_fault_raises_fit_error(self):
+        with pytest.raises(FitError, match="exceeds the 120"):
+            fit_limit(lattice_spectrum(120), (10, 500))
+        with pytest.raises(FitError, match="no eigenvalues"):
+            fit_limit(Spectrum(np.array([]), np.array([])))
+        with pytest.raises(FitError, match="fewer than 20"):
+            fit_limit(lattice_spectrum(50))  # default window [16, 33]
+        fit_limit(lattice_spectrum(60))  # [20, 40], 21 samples
 
     def test_single_signed_spectrum_reports_empty_side(self):
         s = lattice_spectrum(120)
