@@ -54,10 +54,26 @@ M SPD and inverted once: (R, K + t Mm), or in the constrained case the
 oblique pencil, whose M is inverted through K with one vertex grounded.
 For rho of both signs one Krylov space serves both families: ARPACK's
 "BE" mode takes k_each eigenvalues from each spectral end in a single
-run. Lanczos always starts from one fixed vector. Every SPD form that
-is inverted is factored by `_spd_inverse`: sparse LU in symmetric mode,
-minimum-degree ordering on A + A^T, no pivoting, and a check that the pivots
-stayed on the diagonal and bounded away from zero.
+run. Lanczos always starts from one fixed vector.
+
+Factor step and verdict: every SPD form that is inverted is factored once
+by `_symmetric_factor` (sparse LU in symmetric mode, minimum-degree
+ordering on A + A^T, no pivoting, and a check that the pivots stayed on
+the diagonal). `_spd_verdict` reads the pivots and refuses a factor whose
+smallest pivot is not positive and at least `_PIVOT_TOL` times the
+largest. Reading them makes scipy build CSC copies of L and U, 8 MB at
+L7, and keep them on the factor, so the Lanczos driver reads the verdict
+after its Krylov run, once ARPACK has freed its basis; the copies are
+never alive beside it. A singular form must still fail before minutes of
+Lanczos: `_spd_guard` solves once with the start vector and reads the
+verdict first when that solve grows by more than 1 / `_PIVOT_TOL`. Every
+ARPACK failure is judged by the verdict, then raised as SolverError. No
+spectrum is returned from a factor that has not passed.
+
+Counting: `count_inertia(p, s, sign, t)` is N±(s), the number of
+eigenvalues of a sign above s in magnitude, from the pivot signs of one
+throwaway factor of R -+ s Kt (Sylvester's law of inertia); on the t = 0
+pure-Neumann pencil, of R -+ s K bordered by r, border last.
 
 Eigenvectors are optional (`solve_weighted(..., vectors=False)`): the
 dense path then skips the eigenvector back-substitution and the sparse
@@ -72,6 +88,7 @@ that only builds pencils never loads them.
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 
 from .assembly import ModelingError, Pencil
 
@@ -80,6 +97,7 @@ __all__ = [
     "SolverError",
     "solve_weighted",
     "project_constraint",
+    "count_inertia",
 ]
 
 MODES = ("auto", "dense", "sparse")  # the `mode` of every solve
@@ -89,6 +107,8 @@ _MULT_TOL = 1e-8  # relative clustering width for multiplicity reporting
 # smallest pivot of an SPD factorization, relative to the largest: SPD
 # forms on the problem ladder give 0.25-0.31, a singular K about 5e-14
 _PIVOT_TOL = 1e-10
+_NOT_SPD = ("coercive form could not be factorized; supply t > 0 or a "
+            "constraint ({})")
 
 
 class SolverError(RuntimeError):
@@ -264,18 +284,19 @@ def _dense_weighted(A, M, rf, k_each, vectors):
     return _split_signed(w, V, k_each)
 
 
-def _spd_inverse(A):
-    """A^{-1} as an operator, from a symmetric-mode sparse LU of SPD A.
+def _symmetric_factor(A, failed):
+    """The factor step: a symmetric-mode sparse LU of symmetric A.
 
     A minimum-degree ordering of A + A^T with no pivoting keeps the
-    factorization symmetric (perm_r == perm_c, U's diagonal the D of an
-    LDL^T). A matrix that is singular or indefinite shows a row swap or a
-    pivot that is negative or tiny against the largest one.
+    factorization symmetric: perm_r == perm_c, and U's diagonal is the D of
+    an LDL^T, whose signs are A's inertia. A zero pivot forces a row swap,
+    which the perm check turns into SolverError, as it does a factorization
+    SuperLU refuses; `failed` formats the message. Nothing here reads
+    `lu.U`: that builds CSC copies of L and U, which scipy then caches on
+    `lu` for as long as it lives.
     """
-    from scipy.sparse.linalg import LinearOperator, splu
+    from scipy.sparse.linalg import splu
 
-    failed = ("coercive form could not be factorized; supply t > 0 or a "
-              "constraint ({})")
     try:
         lu = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                   options={"SymmetricMode": True})
@@ -283,11 +304,34 @@ def _spd_inverse(A):
         raise SolverError(failed.format(exc)) from exc
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise SolverError(failed.format("off-diagonal pivot"))
+    return lu
+
+
+def _spd_verdict(lu):
+    """The pivot read: SolverError unless every pivot of `lu` is positive
+    and at least `_PIVOT_TOL` times the largest one. It builds the L and U
+    copies, so the Lanczos driver reads it after its Krylov run."""
     piv = lu.U.diagonal()
     ratio = piv.min() / np.abs(piv).max()
     if ratio <= _PIVOT_TOL:
-        raise SolverError(failed.format("min/max pivot {:.3g}".format(ratio)))
-    return LinearOperator(A.shape, matvec=lu.solve, dtype=float)
+        raise SolverError(_NOT_SPD.format("min/max pivot {:.3g}".format(ratio)))
+
+
+def _spd_guard(lu, A, v):
+    """Read the verdict on the factor `lu` of A now, before any Krylov work,
+    if one solve shows A near singular.
+
+    A form that passes the verdict amplifies v by at most about
+    max diag(A) / min pivot, so growth = |A^{-1} v|_inf max diag(A) / |v|_inf
+    stays below 1 / `_PIVOT_TOL`: 5 to 435 on the Dirichlet and grounded
+    Neumann squares of 20 to 128 cells a side and the cone disk, 1e7 to
+    1e8 for Neumann at t = 1e-6. A singular form gives 3e14 and up, and
+    Lanczos on its inverse can run for minutes before it fails.
+    """
+    growth = (np.abs(lu.solve(v)).max() * np.abs(A.diagonal()).max()
+              / np.abs(v).max())
+    if not growth <= 1.0 / _PIVOT_TOL:
+        _spd_verdict(lu)
 
 
 def _lanczos_ends(A, M, Minv, v0, masses, k_each, vectors):
@@ -298,9 +342,10 @@ def _lanczos_ends(A, M, Minv, v0, masses, k_each, vectors):
     ARPACK can return (n - 2), each end gets its own run of k_each instead,
     so that no eigenvalue near zero is dropped; `_signed_ends` sends a
     pencil here only when k_each <= n - 2. Without `vectors`, ARPACK
-    skips its Ritz-vector pass and the columns come back as None.
+    skips its Ritz-vector pass and the columns come back as None. Every
+    ARPACK failure, non-convergence or another, raises SolverError.
     """
-    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+    from scipy.sparse.linalg import ArpackError, eigsh
 
     n = len(v0)
 
@@ -311,8 +356,8 @@ def _lanczos_ends(A, M, Minv, v0, masses, k_each, vectors):
             w = eigsh(A, k=k, M=M, Minv=Minv, which=which, v0=v0,
                       return_eigenvectors=False)
             return np.sort(w), None
-        except ArpackNoConvergence as exc:
-            raise SolverError("Lanczos did not converge ({})".format(exc)) from exc
+        except ArpackError as exc:
+            raise SolverError("Lanczos failed ({})".format(exc)) from exc
 
     plus, minus = masses[0] > 0.0, masses[1] > 0.0
     if plus and minus and 2 * k_each <= n - 2:
@@ -338,6 +383,11 @@ def _sparse_weighted(R, K, rf, masses, k_each, vectors):
     one of `_oblique_terms`, whose operators apply its two low-rank terms;
     its eigenvalue 0 on the constants lies inside the spectrum, where
     Lanczos at the ends never reaches it.
+
+    The form inverted, K or K with one vertex grounded, is factored once
+    and judged by `_spd_verdict` after the Krylov run, when ARPACK has
+    freed its basis; `_spd_guard` judges it first where one solve shows it
+    near singular, and an ARPACK failure is judged before it is raised.
     """
     from scipy.sparse.linalg import LinearOperator
 
@@ -345,40 +395,51 @@ def _sparse_weighted(R, K, rf, masses, k_each, vectors):
     v0 = np.random.default_rng(0).standard_normal(nf)
     K = K.tocsr()
     R = R.tocsr()
+    # the SPD form inverted: K, or K with free vertex 0 grounded (x_0 = 0
+    # fixes the constant), and the start vector on its coordinates
+    F, u = (K, v0) if rf is None else (K[1:, 1:], v0[1:])
+    lu = _symmetric_factor(F, _NOT_SPD)
+    _spd_guard(lu, F, u)
     if rf is None:
-        return _lanczos_ends(R, K, _spd_inverse(K), v0, masses, k_each,
-                             vectors)
-    r1 = float(rf.sum())
-    w, gamma = _oblique_terms(R, K, rf)
-    # K with free vertex 0 grounded is SPD; x_0 = 0 fixes the constant
-    grounded = _spd_inverse(K[1:, 1:])
+        A, M, start = R, K, v0
+        Minv = LinearOperator(K.shape, matvec=lu.solve, dtype=float)
+    else:
+        r1 = float(rf.sum())
+        w, gamma = _oblique_terms(R, K, rf)
 
-    # ARPACK calls these closures thousands of times. A BLAS ddot (rf @ v)
-    # in each, on OpenBLAS's default 2 threads, made a level-7 `halves`
-    # solve 5x slower on 2 cores (10.7 s against 2.1 s), so the dot
-    # products run in einsum's own loop.
-    def rdot(v):
-        return np.einsum("i,i->", rf, v)
+        # ARPACK calls these closures thousands of times. A BLAS ddot
+        # (rf @ v) in each, on OpenBLAS's default 2 threads, made a level-7
+        # `halves` solve 5x slower on 2 cores (10.7 s against 2.1 s), so
+        # the dot products run in einsum's own loop.
+        def rdot(v):
+            return np.einsum("i,i->", rf, v)
 
-    def pi(v):
-        return v - rdot(v) / r1
+        def pi(v):
+            return v - rdot(v) / r1
 
-    def minv(y):
-        # M x = y splits into K x_S = y - r (1.y)/(r.1) on S and
-        # gamma (r.1)^2 c = 1.y on the constants
-        s = y.sum()
-        x = np.zeros(nf)
-        x[1:] = grounded.matvec(y[1:] - rf[1:] * (s / r1))
-        return pi(x) + s / (gamma * r1 * r1)
+        def minv(y):
+            # M x = y splits into K x_S = y - r (1.y)/(r.1) on S and
+            # gamma (r.1)^2 c = 1.y on the constants
+            s = y.sum()
+            x = np.zeros(nf)
+            x[1:] = lu.solve(y[1:] - rf[1:] * (s / r1))
+            return pi(x) + s / (gamma * r1 * r1)
 
-    def a(v):
-        return R @ v - w * rdot(v) - rf * np.einsum("i,i->", w, v)
+        def a(v):
+            return R @ v - w * rdot(v) - rf * np.einsum("i,i->", w, v)
 
-    A = LinearOperator((nf, nf), matvec=a, dtype=float)
-    M = LinearOperator((nf, nf), matvec=lambda v: K @ v + gamma * rdot(v) * rf,
-                       dtype=float)
-    Minv = LinearOperator((nf, nf), matvec=minv, dtype=float)
-    return _lanczos_ends(A, M, Minv, pi(v0), masses, k_each, vectors)
+        A = LinearOperator((nf, nf), matvec=a, dtype=float)
+        M = LinearOperator((nf, nf), dtype=float,
+                           matvec=lambda v: K @ v + gamma * rdot(v) * rf)
+        Minv = LinearOperator((nf, nf), matvec=minv, dtype=float)
+        start = pi(v0)
+    try:
+        ends = _lanczos_ends(A, M, Minv, start, masses, k_each, vectors)
+    except SolverError:
+        _spd_verdict(lu)
+        raise
+    _spd_verdict(lu)
+    return ends
 
 
 def _goes_dense(n, k_each, masses, mode):
@@ -454,3 +515,34 @@ def solve_weighted(p: Pencil, t: float = 0.0, k_each: int = 6,
         "constrained": constrained,
     }
     return Spectrum(pos, neg, vp, vn, meta)
+
+
+def count_inertia(p: Pencil, s: float, sign: int, t: float = 0.0) -> int:
+    """N±(s) of R v = lambda (K + t Mm) v by Sylvester's law of inertia.
+
+    N+(s) = #{lambda_k^+ > s} is the number of positive pivots of
+    R - s Kt, and N-(s) = #{lambda_k^- > s} (magnitudes) the number of
+    negative pivots of R + s Kt, read from one throwaway symmetric factor
+    (`_symmetric_factor`); no eigenvalue is computed. On the t = 0
+    pure-Neumann pencil the count is on {r . v = 0}: the factor is of the
+    bordered [[R -+ s K, r], [r^T, 0]], whose inertia is the constrained
+    one plus (1, 1). The border comes last, and minimum degree, meeting a
+    full row, also eliminates it last, after its zero diagonal has filled.
+    A factor that needs an off-diagonal pivot, as at s on an eigenvalue,
+    raises SolverError.
+    """
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    if not s > 0.0:
+        raise ValueError("s must be positive")
+    if t < 0.0:
+        raise ValueError("t must be >= 0")
+    rf = project_constraint(p) if t == 0.0 else None
+    Kt = p.Kf + t * p.Mmf if t > 0.0 else p.Kf
+    A = p.Rf - (sign * s) * Kt
+    if rf is not None:
+        A = sparse.bmat([[A, rf[:, None]], [rf[None, :], None]])
+    lu = _symmetric_factor(A, "inertia count at s = {:.6g} needs pivoting "
+                              "({{}})".format(s))
+    count = int(np.count_nonzero(sign * lu.U.diagonal() > 0.0))
+    return count - (rf is not None)

@@ -36,6 +36,9 @@ the checker raises ValueError.
 
 Every checker that densifies a form refuses, with SolverError, a pencil
 above the dense path's cap of `spectral._DENSE_LIMIT` rows.
+`check_inertia` densifies nothing and reads eigenvalues only: it compares
+the computed counting function with exact Sylvester-inertia counts
+(`spectral.count_inertia`) at probes in the gaps of the spectrum.
 """
 
 from __future__ import annotations
@@ -50,14 +53,17 @@ from .spectral import (
     Spectrum,
     _dense_forms,
     _signed_ends,
+    count_inertia,
     project_constraint,
     solve_weighted,
 )
+from .weyl import counting
 
 __all__ = [
     "check_poincare_minmax",
     "check_rayleigh",
     "check_courant",
+    "check_inertia",
     "check_bracketing",
     "check_sandwich",
     "save_report",
@@ -256,6 +262,45 @@ def check_courant(s: Spectrum, p, k: int, trials: int = 100,
         sides[label] = _side(lam_k, margins,
                              extremum_over_complement(vecs[:, : k - 1], sign))
     return _finish("courant", k, trials, seed, sides)
+
+
+def check_inertia(s: Spectrum, p) -> dict:
+    """Inertia certificate: the computed spectrum against exact counts.
+
+    For each sign a probe sits in the middle of every gap between
+    consecutive groups of `Spectrum.groups`, where the true spectrum has
+    no eigenvalue if none was missed. At each probe the number of computed
+    values above it (`weyl.counting`) must equal `spectral.count_inertia`,
+    one sparse factorization of R -+ s Kt at the spectrum's t. This is the
+    check that sees a spectrum with an eigenpair missing from inside its
+    computed range; a list cut short at its small end is not a fault, and
+    passes. Eigenvalues only, and no form is densified. Each mismatch is
+    reported as {"s", "computed", "inertia"}; a spectrum with no gap on
+    either side checks nothing and fails.
+    """
+    t = float(s.meta.get("t", 0.0))
+    _check_supplied(s, t, p.n_free, 0)
+    sides = {}
+    for label, sign in (("plus", 1), ("minus", -1)):
+        groups = s.groups(sign)
+        probes = [0.5 * (a + b) for (a, _), (b, _) in zip(groups, groups[1:])]
+        if not probes:
+            continue
+        mismatches = []
+        for probe in probes:
+            computed = counting(s, probe, sign)
+            exact = count_inertia(p, probe, sign, t)
+            if computed != exact:
+                mismatches.append({"s": probe, "computed": computed,
+                                   "inertia": exact})
+        sides[label] = {"probes": len(probes), "mismatches": mismatches}
+    return {
+        "check": "inertia_consistent",
+        "t": t,
+        "sides": sides,
+        "passed": bool(sides) and not any(d["mismatches"]
+                                          for d in sides.values()),
+    }
 
 
 def _partition_cells(m: Mesh, partition):

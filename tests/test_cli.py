@@ -334,6 +334,22 @@ class TestRunSolve:
         assert run(cfg) == 4
         assert "3969 rows" in capsys.readouterr().err
 
+    def test_arpack_failure_is_a_solver_failure(self, tmp_path, capsys,
+                                                monkeypatch):
+        # any ARPACK error, not only non-convergence, exits 4, never 1,
+        # the code of a failed check
+        import scipy.sparse.linalg as sla
+
+        def fail(*args, **kwargs):
+            raise sla.ArpackError(-9999)
+
+        monkeypatch.setattr(sla, "eigsh", fail)
+        cfg = ExperimentConfig.from_text(
+            "task = solve\n[domain]\nlevel = 4\n[solver]\nmode = sparse\n"
+            "k_each = 10\n[output]\ndir = {}\n".format(tmp_path / "out"))
+        assert run(cfg) == 4
+        assert "Lanczos failed" in capsys.readouterr().err
+
 
 class TestRunWeyl:
     def test_acceptance_resolution_deviation_below_ten_percent(self, tmp_path):

@@ -241,6 +241,120 @@ class TestSolveWeighted:
             solve_weighted(lying, 0.0, 2, mode="sparse")
 
 
+def two_squares(n):
+    """Two disjoint unit squares side by side: one mesh, two components."""
+    a = generate_unit_square(n)
+    nv = a.num_vertices
+    return Mesh(np.vstack([a.vertices, a.vertices + [2.0, 0.0]]),
+                np.vstack([a.triangles, a.triangles + nv]),
+                np.vstack([a.boundary_edges,
+                           a.boundary_edges + [nv, nv, 0]]))
+
+
+class TestFactorVerdict:
+    """Every factor a Lanczos solve inverts is judged before its spectrum
+    is returned: after the Krylov run, or before it where one solve shows
+    the form near singular, so a singular form never reaches ARPACK."""
+
+    @pytest.fixture
+    def no_arpack(self, monkeypatch):
+        import scipy.sparse.linalg as sla
+
+        def fail(*args, **kwargs):
+            raise AssertionError("ARPACK called on a singular form")
+
+        monkeypatch.setattr(sla, "eigsh", fail)
+
+    @staticmethod
+    def lying(n):
+        # a pure-Neumann pencil that claims tau = 0, so K is inverted as is
+        from roughweyl import Pencil
+
+        p = square_pencil(n, bc=BoundarySpec.neumann())
+        return Pencil(p.K, p.Mm, p.R, p.free_dofs, p.r, 0, p.vol, p.masses)
+
+    SINGULAR = {
+        "lying_neumann": lambda: solve_weighted(
+            TestFactorVerdict.lying(64), 0.0, 100, mode="sparse"),
+        # grounding one vertex leaves the other square's constants free
+        "two_squares_grounded": lambda: solve_weighted(
+            assemble(two_squares(24), euclidean_metric(),
+                     constant_weight(1.0), BoundarySpec.neumann()),
+            0.0, 10, mode="sparse"),
+        "poincare_lying": lambda: poincare_constant(TestFactorVerdict.lying(64)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(SINGULAR))
+    def test_singular_form_never_reaches_arpack(self, case, no_arpack):
+        with pytest.raises(SolverError, match="could not be factorized"):
+            self.SINGULAR[case]()
+
+    @pytest.mark.parametrize("bc", [BoundarySpec.dirichlet(),
+                                    BoundarySpec.neumann()],
+                             ids=["dirichlet", "neumann"])
+    def test_arpack_error_is_a_solver_error(self, bc, monkeypatch):
+        import scipy.sparse.linalg as sla
+
+        def fail(*args, **kwargs):
+            raise sla.ArpackError(-9999)
+
+        monkeypatch.setattr(sla, "eigsh", fail)
+        p = square_pencil(12, halves_weight(1.0, -0.5), bc)
+        with pytest.raises(SolverError, match="Lanczos failed"):
+            solve_weighted(p, 0.0, 8, mode="sparse")
+
+    def test_arpack_failure_on_a_singular_form_reports_the_form(
+            self, monkeypatch):
+        # a form that slips past the guard (switched off here) is still
+        # judged before an ARPACK failure is raised
+        import scipy.sparse.linalg as sla
+        from roughweyl import spectral
+
+        def fail(*args, **kwargs):
+            raise sla.ArpackNoConvergence("no convergence", [], [])
+
+        monkeypatch.setattr(spectral, "_spd_guard", lambda lu, A, v: None)
+        monkeypatch.setattr(sla, "eigsh", fail)
+        with pytest.raises(SolverError, match="could not be factorized"):
+            solve_weighted(self.lying(64), 0.0, 10, mode="sparse")
+
+    def test_zero_pivot_is_refused_not_swapped(self):
+        # without pivoting the factor of [[0, 1], [1, 0]] meets a zero
+        # diagonal; SuperLU swaps rows, and the factor step refuses that
+        from roughweyl.spectral import _NOT_SPD, _symmetric_factor
+
+        A = sparse.csc_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        with pytest.raises(SolverError, match="off-diagonal pivot"):
+            _symmetric_factor(A, _NOT_SPD)
+
+    def test_factor_copies_not_alive_during_lanczos(self, monkeypatch):
+        # scipy builds CSC copies of L and U when `lu.U` is first read and
+        # keeps them on the factor; on the L6 square they take 1.5 MB
+        # traced, beside 0.64 MB for the rest of what the solve holds at
+        # ARPACK's entry. Read before the run, they would be alive
+        # through it.
+        import tracemalloc
+
+        import scipy.sparse.linalg as sla
+
+        p = square_pencil(64)
+        alive = []
+        eigsh = sla.eigsh
+
+        def spy(*args, **kwargs):
+            alive.append(tracemalloc.get_traced_memory()[0])
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(sla, "eigsh", spy)
+        tracemalloc.start()
+        try:
+            solve_weighted(p, 0.0, 10, mode="sparse", vectors=False)
+        finally:
+            tracemalloc.stop()
+        assert len(alive) == 1
+        assert alive[0] < 1.2e6
+
+
 class TestSparseBothEnds:
     """Sign-changing weights on the sparse paths against the dense oracle."""
 
@@ -772,6 +886,68 @@ class TestObliqueUpdate:
         square = 8 * p.n_free ** 2  # the bytes of one dense form
         assert peak <= 1.1 * A.nbytes, peak / A.nbytes
         assert forms_peak <= 2.25 * square, forms_peak / square
+
+
+class TestCountInertia:
+    """N±(s) by Sylvester inertia against the dense oracle's counts: the
+    L5 square (the ladder's dense size) definite, indefinite and pure
+    Neumann, and the 16-ring cone disk, at t = 0 and t = 1, so both the
+    plain factor (tau = 0 or t > 0) and the bordered one (tau = 1, t = 0)
+    are gated. Probes sit in gaps of the whole dense spectrum, a dozen per
+    sign spread over its range."""
+
+    PENCILS = {
+        "square_const": lambda: square_pencil(32),
+        "square_halves": lambda: square_pencil(32, halves_weight(1.0, -1.0)),
+        "neumann_halves": lambda: square_pencil(
+            32, halves_weight(1.0, -0.5), BoundarySpec.neumann()),
+        "disk_cone": lambda: assemble(generate_disk(16), graph_cone_metric(),
+                                      constant_weight(1.0),
+                                      BoundarySpec.dirichlet()),
+    }
+
+    @pytest.mark.parametrize("t", [0.0, 1.0])
+    @pytest.mark.parametrize("case", sorted(PENCILS))
+    def test_matches_dense_counts(self, case, t):
+        from roughweyl import count_inertia
+        from roughweyl.weyl import counting
+
+        p = self.PENCILS[case]()
+        full = solve_weighted(p, t, p.n_free, mode="dense", vectors=False)
+        probes = 0
+        for sign in (1, -1):
+            groups = full.groups(sign)
+            if len(groups) < 2:
+                continue
+            for i in np.unique(np.linspace(0, len(groups) - 2, 12).astype(int)):
+                s = 0.5 * (groups[i][0] + groups[i + 1][0])
+                assert count_inertia(p, s, sign, t) == counting(full, s, sign)
+                probes += 1
+        assert probes >= 12
+
+    def test_counts_every_value_above_the_top_probe(self):
+        # above the spectrum nothing is counted, below it every value of
+        # the sign, the constrained zero mode of the bordered pencil not
+        # among them
+        from roughweyl import count_inertia
+
+        p = square_pencil(12, halves_weight(1.0, -0.5), BoundarySpec.neumann())
+        full = solve_weighted(p, 0.0, p.n_free, mode="dense", vectors=False)
+        for sign in (1, -1):
+            vals = full.values(sign)
+            assert count_inertia(p, 2.0 * vals[0], sign) == 0
+            assert count_inertia(p, 0.5 * vals[-1], sign) == len(vals)
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"s": 1.0, "sign": 0}, "sign must be"),
+        ({"s": 0.0, "sign": 1}, "s must be positive"),
+        ({"s": 1.0, "sign": 1, "t": -1.0}, "t must be >= 0"),
+    ])
+    def test_bad_arguments(self, kwargs, match):
+        from roughweyl import count_inertia
+
+        with pytest.raises(ValueError, match=match):
+            count_inertia(square_pencil(4), **kwargs)
 
 
 class TestSpectrum:

@@ -12,6 +12,7 @@ from roughweyl import (
     assemble,
     checkerboard_weight,
     constant_weight,
+    expression_weight,
     euclidean_metric,
     generate_disk,
     generate_unit_square,
@@ -24,6 +25,7 @@ from roughweyl.spectral import Spectrum, project_constraint
 from roughweyl.varprin import (
     check_bracketing,
     check_courant,
+    check_inertia,
     check_poincare_minmax,
     check_rayleigh,
     check_sandwich,
@@ -202,6 +204,68 @@ class TestNothingToCompare:
         s = solve_weighted(p, 0.0, k_each=4)
         with pytest.raises(ValueError, match="must be >= 1"):
             check(m, p, s)
+
+
+class TestInertiaCertificate:
+    """`check_inertia` counts the computed values above each probe in a
+    gap of the spectrum and compares with the exact Sylvester count."""
+
+    PROBLEMS = {
+        "dirichlet_halves": (halves_weight(1.0, -1.0),
+                             BoundarySpec.dirichlet()),
+        "dirichlet_unbalanced": (expression_weight("x - 0.9"),
+                                 BoundarySpec.dirichlet()),
+        "neumann_halves": (halves_weight(1.0, -0.5), BoundarySpec.neumann()),
+    }
+
+    @pytest.fixture(scope="class", params=[
+        (case, t) for case in sorted(PROBLEMS) for t in (0.0, 1.0)],
+        ids=lambda c: "{}-t{:g}".format(*c))
+    def solved(self, request):
+        case, t = request.param
+        w, bc = self.PROBLEMS[case]
+        p = assemble(generate_unit_square(24), euclidean_metric(), w, bc)
+        return p, solve_weighted(p, t, k_each=40, mode="dense",
+                                 vectors=False)
+
+    def test_correct_spectrum_passes(self, solved):
+        p, s = solved
+        rep = check_inertia(s, p)
+        assert rep["passed"], rep
+        assert rep["check"] == "inertia_consistent"
+        assert rep["t"] == s.meta["t"]
+        assert {d["probes"] for d in rep["sides"].values()} == {39}
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_dropped_eigenpair_fails(self, solved, sign):
+        p, s = solved
+        pos, neg = s.pos, s.neg
+        dropped = s.values(sign)[5]
+        if sign == 1:
+            pos = np.delete(pos, 5)
+        else:
+            neg = np.delete(neg, 5)
+        rep = check_inertia(Spectrum(pos, neg, meta=s.meta), p)
+        assert not rep["passed"]
+        label, other = ("plus", "minus") if sign == 1 else ("minus", "plus")
+        # the probes below the missing value count one too few
+        bad = rep["sides"][label]["mismatches"]
+        assert len(bad) >= rep["sides"][label]["probes"] - 6
+        assert all(m["s"] < dropped for m in bad)
+        assert all(m["inertia"] == m["computed"] + 1 for m in bad)
+        assert rep["sides"][other]["mismatches"] == []
+
+    def test_spectrum_of_another_pencil_rejected(self, solved):
+        p, s = solved
+        other = assemble(generate_unit_square(8), euclidean_metric(),
+                         constant_weight(1.0), BoundarySpec.dirichlet())
+        with pytest.raises(ValueError, match="free DOFs"):
+            check_inertia(s, other)
+
+    def test_nothing_to_probe_fails(self):
+        _, p = dirichlet_problem(6)
+        s = solve_weighted(p, 0.0, k_each=1)
+        assert check_inertia(s, p)["passed"] is False
 
 
 class TestEigenvaluesOnlySpectrum:
