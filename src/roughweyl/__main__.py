@@ -1,0 +1,8 @@
+"""`python -m roughweyl <task> --config run.cfg`: the `roughweyl` command."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -475,7 +475,7 @@ def emit_svg(s, target, path):
         if len(vals):
             sides.append((np.asarray(vals, dtype=float), c, color, label))
     if not sides:
-        raise ValueError("cannot plot an empty spectrum")
+        raise FitError("cannot plot an empty spectrum")
 
     W, H = 640.0, 480.0
     ml, mr, mt, mb = 64.0, 16.0, 16.0, 48.0

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mesh import corner_areas
+from .mesh import MeshFormatError, corner_areas
 
 __all__ = [
     "MetricField",
@@ -283,7 +283,7 @@ def pullback_metric(base: MetricField, phi, jacobian,
     (m, 2, 2) Jacobians there. `jac_bounds` declares the (min, max)
     singular values of J over the chart; the comparability constants become
     base constants scaled by them, and the assembly-time audit catches wrong
-    declarations. Singular Jacobian samples are rejected.
+    declarations. A singular Jacobian sample raises ComparabilityError.
     """
     s_lo, s_hi = float(jac_bounds[0]), float(jac_bounds[1])
 
@@ -291,7 +291,7 @@ def pullback_metric(base: MetricField, phi, jacobian,
         J = _sample(jacobian, points, (2, 2), "Jacobian")
         det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
         if det.size and np.abs(det).min() < 1e-14:
-            raise ValueError("singular Jacobian sample")
+            raise ComparabilityError("singular Jacobian sample")
         del det
         return _congruence(J, base.matrices(_sample(phi, points, (2,), "map")))
 
@@ -620,7 +620,7 @@ def _cell_blocks(m, bary):
     for cells in blocks:
         areas[cells] = corner_areas(m.vertices.take(m.triangles[cells], 0))
     if areas.min() <= 0.0:
-        raise ValueError("mesh has nonpositive triangle areas")
+        raise MeshFormatError("mesh has nonpositive triangle areas")
 
     def block(cells):
         corners = m.vertices.take(m.triangles[cells], 0)

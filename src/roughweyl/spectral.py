@@ -4,10 +4,10 @@ The weighted problem is R v = lambda (K + t Mm) v: eigenvalues split by sign
 into descending lists lambda_k^+ and lambda_k^- (stored as magnitudes). For
 t = 0 on a pure-Neumann pencil the form K alone is only semidefinite and the
 solve is restricted to the coercivity subspace {v : r . v = 0}, posed one
-way on every path: the oblique pencil (Pi^T R Pi, K + gamma r r^T) of
-`_oblique_terms`, where Pi projects onto the subspace along the constants.
-It keeps all n coordinates, and its one extra eigenvalue, 0 on the
-constants, is dropped, so the dimension drops by exactly one.
+way on every path: the grounded pencil of `_ground`, on the n - 1
+coordinates left when free vertex 0 is grounded. Its mass form is K with
+that vertex removed, SPD, and its spectrum is the constrained one, with no
+extra eigenvalue; `_unground` maps its eigenvectors back into the subspace.
 
 Every eigensolve goes through one dispatcher, `_signed_ends(A, M, rf, ...)`:
 the signed lists of a pencil (A, M), on {rf . v = 0} when rf is given. Its
@@ -44,14 +44,14 @@ grid, 37.3 s, within 0.1 s of the per-solve best (a fixed 3000-row limit:
 Dense: Cholesky-based reduction of the pencil and a full symmetric
 eigensolve, which doubles as the trusted oracle.
 The forms are densified in Fortran order, so LAPACK takes them without a
-copy and overwrites them; the oblique terms are applied to them in place.
+copy and overwrites them; the grounded rank-two term is applied in place.
 Eigenvalues alone come from `dsygv`, which asks for its optimal workspace
 and so tridiagonalizes on the blocked path (`dsygvd` gets the minimal one
 from scipy and runs unblocked); eigenpairs take divide and conquer
 (`dsygvd`), whose eigenvector pass is much faster.
 Sparse: one Lanczos driver, `_sparse_weighted`, over a pencil (A, M) with
-M SPD and inverted once: (R, K + t Mm), or in the constrained case the
-oblique pencil, whose M is inverted through K with one vertex grounded.
+M sparse, SPD and factored once: (R, K + t Mm), or the grounded pencil,
+whose A applies its rank-two term in an operator.
 For rho of both signs one Krylov space serves both families: ARPACK's
 "BE" mode takes k_each eigenvalues from each spectral end in a single
 run. Lanczos always starts from one fixed vector.
@@ -208,27 +208,32 @@ def _refuse_dense(n):
                           "of the dense path".format(n, _DENSE_LIMIT))
 
 
-def _oblique_terms(A, M, rf):
-    """(w, gamma): the low-rank terms of the oblique pencil of (A, M) on
-    S = {rf . v = 0}.
+def _ground(A, M, rf):
+    """The grounded pencil (A', M', w', r') of (A, M) on S = {rf . v = 0}.
 
-    Pi = I - 1 rf^T / r1, r1 = rf . 1, projects onto S along the constants,
-    and the oblique pencil is (Pi^T A Pi, M + gamma rf rf^T) on all n
-    coordinates. With a = A 1,
+    Pi = I - 1 rf^T / r1, r1 = rf . 1, projects onto S along the constants
+    and maps {v_0 = 0} one to one onto S, so v = Pi [0; u] poses the
+    problem on the n - 1 coordinates u. With a = A 1,
 
         Pi^T A Pi = A - w rf^T - rf w^T,   w = (a - (1 . a) / (2 r1) rf) / r1,
 
-    and gamma = mean(diag M) / (rf . rf) puts the constants on M's scale.
-    a comes from A itself, so the terms stay exact for a hand-built
-    rf != A 1 and for Mm in R's place. Since M 1 = 0, S and span(1) are
-    orthogonal in both forms: on S the pencil is the constrained problem,
-    on span(1) it has the one eigenvalue 0, which `_split_signed` drops.
+    and M 1 = 0 gives Pi^T M Pi = M. So the pencil is (A' - w' r'^T -
+    r' w'^T, M') with the primes dropping row and column 0: A' = A[1:, 1:],
+    M' = M[1:, 1:], w' = w[1:] and r' = rf[1:]. M' is SPD and its spectrum
+    is the constrained one. a comes from A itself, so the term stays exact
+    for a hand-built rf != A 1 and for Mm in R's place.
     """
     r1 = float(rf.sum())
     a = A @ np.ones(len(rf))
     w = (a - (a.sum() / (2.0 * r1)) * rf) / r1
-    gamma = (float(M.diagonal().mean()) or 1.0) / float(rf @ rf)
-    return w, gamma
+    return A[1:, 1:], M[1:, 1:], w[1:], rf[1:]
+
+
+def _unground(U, rf):
+    """Eigenvector columns v = Pi [0; u] of grounded columns u (`_ground`):
+    they lie in {rf . v = 0}, and v^T M v = u^T M' u keeps them
+    M-orthonormal."""
+    return np.vstack([np.zeros((1, U.shape[1])), U]) - (rf[1:] @ U) / rf.sum()
 
 
 def _subtract_symmetric(B, u, w):
@@ -247,26 +252,23 @@ def _subtract_symmetric(B, u, w):
 
 def _dense_forms(A, M, rf):
     """Dense Fortran-ordered (A, M), or with a constraint vector the
-    oblique pencil of `_oblique_terms`. A pencil above `_DENSE_LIMIT` rows
-    is refused before anything is densified."""
+    grounded pencil of `_ground`, its rank-two term subtracted from A in
+    place. A pencil above `_DENSE_LIMIT` rows is refused before anything
+    is densified."""
+    if rf is not None:
+        A, M, w, r = _ground(A, M, rf)
     _refuse_dense(M.shape[0])
-    if rf is None:
-        return A.toarray(order="F"), M.toarray(order="F")
-    w, gamma = _oblique_terms(A, M, rf)
-    M = M.toarray(order="F")
-    _subtract_symmetric(M, rf, -0.5 * gamma * rf)  # M + gamma rf rf^T
-    A = A.toarray(order="F")
-    _subtract_symmetric(A, w, rf)  # Pi^T A Pi
+    A, M = A.toarray(order="F"), M.toarray(order="F")
+    if rf is not None:
+        _subtract_symmetric(A, w, r)
     return A, M
 
 
 def _dense_weighted(A, M, rf, k_each, vectors):
     """Signed lists of A v = lambda M v by a full dense eigensolve of
-    `_dense_forms`, on {rf . v = 0} when a constraint vector is given: the
-    oblique pencil is solved on all n rows, its eigenvalue 0 on the
-    constants is dropped, and its eigenvectors lie in the constraint
-    subspace. LAPACK overwrites the dense forms in place (drivers: module
-    docstring)."""
+    `_dense_forms`, on {rf . v = 0} when a constraint vector is given, in
+    grounded coordinates. LAPACK overwrites the dense forms in place
+    (drivers: module docstring)."""
     from scipy.linalg import eigh
 
     A, M = _dense_forms(A, M, rf)
@@ -277,10 +279,7 @@ def _dense_weighted(A, M, rf, k_each, vectors):
             w, V = eigh(A, M, eigvals_only=True, driver="gv",
                         overwrite_a=True, overwrite_b=True), None
     except np.linalg.LinAlgError as exc:
-        raise SolverError(
-            "coercive form is not positive definite; supply t > 0 or a "
-            "constraint ({})".format(exc)
-        ) from exc
+        raise SolverError(_NOT_SPD.format(exc)) from exc
     return _split_signed(w, V, k_each)
 
 
@@ -340,10 +339,11 @@ def _lanczos_ends(A, M, Minv, v0, masses, k_each, vectors):
     A sign-changing weight needs k_each eigenvalues at each end, which one
     "BE" run takes from a single Krylov space. When 2 k_each exceeds what
     ARPACK can return (n - 2), each end gets its own run of k_each instead,
-    so that no eigenvalue near zero is dropped; `_signed_ends` sends a
-    pencil here only when k_each <= n - 2. Without `vectors`, ARPACK
-    skips its Ritz-vector pass and the columns come back as None. Every
-    ARPACK failure, non-convergence or another, raises SolverError.
+    so that no eigenvalue near zero is dropped; `_signed_ends` sends an
+    n-row pencil here only when k_each < n, within ARPACK's reach. Without
+    `vectors`, ARPACK skips its Ritz-vector pass and the columns come back
+    as None. Every ARPACK failure, non-convergence or another, raises
+    SolverError.
     """
     from scipy.sparse.linalg import ArpackError, eigsh
 
@@ -379,62 +379,38 @@ def _sparse_weighted(R, K, rf, masses, k_each, vectors):
 
     `masses`, the weight's mass on each sign, picks the ends to run. Without
     a constraint vector (rf None), K must be SPD and the pencil is (R, K).
-    With one, K is semidefinite with K 1 = 0 and the pencil is the oblique
-    one of `_oblique_terms`, whose operators apply its two low-rank terms;
-    its eigenvalue 0 on the constants lies inside the spectrum, where
-    Lanczos at the ends never reaches it.
+    With one, K is semidefinite with K 1 = 0 and the pencil is the grounded
+    one of `_ground`, in grounded coordinates: its A applies R' and the
+    rank-two term, its M is K'.
 
-    The form inverted, K or K with one vertex grounded, is factored once
-    and judged by `_spd_verdict` after the Krylov run, when ARPACK has
-    freed its basis; `_spd_guard` judges it first where one solve shows it
-    near singular, and an ARPACK failure is judged before it is raised.
+    M is factored once and judged by `_spd_verdict` after the Krylov run,
+    when ARPACK has freed its basis; `_spd_guard` judges it first where one
+    solve shows it near singular, and an ARPACK failure is judged before it
+    is raised.
     """
     from scipy.sparse.linalg import LinearOperator
 
-    nf = K.shape[0]
-    v0 = np.random.default_rng(0).standard_normal(nf)
-    K = K.tocsr()
-    R = R.tocsr()
-    # the SPD form inverted: K, or K with free vertex 0 grounded (x_0 = 0
-    # fixes the constant), and the start vector on its coordinates
-    F, u = (K, v0) if rf is None else (K[1:, 1:], v0[1:])
-    lu = _symmetric_factor(F, _NOT_SPD)
-    _spd_guard(lu, F, u)
-    if rf is None:
-        A, M, start = R, K, v0
-        Minv = LinearOperator(K.shape, matvec=lu.solve, dtype=float)
-    else:
-        r1 = float(rf.sum())
-        w, gamma = _oblique_terms(R, K, rf)
+    v0 = np.random.default_rng(0).standard_normal(K.shape[0])
+    A = R = R.tocsr()
+    M = K.tocsr()
+    if rf is not None:
+        R, M, w, r = _ground(R, M, rf)
+        v0 = v0[1:]
 
-        # ARPACK calls these closures thousands of times. A BLAS ddot
-        # (rf @ v) in each, on OpenBLAS's default 2 threads, made a level-7
-        # `halves` solve 5x slower on 2 cores (10.7 s against 2.1 s), so
-        # the dot products run in einsum's own loop.
-        def rdot(v):
-            return np.einsum("i,i->", rf, v)
-
-        def pi(v):
-            return v - rdot(v) / r1
-
-        def minv(y):
-            # M x = y splits into K x_S = y - r (1.y)/(r.1) on S and
-            # gamma (r.1)^2 c = 1.y on the constants
-            s = y.sum()
-            x = np.zeros(nf)
-            x[1:] = lu.solve(y[1:] - rf[1:] * (s / r1))
-            return pi(x) + s / (gamma * r1 * r1)
-
+        # ARPACK calls this thousands of times. A BLAS ddot (r @ v) in it,
+        # on OpenBLAS's default 2 threads, made a level-7 `halves` solve 5x
+        # slower on 2 cores (10.7 s against 2.1 s), so the dot products run
+        # in einsum's own loop.
         def a(v):
-            return R @ v - w * rdot(v) - rf * np.einsum("i,i->", w, v)
+            return (R @ v - w * np.einsum("i,i->", r, v)
+                    - r * np.einsum("i,i->", w, v))
 
-        A = LinearOperator((nf, nf), matvec=a, dtype=float)
-        M = LinearOperator((nf, nf), dtype=float,
-                           matvec=lambda v: K @ v + gamma * rdot(v) * rf)
-        Minv = LinearOperator((nf, nf), matvec=minv, dtype=float)
-        start = pi(v0)
+        A = LinearOperator(M.shape, matvec=a, dtype=float)
+    lu = _symmetric_factor(M, _NOT_SPD)
+    _spd_guard(lu, M, v0)
+    Minv = LinearOperator(M.shape, matvec=lu.solve, dtype=float)
     try:
-        ends = _lanczos_ends(A, M, Minv, start, masses, k_each, vectors)
+        ends = _lanczos_ends(A, M, Minv, v0, masses, k_each, vectors)
     except SolverError:
         _spd_verdict(lu)
         raise
@@ -476,9 +452,14 @@ def _signed_ends(A, M, rf, masses, k_each, mode, vectors):
     if M.shape[0] == 0:
         raise SolverError("no free DOFs")
     if _goes_dense(M.shape[0], k_each, masses, mode):
-        return (*_dense_weighted(A, M, rf, k_each, vectors), "dense")
-    method = "sparse-lanczos" if rf is None else "sparse-projected"
-    return (*_sparse_weighted(A, M, rf, masses, k_each, vectors), method)
+        pos, neg, vp, vn = _dense_weighted(A, M, rf, k_each, vectors)
+        method = "dense"
+    else:
+        pos, neg, vp, vn = _sparse_weighted(A, M, rf, masses, k_each, vectors)
+        method = "sparse-lanczos" if rf is None else "sparse-projected"
+    if rf is not None:  # eigenvectors, if asked for, back to free DOFs
+        vp, vn = (V if V is None else _unground(V, rf) for V in (vp, vn))
+    return pos, neg, vp, vn, method
 
 
 def solve_weighted(p: Pencil, t: float = 0.0, k_each: int = 6,
@@ -528,6 +509,9 @@ def count_inertia(p: Pencil, s: float, sign: int, t: float = 0.0) -> int:
     bordered [[R -+ s K, r], [r^T, 0]], whose inertia is the constrained
     one plus (1, 1). The border comes last, and minimum degree, meeting a
     full row, also eliminates it last, after its zero diagonal has filled.
+    It is not the grounded pencil the solves use (`_ground`): that form's
+    rank-two term would need a border of two rows to stay sparse, where
+    the constraint itself needs one.
     A factor that needs an off-diagonal pivot, as at s on an eigenvalue,
     raises SolverError.
     """

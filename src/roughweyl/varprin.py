@@ -3,21 +3,24 @@
 Every checker is report-only: it returns a JSON-ready dict with margins
 and a `passed` flag instead of raising on violation, so callers can
 collect results across checks. Margins are signed so that anything at or
-above -tolerance passes; the tolerance is absolute, 1e-9, because the
-discrete inequalities hold exactly up to roundoff.
+above -tolerance passes. The discrete inequalities hold exactly up to
+roundoff, so the tolerance is 1e-9 relative: each margin between two
+values is compared with 1e-9 times the larger of their magnitudes
+(`_fails`), since the spectrum scales with the weight.
 
 Each trial draws Gaussian columns from a seeded generator, takes the
 extremum of the Rayleigh quotient R/E_t over the subspace they define and
 records its signed margin against lambda_k; one summary per family keeps
-the worst margin, the violation count and the attainment gap. The
-max-min extremum over V = span(X) is an extreme eigenvalue of the k x k
-projected pencil (X^T R X, X^T Kt X), which depends on V alone, not on
-the basis X. For constrained spectra (tau = 1, t = 0) the checkers run
-on the oblique pencil that the dense solve builds (`spectral._dense_forms`)
-over all n free DOFs. Its mass form is positive definite, so projected
-pencils stay nonsingular; its nonzero spectrum is the constrained one and
-its one extra eigenvalue is 0, so every principle and its attainment hold
-as stated.
+the worst margin, the violation count, the attainment gap and whether
+that gap is within tolerance ("attained"). The max-min extremum over
+V = span(X) is an extreme eigenvalue of the k x k projected pencil
+(X^T R X, X^T Kt X), which depends on V alone, not on the basis X. For
+constrained spectra (tau = 1, t = 0) the checkers run on the grounded
+pencil that the solve builds (`spectral._dense_forms`), on the n - 1
+free DOFs left when free vertex 0 is grounded, with the eigenvectors in
+the same coordinates. Its mass form is positive definite, so projected
+pencils stay nonsingular, and its spectrum is the constrained one, so
+every principle and its attainment hold as stated.
 
 The Courant checker works in Cholesky standard form: with Kt = L L^T
 factored once, C = L^{-1} R L^{-T} carries the pencil, and the extremum
@@ -72,36 +75,31 @@ __all__ = [
 TOLERANCE = 1e-9
 
 
-def _dense_operators(s: Spectrum, p):
+def _dense_operators(s: Spectrum, p, k):
     """Dense (Kt, R) of the checked pencil as the dense solve builds them
-    (`spectral._dense_forms`): on a constrained spectrum the oblique
-    pencil, in which its eigenvectors live as they are. Both forms are
-    exactly symmetric and are returned as their transposes, the same
-    matrices in C order, the layout the checkers' products are written
-    for. A pencil above the dense cap raises SolverError before anything
-    is densified, then a spectrum without eigenvectors ValueError."""
+    (`spectral._dense_forms`), and (label, lambda_k, eigenvectors, sign)
+    for each side with k values; a constrained spectrum's eigenvectors v
+    are grounded with the forms, as u = v[1:] - v[0]. The exactly
+    symmetric forms come as their transposes, in the C order the
+    checkers' products are written for. A pencil above the dense cap
+    raises SolverError before anything is densified, then a spectrum
+    without eigenvectors ValueError."""
     t = float(s.meta.get("t", 0.0))
     Kt = p.Kf + t * p.Mmf if t > 0.0 else p.Kf
     rf = project_constraint(p) if s.meta.get("constrained") else None
     R, Kt = _dense_forms(p.Rf, Kt, rf)
-    for vals, vecs in ((s.pos, s.vec_pos), (s.neg, s.vec_neg)):
+    items = []
+    for label, vals, vecs, sign in (("plus", s.pos, s.vec_pos, +1),
+                                    ("minus", s.neg, s.vec_neg, -1)):
         if len(vals) and vecs is None:
             raise ValueError("spectrum carries no eigenvectors; solve with "
                              "vectors=True")
-    return Kt.T, R.T
-
-
-def _signed_items(s: Spectrum, k):
-    """Yield (label, lambda_k, eigenvectors, sign) for sides with k values."""
-    out = []
-    for label, vals, vecs, sign in (
-        ("plus", s.pos, s.vec_pos, +1),
-        ("minus", s.neg, s.vec_neg, -1),
-    ):
         if len(vals) < k or vecs.shape[1] < k:
             continue
-        out.append((label, float(vals[k - 1]), vecs, sign))
-    return out
+        if rf is not None:
+            vecs = vecs[1:] - vecs[0]
+        items.append((label, float(vals[k - 1]), vecs, sign))
+    return Kt.T, R.T, items
 
 
 def _check_supplied(s: Spectrum, t, n_free, need):
@@ -129,22 +127,31 @@ def _require_positive(**counts):
             raise ValueError("{} must be >= 1, got {}".format(name, value))
 
 
-def _side(lam_k, margins, attained):
+def _fails(margin, a, b):
+    """Whether margin, between the values a and b, lies below -tolerance:
+    below -`TOLERANCE` times max(|a|, |b|). Elementwise on arrays."""
+    return margin < -TOLERANCE * np.maximum(np.abs(a), np.abs(b))
+
+
+def _side(lam_k, extrema, attained, bound):
     """One family's summary: the worst of its trial margins, how many of
-    them fall below -tolerance, and how far the attaining subspace's
-    extremum lies from lambda_k."""
-    margins = np.asarray(margins)
+    them fail, and how far the attaining subspace's extremum lies from
+    lambda_k. `bound` is +1 where lambda_k bounds the trial extrema from
+    above and -1 where from below."""
+    extrema = np.asarray(extrema)
+    margins = bound * (lam_k - extrema)
+    gap = abs(attained - lam_k)
     return {
         "worst_margin": float(margins.min()),
-        "violations": int((margins < -TOLERANCE).sum()),
-        "attainment_gap": float(abs(attained - lam_k)),
+        "violations": int(_fails(margins, lam_k, extrema).sum()),
+        "attainment_gap": float(gap),
+        "attained": not _fails(-gap, lam_k, attained),
     }
 
 
 def _finish(name, k, trials, seed, sides):
     passed = bool(sides) and all(
-        d["violations"] == 0 and d["attainment_gap"] <= TOLERANCE
-        for d in sides.values()
+        d["violations"] == 0 and d["attained"] for d in sides.values()
     )
     return {
         "check": name,
@@ -155,8 +162,6 @@ def _finish(name, k, trials, seed, sides):
         "sides": sides,
         "passed": passed,
     }
-
-
 def check_poincare_minmax(s: Spectrum, p, k: int, trials: int = 100,
                           seed: int = 0) -> dict:
     """Max-min principle: every k-dim subspace V has min_V ratio <= lambda_k^+
@@ -170,7 +175,7 @@ def check_poincare_minmax(s: Spectrum, p, k: int, trials: int = 100,
     from scipy.linalg import eigh
 
     _require_positive(k=k, trials=trials)
-    Kt, R = _dense_operators(s, p)
+    Kt, R, items = _dense_operators(s, p, k)
     rng = np.random.default_rng(seed)
     n = Kt.shape[0]
 
@@ -179,10 +184,10 @@ def check_poincare_minmax(s: Spectrum, p, k: int, trials: int = 100,
         return (sign * ritz).min()
 
     sides = {}
-    for label, lam_k, vecs, sign in _signed_items(s, k):
-        margins = [lam_k - extremum(rng.standard_normal((n, k)), sign)
+    for label, lam_k, vecs, sign in items:
+        extrema = [extremum(rng.standard_normal((n, k)), sign)
                    for _ in range(trials)]
-        sides[label] = _side(lam_k, margins, extremum(vecs[:, :k], sign))
+        sides[label] = _side(lam_k, extrema, extremum(vecs[:, :k], sign), 1)
     return _finish("poincare_minmax", k, trials, seed, sides)
 
 
@@ -194,24 +199,24 @@ def check_rayleigh(s: Spectrum, p, k: int, trials: int = 100,
     empty orthogonality set and bounds the whole space.
     """
     _require_positive(k=k, trials=trials)
-    Kt, R = _dense_operators(s, p)
+    Kt, R, items = _dense_operators(s, p, k)
     rng = np.random.default_rng(seed)
 
     def ratio(u):
         return float(u @ R @ u) / float(u @ Kt @ u)
 
     sides = {}
-    for label, lam_k, vecs, sign in _signed_items(s, k):
+    for label, lam_k, vecs, sign in items:
         Phi = vecs[:, : k - 1]
         KPhi = Kt @ Phi
-        margins = []
+        extrema = []
         for _ in range(trials):
             u = rng.standard_normal(Kt.shape[0])
             # two Gram-Schmidt passes; the basis is E_t-orthonormal
             u = u - Phi @ (KPhi.T @ u)
             u = u - Phi @ (KPhi.T @ u)
-            margins.append(lam_k - sign * ratio(u))
-        sides[label] = _side(lam_k, margins, sign * ratio(vecs[:, k - 1]))
+            extrema.append(sign * ratio(u))
+        sides[label] = _side(lam_k, extrema, sign * ratio(vecs[:, k - 1]), 1)
     return _finish("rayleigh", k, trials, seed, sides)
 
 
@@ -236,7 +241,7 @@ def check_courant(s: Spectrum, p, k: int, trials: int = 100,
     from scipy.linalg import cholesky, eigh, qr, solve_triangular
 
     _require_positive(k=k, trials=trials)
-    Kt, R = _dense_operators(s, p)
+    Kt, R, items = _dense_operators(s, p, k)
     rng = np.random.default_rng(seed)
     n = Kt.shape[0]
     L = cholesky(Kt, lower=True)
@@ -255,12 +260,13 @@ def check_courant(s: Spectrum, p, k: int, trials: int = 100,
         return sign * eigh(A, eigvals_only=True, subset_by_index=[i, i])[0]
 
     sides = {}
-    for label, lam_k, vecs, sign in _signed_items(s, k):
-        margins = [extremum_over_complement(rng.standard_normal((n, k - 1)),
-                                            sign) - lam_k
+    for label, lam_k, vecs, sign in items:
+        extrema = [extremum_over_complement(rng.standard_normal((n, k - 1)),
+                                            sign)
                    for _ in range(trials)]
-        sides[label] = _side(lam_k, margins,
-                             extremum_over_complement(vecs[:, : k - 1], sign))
+        sides[label] = _side(lam_k, extrema,
+                             extremum_over_complement(vecs[:, : k - 1], sign),
+                             -1)
     return _finish("courant", k, trials, seed, sides)
 
 
@@ -350,10 +356,10 @@ def check_bracketing(s: Spectrum, m: Mesh, partition, g, w, bc: BoundarySpec,
     one by extension with zero, so it may be shorter; eta comes from the
     interface-free problems, whose direct sum contains the global space.
     `zip(nu, lam, eta)` gives the comparable rows (nu_k, lambda_k, eta_k).
-    "violations" lists {sign, side, k, margin} for each margin below
-    -tolerance, the dirichlet side (lambda_k - nu_k) before the neumann
-    side (eta_k - lambda_k) per sign, and "passed" is True when there
-    are none.
+    "violations" lists {sign, side, k, margin} for each margin that fails
+    the relative tolerance (`_fails`), the dirichlet side (lambda_k - nu_k)
+    before the neumann side (eta_k - lambda_k) per sign, and "passed" is
+    True when there are none.
     """
     _require_positive(k_max=k_max)
     t = float(s.meta.get("t", 0.0))
@@ -403,7 +409,7 @@ def check_bracketing(s: Spectrum, m: Mesh, partition, g, w, bc: BoundarySpec,
                                    ("neumann", lam, etas)):
             n = min(len(lower), len(upper))
             margins = upper[:n] - lower[:n]
-            for j in np.flatnonzero(margins < -TOLERANCE):
+            for j in np.flatnonzero(_fails(margins, upper[:n], lower[:n])):
                 violations.append({"sign": label, "side": side,
                                    "k": int(j) + 1,
                                    "margin": float(margins[j])})
@@ -453,13 +459,13 @@ def check_sandwich(s0: Spectrum, p, t_list=(0.5, 0.1, 0.02),
             n_up = min(k_max, len(ref), len(up))
             if n_lo == 0 and n_up == 0:
                 continue
-            lower_worst = (float((ref[:n_lo] - low[tau:tau + n_lo]).min())
-                           if n_lo else None)
-            upper_worst = (float((up[:n_up] / (1.0 - t) - ref[:n_up]).min())
-                           if n_up else None)
-            for worst in (lower_worst, upper_worst):
-                if worst is not None and worst < -TOLERANCE:
-                    all_ok = False
+            worst = []
+            for hi, lo in ((ref[:n_lo], low[tau:tau + n_lo]),
+                           (up[:n_up] / (1.0 - t), ref[:n_up])):
+                margins = hi - lo
+                worst.append(float(margins.min()) if len(margins) else None)
+                all_ok &= not _fails(margins, hi, lo).any()
+            lower_worst, upper_worst = worst
             n_gap = min(n_lo, n_up)
             pinch = (float(np.mean(up[:n_gap] / (1.0 - t)
                                    - low[tau:tau + n_gap]))
@@ -472,7 +478,7 @@ def check_sandwich(s0: Spectrum, p, t_list=(0.5, 0.1, 0.02),
                 "pinch_gap": pinch,
             }
             if tau == 1 and len(low) and len(ref):
-                necessary = bool(low[0] > ref[0] + TOLERANCE)
+                necessary = bool(_fails(ref[0] - low[0], ref[0], low[0]))
                 entry["shift_necessary"] = necessary
                 t_shift.append(necessary)
             sides[label] = entry

@@ -39,7 +39,7 @@ from roughweyl import (
 )
 from roughweyl import fields
 from roughweyl.assembly import _PAIRS, _Pattern
-from roughweyl.mesh import triangle_areas
+from roughweyl.mesh import MeshFormatError, triangle_areas
 
 # hand integration on the reference triangle (0,0),(1,0),(0,1):
 # grad phi = (-1,-1), (1,0), (0,1); area 1/2
@@ -796,7 +796,8 @@ class TestChecksAcrossBlocks:
 
         g, w = MetricField(identity, 1.0, 1.0), constant_weight(1.0)
         for call in self.calls():
-            with pytest.raises(ValueError, match="nonpositive triangle areas"):
+            with pytest.raises(MeshFormatError,
+                               match="nonpositive triangle areas"):
                 call(m, g, w)
         assert points == []
 

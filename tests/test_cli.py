@@ -3,6 +3,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +27,7 @@ from roughweyl.cli import (
 from roughweyl.fields import MetricField, WeightField
 from roughweyl.mesh import generate_unit_square
 from roughweyl.spectral import Spectrum
-from roughweyl.weyl import WeylTarget, convergence_study
+from roughweyl.weyl import FitError, WeylTarget, convergence_study
 
 
 def write_config(path, text):
@@ -282,6 +284,31 @@ class TestRunSolve:
         rows = (out / "spectrum.csv").read_text().strip().splitlines()
         assert len(rows) == 5
         assert 0.0 < float(rows[1].split(",")[1]) < 1e-12
+
+    def test_plot_of_an_empty_spectrum_is_a_fit_failure(self, tmp_path,
+                                                        capsys):
+        # a zero weight leaves no eigenvalue of either sign to plot
+        cfg = ExperimentConfig.from_text(
+            "task = solve\n[domain]\nlevel = 3\n[weight]\nweight = expr:0*x\n"
+            "[output]\ndir = {}\nsvg = true\n".format(tmp_path / "out"))
+        assert run(cfg) == 5
+        assert ("fit failure: cannot plot an empty spectrum"
+                in capsys.readouterr().err)
+
+    def test_python_dash_m_runs_the_command(self, tmp_path):
+        # `python -m roughweyl` from a checkout, with nothing on stderr
+        src = os.path.dirname(os.path.dirname(roughweyl.cli.__file__))
+        out = tmp_path / "out"
+        config = write_config(
+            tmp_path / "run.cfg",
+            "[domain]\nlevel = 3\n[solver]\nk_each = 4\n[output]\n"
+            "dir = {}\n".format(out))
+        done = subprocess.run(
+            [sys.executable, "-m", "roughweyl", "solve", "--config", config],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert (done.returncode, done.stderr) == (0, "")
+        assert (out / "spectrum.csv").exists()
 
     def test_non_finite_weight_is_field_hypothesis_error(self, tmp_path,
                                                          capsys):
@@ -696,7 +723,7 @@ class TestEmitSvg:
 
     def test_empty_spectrum_rejected(self, tmp_path):
         s = Spectrum([], [], meta={})
-        with pytest.raises(ValueError, match="empty"):
+        with pytest.raises(FitError, match="empty"):
             emit_svg(s, WeylTarget(0.0, 0.0, 1.0), str(tmp_path / "x.svg"))
 
 

@@ -190,7 +190,7 @@ class TestPullback:
     def test_singular_jacobian_rejected(self):
         g = pullback_metric(euclidean_metric(), lambda pts: pts,
                             lambda pts: np.zeros((len(pts), 2, 2)))
-        with pytest.raises(ValueError, match="[Ss]ingular"):
+        with pytest.raises(ComparabilityError, match="[Ss]ingular"):
             g.matrices(np.array([[0.5, 0.5]]))
 
     def test_empty_batch(self):

@@ -559,7 +559,7 @@ class TestConstrainedSolves:
         s = solve_weighted(p, 0.0, 4)
         resid = np.abs(p.r_free @ s.vec_pos).max()
         assert resid < 1e-10
-        # the dense oblique solve returns full-length vectors that lie in
+        # the dense grounded solve returns full-length vectors that lie in
         # the constraint subspace and are K-orthonormal there
         p = square_pencil(12, halves_weight(1.0, -0.5), BoundarySpec.neumann())
         s = solve_weighted(p, 0.0, 6, mode="dense")
@@ -599,7 +599,7 @@ class TestConstrainedSolves:
 
 
 class TestSparseConstrained:
-    """The oblique pencil of the pure-Neumann t = 0 solve against the dense
+    """The grounded pencil of the pure-Neumann t = 0 solve against the dense
     oracle, on a flat square and on the graph-cone disk."""
 
     WEIGHTS = {
@@ -768,15 +768,29 @@ class TestProjectConstraint:
     def test_dirichlet_identity(self):
         assert project_constraint(square_pencil(6)) is None
 
-    def test_neumann_rank_one_drop(self):
-        # at k_each = n_free the reach rule sends the solve dense, where the
-        # oblique pencil's eigenvalue 0 on the constants must be dropped
+    def test_neumann_rank_one_drop(self, monkeypatch):
+        # at k_each = n_free the reach rule sends the solve dense, on the
+        # grounded pencil of n_free - 1 rows: it computes n_free - 1 values,
+        # none of them zero, and keeps them all
+        import roughweyl.spectral as spectral
+
+        computed = []
+        split = spectral._split_signed
+
+        def spy(w, V, k_each):
+            computed.append(np.asarray(w))
+            return split(w, V, k_each)
+
+        monkeypatch.setattr(spectral, "_split_signed", spy)
         for w in (constant_weight(1.0), halves_weight(1.0, -0.5)):
             p = square_pencil(6, w, BoundarySpec.neumann())
             np.testing.assert_array_equal(project_constraint(p), p.r_free)
+            del computed[:]
             s = solve_weighted(p, 0.0, k_each=p.n_free, vectors=False)
             assert s.meta["method"] == "dense"
-            assert len(s.pos) + len(s.neg) == p.n_free - 1
+            (got,) = computed
+            assert len(got) == len(s.pos) + len(s.neg) == p.n_free - 1
+            assert np.abs(got).min() > 1e-6 * np.abs(got).max()
 
     def test_basis_orthonormal_and_feasible(self):
         # the constrained spectrum is that of the pencil restricted to an
@@ -814,40 +828,41 @@ class TestProjectConstraint:
         assert len(s.pos) == 4 and len(s.neg) == 4
 
 
-def explicit_oblique(A, M, r):
-    """(Pi^T A Pi, M + gamma r r^T) from an explicit dense
-    Pi = I - 1 r^T / (r . 1), with gamma = mean(diag M) / (r . r)."""
+def explicit_grounded(A, M, r):
+    """(G^T A G, G^T M G) for an explicit dense G = Pi E: E embeds the
+    n - 1 coordinates as v_0 = 0, and Pi = I - 1 r^T / (r . 1) projects
+    onto {r . v = 0} along the constants."""
     n = len(r)
-    Pi = np.eye(n) - np.outer(np.ones(n), r) / r.sum()
-    gamma = np.diag(M).mean() / (r @ r)
-    return Pi.T @ A @ Pi, M + gamma * np.outer(r, r)
+    G = (np.eye(n) - np.outer(np.ones(n), r) / r.sum())[:, 1:]
+    return G.T @ A @ G, G.T @ M @ G
 
 
 class TestObliqueUpdate:
-    """The dense oblique pencil, built by in-place rank-two updates,
-    against the products with an explicit projector."""
+    """The dense grounded pencil, built by an in-place rank-two update,
+    against the products with an explicit map onto the subspace."""
 
     @staticmethod
     def assert_matches(A, M, r):
-        want_a, want_m = explicit_oblique(A, M, r)
+        want_a, want_m = explicit_grounded(A, M, r)
         got_a, got_m = _dense_forms(sparse.csr_matrix(A), sparse.csr_matrix(M),
                                     r)
         for got, want in ((got_a, want_a), (got_m, want_m)):
+            assert got.shape == (len(r) - 1, len(r) - 1)
             np.testing.assert_allclose(got, want, rtol=0,
                                        atol=1e-12 * np.abs(want).max())
             np.testing.assert_array_equal(got, got.T)
             assert got.flags.f_contiguous
-        # Pi 1 = 0: the constants are in the kernel of Pi^T A Pi
-        assert np.abs(got_a.sum(axis=1)).max() <= 1e-12 * np.abs(A).sum()
 
     @pytest.mark.parametrize("mean", [2.0, -0.5, 0.0])
     def test_random_symmetric_matrix(self, mean):
-        # r of either sign of r . 1, or of a random one about zero
+        # r of either sign of r . 1, or of a random one about zero; M is
+        # semidefinite with M 1 = 0, as K is on a pure-Neumann pencil
         rng = np.random.default_rng(3)
         n = 9
         r = rng.standard_normal(n) + mean
         B, C = rng.standard_normal((2, n, n))
-        self.assert_matches(B + B.T, C @ C.T, r)
+        C -= C.mean(axis=1, keepdims=True)
+        self.assert_matches(B + B.T, C.T @ C, r)
 
     def test_neumann_pencil_forms(self):
         p = assemble(generate_unit_square(8), euclidean_metric(),
@@ -873,7 +888,7 @@ class TestObliqueUpdate:
 
     def test_update_makes_no_square_temporary(self, traced_peak):
         # the update allocates row blocks of O(64 n), and the two dense
-        # forms are the only squares that building the oblique pencil makes
+        # forms are the only squares that building the grounded pencil makes
         rng = np.random.default_rng(6)
         n = 400
         B = rng.standard_normal((n, n))

@@ -305,18 +305,21 @@ class TestDenseCap:
 
 def reference_operators(s, p):
     """Dense (Kt, R, vec_pos, vec_neg) of the checked pencil. On a
-    constrained spectrum, the oblique pencil (Pi^T R Pi, K + gamma r r^T),
-    formed with an explicit dense Pi = I - 1 r^T / (r . 1) and
-    gamma = mean(diag K) / (r . r)."""
+    constrained spectrum, the grounded pencil (G^T R G, G^T K G) of the
+    explicit dense G = Pi E: E embeds n - 1 coordinates as v_0 = 0, and
+    Pi = I - 1 r^T / (r . 1) projects onto {r . v = 0} along the constants.
+    Each eigenvector v is then the u that solves G u = v."""
     Kt = p.Kf.toarray() + s.meta["t"] * p.Mmf.toarray()
     R = p.Rf.toarray()
+    vecs = [s.vec_pos, s.vec_neg]
     if s.meta["constrained"]:
         r = project_constraint(p)
         n = len(r)
-        Pi = np.eye(n) - np.outer(np.ones(n), r) / r.sum()
-        gamma = np.diag(Kt).mean() / (r @ r)
-        Kt, R = Kt + gamma * np.outer(r, r), Pi.T @ R @ Pi
-    return Kt, R, s.vec_pos, s.vec_neg
+        G = (np.eye(n) - np.outer(np.ones(n), r) / r.sum())[:, 1:]
+        Kt, R = G.T @ Kt @ G, G.T @ R @ G
+        vecs = [V if V is None else np.linalg.lstsq(G, V, rcond=None)[0]
+                for V in vecs]
+    return (Kt, R, *vecs)
 
 
 def minmax_reference(s, p, k, trials, seed):
@@ -756,3 +759,90 @@ class TestReportFormat:
         path = tmp_path / "sandwich.json"
         save_report(rep, path)
         assert json.loads(path.read_text())["poincare_constant"] > 0.0
+
+
+FAULTS = ("correct", "scaled_up", "scaled_down", "dropped", "swapped")
+CHECKERS = ("minmax", "rayleigh", "courant", "inertia", "sandwich",
+            "bracketing")
+# (checker, fault) pairs that pass by design. A dropped first pair leaves
+# every lambda_k attained, now by the next eigenvector, and random trials
+# lie far below it, so min-max and Rayleigh cannot see it (Courant's
+# complement still holds the dropped vector). A scale of 1 +- 1e-6 moves
+# no value across an inertia probe in the middle of a gap, and the
+# sandwich and quadrant-bracketing bounds are looser than 1e-6.
+PASS_BY_DESIGN = {
+    ("minmax", "dropped"), ("rayleigh", "dropped"),
+    ("inertia", "scaled_up"), ("inertia", "scaled_down"),
+    ("sandwich", "scaled_up"), ("sandwich", "scaled_down"),
+    ("bracketing", "scaled_up"), ("bracketing", "scaled_down"),
+}
+
+
+def inject_fault(s, fault):
+    """s with one fault of `FAULTS`: both lists scaled by 1 +- 1e-6, the
+    first eigenpair of each sign dropped, or the two sign families
+    swapped, eigenvectors with their values."""
+    vp, vn = s.vec_pos, s.vec_neg
+    if fault == "correct":
+        return s
+    if fault == "swapped":
+        return Spectrum(s.neg, s.pos, vn, vp, s.meta)
+    if fault == "dropped":
+        vp, vn = (None if V is None else V[:, 1:] for V in (vp, vn))
+        return Spectrum(s.pos[1:], s.neg[1:], vp, vn, s.meta)
+    f = {"scaled_up": 1.0 + 1e-6, "scaled_down": 1.0 - 1e-6}[fault]
+    return Spectrum(f * s.pos, f * s.neg, vp, vn, s.meta)
+
+
+def checker_verdicts(bc, scale, k=3, k_max=10):
+    """{(checker, fault): passed} of every checker on every fault of
+    `inject_fault`, on the size-8 square with the weight halves(c, -c / 2)
+    at c = scale. The variational and inertia checks see the t = 0
+    spectrum, the sandwich its eigenvalues, bracketing (over quadrants)
+    the spectrum at t = 1."""
+    m = generate_unit_square(8)
+    g, w = euclidean_metric(), halves_weight(scale, -0.5 * scale)
+    p = assemble(m, g, w, bc)
+    s0 = solve_weighted(p, 0.0, k_each=k_max + p.tau, mode="dense")
+    s1 = solve_weighted(p, 1.0, k_each=k_max, mode="dense", vectors=False)
+    quadrants = named_partition(m, "quadrants")
+    out = {}
+    for fault in FAULTS:
+        a, b = inject_fault(s0, fault), inject_fault(s1, fault)
+        reports = {
+            "minmax": check_poincare_minmax(a, p, k, trials=20),
+            "rayleigh": check_rayleigh(a, p, k, trials=20),
+            "courant": check_courant(a, p, k, trials=20),
+            "inertia": check_inertia(a, p),
+            "sandwich": check_sandwich(a, p, k_max=k_max),
+            "bracketing": check_bracketing(b, m, quadrants, g, w, bc,
+                                           k_max=k_max),
+        }
+        for checker, rep in reports.items():
+            out[checker, fault] = rep["passed"]
+    return out
+
+
+class TestScaleFreeCertificates:
+    """The spectrum scales with the weight, so every tolerance is relative:
+    the same faults, at weight scales 1e-9, 1 and 1e8, get the same
+    verdicts."""
+
+    @pytest.mark.parametrize("scale", [1e-9, 1.0, 1e8])
+    @pytest.mark.parametrize("bc", [BoundarySpec.dirichlet(),
+                                    BoundarySpec.neumann()],
+                             ids=["dirichlet", "neumann"])
+    def test_every_checker_fails_every_fault_it_can_see(self, bc, scale):
+        verdicts = checker_verdicts(bc, scale)
+        assert set(verdicts) == {(c, f) for c in CHECKERS for f in FAULTS}
+        want = {key: key[1] == "correct" or key in PASS_BY_DESIGN
+                for key in verdicts}
+        assert verdicts == want
+
+    def test_courant_passes_a_correct_spectrum_at_a_large_scale(self):
+        # halves:1e8,-1e8: the attainment gap of 1e-9 is 2e-15 relative
+        _, p = dirichlet_problem(n=16, w=halves_weight(1e8, -1e8))
+        s = solve_weighted(p, 0.0, k_each=5, mode="dense")
+        rep = check_courant(s, p, 5, trials=100)
+        assert rep["passed"]
+        assert max(d["attainment_gap"] for d in rep["sides"].values()) > TOL
