@@ -8,6 +8,12 @@ Exit codes: 0 when every enabled check passes, 1 when a check fails,
 integrates to zero on a pure Neumann problem), 4 for solver failures,
 5 when the computed spectrum is too short for the Weyl fit window.
 
+Each config key is declared once, as a row of `_KEYS`, and each metric,
+weight and boundary kind once, as a row of `_METRICS`, `_WEIGHTS` or
+`_BOUNDARIES`. The parser, the materialized defaults, the CLI flags and the
+config echoed in `summary.json` all read those rows; a new key or kind is
+one new row.
+
 Everything written is a pure function of the config: floats go through
 repr, JSON keys are sorted, the SVG carries no timestamps, so a rerun of
 one config reproduces every artifact byte for byte.
@@ -16,8 +22,10 @@ one config reproduces every artifact byte for byte.
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -81,17 +89,124 @@ class ConfigError(ValueError):
     """Raised for unparseable configs, unknown keys, or bad values."""
 
 
-# every key the parser accepts, and nothing else
-_SCHEMA = {
-    "": {"task"},
-    "domain": {"kind", "level", "size"},
-    "metric": {"metric"},
-    "weight": {"weight"},
-    "boundary": {"boundary"},
-    "solver": {"t", "k_each", "mode", "seed", "quad_order", "k_max",
-               "t_list", "trials", "k", "partition", "levels", "window"},
-    "output": {"dir", "svg"},
-}
+# ---------------------------------------------------------------------------
+# value parsers: config text in, a checked value out, ValueError otherwise
+
+
+def _typed(convert, noun):
+    def parse(raw):
+        try:
+            return convert(raw)
+        except ValueError:
+            raise ValueError(
+                "expected {}, got {!r}".format(noun, raw)) from None
+    return parse
+
+
+_integer = _typed(int, "an integer")
+_number = _typed(float, "a number")
+
+
+def _boolean(raw):
+    lowered = raw.lower()
+    if lowered in ("true", "yes", "1", "on"):
+        return True
+    if lowered in ("false", "no", "0", "off"):
+        return False
+    raise ValueError("expected a boolean, got {!r}".format(raw))
+
+
+def _fraction(raw):
+    value = _number(raw)
+    if not 0.0 < value < 1.0:
+        raise ValueError("must lie in (0, 1), got {!r}".format(raw))
+    return value
+
+
+def _at_least(lo, convert=_integer):
+    def parse(raw):
+        value = convert(raw)
+        if value < lo:
+            raise ValueError("must be >= {}".format(lo))
+        return value
+    return parse
+
+
+def _list(convert):
+    """Comma-separated values, each read by `convert`, as a tuple."""
+    return lambda raw: tuple(convert(part) for part in raw.split(","))
+
+
+def _unknown(what, raw, options):
+    names = [str(o) for o in options]
+    if len(names) > 2:
+        names = [", ".join(names[:-1]) + ",", names[-1]]
+    return "unknown {} {!r}; expected {}".format(what, raw, " or ".join(names))
+
+
+def _one_of(options, what, convert=str):
+    def parse(raw):
+        value = convert(raw)
+        if value not in options:
+            raise ValueError(_unknown(what, raw, options))
+        return value
+    return parse
+
+
+def _window(raw):
+    """None for "auto" (the middle third), else the pair (k_lo, k_hi)."""
+    if raw == "auto":
+        return None
+    window = _list(_integer)(raw)
+    if len(window) != 2:
+        raise ValueError("expected k_lo,k_hi")
+    return _check_window(window)
+
+
+class _Key(NamedTuple):
+    """One config key: its [section] ('' for the preamble), the
+    `ExperimentConfig` attribute it sets, its default and the parser of its
+    text. A default is config text, or a function of the config as set by
+    the rows before it, returning a value the parser takes."""
+
+    section: str
+    key: str
+    attr: str
+    default: object
+    parse: Callable
+
+
+# Every key the parser accepts, and nothing else. `resolved()` echoes them
+# in this layout, a section named after its one key as a bare value.
+_KEYS = (
+    _Key("", "task", "task", "solve", _one_of(TASKS, "task")),
+    _Key("domain", "kind", "domain_kind", "square",
+         _one_of(("square", "disk"), "domain kind")),
+    _Key("domain", "level", "level", "4", _at_least(1)),
+    _Key("domain", "size", "size", lambda cfg: 2 ** cfg.level, _at_least(1)),
+    _Key("metric", "metric", "metric_spec", "euclidean", str),
+    _Key("weight", "weight", "weight_spec", "const:1", str),
+    _Key("boundary", "boundary", "boundary_spec", "dirichlet", str),
+    _Key("solver", "t", "t", "0", _at_least(0, _number)),
+    _Key("solver", "k_each", "k_each", "200", _at_least(1)),
+    _Key("solver", "mode", "mode", "auto", _one_of(MODES, "mode")),
+    _Key("solver", "seed", "seed", "0", _at_least(0)),
+    _Key("solver", "quad_order", "quad_order", "2",
+         _one_of((1, 2, 4), "quadrature order", _integer)),
+    _Key("solver", "k_max", "k_max", "50", _at_least(1)),
+    _Key("solver", "t_list", "t_list", "0.5,0.1,0.02", _list(_fraction)),
+    _Key("solver", "trials", "trials", "100", _at_least(1)),
+    _Key("solver", "k", "k", "3", _at_least(1)),
+    _Key("solver", "partition", "partition", "halves",
+         _one_of(("halves", "quadrants"), "partition")),
+    _Key("solver", "levels", "levels", "4,5", _list(_at_least(1))),
+    _Key("solver", "window", "window", "auto", _window),
+    _Key("output", "dir", "out_dir", "out", str),
+    _Key("output", "svg", "svg", "false", _boolean),
+)
+
+_FIELDS = {(row.section, row.key) for row in _KEYS}
+_SECTIONS = {section for section, _ in _FIELDS} - {""}  # headed sections
 
 
 def _parse_ini(text):
@@ -109,7 +224,7 @@ def _parse_ini(text):
                 raise ConfigError(
                     "line {}: unterminated section header".format(lineno))
             current = line[1:-1].strip()
-            if current not in _SCHEMA or current == "":
+            if current not in _SECTIONS:
                 raise ConfigError(
                     "line {}: unknown section [{}]".format(lineno, current))
             sections.setdefault(current, {})
@@ -120,7 +235,7 @@ def _parse_ini(text):
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _SCHEMA[current]:
+        if (current, key) not in _FIELDS:
             where = "[{}] ".format(current) if current else ""
             raise ConfigError(
                 "line {}: unknown key {}{!r}".format(lineno, where, key))
@@ -131,131 +246,33 @@ def _parse_ini(text):
     return sections
 
 
-def _as_int(section, key, value):
+def _read_ini(path):
     try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(
-            "{}.{}: expected an integer, got {!r}".format(section, key, value))
-
-
-def _as_float(section, key, value):
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(
-            "{}.{}: expected a number, got {!r}".format(section, key, value))
-
-
-def _as_bool(section, key, value):
-    lowered = value.lower()
-    if lowered in ("true", "yes", "1", "on"):
-        return True
-    if lowered in ("false", "no", "0", "off"):
-        return False
-    raise ConfigError(
-        "{}.{}: expected a boolean, got {!r}".format(section, key, value))
-
-
-def _as_float_list(section, key, value):
-    try:
-        return tuple(float(v) for v in value.split(","))
-    except ValueError:
-        raise ConfigError(
-            "{}.{}: expected comma-separated numbers, got {!r}"
-            .format(section, key, value))
-
-
-def _as_int_list(section, key, value):
-    try:
-        return tuple(int(v) for v in value.split(","))
-    except ValueError:
-        raise ConfigError(
-            "{}.{}: expected comma-separated integers, got {!r}"
-            .format(section, key, value))
+        with open(path, "r", encoding="utf-8") as fh:
+            return _parse_ini(fh.read())
+    except OSError as exc:
+        raise ConfigError("cannot read config: {}".format(exc))
 
 
 class ExperimentConfig:
     """Fully-resolved run description; every default is materialized so the
-    echoed copy in summary.json describes the run completely."""
+    echoed copy in summary.json describes the run completely.
+
+    Each key of `_KEYS` sets one attribute, read from `sections`
+    ({section: {key: text}}, as `_parse_ini` returns) or from its default,
+    and checked as it is read: a bad value raises ConfigError naming
+    `section.key`."""
 
     def __init__(self, sections):
-        pre = sections.get("", {})
-        dom = sections.get("domain", {})
-        sol = sections.get("solver", {})
-        out = sections.get("output", {})
-
-        task = pre.get("task", "solve")
-        if task not in TASKS:
-            raise ConfigError("task: unknown task {!r}; choose one of {}"
-                              .format(task, "|".join(TASKS)))
-        self.task = task
-
-        kind = dom.get("kind", "square")
-        if kind not in ("square", "disk"):
-            raise ConfigError(
-                "domain.kind: expected square or disk, got {!r}".format(kind))
-        self.domain_kind = kind
-        self.level = _as_int("domain", "level", dom.get("level", "4"))
-        if self.level < 1:
-            raise ConfigError("domain.level: must be >= 1")
-        if "size" in dom:
-            self.size = _as_int("domain", "size", dom["size"])
-            if self.size < 1:
-                raise ConfigError("domain.size: must be >= 1")
-        else:
-            self.size = 2 ** self.level
-
-        self.metric_spec = sections.get("metric", {}).get("metric",
-                                                          "euclidean")
-        self.weight_spec = sections.get("weight", {}).get("weight", "const:1")
-        self.boundary_spec = sections.get("boundary", {}).get("boundary",
-                                                              "dirichlet")
-
-        self.t = _as_float("solver", "t", sol.get("t", "0"))
-        if self.t < 0.0:
-            raise ConfigError("solver.t: must be >= 0")
-        self.k_each = _as_int("solver", "k_each", sol.get("k_each", "200"))
-        self.mode = sol.get("mode", "auto")
-        if self.mode not in MODES:
-            raise ConfigError(
-                "solver.mode: expected auto, dense, or sparse, got {!r}"
-                .format(self.mode))
-        self.seed = _as_int("solver", "seed", sol.get("seed", "0"))
-        if self.seed < 0:
-            raise ConfigError("solver.seed: must be >= 0")
-        self.quad_order = _as_int("solver", "quad_order",
-                                  sol.get("quad_order", "2"))
-        self.k_max = _as_int("solver", "k_max", sol.get("k_max", "50"))
-        self.t_list = _as_float_list("solver", "t_list",
-                                     sol.get("t_list", "0.5,0.1,0.02"))
-        self.trials = _as_int("solver", "trials", sol.get("trials", "100"))
-        self.k = _as_int("solver", "k", sol.get("k", "3"))
-        for key in ("k_each", "k_max", "trials", "k"):
-            if getattr(self, key) < 1:
-                raise ConfigError("solver.{}: must be >= 1".format(key))
-        self.partition = sol.get("partition", "halves")
-        if self.partition not in ("halves", "quadrants"):
-            raise ConfigError(
-                "solver.partition: expected halves or quadrants, got {!r}"
-                .format(self.partition))
-        self.levels = _as_int_list("solver", "levels",
-                                   sol.get("levels", "4,5"))
-        if min(self.levels) < 1:
-            raise ConfigError("solver.levels: every level must be >= 1")
-        window = sol.get("window", "auto")
-        self.window = (None if window == "auto"
-                       else _as_int_list("solver", "window", window))
-        if self.window is not None:
-            if len(self.window) != 2:
-                raise ConfigError("solver.window: expected k_lo,k_hi")
+        for row in _KEYS:
+            raw = sections.get(row.section, {}).get(row.key, row.default)
+            if callable(raw):  # a default derived from the keys before it
+                raw = raw(self)
             try:
-                _check_window(self.window)
+                setattr(self, row.attr, row.parse(raw))
             except ValueError as exc:
-                raise ConfigError("solver.window: {}".format(exc)) from None
-
-        self.out_dir = out.get("dir", "out")
-        self.svg = _as_bool("output", "svg", out.get("svg", "false"))
+                field = ".".join(filter(None, (row.section, row.key)))
+                raise ConfigError("{}: {}".format(field, exc)) from None
 
     @classmethod
     def from_text(cls, text):
@@ -263,101 +280,51 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path):
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                return cls.from_text(fh.read())
-        except OSError as exc:
-            raise ConfigError("cannot read config: {}".format(exc))
+        return cls(_read_ini(path))
 
     def resolved(self):
-        return {
-            "task": self.task,
-            "domain": {"kind": self.domain_kind, "level": self.level,
-                       "size": self.size},
-            "metric": self.metric_spec,
-            "weight": self.weight_spec,
-            "boundary": self.boundary_spec,
-            "solver": {
-                "t": self.t,
-                "k_each": self.k_each,
-                "mode": self.mode,
-                "seed": self.seed,
-                "quad_order": self.quad_order,
-                "k_max": self.k_max,
-                "t_list": list(self.t_list),
-                "trials": self.trials,
-                "k": self.k,
-                "partition": self.partition,
-                "levels": list(self.levels),
-                "window": ("auto" if self.window is None
-                           else list(self.window)),
-            },
-            "output": {"dir": self.out_dir, "svg": self.svg},
-        }
+        """Every key's value as JSON data: tuples as lists, the "auto"
+        window (None) as "auto"."""
+        out = {}
+        for row in _KEYS:
+            value = getattr(self, row.attr)
+            if value is None:
+                value = "auto"
+            elif isinstance(value, tuple):
+                value = list(value)
+            if row.section in ("", row.key):
+                out[row.key] = value
+            else:
+                out.setdefault(row.section, {})[row.key] = value
+        return out
 
 
-def _keyword_params(field, payload):
-    params = {}
-    if not payload:
-        return params
-    for part in payload.split(","):
-        key, eq, value = part.partition("=")
-        if not eq:
-            raise ConfigError(
-                "{}: expected key=value parameters, got {!r}"
-                .format(field, part))
-        params[key.strip()] = value.strip()
-    return params
+# ---------------------------------------------------------------------------
+# field specs: `head[:payload]` strings naming a metric, weight or boundary
 
 
-def build_metric(spec):
-    """Recognized metric strings: euclidean | graph_cone | cone:alpha=<rad> |
-    checkerboard:a=<f>,b=<f>[,cells=<n>] | pullback:shear=<f>."""
-    head = spec.partition(":")[0]
-    payload = spec.partition(":")[2]
-    if head == "euclidean":
-        if payload:
-            raise ConfigError("metric: euclidean takes no parameters")
-        return euclidean_metric()
-    if head == "graph_cone":
-        if payload:
-            raise ConfigError("metric: graph_cone takes no parameters")
-        return graph_cone_metric()
-    if head == "cone":
-        params = _keyword_params("metric", payload)
-        if "alpha" not in params:
-            raise ConfigError(
-                "metric: cone requires alpha=<radians>, got {!r}".format(spec))
-        alpha = _as_float("metric", "alpha", params.pop("alpha"))
-        if params:
-            raise ConfigError("metric: unknown cone parameters {}"
-                              .format(sorted(params)))
-        return cone_metric(alpha)
-    if head == "checkerboard":
-        params = _keyword_params("metric", payload)
-        a = _as_float("metric", "a", params.pop("a", "1"))
-        b = _as_float("metric", "b", params.pop("b", "2"))
-        cells = _as_int("metric", "cells", params.pop("cells", "2"))
-        if params:
-            raise ConfigError("metric: unknown checkerboard parameters {}"
-                              .format(sorted(params)))
-        return checkerboard_metric(a, b, cells)
-    if head == "pullback":
-        params = _keyword_params("metric", payload)
-        if "shear" not in params:
-            raise ConfigError("metric: pullback requires shear=<float>")
-        s = _as_float("metric", "shear", params.pop("shear"))
-        if params:
-            raise ConfigError("metric: unknown pullback parameters {}"
-                              .format(sorted(params)))
-        return _shear_pullback(s)
-    raise ConfigError("metric: unknown metric kind {!r}".format(head))
+class _Kind(NamedTuple):
+    """One spec kind: its head, the constructor it calls and what it takes.
+
+    The payload's leading comma-separated values are read by `values`, in
+    order, and the `name=value` pairs after them by `options`, keyed by the
+    constructor's keyword; the constructor's signature says which of them
+    are required and gives the defaults. A kind with one value and no
+    options reads the whole payload, commas included. `usage` ends the
+    error message of a payload that does not fit.
+    """
+
+    head: str
+    build: Callable
+    usage: str = "takes no parameters"
+    values: tuple = ()
+    options: dict = {}
 
 
-def _shear_pullback(s):
-    J = np.array([[1.0, s], [0.0, 1.0]])
+def _shear_pullback(shear):
+    J = np.array([[1.0, shear], [0.0, 1.0]])
     # singular values of the shear; JtJ has trace s^2 + 2 and det 1
-    tr = s * s + 2.0
+    tr = shear * shear + 2.0
     hi = np.sqrt((tr + np.sqrt(tr * tr - 4.0)) / 2.0)
     return pullback_metric(
         euclidean_metric(),
@@ -367,63 +334,83 @@ def _shear_pullback(s):
     )
 
 
-def build_weight(spec):
-    """Recognized weight strings: const:<v> | halves:<v+>,<v-> |
-    checkerboard:<a>,<b>[,cells=<n>] | expr:<expression>."""
+_METRICS = (
+    _Kind("euclidean", euclidean_metric),
+    _Kind("graph_cone", graph_cone_metric),
+    _Kind("cone", cone_metric, "requires alpha=<radians>",
+          options={"alpha": float}),
+    _Kind("checkerboard", checkerboard_metric,
+          "takes a=<f>, b=<f> and cells=<n>, each optional",
+          options={"a": float, "b": float, "cells": int}),
+    _Kind("pullback", _shear_pullback, "requires shear=<float>",
+          options={"shear": float}),
+)
+_WEIGHTS = (
+    _Kind("const", constant_weight, "requires a value, e.g. const:1",
+          (float,)),
+    _Kind("halves", halves_weight, "requires two values, e.g. halves:1,-1",
+          (float, float)),
+    _Kind("checkerboard", checkerboard_weight,
+          "requires two values, then optionally cells=<n>, "
+          "e.g. checkerboard:1,-1", (float, float), {"cells": int}),
+    _Kind("expr", expression_weight, "requires an expression", (str,)),
+)
+_BOUNDARIES = (
+    _Kind("dirichlet", BoundarySpec.dirichlet),
+    _Kind("neumann", BoundarySpec.neumann),
+    _Kind("mixed", BoundarySpec.mixed, "requires tags, e.g. mixed:1,3",
+          (_list(_integer),)),
+)
+
+
+def _build(field, kinds, spec):
+    """The object of a `head[:payload]` spec, by the row of `kinds` its head
+    names. Every failure, the constructor's own ValueError included, is a
+    ConfigError naming `field`."""
     head, _, payload = spec.partition(":")
-    if head == "const":
-        if not payload:
-            raise ConfigError("weight: const requires a value, e.g. const:1")
-        return constant_weight(_as_float("weight", "const", payload))
-    if head == "halves":
-        parts = payload.split(",") if payload else []
-        if len(parts) != 2:
-            raise ConfigError(
-                "weight: halves requires two values, e.g. halves:1,-1")
-        return halves_weight(_as_float("weight", "plus", parts[0]),
-                             _as_float("weight", "minus", parts[1]))
-    if head == "checkerboard":
-        parts = payload.split(",") if payload else []
-        if len(parts) < 2:
-            raise ConfigError(
-                "weight: checkerboard requires two values, e.g. "
-                "checkerboard:1,-1")
-        cells = 2
-        if len(parts) == 3:
-            key, eq, value = parts[2].partition("=")
-            if key.strip() != "cells" or not eq:
-                raise ConfigError(
-                    "weight: third checkerboard parameter must be cells=<n>")
-            cells = _as_int("weight", "cells", value)
-        elif len(parts) > 3:
-            raise ConfigError("weight: too many checkerboard parameters")
-        return checkerboard_weight(_as_float("weight", "a", parts[0]),
-                                   _as_float("weight", "b", parts[1]),
-                                   cells)
-    if head == "expr":
-        if not payload:
-            raise ConfigError("weight: expr requires an expression")
-        try:
-            return expression_weight(payload)
-        except ValueError as exc:
-            raise ConfigError("weight: {}".format(exc))
-    raise ConfigError("weight: unknown weight kind {!r}".format(head))
+    kind = next((k for k in kinds if k.head == head), None)
+    if kind is None:
+        raise ConfigError("{}: {}".format(field, _unknown(
+            field + " kind", head, [k.head for k in kinds])))
+    n = len(kind.values)
+    if not payload:
+        parts = []
+    elif n == 1 and not kind.options:
+        parts = [payload]
+    else:
+        parts = payload.split(",")
+    try:
+        args = [convert(part) for convert, part in zip(kind.values, parts)]
+        kwargs = {}
+        for part in parts[n:]:
+            name, eq, value = part.partition("=")
+            name = name.strip()
+            if not eq or name not in kind.options:
+                raise ValueError(part)
+            kwargs[name] = kind.options[name](value)
+        inspect.signature(kind.build).bind(*args, **kwargs)
+    except (ValueError, TypeError):
+        raise ConfigError("{}: {} {}, got {!r}".format(
+            field, head, kind.usage, spec)) from None
+    try:
+        return kind.build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError("{}: {}".format(field, exc)) from None
+
+
+def build_metric(spec):
+    """The metric field of a spec whose kind is a row of `_METRICS`."""
+    return _build("metric", _METRICS, spec)
+
+
+def build_weight(spec):
+    """The weight field of a spec whose kind is a row of `_WEIGHTS`."""
+    return _build("weight", _WEIGHTS, spec)
 
 
 def build_boundary(spec):
-    """Recognized boundary strings: dirichlet | neumann | mixed:<tag>,<tag>,..."""
-    head, _, payload = spec.partition(":")
-    if head == "dirichlet":
-        return BoundarySpec.dirichlet()
-    if head == "neumann":
-        return BoundarySpec.neumann()
-    if head == "mixed":
-        if not payload:
-            raise ConfigError(
-                "boundary: mixed requires tags, e.g. mixed:1,3")
-        tags = _as_int_list("boundary", "mixed", payload)
-        return BoundarySpec.mixed(tags)
-    raise ConfigError("boundary: unknown boundary kind {!r}".format(head))
+    """The `BoundarySpec` of a spec whose kind is a row of `_BOUNDARIES`."""
+    return _build("boundary", _BOUNDARIES, spec)
 
 
 def _build_mesh(kind, size):
@@ -718,31 +705,25 @@ def main(argv=None) -> int:
     for task in TASKS:
         tp = sub.add_parser(task)
         tp.add_argument("--config", required=True)
-        tp.add_argument("--out", default=None)
-        tp.add_argument("--level", type=int, default=None)
-        tp.add_argument("--seed", type=int, default=None)
+        tp.add_argument("--out", dest="dir")
+        tp.add_argument("--level")
+        tp.add_argument("--seed")
     args = parser.parse_args(argv)
 
     try:
-        cfg = ExperimentConfig.from_file(args.config)
+        sections = _read_ini(args.config)
+        ExperimentConfig(sections)  # the file must be valid as written
+        # the subcommand and each flag override the key they are named after
+        if args.level is not None:  # and the size follows a new level
+            sections.get("domain", {}).pop("size", None)
+        for row in _KEYS:
+            flag = getattr(args, row.key, None)
+            if flag is not None:
+                sections.setdefault(row.section, {})[row.key] = flag
+        cfg = ExperimentConfig(sections)
     except ConfigError as exc:
         print("config error: {}".format(exc), file=sys.stderr)
         return EXIT_CONFIG
-
-    cfg.task = args.task
-    if args.out is not None:
-        cfg.out_dir = args.out
-    if args.level is not None:
-        if args.level < 1:
-            print("config error: --level must be >= 1", file=sys.stderr)
-            return EXIT_CONFIG
-        cfg.level = args.level
-        cfg.size = 2 ** args.level
-    if args.seed is not None:
-        if args.seed < 0:
-            print("config error: --seed must be >= 0", file=sys.stderr)
-            return EXIT_CONFIG
-        cfg.seed = args.seed
     return run(cfg)
 
 

@@ -342,8 +342,9 @@ def _lanczos_ends(A, M, Minv, v0, masses, k_each, vectors):
     so that no eigenvalue near zero is dropped; `_signed_ends` sends an
     n-row pencil here only when k_each < n, within ARPACK's reach. Without
     `vectors`, ARPACK skips its Ritz-vector pass and the columns come back
-    as None. Every ARPACK failure, non-convergence or another, raises
-    SolverError.
+    as None; with them, a sign whose end does not run gets (n, 0) columns,
+    as on the dense path. Every ARPACK failure, non-convergence or another,
+    raises SolverError.
     """
     from scipy.sparse.linalg import ArpackError, eigsh
 
@@ -364,7 +365,7 @@ def _lanczos_ends(A, M, Minv, v0, masses, k_each, vectors):
         w, V = run("BE", 2 * k_each)
         return _split_signed(w, V, k_each)
     pos = neg = np.empty(0)
-    vp = vn = None
+    vp = vn = np.empty((n, 0)) if vectors else None
     if plus:
         w, V = run("LA", k_each)
         pos, _, vp, _ = _split_signed(w, V, k_each)

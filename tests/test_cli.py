@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import roughweyl.cli
 import roughweyl.varprin
@@ -26,13 +28,111 @@ from roughweyl.cli import (
 )
 from roughweyl.fields import MetricField, WeightField
 from roughweyl.mesh import generate_unit_square
-from roughweyl.spectral import Spectrum
+from roughweyl.spectral import MODES, Spectrum
 from roughweyl.weyl import FitError, WeylTarget, convergence_study
 
 
 def write_config(path, text):
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def readme_layout():
+    """{section: (keys, comment text)} of README's "All keys with their
+    defaults" block; '' is the preamble."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text(encoding="utf-8").split(
+        "All keys with their defaults:", 1)[1]
+    block = block.split("```ini\n", 1)[1].split("```", 1)[0]
+    layout = {"": ([], [])}
+    section = ""
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        code = code.strip()
+        if code.startswith("["):
+            section = code.strip("[]")
+            layout[section] = ([], [])
+        elif code:
+            layout[section][0].append(code.partition("=")[0].strip())
+        layout[section][1].append(comment)
+    return {section: (keys, " ".join(comments))
+            for section, (keys, comments) in layout.items()}
+
+
+def ini_text(values):
+    """Config text setting {key: text} in the sections the table gives."""
+    lines = []
+    section = ""
+    for row in roughweyl.cli._KEYS:
+        if row.key not in values:
+            continue
+        if row.section != section:
+            section = row.section
+            lines.append("[{}]".format(section))
+        lines.append("{} = {}".format(row.key, values[row.key]))
+    return "\n".join(lines) + "\n"
+
+
+def echo_text(value):
+    """Config text of one value echoed by `resolved()`."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, list):
+        return ",".join(map(str, value))
+    return str(value)
+
+
+def flatten(resolved):
+    """{key: value} of a `resolved()` echo, its sections flattened."""
+    return {key: value for name, body in resolved.items()
+            for key, value in (body.items() if isinstance(body, dict)
+                               else [(name, body)])}
+
+
+def echo_bytes(resolved):
+    """The echo as `save_report` serializes it."""
+    return json.dumps(resolved, indent=2, sort_keys=True)
+
+
+def integers(lo):
+    return st.integers(lo, 10 ** 6).map(str)
+
+
+# Config text of every key's valid values, drawn per key of the table
+SPEC_TEXT = st.text(st.characters(min_codepoint=32, max_codepoint=126),
+                    max_size=16).map(str.strip)
+VALID_TEXT = {
+    "task": st.sampled_from(roughweyl.cli.TASKS),
+    "kind": st.sampled_from(["square", "disk"]),
+    # past level 14284, 2^level has more digits than str or JSON writes
+    "level": st.integers(1, 64).map(str),
+    "size": integers(1),
+    "metric": SPEC_TEXT,
+    "weight": SPEC_TEXT,
+    "boundary": SPEC_TEXT,
+    # "nan" parses too, though no run can use it, and never equals itself
+    "t": st.floats(min_value=0.0, allow_nan=False).map(repr),
+    "k_each": integers(1),
+    "mode": st.sampled_from(MODES),
+    "seed": integers(0),
+    "quad_order": st.sampled_from(["1", "2", "4"]),
+    "k_max": integers(1),
+    "t_list": st.lists(st.floats(0.0, 1.0, exclude_min=True,
+                                 exclude_max=True), min_size=1, max_size=4)
+    .map(lambda ts: ",".join(map(repr, ts))),
+    "trials": integers(1),
+    "k": integers(1),
+    "partition": st.sampled_from(["halves", "quadrants"]),
+    "levels": st.lists(st.integers(1, 30), min_size=1, max_size=4)
+    .map(lambda ls: ",".join(map(str, ls))),
+    "window": st.one_of(
+        st.just("auto"),
+        st.tuples(st.integers(10, 10 ** 4), st.integers(19, 10 ** 4))
+        .map(lambda w: "{},{}".format(w[0], w[0] + w[1]))),
+    "dir": SPEC_TEXT,
+    "svg": st.sampled_from(["true", "false", "yes", "no", "1", "0", "on",
+                            "OFF"]),
+}
 
 
 class TestConfigParse:
@@ -144,6 +244,11 @@ svg = true
         ("[solver]\nlevels = 4,-1\n", r"solver\.levels: .* >= 1"),
         ("[solver]\npartition = thirds\n", "halves or quadrants"),
         ("[output]\nsvg = maybe\n", "boolean"),
+        ("[solver]\nt_list = 0.5,1.5\n",
+         r"solver\.t_list: must lie in \(0, 1\)"),
+        ("[solver]\nt_list = 0,0.5\n", r"solver\.t_list: must lie in"),
+        ("[solver]\nquad_order = 3\n",
+         r"solver\.quad_order: unknown quadrature order '3'; expected 1, 2"),
     ])
     def test_bad_values_rejected(self, text, pattern):
         with pytest.raises(ConfigError, match=pattern):
@@ -163,6 +268,110 @@ svg = true
         cfg = ExperimentConfig.from_text(
             "; full-line comment\n\n# another\ntask = solve\n")
         assert cfg.task == "solve"
+
+
+class TestConfigTable:
+    """One row per config key and per spec kind; the parser, the echo and
+    README read the same rows."""
+
+    def test_each_key_and_kind_declared_once(self):
+        rows = roughweyl.cli._KEYS
+        assert len({row.key for row in rows}) == len(rows)
+        assert len({row.attr for row in rows}) == len(rows)
+        for kinds in (roughweyl.cli._METRICS, roughweyl.cli._WEIGHTS,
+                      roughweyl.cli._BOUNDARIES):
+            assert len({kind.head for kind in kinds}) == len(kinds)
+
+    def test_parser_echo_and_readme_keys_agree(self):
+        def accepts(section, key):
+            head = "[{}]\n".format(section) if section else ""
+            try:
+                roughweyl.cli._parse_ini("{}{} = x\n".format(head, key))
+            except ConfigError:
+                return False
+            return True
+
+        readme = {(section, key) for section, (keys, _) in
+                  readme_layout().items() for key in keys}
+        table = {(row.section, row.key) for row in roughweyl.cli._KEYS}
+        accepted = {pair for pair in readme | table if accepts(*pair)}
+        echoed = set(flatten(ExperimentConfig.from_text("").resolved()))
+        assert accepted == readme == table
+        assert {key for _, key in accepted} == echoed
+        assert len(readme) == sum(
+            len(keys) for keys, _ in readme_layout().values())
+
+    def test_every_spec_kind_in_readme_grammar(self):
+        layout = readme_layout()
+        for section, kinds in (("metric", roughweyl.cli._METRICS),
+                               ("weight", roughweyl.cli._WEIGHTS),
+                               ("boundary", roughweyl.cli._BOUNDARIES)):
+            grammar = layout[section][1]
+            for kind in kinds:
+                assert re.search(r"(^|[\s|]){}(:|\s|$)".format(kind.head),
+                                 grammar), (section, kind.head)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.fixed_dictionaries(
+        {}, optional={row.key: VALID_TEXT[row.key]
+                      for row in roughweyl.cli._KEYS}))
+    def test_echo_parses_back_to_itself(self, values):
+        # the summary.json echo describes the run completely: rendered back
+        # to config text it reads as the same config, to the JSON byte
+        first = ExperimentConfig.from_text(ini_text(values)).resolved()
+        text = ini_text({key: echo_text(value)
+                         for key, value in flatten(first).items()})
+        second = ExperimentConfig.from_text(text).resolved()
+        assert second == first
+        assert echo_bytes(second) == echo_bytes(first)
+
+    @pytest.mark.parametrize("task, solver, pattern", [
+        ("sandwich", "t_list = 0.5,1.5", r"solver\.t_list: must lie in"),
+        ("solve", "quad_order = 3", r"solver\.quad_order: unknown"),
+    ])
+    def test_bad_value_refused_before_any_mesh(self, tmp_path, capsys,
+                                               monkeypatch, task, solver,
+                                               pattern):
+        def fail(*args, **kwargs):
+            raise AssertionError("reached past the config check")
+
+        for name in ("solve_weighted", "generate_unit_square"):
+            monkeypatch.setattr(roughweyl.cli, name, fail)
+        config = write_config(
+            tmp_path / "run.cfg",
+            "[domain]\nlevel = 5\n[solver]\n{}\n[output]\ndir = {}\n"
+            .format(solver, tmp_path / "out"))
+        assert main([task, "--config", config]) == 2
+        assert re.search(pattern, capsys.readouterr().err)
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--level", "0"], "config error: domain.level: must be >= 1"),
+        (["--level", "three"],
+         "config error: domain.level: expected an integer, got 'three'"),
+        (["--seed", "-1"], "config error: solver.seed: must be >= 0"),
+    ])
+    def test_flags_are_checked_like_their_keys(self, tmp_path, capsys,
+                                               flags, message):
+        config = write_config(tmp_path / "run.cfg", "[domain]\nlevel = 3\n")
+        assert main(["solve", "--config", config] + flags) == 2
+        assert message in capsys.readouterr().err
+
+    def test_file_is_checked_before_a_flag_overrides_it(self, tmp_path,
+                                                        capsys):
+        config = write_config(tmp_path / "run.cfg", "[domain]\nlevel = 0\n")
+        assert main(["solve", "--config", config, "--level", "3"]) == 2
+        assert "domain.level: must be >= 1" in capsys.readouterr().err
+
+    def test_level_flag_replaces_a_configured_size(self, tmp_path):
+        out = tmp_path / "out"
+        config = write_config(
+            tmp_path / "run.cfg",
+            "[domain]\nsize = 24\n[solver]\nk_each = 4\n[output]\n"
+            "dir = {}\n".format(out))
+        assert main(["solve", "--config", config, "--level", "2"]) == 0
+        domain = json.loads((out / "summary.json").read_text())["config"][
+            "domain"]
+        assert domain == {"kind": "square", "level": 2, "size": 4}
 
 
 class TestBuilders:
@@ -207,6 +416,22 @@ class TestBuilders:
     def test_weight_errors(self, spec, pattern):
         with pytest.raises(ConfigError, match=pattern):
             build_weight(spec)
+
+    @pytest.mark.parametrize("build, spec, message", [
+        (build_weight, "const:0", "weight: constant weight must be nonzero"),
+        (build_metric, "cone:alpha=4", "metric: alpha must lie in (0, pi]"),
+        (build_metric, "checkerboard:a=-1", "metric: region matrix"),
+        (build_weight, "checkerboard:1,-1,cells=0",
+         "weight: cells must be >= 1"),
+        (build_boundary, "dirichlet:1",
+         "boundary: dirichlet takes no parameters, got 'dirichlet:1'"),
+        (build_metric, "cone:0.8",
+         "metric: cone requires alpha=<radians>, got 'cone:0.8'"),
+    ])
+    def test_spec_errors_name_the_field(self, build, spec, message):
+        with pytest.raises(ConfigError) as exc:
+            build(spec)
+        assert str(exc.value).startswith(message)
 
     def test_boundary_specs(self):
         assert build_boundary("dirichlet").kind == "dirichlet"

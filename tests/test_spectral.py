@@ -732,6 +732,22 @@ class TestEigenvaluesOnly:
         solve_weighted(p, 0.0, 8, mode="sparse", vectors=False)
         assert calls == [("BE", False)]
 
+    @pytest.mark.parametrize("mode", FORCED)
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_empty_family_has_empty_columns(self, mode, bc, sign):
+        # a single-sign weight leaves one family empty; with vectors its
+        # columns are (n_free, 0) on both paths, grounded or not
+        p = square_pencil(16, constant_weight(sign),
+                          getattr(BoundarySpec, bc)())
+        s = solve_weighted(p, 0.0, 10, mode=mode)
+        full, empty = ((s.vec_pos, s.vec_neg) if sign > 0
+                       else (s.vec_neg, s.vec_pos))
+        assert full.shape == (p.n_free, 10)
+        assert empty.shape == (p.n_free, 0)
+        only = solve_weighted(p, 0.0, 10, mode=mode, vectors=False)
+        assert only.vec_pos is None and only.vec_neg is None
+
 
 SCALED_WEIGHTS = {
     "const": constant_weight,
