@@ -103,8 +103,15 @@ def _typed(convert, noun):
     return parse
 
 
+def _finite(raw):
+    value = float(raw)
+    if not np.isfinite(value):  # "nan" and "inf" parse as floats
+        raise ValueError
+    return value
+
+
 _integer = _typed(int, "an integer")
-_number = _typed(float, "a number")
+_number = _typed(_finite, "a finite number")
 
 
 def _boolean(raw):

@@ -55,6 +55,14 @@ whose A applies its rank-two term in an operator.
 For rho of both signs one Krylov space serves both families: ARPACK's
 "BE" mode takes k_each eigenvalues from each spectral end in a single
 run. Lanczos always starts from one fixed vector.
+A run that asks for k eigenvalues keeps a basis of
+ncv = min(n, max(20, 2k + 1), k + max(k // 2, 20)) Lanczos vectors, an
+n x ncv array and the largest thing a sparse solve holds. That is scipy's
+default 2k + 1 up to k = 19 and about 1.5 k from k = 40 on: a quarter
+less basis, 129 to 97 MB at L7 with k = 500, and faster there (the 2k of
+the ARPACK Users' Guide is a rule of thumb for convergence, not a
+requirement). Where ncv is a large share of n, a run restarts more often
+and takes up to about a fifth longer.
 
 Factor step and verdict: every SPD form that is inverted is factored once
 by `_symmetric_factor` (sparse LU in symmetric mode, minimum-degree
@@ -345,16 +353,23 @@ def _lanczos_ends(A, M, Minv, v0, masses, k_each, vectors):
     as None; with them, a sign whose end does not run gets (n, 0) columns,
     as on the dense path. Every ARPACK failure, non-convergence or another,
     raises SolverError.
+
+    A run of k eigenvalues keeps min(n, max(20, 2k + 1), k + max(k // 2,
+    20)) basis vectors: scipy's default up to k = 19, so small solves and
+    the Poincare constant are unchanged, and k + k // 2 from k = 40 on,
+    a quarter less basis (module docstring).
     """
     from scipy.sparse.linalg import ArpackError, eigsh
 
     n = len(v0)
 
     def run(which, k):
+        ncv = min(n, max(20, 2 * k + 1), k + max(k // 2, 20))
         try:
             if vectors:
-                return eigsh(A, k=k, M=M, Minv=Minv, which=which, v0=v0)
-            w = eigsh(A, k=k, M=M, Minv=Minv, which=which, v0=v0,
+                return eigsh(A, k=k, M=M, Minv=Minv, which=which, v0=v0,
+                             ncv=ncv)
+            w = eigsh(A, k=k, M=M, Minv=Minv, which=which, v0=v0, ncv=ncv,
                       return_eigenvectors=False)
             return np.sort(w), None
         except ArpackError as exc:
@@ -463,6 +478,18 @@ def _signed_ends(A, M, rf, masses, k_each, mode, vectors):
     return pos, neg, vp, vn, method
 
 
+def _shifted(p, t):
+    """(Kt, rf) of the problem at shift t: K + t Mm and no constraint for
+    t > 0; K and `project_constraint`'s vector at t = 0. Any t outside
+    [0, inf) raises ValueError: a NaN would take neither branch and pose
+    the unshifted problem without its constraint."""
+    if not 0.0 <= t < np.inf:
+        raise ValueError("t must be >= 0 and finite, got {!r}".format(t))
+    if t > 0.0:
+        return p.Kf + t * p.Mmf, None
+    return p.Kf, project_constraint(p)
+
+
 def solve_weighted(p: Pencil, t: float = 0.0, k_each: int = 6,
                    mode: str = "auto", vectors: bool = True) -> Spectrum:
     """Solve R v = lambda (K + t Mm) v, k_each eigenvalues per sign.
@@ -478,15 +505,11 @@ def solve_weighted(p: Pencil, t: float = 0.0, k_each: int = 6,
     1 / lambda_k^+ (on a pure-Neumann pencil, those above the zero mode).
     `mode` "auto" picks the path by the cost rule, "dense" and "sparse"
     force theirs (module docstring); any other value raises ValueError, as
-    do t < 0 and k_each < 1.
+    do a t outside [0, inf) and k_each < 1.
     """
-    if t < 0.0:
-        raise ValueError("t must be >= 0")
     if k_each < 1:
         raise ValueError("k_each must be >= 1, got {}".format(k_each))
-    rf = project_constraint(p) if t == 0.0 else None
-    constrained = rf is not None
-    Kt = p.Kf + t * p.Mmf if t > 0.0 else p.Kf
+    Kt, rf = _shifted(p, t)
     pos, neg, vp, vn, method = _signed_ends(p.Rf, Kt, rf, p.masses, k_each,
                                             mode, vectors)
     meta = {
@@ -494,7 +517,7 @@ def solve_weighted(p: Pencil, t: float = 0.0, k_each: int = 6,
         "method": method,
         "n_free": p.n_free,
         "k_each": int(k_each),
-        "constrained": constrained,
+        "constrained": rf is not None,
     }
     return Spectrum(pos, neg, vp, vn, meta)
 
@@ -514,16 +537,13 @@ def count_inertia(p: Pencil, s: float, sign: int, t: float = 0.0) -> int:
     rank-two term would need a border of two rows to stay sparse, where
     the constraint itself needs one.
     A factor that needs an off-diagonal pivot, as at s on an eigenvalue,
-    raises SolverError.
+    raises SolverError; a t outside [0, inf) raises ValueError.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     if not s > 0.0:
         raise ValueError("s must be positive")
-    if t < 0.0:
-        raise ValueError("t must be >= 0")
-    rf = project_constraint(p) if t == 0.0 else None
-    Kt = p.Kf + t * p.Mmf if t > 0.0 else p.Kf
+    Kt, rf = _shifted(p, t)
     A = p.Rf - (sign * s) * Kt
     if rf is not None:
         A = sparse.bmat([[A, rf[:, None]], [rf[None, :], None]])

@@ -110,8 +110,7 @@ VALID_TEXT = {
     "metric": SPEC_TEXT,
     "weight": SPEC_TEXT,
     "boundary": SPEC_TEXT,
-    # "nan" parses too, though no run can use it, and never equals itself
-    "t": st.floats(min_value=0.0, allow_nan=False).map(repr),
+    "t": st.floats(min_value=0.0, allow_infinity=False).map(repr),
     "k_each": integers(1),
     "mode": st.sampled_from(MODES),
     "seed": integers(0),
@@ -234,6 +233,8 @@ svg = true
         ("[domain]\nkind = annulus\n", "square or disk"),
         ("[domain]\nlevel = zero\n", "integer"),
         ("[solver]\nt = -0.5\n", ">= 0"),
+        ("[solver]\nt = nan\n", r"solver\.t: expected a finite number"),
+        ("[solver]\nt = inf\n", r"solver\.t: expected a finite number"),
         ("[solver]\nk = 0\n", r"solver\.k: must be >= 1"),
         ("[solver]\nk_max = 0\n", r"solver\.k_max: must be >= 1"),
         ("[solver]\ntrials = 0\n", r"solver\.trials: must be >= 1"),
@@ -343,6 +344,20 @@ class TestConfigTable:
             .format(solver, tmp_path / "out"))
         assert main([task, "--config", config]) == 2
         assert re.search(pattern, capsys.readouterr().err)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
+    def test_non_finite_t_is_a_config_error(self, tmp_path, capsys, value):
+        # NaN took neither the t > 0 nor the t = 0 branch of the solve,
+        # and its echo "t": NaN is not JSON
+        out = tmp_path / "out"
+        config = write_config(
+            tmp_path / "run.cfg",
+            "[domain]\nlevel = 3\n[solver]\nt = {}\n[output]\ndir = {}\n"
+            .format(value, out))
+        assert main(["solve", "--config", config]) == 2
+        assert ("config error: solver.t: expected a finite number"
+                in capsys.readouterr().err)
+        assert not (out / "summary.json").exists()
 
     @pytest.mark.parametrize("flags, message", [
         (["--level", "0"], "config error: domain.level: must be >= 1"),

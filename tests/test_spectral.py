@@ -193,6 +193,17 @@ class TestSolveWeighted:
         with pytest.raises(ValueError):
             solve_weighted(square_pencil(4), -0.1, 2)
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_non_finite_t_rejected(self, t):
+        # a NaN would pose the unshifted problem without its constraint
+        from roughweyl import count_inertia
+
+        p = square_pencil(4, bc=BoundarySpec.neumann())
+        with pytest.raises(ValueError, match="t must be >= 0 and finite"):
+            solve_weighted(p, t, 2)
+        with pytest.raises(ValueError, match="t must be >= 0 and finite"):
+            count_inertia(p, 1.0, 1, t)
+
     @pytest.mark.parametrize("k_each", [0, -1])
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("size, n_free", [(8, 49), (2, 1)],
@@ -413,6 +424,88 @@ class TestSparseBothEnds:
         s = self._agree(p, p.n_free - 2)
         assert eigsh_calls == ["LA", "SA"]
         assert (len(s.pos), len(s.neg)) == (508, 21)
+
+
+class TestKrylovBasis:
+    """The basis each Lanczos run keeps: scipy's default max(2k + 1, 20) up
+    to k = 19, k + max(k // 2, 20) above, so k + k // 2 from k = 40 on, and
+    never more than the n rows of the pencil; and the spectra that the
+    shorter basis gives where it bites, against the dense oracle."""
+
+    PENCILS = {
+        "const": lambda size: square_pencil(size),
+        "negative": lambda size: square_pencil(size, constant_weight(-2.0)),
+        "halves": lambda size: square_pencil(size, halves_weight(1.0, -1.0)),
+        "neumann_halves": lambda size: square_pencil(
+            size, halves_weight(1.0, -0.5), BoundarySpec.neumann()),
+        "x_plus_y": lambda size: square_pencil(
+            size, expression_weight("x + y - 0.3")),
+    }
+
+    @pytest.mark.parametrize("pencil, size, k_each, runs", [
+        ("const", 16, 8, [("LA", 8, 20)]),
+        ("const", 16, 19, [("LA", 19, 39)]),
+        ("negative", 16, 19, [("SA", 19, 39)]),
+        ("halves", 16, 8, [("BE", 16, 33)]),
+        ("neumann_halves", 16, 8, [("BE", 16, 33)]),
+        ("const", 16, 30, [("LA", 30, 50)]),
+        ("const", 32, 60, [("LA", 60, 90)]),
+        ("negative", 32, 60, [("SA", 60, 90)]),
+        ("halves", 32, 30, [("BE", 60, 90)]),
+        ("halves", 32, 100, [("BE", 200, 300)]),
+        ("neumann_halves", 32, 100, [("BE", 200, 300)]),
+        # capped at n = 49 rows, and at n = 121 when each end runs apart
+        ("const", 8, 40, [("LA", 40, 49)]),
+        ("halves", 8, 20, [("BE", 40, 49)]),
+        ("x_plus_y", 12, 119, [("LA", 119, 121), ("SA", 119, 121)]),
+    ])
+    def test_ncv_of_each_run(self, monkeypatch, pencil, size, k_each, runs):
+        import scipy.sparse.linalg as sla
+
+        calls = []
+        eigsh = sla.eigsh
+
+        def spy(*args, **kwargs):
+            calls.append((kwargs["which"], kwargs["k"], kwargs["ncv"]))
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(sla, "eigsh", spy)
+        solve_weighted(self.PENCILS[pencil](size), 0.0, k_each, mode="sparse",
+                       vectors=False)
+        assert calls == runs
+
+    def test_basis_traced_below_the_default(self, traced_peak):
+        # ARPACK holds the n x ncv basis and, at extraction, a second
+        # n x ncv array, even without eigenvectors. On the L6 square
+        # (n = 3969) at k = 200 the solve peaked at 19.96 MB traced with
+        # ncv = 300, and at 26.95 MB with scipy's default ncv = 401, above
+        # the bound of the default's two arrays (25.47 MB): a margin of
+        # 5.5 MB.
+        p = square_pencil(64)
+        peak = traced_peak(lambda: solve_weighted(p, 0.0, 200, mode="sparse",
+                                                  vectors=False))
+        default_arrays = 2 * 8 * p.n_free * (2 * 200 + 1)
+        assert peak < default_arrays, peak / default_arrays
+
+    @pytest.mark.parametrize("pencil, k_each", [
+        ("const", 150),  # the square's double eigenvalues among them
+        ("halves", 100),  # one BE run of nev = 200
+        ("neumann_halves", 100),  # the grounded pencil
+    ])
+    def test_short_basis_matches_dense_oracle(self, pencil, k_each):
+        p = self.PENCILS[pencil](40)
+        s = solve_weighted(p, 0.0, k_each, mode="sparse", vectors=False)
+        d = solve_weighted(p, 0.0, k_each, mode="dense", vectors=False)
+        assert s.meta["method"] != "dense"
+        for sign in (1, -1):
+            got, want = s.values(sign), d.values(sign)
+            assert len(got) == len(want)
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
+        if pencil == "halves":
+            assert len(s.pos) == k_each
+            np.testing.assert_allclose(s.pos, s.neg, rtol=1e-9)
+        if pencil == "const":
+            assert max(mult for _, mult in s.groups()) == 2
 
 
 class TestCostRule:
