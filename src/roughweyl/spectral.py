@@ -51,32 +51,55 @@ from scipy and runs unblocked); eigenpairs take divide and conquer
 (`dsygvd`), whose eigenvector pass is much faster.
 Sparse: one Lanczos driver, `_sparse_weighted`, over a pencil (A, M) with
 M sparse, SPD and factored once: (R, K + t Mm), or the grounded pencil,
-whose A applies its rank-two term in an operator.
-For rho of both signs one Krylov space serves both families: ARPACK's
-"BE" mode takes k_each eigenvalues from each spectral end in a single
-run. Lanczos always starts from one fixed vector.
+whose A applies its rank-two term in a closure.
+For rho of both signs one Krylov space serves both families: a "BE" run
+takes k_each eigenvalues from each spectral end in a single run. Lanczos
+always starts from one fixed vector.
 A run that asks for k eigenvalues keeps a basis of
 ncv = min(n, max(20, 2k + 1), k + max(k // 2, 20)) Lanczos vectors, an
-n x ncv array and the largest thing a sparse solve holds. That is scipy's
-default 2k + 1 up to k = 19 and about 1.5 k from k = 40 on: a quarter
-less basis, 129 to 97 MB at L7 with k = 500, and faster there (the 2k of
-the ARPACK Users' Guide is a rule of thumb for convergence, not a
-requirement). Where ncv is a large share of n, a run restarts more often
-and takes up to about a fifth longer.
+(ncv + 1) x n array and the largest thing a sparse solve holds. That is
+2k + 1 up to k = 19 and about 1.5 k from k = 40 on: a quarter less basis
+than 2k + 1, 129 to 97 MB at L7 with k = 500 (the 2k of the ARPACK Users'
+Guide is a rule of thumb for convergence, not a requirement).
 
-Factor step and verdict: every SPD form that is inverted is factored once
-by `_symmetric_factor` (sparse LU in symmetric mode, minimum-degree
-ordering on A + A^T, no pivoting, and a check that the pivots stayed on
-the diagonal). `_spd_verdict` reads the pivots and refuses a factor whose
-smallest pivot is not positive and at least `_PIVOT_TOL` times the
-largest. Reading them makes scipy build CSC copies of L and U, 8 MB at
-L7, and keep them on the factor, so the Lanczos driver reads the verdict
-after its Krylov run, once ARPACK has freed its basis; the copies are
-never alive beside it. A singular form must still fail before minutes of
-Lanczos: `_spd_guard` solves once with the start vector and reads the
-verdict first when that solve grows by more than 1 / `_PIVOT_TOL`. Every
-ARPACK failure is judged by the verdict, then raised as SolverError. No
-spectrum is returned from a factor that has not passed.
+The run, `_krylov_schur`, is the thick-restart (Krylov-Schur) Lanczos
+method of G. W. Stewart (SIAM J. Matrix Anal. Appl. 23, 2001) and K. Wu
+and H. Simon (ibid. 22, 2000), in the M-inner product on M^-1 A. It calls
+`lu.solve`, the CSR products and the grounded closure directly, and its
+level-2 and level-3 BLAS are scipy's own (`scipy.linalg.blas`): numpy
+links a second OpenBLAS, whose idle threads spin against scipy's on 2
+cores (with numpy's products an L6 `k_each = 200` solve took 1.07 to
+1.21 s, with scipy's 0.60 s, the run otherwise the same).
+- Start: M^-1 A v0, v0 standard normal from `default_rng(0)`, so the
+  basis lies in the range of the operator.
+- Step: v_j+1 from M^-1 A v_j, orthogonalized against the whole basis by
+  classical Gram-Schmidt, with a second pass, and a third, while a pass
+  leaves the residual below 0.717 of its M-norm before (DGKS). On these
+  pencils the second pass runs on nearly every step. A residual that the
+  third pass still cuts so is zero: the space is invariant, and the
+  basis goes on from a random vector in the range of the operator,
+  orthogonal to it. A basis of all n rows ends with a zero residual.
+- Projection: the basis gives the ncv x ncv matrix kept compact as its
+  diagonal, the coupling of consecutive Lanczos steps and the arrow that
+  couples the kept Ritz vectors to the next one. Each restart forms it
+  once as an ncv x ncv array and eigensolves it in place by LAPACK's
+  divide and conquer, `dsyevd`: the eigenvectors Y overwrite it. On the
+  projected matrices of these runs it is 4 to 10 times faster than
+  `dsyevr` or `dsyev`.
+- Stop: every wanted Ritz value theta_i has |beta y_ncv,i| <= 1e-12
+  |theta_i| + 1e-14 max |theta|, beta the residual norm. Each value's
+  error is then under 1e-12 relative, and the absolute floor lets the
+  unresolved near-zero tail of an unbalanced weight end the run.
+- Restart: keep the p = k + (ncv - k) // 2 Ritz pairs at the wanted ends.
+  The basis becomes their Ritz vectors, V[:p] <- Y^T V[:ncv], in place:
+  one `dgemm` per block of `_ROTATE_COLS` columns of V, into a buffer.
+  The residual becomes vector p. After `_MAX_RESTARTS` restarts the run
+  fails.
+- Memory: besides the basis, the ncv x ncv array, `dsyevd`'s 2 ncv^2
+  workspace while it runs, and the restart's two buffers of ncv and p
+  rows by `_ROTATE_COLS` columns. Eigenvectors, the Ritz vectors
+  V[:ncv]^T Y of the wanted values, are formed in the basis itself, by
+  the restart's product, only when they are asked for.
 
 Counting: `count_inertia(p, s, sign, t)` is N±(s), the number of
 eigenvalues of a sign above s in magnitude, from the pivot signs of one
@@ -85,10 +108,10 @@ pure-Neumann pencil, of R -+ s K bordered by r, border last.
 
 Eigenvectors are optional (`solve_weighted(..., vectors=False)`): the
 dense path then skips the eigenvector back-substitution and the sparse
-path ARPACK's Ritz-vector pass, which dominates a Lanczos run at large
-k_each. Only the variational checkers read eigenvectors.
+path the Ritz-vector product. Only the variational checkers read
+eigenvectors.
 
-scipy's solvers (`scipy.linalg`, `scipy.sparse.linalg`: LAPACK, ARPACK and
+scipy's solvers (`scipy.linalg`, `scipy.sparse.linalg`: BLAS, LAPACK and
 SuperLU) are imported inside the functions that call them, so a process
 that only builds pencils never loads them.
 """
@@ -115,6 +138,8 @@ _MULT_TOL = 1e-8  # relative clustering width for multiplicity reporting
 # smallest pivot of an SPD factorization, relative to the largest: SPD
 # forms on the problem ladder give 0.25-0.31, a singular K about 5e-14
 _PIVOT_TOL = 1e-10
+_MAX_RESTARTS = 1000  # restarts of one Lanczos run before it fails
+_ROTATE_COLS = 256  # column block of a restart's basis product
 _NOT_SPD = ("coercive form could not be factorized; supply t > 0 or a "
             "constraint ({})")
 
@@ -341,38 +366,174 @@ def _spd_guard(lu, A, v):
         _spd_verdict(lu)
 
 
-def _lanczos_ends(A, M, Minv, v0, masses, k_each, vectors):
+def _rotate(V, parts):
+    """V[:q] <- Q^T V[:m] in place, where Q is the m x q matrix whose
+    columns are those of the Fortran-ordered blocks `parts`, side by side:
+    row i becomes the combination of the first m rows that column i of Q
+    holds.
+
+    The product runs over `_ROTATE_COLS` columns of V at a time, one
+    `dgemm` per part into a buffer, so nothing the size of the basis is
+    allocated."""
+    from scipy.linalg.blas import dgemm
+
+    m, n = parts[0].shape[0], V.shape[1]
+    q = sum(P.shape[1] for P in parts)
+    width = min(_ROTATE_COLS, n)
+    block, out = np.empty((m, width)), np.empty((width, q), order="F")
+    for c in range(0, n, width):
+        if c + width > n:  # the last, narrower block
+            width = n - c
+            block, out = np.empty((m, width)), np.empty((width, q), order="F")
+        block[...] = V[:m, c:c + width]
+        at = 0
+        for P in parts:
+            if P.shape[1]:  # out^T = Q^T block, written into out in place
+                dgemm(1.0, block.T, P, c=out[:, at:at + P.shape[1]],
+                      overwrite_c=1)
+            at += P.shape[1]
+        V[:q, c:c + width] = out.T
+
+
+def _krylov_schur(a, M, lu, v0, *, which, k, ncv, vectors):
+    """k eigenvalues of A v = lambda M v, ascending, at the ends `which`
+    names: "LA" the largest, "SA" the smallest, "BE" k // 2 from the low
+    end and the rest from the high end. With `vectors`, their n x k
+    M-orthonormal Ritz vectors as columns; else None.
+
+    Lanczos in the M-inner product on M^-1 A (module docstring): `a`
+    applies A, `lu` solves with M and the sparse M gives M-norms. Every
+    failure, no convergence within `_MAX_RESTARTS` restarts included,
+    raises np.linalg.LinAlgError.
+    """
+    from scipy.linalg.blas import dgemv
+    from scipy.linalg.lapack import dsyevd
+
+    n, m = len(v0), ncv
+    V = np.empty((m + 1, n))  # the basis, one M-orthonormal vector a row
+    T = np.empty((m, m), order="F")  # the projected matrix, per restart
+    d = np.empty(m)  # its diagonal
+    e = np.empty(m)  # e[j] couples steps j and j + 1; e[m - 1] the residual
+    arrow = np.empty(0)  # couples the kept Ritz vectors to the next one
+    rng = np.random.default_rng(0)
+
+    def dot(x, y):  # einsum's own loop, not a threaded BLAS ddot
+        return float(np.einsum("i,i->", x, y))
+
+    def orthogonalize(r, j, Mr, norm):
+        """r M-orthogonal to V[:j] in place, by classical Gram-Schmidt
+        from M r and |r|_M, with a second and a third pass while a pass
+        leaves r below 0.717 of its M-norm before (DGKS). Returns r's
+        M-norm, 0 where the third pass falls as far again (r is then in
+        the span of the basis), and the sum of its coefficients on
+        V[j - 1]."""
+        total = 0.0
+        for _ in range(3):
+            c = dgemv(1.0, V[:j].T, Mr, trans=1)
+            dgemv(-1.0, V[:j].T, c, beta=1.0, y=r, overwrite_y=1)
+            total += c[j - 1]
+            Mr = M @ r
+            new = np.sqrt(abs(dot(r, Mr)))
+            if new > 0.717 * norm:
+                return new, total
+            norm = new
+        return 0.0, total
+
+    def start(x, j):
+        """V[j] from x: M^-1 A x, in the range of the operator, made
+        M-orthogonal to V[:j]."""
+        r = lu.solve(a(x))
+        Mr = M @ r
+        norm = np.sqrt(abs(dot(r, Mr)))
+        if j:
+            norm, _ = orthogonalize(r, j, Mr, norm)
+        if not norm > 0.0:
+            return False
+        np.divide(r, norm, out=V[j])
+        return True
+
+    def ends(count):
+        low = {"LA": 0, "SA": count}.get(which, count // 2)
+        return low, count - low
+
+    def at_ends(Y, count):
+        """The columns of Y at the wanted ends, the low and the high."""
+        low, high = ends(count)
+        return Y[:, :low], Y[:, m - high:]
+
+    if not start(v0, 0):
+        raise np.linalg.LinAlgError("start vector in the null space of A")
+    p = restarts = 0
+    while True:
+        for j in range(p, m):
+            u = a(V[j])
+            w = lu.solve(u)
+            # M w = A v_j, so u gives |w|_M and the first pass
+            beta, d[j] = orthogonalize(w, j + 1, u, np.sqrt(abs(dot(w, u))))
+            if not np.isfinite(beta):
+                raise np.linalg.LinAlgError("non-finite Lanczos residual")
+            e[j] = beta if j + 1 < n else 0.0  # all n rows leave no residual
+            if e[j] > 0.0:
+                np.divide(w, beta, out=V[j + 1])
+            elif j + 1 < m and not any(start(rng.standard_normal(n), j + 1)
+                                       for _ in range(3)):
+                raise np.linalg.LinAlgError("Krylov basis cannot be extended")
+        T.fill(0.0)
+        i = np.arange(m)
+        T[i, i] = d
+        T[:p, p] = arrow
+        T[i[p:m - 1], i[p + 1:]] = e[p:m - 1]
+        theta, Y, info = dsyevd(T, overwrite_a=1)  # Y takes T's memory
+        if info:
+            raise np.linalg.LinAlgError("dsyevd failed (info {})".format(info))
+        low, high = ends(k)
+        want = np.r_[0:low, m - high:m]
+        estimate = np.abs(e[m - 1] * Y[m - 1, want])
+        floor = 1e-14 * max(abs(theta[0]), abs(theta[-1]))
+        if np.all(estimate <= 1e-12 * np.abs(theta[want]) + floor):
+            break
+        if restarts == _MAX_RESTARTS:
+            raise np.linalg.LinAlgError(
+                "no convergence after {} restarts".format(restarts))
+        restarts += 1
+        p = k + (m - k) // 2
+        low, high = ends(p)
+        parts = at_ends(Y, p)
+        _rotate(V, parts)
+        V[p] = V[m]
+        d[:p] = np.r_[theta[:low], theta[m - high:]]
+        arrow = e[m - 1] * np.r_[parts[0][m - 1], parts[1][m - 1]]
+    if not vectors:
+        return theta[want], None
+    _rotate(V, at_ends(Y, k))
+    return theta[want], V[:k].T
+
+
+def _lanczos_ends(a, M, lu, v0, masses, k_each, vectors):
     """Signed lists of A v = lambda M v from Lanczos at the spectral ends.
 
     A sign-changing weight needs k_each eigenvalues at each end, which one
     "BE" run takes from a single Krylov space. When 2 k_each exceeds what
-    ARPACK can return (n - 2), each end gets its own run of k_each instead,
+    a run returns (n - 2), each end gets its own run of k_each instead,
     so that no eigenvalue near zero is dropped; `_signed_ends` sends an
-    n-row pencil here only when k_each < n, within ARPACK's reach. Without
-    `vectors`, ARPACK skips its Ritz-vector pass and the columns come back
-    as None; with them, a sign whose end does not run gets (n, 0) columns,
-    as on the dense path. Every ARPACK failure, non-convergence or another,
-    raises SolverError.
+    n-row pencil here only when k_each < n, within that reach. Without
+    `vectors` the columns come back as None; with them, a sign whose end
+    does not run gets (n, 0) columns, as on the dense path. Every failure
+    of a run raises SolverError.
 
     A run of k eigenvalues keeps min(n, max(20, 2k + 1), k + max(k // 2,
-    20)) basis vectors: scipy's default up to k = 19, so small solves and
-    the Poincare constant are unchanged, and k + k // 2 from k = 40 on,
-    a quarter less basis (module docstring).
+    20)) basis vectors: 2k + 1 up to k = 19, so small solves and the
+    Poincare constant keep a wide basis, and k + k // 2 from k = 40 on
+    (module docstring).
     """
-    from scipy.sparse.linalg import ArpackError, eigsh
-
     n = len(v0)
 
     def run(which, k):
         ncv = min(n, max(20, 2 * k + 1), k + max(k // 2, 20))
         try:
-            if vectors:
-                return eigsh(A, k=k, M=M, Minv=Minv, which=which, v0=v0,
-                             ncv=ncv)
-            w = eigsh(A, k=k, M=M, Minv=Minv, which=which, v0=v0, ncv=ncv,
-                      return_eigenvectors=False)
-            return np.sort(w), None
-        except ArpackError as exc:
+            return _krylov_schur(a, M, lu, v0, which=which, k=k, ncv=ncv,
+                                 vectors=vectors)
+        except np.linalg.LinAlgError as exc:
             raise SolverError("Lanczos failed ({})".format(exc)) from exc
 
     plus, minus = masses[0] > 0.0, masses[1] > 0.0
@@ -400,20 +561,19 @@ def _sparse_weighted(R, K, rf, masses, k_each, vectors):
     rank-two term, its M is K'.
 
     M is factored once and judged by `_spd_verdict` after the Krylov run,
-    when ARPACK has freed its basis; `_spd_guard` judges it first where one
-    solve shows it near singular, and an ARPACK failure is judged before it
-    is raised.
+    when its basis is freed; `_spd_guard` judges it first where one solve
+    shows it near singular, and a failed run is judged before it is
+    raised.
     """
-    from scipy.sparse.linalg import LinearOperator
-
     v0 = np.random.default_rng(0).standard_normal(K.shape[0])
-    A = R = R.tocsr()
+    R = R.tocsr()
     M = K.tocsr()
+    a = R.dot
     if rf is not None:
         R, M, w, r = _ground(R, M, rf)
         v0 = v0[1:]
 
-        # ARPACK calls this thousands of times. A BLAS ddot (r @ v) in it,
+        # Lanczos calls this thousands of times. A BLAS ddot (r @ v) in it,
         # on OpenBLAS's default 2 threads, made a level-7 `halves` solve 5x
         # slower on 2 cores (10.7 s against 2.1 s), so the dot products run
         # in einsum's own loop.
@@ -421,12 +581,10 @@ def _sparse_weighted(R, K, rf, masses, k_each, vectors):
             return (R @ v - w * np.einsum("i,i->", r, v)
                     - r * np.einsum("i,i->", w, v))
 
-        A = LinearOperator(M.shape, matvec=a, dtype=float)
     lu = _symmetric_factor(M, _NOT_SPD)
     _spd_guard(lu, M, v0)
-    Minv = LinearOperator(M.shape, matvec=lu.solve, dtype=float)
     try:
-        ends = _lanczos_ends(A, M, Minv, v0, masses, k_each, vectors)
+        ends = _lanczos_ends(a, M, lu, v0, masses, k_each, vectors)
     except SolverError:
         _spd_verdict(lu)
         raise

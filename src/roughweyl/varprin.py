@@ -55,9 +55,9 @@ from .mesh import Mesh
 from .spectral import (
     Spectrum,
     _dense_forms,
+    _shifted,
     _signed_ends,
     count_inertia,
-    project_constraint,
     solve_weighted,
 )
 from .weyl import counting
@@ -77,16 +77,22 @@ TOLERANCE = 1e-9
 
 def _dense_operators(s: Spectrum, p, k):
     """Dense (Kt, R) of the checked pencil as the dense solve builds them
-    (`spectral._dense_forms`), and (label, lambda_k, eigenvectors, sign)
-    for each side with k values; a constrained spectrum's eigenvectors v
-    are grounded with the forms, as u = v[1:] - v[0]. The exactly
-    symmetric forms come as their transposes, in the C order the
-    checkers' products are written for. A pencil above the dense cap
-    raises SolverError before anything is densified, then a spectrum
-    without eigenvectors ValueError."""
+    (`spectral._shifted`, then `spectral._dense_forms`), and (label,
+    lambda_k, eigenvectors, sign) for each side with k values; a
+    constrained spectrum's eigenvectors v are grounded with the forms, as
+    u = v[1:] - v[0]. The exactly symmetric forms come as their
+    transposes, in the C order the checkers' products are written for. A
+    spectrum whose meta["constrained"] is not what the pencil at its t
+    poses raises ValueError; then a pencil above the dense cap raises
+    SolverError before anything is densified, then a spectrum without
+    eigenvectors ValueError."""
     t = float(s.meta.get("t", 0.0))
-    Kt = p.Kf + t * p.Mmf if t > 0.0 else p.Kf
-    rf = project_constraint(p) if s.meta.get("constrained") else None
+    Kt, rf = _shifted(p, t)
+    if bool(s.meta.get("constrained")) != (rf is not None):
+        raise ValueError("supplied spectrum has constrained = {}, the pencil "
+                         "at t = {} poses constrained = {}".format(
+                             bool(s.meta.get("constrained")), t,
+                             rf is not None))
     R, Kt = _dense_forms(p.Rf, Kt, rf)
     items = []
     for label, vals, vecs, sign in (("plus", s.pos, s.vec_pos, +1),

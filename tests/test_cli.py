@@ -603,14 +603,14 @@ class TestRunSolve:
 
     def test_arpack_failure_is_a_solver_failure(self, tmp_path, capsys,
                                                 monkeypatch):
-        # any ARPACK error, not only non-convergence, exits 4, never 1,
-        # the code of a failed check
-        import scipy.sparse.linalg as sla
+        # any failure of the Lanczos run, not only non-convergence, exits
+        # 4, never 1, the code of a failed check
+        from roughweyl import spectral
 
         def fail(*args, **kwargs):
-            raise sla.ArpackError(-9999)
+            raise np.linalg.LinAlgError("dsyevd failed (info 1)")
 
-        monkeypatch.setattr(sla, "eigsh", fail)
+        monkeypatch.setattr(spectral, "_krylov_schur", fail)
         cfg = ExperimentConfig.from_text(
             "task = solve\n[domain]\nlevel = 4\n[solver]\nmode = sparse\n"
             "k_each = 10\n[output]\ndir = {}\n".format(tmp_path / "out"))

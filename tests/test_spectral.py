@@ -209,8 +209,8 @@ class TestSolveWeighted:
     @pytest.mark.parametrize("size, n_free", [(8, 49), (2, 1)],
                              ids=["L3", "one_row"])
     def test_k_each_below_one_rejected(self, size, n_free, mode, k_each):
-        # a typed error on every path, not ARPACK's own complaint on the
-        # L3 square or an empty spectrum on the 1-row pencil
+        # a typed error on every path, not the Lanczos run's own complaint
+        # on the L3 square or an empty spectrum on the 1-row pencil
         p = square_pencil(size)
         assert p.n_free == n_free
         with pytest.raises(ValueError, match="k_each must be >= 1"):
@@ -265,16 +265,16 @@ def two_squares(n):
 class TestFactorVerdict:
     """Every factor a Lanczos solve inverts is judged before its spectrum
     is returned: after the Krylov run, or before it where one solve shows
-    the form near singular, so a singular form never reaches ARPACK."""
+    the form near singular, so a singular form never reaches Lanczos."""
 
     @pytest.fixture
-    def no_arpack(self, monkeypatch):
-        import scipy.sparse.linalg as sla
+    def no_lanczos(self, monkeypatch):
+        from roughweyl import spectral
 
         def fail(*args, **kwargs):
-            raise AssertionError("ARPACK called on a singular form")
+            raise AssertionError("Lanczos run on a singular form")
 
-        monkeypatch.setattr(sla, "eigsh", fail)
+        monkeypatch.setattr(spectral, "_krylov_schur", fail)
 
     @staticmethod
     def lying(n):
@@ -296,7 +296,7 @@ class TestFactorVerdict:
     }
 
     @pytest.mark.parametrize("case", sorted(SINGULAR))
-    def test_singular_form_never_reaches_arpack(self, case, no_arpack):
+    def test_singular_form_never_reaches_arpack(self, case, no_lanczos):
         with pytest.raises(SolverError, match="could not be factorized"):
             self.SINGULAR[case]()
 
@@ -304,12 +304,13 @@ class TestFactorVerdict:
                                     BoundarySpec.neumann()],
                              ids=["dirichlet", "neumann"])
     def test_arpack_error_is_a_solver_error(self, bc, monkeypatch):
-        import scipy.sparse.linalg as sla
+        # any failure of the Lanczos run, here one of LAPACK's, is one
+        from roughweyl import spectral
 
         def fail(*args, **kwargs):
-            raise sla.ArpackError(-9999)
+            raise np.linalg.LinAlgError("dsyevd failed (info 1)")
 
-        monkeypatch.setattr(sla, "eigsh", fail)
+        monkeypatch.setattr(spectral, "_krylov_schur", fail)
         p = square_pencil(12, halves_weight(1.0, -0.5), bc)
         with pytest.raises(SolverError, match="Lanczos failed"):
             solve_weighted(p, 0.0, 8, mode="sparse")
@@ -317,15 +318,14 @@ class TestFactorVerdict:
     def test_arpack_failure_on_a_singular_form_reports_the_form(
             self, monkeypatch):
         # a form that slips past the guard (switched off here) is still
-        # judged before an ARPACK failure is raised
-        import scipy.sparse.linalg as sla
+        # judged before a failed Lanczos run is raised
         from roughweyl import spectral
 
         def fail(*args, **kwargs):
-            raise sla.ArpackNoConvergence("no convergence", [], [])
+            raise np.linalg.LinAlgError("no convergence after 1000 restarts")
 
         monkeypatch.setattr(spectral, "_spd_guard", lambda lu, A, v: None)
-        monkeypatch.setattr(sla, "eigsh", fail)
+        monkeypatch.setattr(spectral, "_krylov_schur", fail)
         with pytest.raises(SolverError, match="could not be factorized"):
             solve_weighted(self.lying(64), 0.0, 10, mode="sparse")
 
@@ -342,21 +342,21 @@ class TestFactorVerdict:
         # scipy builds CSC copies of L and U when `lu.U` is first read and
         # keeps them on the factor; on the L6 square they take 1.5 MB
         # traced, beside 0.64 MB for the rest of what the solve holds at
-        # ARPACK's entry. Read before the run, they would be alive
-        # through it.
+        # the Lanczos run's entry. Read before the run, they would be
+        # alive through it.
         import tracemalloc
 
-        import scipy.sparse.linalg as sla
+        from roughweyl import spectral
 
         p = square_pencil(64)
         alive = []
-        eigsh = sla.eigsh
+        krylov_schur = spectral._krylov_schur
 
         def spy(*args, **kwargs):
             alive.append(tracemalloc.get_traced_memory()[0])
-            return eigsh(*args, **kwargs)
+            return krylov_schur(*args, **kwargs)
 
-        monkeypatch.setattr(sla, "eigsh", spy)
+        monkeypatch.setattr(spectral, "_krylov_schur", spy)
         tracemalloc.start()
         try:
             solve_weighted(p, 0.0, 10, mode="sparse", vectors=False)
@@ -380,25 +380,25 @@ class TestSparseBothEnds:
         return s
 
     @pytest.fixture
-    def eigsh_calls(self, monkeypatch):
-        """The `which` of every ARPACK run, in order."""
-        import scipy.sparse.linalg as sla
+    def lanczos_calls(self, monkeypatch):
+        """The `which` of every Lanczos run, in order."""
+        from roughweyl import spectral
 
         calls = []
-        eigsh = sla.eigsh
+        krylov_schur = spectral._krylov_schur
 
         def spy(*args, **kwargs):
             calls.append(kwargs["which"])
-            return eigsh(*args, **kwargs)
+            return krylov_schur(*args, **kwargs)
 
-        monkeypatch.setattr(sla, "eigsh", spy)
+        monkeypatch.setattr(spectral, "_krylov_schur", spy)
         return calls
 
-    def test_one_lanczos_run_serves_both_signs(self, eigsh_calls):
+    def test_one_lanczos_run_serves_both_signs(self, lanczos_calls):
         for bc in (BoundarySpec.dirichlet(), BoundarySpec.neumann()):
             p = square_pencil(12, halves_weight(1.0, -0.5), bc)
             solve_weighted(p, 0.0, 8, mode="sparse")
-        assert eigsh_calls == ["BE", "BE"]
+        assert lanczos_calls == ["BE", "BE"]
 
     def test_mirror_weight_dirichlet(self):
         s = self._agree(square_pencil(16, halves_weight(1.0, -1.0)), 20)
@@ -417,12 +417,12 @@ class TestSparseBothEnds:
                                       bc), 40)
         assert (len(s.pos), len(s.neg)) == (40, n_neg)
 
-    def test_k_each_at_n_free(self, eigsh_calls):
+    def test_k_each_at_n_free(self, lanczos_calls):
         # 2 k_each exceeds what one run can return: each end is solved
         # apart, at n_free - 2, the most Lanczos reaches
         p = square_pencil(24, expression_weight("x + y - 0.3"))
         s = self._agree(p, p.n_free - 2)
-        assert eigsh_calls == ["LA", "SA"]
+        assert lanczos_calls == ["LA", "SA"]
         assert (len(s.pos), len(s.neg)) == (508, 21)
 
 
@@ -460,27 +460,26 @@ class TestKrylovBasis:
         ("x_plus_y", 12, 119, [("LA", 119, 121), ("SA", 119, 121)]),
     ])
     def test_ncv_of_each_run(self, monkeypatch, pencil, size, k_each, runs):
-        import scipy.sparse.linalg as sla
+        from roughweyl import spectral
 
         calls = []
-        eigsh = sla.eigsh
+        krylov_schur = spectral._krylov_schur
 
         def spy(*args, **kwargs):
             calls.append((kwargs["which"], kwargs["k"], kwargs["ncv"]))
-            return eigsh(*args, **kwargs)
+            return krylov_schur(*args, **kwargs)
 
-        monkeypatch.setattr(sla, "eigsh", spy)
+        monkeypatch.setattr(spectral, "_krylov_schur", spy)
         solve_weighted(self.PENCILS[pencil](size), 0.0, k_each, mode="sparse",
                        vectors=False)
         assert calls == runs
 
     def test_basis_traced_below_the_default(self, traced_peak):
-        # ARPACK holds the n x ncv basis and, at extraction, a second
-        # n x ncv array, even without eigenvectors. On the L6 square
-        # (n = 3969) at k = 200 the solve peaked at 19.96 MB traced with
-        # ncv = 300, and at 26.95 MB with scipy's default ncv = 401, above
-        # the bound of the default's two arrays (25.47 MB): a margin of
-        # 5.5 MB.
+        # The bound is two n x ncv arrays at ncv = 2k + 1 = 401, 25.47 MB
+        # on the L6 square (n = 3969, k = 200): a basis and a second array
+        # of its size, as ARPACK held at extraction (it peaked at 19.96 MB
+        # traced with ncv = 300). The run keeps one (ncv + 1) x n basis
+        # and ncv^2-sized projected work, and peaks at 11.86 MB.
         p = square_pencil(64)
         peak = traced_peak(lambda: solve_weighted(p, 0.0, 200, mode="sparse",
                                                   vectors=False))
@@ -506,6 +505,97 @@ class TestKrylovBasis:
             np.testing.assert_allclose(s.pos, s.neg, rtol=1e-9)
         if pencil == "const":
             assert max(mult for _, mult in s.groups()) == 2
+
+
+class TestKrylovSchur:
+    """Edge cases of the Lanczos run itself: a Krylov space that fills the
+    whole space or closes early, exact double eigenvalues, the restart
+    cap, and runs that repeat bit for bit."""
+
+    def test_three_row_poincare_pencil(self):
+        # the one-cell Neumann square grounds to 3 rows, and its run keeps
+        # ncv = 3: the Krylov space is the whole space
+        p = assemble(generate_unit_square(1), euclidean_metric(),
+                     constant_weight(1.0), BoundarySpec.neumann())
+        assert p.n_free - 1 == 3
+        Q = null_space(p.r_free[None])
+        top = eigh(Q.T @ p.Mmf.toarray() @ Q, Q.T @ p.Kf.toarray() @ Q,
+                   eigvals_only=True)[-1]
+        np.testing.assert_allclose(poincare_constant(p), 1.0 / top,
+                                   rtol=1e-10)
+
+    def test_basis_of_every_row(self, monkeypatch):
+        from roughweyl import spectral
+
+        calls = []
+        krylov_schur = spectral._krylov_schur
+
+        def spy(*args, **kwargs):
+            calls.append((kwargs["ncv"], len(args[3])))
+            return krylov_schur(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "_krylov_schur", spy)
+        p = square_pencil(8)
+        s = solve_weighted(p, 0.0, 40, mode="sparse", vectors=False)
+        assert calls == [(49, 49)]
+        d = solve_weighted(p, 0.0, 40, mode="dense", vectors=False)
+        np.testing.assert_allclose(s.pos, d.pos, rtol=1e-10, atol=0)
+
+    def test_invariant_subspace_continues(self):
+        # one vector spans a Krylov space of 4 dimensions here, one per
+        # distinct eigenvalue; the basis of 24 fills from new directions,
+        # 6 such spaces, so the top eigenvalue comes back 6 times. (A
+        # single-vector run cannot see more copies than that.)
+        from scipy.sparse.linalg import splu
+
+        from roughweyl.spectral import _krylov_schur
+
+        A = sparse.diags(np.repeat([1.0, 2.0, 3.0, 4.0], 10)).tocsr()
+        M = sparse.identity(40, format="csr")
+        v0 = np.random.default_rng(0).standard_normal(40)
+        w, V = _krylov_schur(A.dot, M, splu(M.tocsc()), v0, which="LA",
+                             k=6, ncv=24, vectors=True)
+        np.testing.assert_allclose(w, [4.0] * 6, rtol=1e-12)
+        np.testing.assert_allclose(V.T @ V, np.eye(6), atol=1e-12)
+        np.testing.assert_allclose(A @ V, V * w, atol=1e-12)
+
+    def test_double_eigenvalues_keep_their_multiplicity(self):
+        p = square_pencil(40)
+        s = solve_weighted(p, 0.0, 150, mode="sparse", vectors=False)
+        d = solve_weighted(p, 0.0, 150, mode="dense", vectors=False)
+        got, want = s.groups(), d.groups()
+        assert [mult for _, mult in got] == [mult for _, mult in want]
+        assert sum(mult == 2 for _, mult in want) == 70
+        np.testing.assert_allclose([v for v, _ in got], [v for v, _ in want],
+                                   rtol=1e-10, atol=0)
+
+    def test_restart_cap_fails_after_the_verdict(self, monkeypatch):
+        from roughweyl import spectral
+
+        verdicts = []
+        spd_verdict = spectral._spd_verdict
+
+        def spy(lu):
+            verdicts.append(lu)
+            return spd_verdict(lu)
+
+        monkeypatch.setattr(spectral, "_MAX_RESTARTS", 1)
+        monkeypatch.setattr(spectral, "_spd_verdict", spy)
+        with pytest.raises(SolverError,
+                           match=r"Lanczos failed \(no convergence after 1 "):
+            solve_weighted(square_pencil(32), 0.0, 10, mode="sparse")
+        assert len(verdicts) == 1
+
+    @pytest.mark.parametrize("w, bc", [
+        (None, None),
+        (halves_weight(1.0, -0.5), BoundarySpec.neumann()),
+    ], ids=["dirichlet_const", "neumann_halves"])
+    def test_two_runs_are_bitwise_equal(self, w, bc):
+        p = square_pencil(24, w, bc)
+        a, b = (solve_weighted(p, 0.0, 30, mode="sparse") for _ in range(2))
+        for x, y in ((a.pos, b.pos), (a.neg, b.neg),
+                     (a.vec_pos, b.vec_pos), (a.vec_neg, b.vec_neg)):
+            assert np.array_equal(x, y)
 
 
 class TestCostRule:
@@ -811,16 +901,16 @@ class TestEigenvaluesOnly:
             assert 0 < len(only.neg) < k_each
 
     def test_constrained_halves_takes_one_be_run(self, monkeypatch):
-        import scipy.sparse.linalg as sla
+        from roughweyl import spectral
 
         calls = []
-        eigsh = sla.eigsh
+        krylov_schur = spectral._krylov_schur
 
         def spy(*args, **kwargs):
-            calls.append((kwargs["which"], kwargs["return_eigenvectors"]))
-            return eigsh(*args, **kwargs)
+            calls.append((kwargs["which"], kwargs["vectors"]))
+            return krylov_schur(*args, **kwargs)
 
-        monkeypatch.setattr(sla, "eigsh", spy)
+        monkeypatch.setattr(spectral, "_krylov_schur", spy)
         p = square_pencil(16, halves_weight(1.0, -0.5), BoundarySpec.neumann())
         solve_weighted(p, 0.0, 8, mode="sparse", vectors=False)
         assert calls == [("BE", False)]

@@ -109,6 +109,19 @@ class TestPoincareMinmax:
         assert rep["passed"]
         assert set(rep["sides"]) == {"plus"}
 
+    @pytest.mark.parametrize("bc, t", [("neumann", 0.0), ("neumann", 0.5),
+                                       ("dirichlet", 0.0)])
+    def test_spectrum_posed_otherwise_refused(self, bc, t):
+        # the checked forms come from the pencil at the spectrum's t; a
+        # spectrum that claims the other constraint state is refused, not
+        # checked against forms of another problem
+        p = assemble(generate_unit_square(8), euclidean_metric(),
+                     constant_weight(1.0), getattr(BoundarySpec, bc)())
+        s = solve_weighted(p, t, k_each=4)
+        s.meta["constrained"] = not s.meta["constrained"]
+        with pytest.raises(ValueError, match="constrained"):
+            check_poincare_minmax(s, p, 2, trials=5, seed=0)
+
     def test_same_seed_reproduces_report(self):
         _, p = dirichlet_problem(n=8)
         s = solve_weighted(p, 0.0, k_each=6)
