@@ -16,15 +16,16 @@ callers: `solve_weighted` (R, K + t Mm), `assembly.poincare_constant`
 subdomain's pencil).
 
 Two code paths, chosen per solve by `_goes_dense` from the caller's
-`mode`, which takes the values of the CLI's `[solver] mode`. Lanczos
-returns at most n - 2 values per end of an n-row pencil, so a pencil of
-<= k_each + 1 rows is always solved densely. Otherwise "dense" and
-"sparse" force their path, and "auto" follows a cost rule: a dense solve
-costs about n^3 whatever k_each, and a Lanczos run grows with n, with
-k_each and with the imbalance of the two signs: its cost grows roughly as
-sqrt(c_max / c_min), where c_± are the weight's masses on each sign
-(`Pencil.masses`, the integrals of |rho| over {±rho > 0}, which the pencil
-keeps from its assembly; the ratio counts as 1 on a single-sign pencil).
+`mode`, which takes the values of the CLI's `[solver] mode`. The reach
+rule: a pencil of <= k_each + 1 rows is always solved densely, since a
+request for nearly every value of a pencil is dense work (above the cap
+below, it is refused). Otherwise "dense" and "sparse" force their path,
+and "auto" follows a cost rule: a dense solve costs about n^3 whatever
+k_each, and a Lanczos run grows with n, with k_each and with the
+imbalance of the two signs: its cost grows roughly as sqrt(c_max /
+c_min), where c_± are the weight's masses on each sign (`Pencil.masses`,
+the integrals of |rho| over {±rho > 0}, which the pencil keeps from its
+assembly; the ratio counts as 1 on a single-sign pencil).
 So under "auto" an n-row pencil goes to Lanczos when
 
     n^2 > C k_each sqrt(c_max / c_min),   C = `_CROSSOVER` = 1.4e4,
@@ -39,7 +40,8 @@ weights `const:1`, `halves:1,-1`, `halves:1,-0.25`, `halves:1,-0.1` and
 n^2 / (k_each sqrt(c_max / c_min)) = 0.9e4 to 1.2e4 for n <= 1521 and
 1.34e4 to 1.42e4 above. C = 1.4e4 gives the least total time over the
 grid, 37.3 s, within 0.1 s of the per-solve best (a fixed 3000-row limit:
-75.5 s).
+75.5 s). That fit timed scipy's ARPACK as the Lanczos run; C has not been
+re-fitted for `_krylov_schur`, which replaced it.
 
 Dense: Cholesky-based reduction of the pencil and a full symmetric
 eigensolve, which doubles as the trusted oracle.
@@ -52,8 +54,10 @@ from scipy and runs unblocked); eigenpairs take divide and conquer
 Sparse: one Lanczos driver, `_sparse_weighted`, over a pencil (A, M) with
 M sparse, SPD and factored once: (R, K + t Mm), or the grounded pencil,
 whose A applies its rank-two term in a closure.
-For rho of both signs one Krylov space serves both families: a "BE" run
-takes k_each eigenvalues from each spectral end in a single run. Lanczos
+Every sparse solve is one Lanczos run, or none for a weight with no mass
+on either sign. For rho of both signs one Krylov space serves both
+families: a "BE" run takes k_each eigenvalues from each spectral end, or
+all n when 2 k_each >= n. A single-sign rho runs at its one end. Lanczos
 always starts from one fixed vector.
 A run that asks for k eigenvalues keeps a basis of
 ncv = min(n, max(20, 2k + 1), k + max(k // 2, 20)) Lanczos vectors, an
@@ -133,7 +137,9 @@ __all__ = [
 
 MODES = ("auto", "dense", "sparse")  # the `mode` of every solve
 _DENSE_LIMIT = 3000  # free-DOF cap of a dense solve: nothing larger is densified
-_CROSSOVER = 1.4e4  # C of the cost rule n^2 > C k_each sqrt(c_max / c_min)
+# C of the cost rule n^2 > C k_each sqrt(c_max / c_min), fitted with ARPACK
+# as the Lanczos run and not re-fitted for `_krylov_schur`
+_CROSSOVER = 1.4e4
 _MULT_TOL = 1e-8  # relative clustering width for multiplicity reporting
 # smallest pivot of an SPD factorization, relative to the largest: SPD
 # forms on the problem ladder give 0.25-0.31, a singular K about 5e-14
@@ -509,61 +515,25 @@ def _krylov_schur(a, M, lu, v0, *, which, k, ncv, vectors):
     return theta[want], V[:k].T
 
 
-def _lanczos_ends(a, M, lu, v0, masses, k_each, vectors):
-    """Signed lists of A v = lambda M v from Lanczos at the spectral ends.
-
-    A sign-changing weight needs k_each eigenvalues at each end, which one
-    "BE" run takes from a single Krylov space. When 2 k_each exceeds what
-    a run returns (n - 2), each end gets its own run of k_each instead,
-    so that no eigenvalue near zero is dropped; `_signed_ends` sends an
-    n-row pencil here only when k_each < n, within that reach. Without
-    `vectors` the columns come back as None; with them, a sign whose end
-    does not run gets (n, 0) columns, as on the dense path. Every failure
-    of a run raises SolverError.
-
-    A run of k eigenvalues keeps min(n, max(20, 2k + 1), k + max(k // 2,
-    20)) basis vectors: 2k + 1 up to k = 19, so small solves and the
-    Poincare constant keep a wide basis, and k + k // 2 from k = 40 on
-    (module docstring).
-    """
-    n = len(v0)
-
-    def run(which, k):
-        ncv = min(n, max(20, 2 * k + 1), k + max(k // 2, 20))
-        try:
-            return _krylov_schur(a, M, lu, v0, which=which, k=k, ncv=ncv,
-                                 vectors=vectors)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError("Lanczos failed ({})".format(exc)) from exc
-
-    plus, minus = masses[0] > 0.0, masses[1] > 0.0
-    if plus and minus and 2 * k_each <= n - 2:
-        w, V = run("BE", 2 * k_each)
-        return _split_signed(w, V, k_each)
-    pos = neg = np.empty(0)
-    vp = vn = np.empty((n, 0)) if vectors else None
-    if plus:
-        w, V = run("LA", k_each)
-        pos, _, vp, _ = _split_signed(w, V, k_each)
-    if minus:
-        w, V = run("SA", k_each)
-        _, neg, _, vn = _split_signed(w, V, k_each)
-    return pos, neg, vp, vn
-
-
 def _sparse_weighted(R, K, rf, masses, k_each, vectors):
-    """Signed lists of R v = lambda K v by Lanczos at the spectral ends.
+    """Signed lists of R v = lambda K v by one Lanczos run.
 
-    `masses`, the weight's mass on each sign, picks the ends to run. Without
-    a constraint vector (rf None), K must be SPD and the pencil is (R, K).
-    With one, K is semidefinite with K 1 = 0 and the pencil is the grounded
-    one of `_ground`, in grounded coordinates: its A applies R' and the
-    rank-two term, its M is K'.
+    `masses`, the weight's mass on each sign, picks the run: for both signs
+    one "BE" run of min(2 k_each, n) values, k_each from each end or all n;
+    for one sign an "LA" or "SA" run of k_each (R is then semidefinite, and
+    `_split_signed` drops its roundoff zeros); for neither no run. Without
+    `vectors` the columns come back as None; with them, an empty family
+    gets (n, 0) columns, as on the dense path.
+
+    Without a constraint vector (rf None), K must be SPD and the pencil is
+    (R, K). With one, K is semidefinite with K 1 = 0 and the pencil is the
+    grounded one of `_ground`, in grounded coordinates: its A applies R'
+    and the rank-two term, its M is K'.
 
     M is factored once and judged by `_spd_verdict` after the Krylov run,
     when its basis is freed; `_spd_guard` judges it first where one solve
     shows it near singular, and a failed run is judged before it is
-    raised.
+    raised as SolverError.
     """
     v0 = np.random.default_rng(0).standard_normal(K.shape[0])
     R = R.tocsr()
@@ -581,22 +551,31 @@ def _sparse_weighted(R, K, rf, masses, k_each, vectors):
             return (R @ v - w * np.einsum("i,i->", r, v)
                     - r * np.einsum("i,i->", w, v))
 
+    n = len(v0)
+    plus, minus = masses[0] > 0.0, masses[1] > 0.0
     lu = _symmetric_factor(M, _NOT_SPD)
     _spd_guard(lu, M, v0)
-    try:
-        ends = _lanczos_ends(a, M, lu, v0, masses, k_each, vectors)
-    except SolverError:
-        _spd_verdict(lu)
-        raise
+    theta, V = np.empty(0), (np.empty((n, 0)) if vectors else None)
+    if plus or minus:
+        which, k = (("BE", min(2 * k_each, n)) if plus and minus
+                    else ("LA" if plus else "SA", k_each))
+        ncv = min(n, max(20, 2 * k + 1), k + max(k // 2, 20))
+        try:
+            theta, V = _krylov_schur(a, M, lu, v0, which=which, k=k,
+                                     ncv=ncv, vectors=vectors)
+        except np.linalg.LinAlgError as exc:
+            _spd_verdict(lu)
+            raise SolverError("Lanczos failed ({})".format(exc)) from exc
     _spd_verdict(lu)
-    return ends
+    return _split_signed(theta, V, k_each)
 
 
 def _goes_dense(n, k_each, masses, mode):
     """Whether `_signed_ends` solves an n-row pencil densely (rule: module
-    docstring). Always where Lanczos cannot reach k_each; else as `mode`
-    forces, or under "auto" by the cost rule on the sign `masses`, up to
-    `_DENSE_LIMIT` rows."""
+    docstring). Always where k_each asks for nearly every value (n <=
+    k_each + 1), which is dense work; else as `mode` forces, or under
+    "auto" by the cost rule on the sign `masses`, up to `_DENSE_LIMIT`
+    rows. Above that cap a dense solve is refused, not chosen."""
     if mode not in MODES:
         raise ValueError("mode must be one of {}, got {!r}".format(
             ", ".join(MODES), mode))

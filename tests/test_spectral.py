@@ -45,6 +45,22 @@ def square_pencil(n, w=None, bc=None):
                     w or constant_weight(1.0), bc or BoundarySpec.dirichlet())
 
 
+@pytest.fixture
+def krylov_runs(monkeypatch):
+    """(which, k, ncv) of every Lanczos run, in order."""
+    from roughweyl import spectral
+
+    calls = []
+    krylov_schur = spectral._krylov_schur
+
+    def spy(*args, **kwargs):
+        calls.append((kwargs["which"], kwargs["k"], kwargs["ncv"]))
+        return krylov_schur(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "_krylov_schur", spy)
+    return calls
+
+
 class TestLaplaceSpectrum:
     """The Laplace eigenvalues are the rho = 1 case of the weighted problem:
     Lambda_k = 1/lambda_k^+ at t = 0 and 1/lambda_k^+ - t at t > 0."""
@@ -296,7 +312,7 @@ class TestFactorVerdict:
     }
 
     @pytest.mark.parametrize("case", sorted(SINGULAR))
-    def test_singular_form_never_reaches_arpack(self, case, no_lanczos):
+    def test_singular_form_never_reaches_lanczos(self, case, no_lanczos):
         with pytest.raises(SolverError, match="could not be factorized"):
             self.SINGULAR[case]()
 
@@ -379,26 +395,11 @@ class TestSparseBothEnds:
         np.testing.assert_allclose(s.neg, d.neg, rtol=1e-9)
         return s
 
-    @pytest.fixture
-    def lanczos_calls(self, monkeypatch):
-        """The `which` of every Lanczos run, in order."""
-        from roughweyl import spectral
-
-        calls = []
-        krylov_schur = spectral._krylov_schur
-
-        def spy(*args, **kwargs):
-            calls.append(kwargs["which"])
-            return krylov_schur(*args, **kwargs)
-
-        monkeypatch.setattr(spectral, "_krylov_schur", spy)
-        return calls
-
-    def test_one_lanczos_run_serves_both_signs(self, lanczos_calls):
+    def test_one_lanczos_run_serves_both_signs(self, krylov_runs):
         for bc in (BoundarySpec.dirichlet(), BoundarySpec.neumann()):
             p = square_pencil(12, halves_weight(1.0, -0.5), bc)
             solve_weighted(p, 0.0, 8, mode="sparse")
-        assert lanczos_calls == ["BE", "BE"]
+        assert [which for which, _, _ in krylov_runs] == ["BE", "BE"]
 
     def test_mirror_weight_dirichlet(self):
         s = self._agree(square_pencil(16, halves_weight(1.0, -1.0)), 20)
@@ -417,12 +418,12 @@ class TestSparseBothEnds:
                                       bc), 40)
         assert (len(s.pos), len(s.neg)) == (40, n_neg)
 
-    def test_k_each_at_n_free(self, lanczos_calls):
-        # 2 k_each exceeds what one run can return: each end is solved
-        # apart, at n_free - 2, the most Lanczos reaches
+    def test_k_each_at_n_free(self, krylov_runs):
+        # 2 k_each exceeds n_free: one BE run returns every value, at
+        # k_each = n_free - 2, the largest that the reach rule sends sparse
         p = square_pencil(24, expression_weight("x + y - 0.3"))
         s = self._agree(p, p.n_free - 2)
-        assert lanczos_calls == ["LA", "SA"]
+        assert krylov_runs == [("BE", p.n_free, p.n_free)]
         assert (len(s.pos), len(s.neg)) == (508, 21)
 
 
@@ -454,25 +455,15 @@ class TestKrylovBasis:
         ("halves", 32, 30, [("BE", 60, 90)]),
         ("halves", 32, 100, [("BE", 200, 300)]),
         ("neumann_halves", 32, 100, [("BE", 200, 300)]),
-        # capped at n = 49 rows, and at n = 121 when each end runs apart
+        # capped at n = 49 rows, and at n = 121 where 2 k_each > n
         ("const", 8, 40, [("LA", 40, 49)]),
         ("halves", 8, 20, [("BE", 40, 49)]),
-        ("x_plus_y", 12, 119, [("LA", 119, 121), ("SA", 119, 121)]),
+        ("x_plus_y", 12, 119, [("BE", 121, 121)]),
     ])
-    def test_ncv_of_each_run(self, monkeypatch, pencil, size, k_each, runs):
-        from roughweyl import spectral
-
-        calls = []
-        krylov_schur = spectral._krylov_schur
-
-        def spy(*args, **kwargs):
-            calls.append((kwargs["which"], kwargs["k"], kwargs["ncv"]))
-            return krylov_schur(*args, **kwargs)
-
-        monkeypatch.setattr(spectral, "_krylov_schur", spy)
+    def test_ncv_of_each_run(self, krylov_runs, pencil, size, k_each, runs):
         solve_weighted(self.PENCILS[pencil](size), 0.0, k_each, mode="sparse",
                        vectors=False)
-        assert calls == runs
+        assert krylov_runs == runs
 
     def test_basis_traced_below_the_default(self, traced_peak):
         # The bound is two n x ncv arrays at ncv = 2k + 1 = 401, 25.47 MB
@@ -505,6 +496,76 @@ class TestKrylovBasis:
             np.testing.assert_allclose(s.pos, s.neg, rtol=1e-9)
         if pencil == "const":
             assert max(mult for _, mult in s.groups()) == 2
+
+
+class TestOneRun:
+    """Every sparse solve is one Lanczos run, or none for a weight with no
+    mass on either sign, and matches the dense oracle where 2 k_each
+    nears or passes n: a sign-changing weight takes min(2 k_each, n)
+    values from one BE run."""
+
+    # the Dirichlet squares of 12 cells have n = 121 rows, the grounded
+    # Neumann square of 11 has n = 143: k_each = (n - 1) / 2 asks for
+    # n - 1 values, k_each = (n + 1) / 2 and n_free - 2 for more than n
+    @pytest.mark.parametrize("pencil, size, n, k_each", [
+        ("halves", 12, 121, 60),
+        ("halves", 12, 121, 61),
+        ("halves", 12, 121, 119),
+        ("x_plus_y", 12, 121, 60),
+        ("x_plus_y", 12, 121, 61),
+        ("x_plus_y", 12, 121, 119),
+        ("neumann_halves", 11, 143, 71),
+        ("neumann_halves", 11, 143, 72),
+        ("neumann_halves", 11, 143, 142),
+    ])
+    def test_sign_changing_near_n(self, krylov_runs, pencil, size, n, k_each):
+        p = TestKrylovBasis.PENCILS[pencil](size)
+        s = solve_weighted(p, 0.0, k_each, mode="sparse", vectors=False)
+        d = solve_weighted(p, 0.0, k_each, mode="dense", vectors=False)
+        assert s.meta["method"] != "dense"
+        assert krylov_runs == [("BE", min(2 * k_each, n), n)]
+        for sign in (1, -1):
+            got, want = s.values(sign), d.values(sign)
+            assert len(got) == len(want)
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
+        if pencil == "halves":
+            np.testing.assert_allclose(s.pos, s.neg, rtol=1e-9)
+
+    @pytest.mark.parametrize("weight, which", [
+        (constant_weight(1.0), "LA"),
+        (constant_weight(-2.0), "SA"),
+        # R vanishes on the right half: the run reaches its zero values
+        (halves_weight(1.0, 0.0), "LA"),
+        (halves_weight(0.0, -1.0), "SA"),
+    ], ids=["const", "negative", "left_half", "right_half"])
+    def test_single_sign_run_has_one_sign(self, krylov_runs, weight, which):
+        p = square_pencil(12, weight)
+        k_each = p.n_free - 2
+        s = solve_weighted(p, 0.0, k_each, mode="sparse")
+        d = solve_weighted(p, 0.0, k_each, mode="dense", vectors=False)
+        assert krylov_runs == [(which, k_each, p.n_free)]
+        full, empty = ((s.pos, s.neg) if which == "LA" else (s.neg, s.pos))
+        assert len(empty) == 0
+        assert (s.vec_neg if which == "LA" else s.vec_pos).shape == (
+            p.n_free, 0)
+        want = d.values(1 if which == "LA" else -1)
+        assert len(full) == len(want)
+        np.testing.assert_allclose(full, want, rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("bc, t", [(BoundarySpec.dirichlet(), 0.0),
+                                       (BoundarySpec.neumann(), 0.5)],
+                             ids=["dirichlet", "neumann_t"])
+    def test_zero_weight_runs_nothing(self, krylov_runs, bc, t):
+        p = square_pencil(12, expression_weight("0*x"), bc)
+        assert p.masses == (0.0, 0.0)
+        s = solve_weighted(p, t, 10, mode="sparse")
+        assert s.meta["method"] == "sparse-lanczos"
+        assert (len(s.pos), len(s.neg)) == (0, 0)
+        assert s.vec_pos.shape == s.vec_neg.shape == (p.n_free, 0)
+        only = solve_weighted(p, t, 10, mode="sparse", vectors=False)
+        assert (len(only.pos), len(only.neg)) == (0, 0)
+        assert only.vec_pos is None and only.vec_neg is None
+        assert krylov_runs == []
 
 
 class TestKrylovSchur:
@@ -636,8 +697,9 @@ class TestCostRule:
 
 
 class TestLanczosReach:
-    """Lanczos returns at most n - 2 values per end; pencils it cannot
-    serve go dense whatever `mode` says."""
+    """The reach rule: a pencil of n <= k_each + 1 rows goes dense whatever
+    `mode` says, since a request for nearly every value is dense work
+    (above the dense cap it is refused, `TestDenseCap`)."""
 
     def test_single_sign_k_each_at_n_free(self):
         p = square_pencil(6)
