@@ -1,134 +1,19 @@
-"""roughweyl: finite-element spectra of weighted Laplacians on rough 2-D metrics."""
+"""roughweyl: finite-element spectra of weighted Laplacians on rough 2-D metrics.
+
+Each layer module's `__all__` is the one declaration of what it makes
+public; the package root re-exports all of them, in layer order.
+"""
 
 __version__ = "0.1.0"
 
-from .mesh import (
-    Mesh,
-    MeshFormatError,
-    generate_unit_square,
-    generate_disk,
-    refine_uniform,
-    validate,
-    save_mesh,
-    load_mesh,
-)
-from .fields import (
-    MetricField,
-    WeightField,
-    ComparabilityError,
-    SingularPointError,
-    ExpressionError,
-    euclidean_metric,
-    lipschitz_graph_metric,
-    graph_cone_metric,
-    cone_metric,
-    piecewise_metric,
-    checkerboard_metric,
-    pullback_metric,
-    constant_weight,
-    halves_weight,
-    checkerboard_weight,
-    expression_weight,
-    triangle_quadrature,
-    sample_metric,
-    comparability_audit,
-)
-from .assembly import (
-    BoundarySpec,
-    Pencil,
-    ModelingError,
-    assemble,
-    poincare_constant,
-)
-from .spectral import (
-    Spectrum,
-    SolverError,
-    solve_weighted,
-    project_constraint,
-    count_inertia,
-)
-from .varprin import (
-    check_poincare_minmax,
-    check_rayleigh,
-    check_courant,
-    check_inertia,
-    check_bracketing,
-    check_sandwich,
-    save_report,
-)
-from .weyl import (
-    FitError,
-    WeylTarget,
-    counting,
-    weyl_constants,
-    weyl_target,
-    fit_limit,
-    convergence_study,
-    write_spectrum_csv,
-)
-from .cli import (
-    ConfigError,
-    ExperimentConfig,
-    emit_svg,
-    run,
-)
+from . import mesh, fields, assembly, spectral, varprin, weyl, cli
+from .mesh import *
+from .fields import *
+from .assembly import *
+from .spectral import *
+from .varprin import *
+from .weyl import *
+from .cli import *
 
-__all__ = [
-    "__version__",
-    "Mesh",
-    "MeshFormatError",
-    "generate_unit_square",
-    "generate_disk",
-    "refine_uniform",
-    "validate",
-    "save_mesh",
-    "load_mesh",
-    "MetricField",
-    "WeightField",
-    "ComparabilityError",
-    "SingularPointError",
-    "ExpressionError",
-    "euclidean_metric",
-    "lipschitz_graph_metric",
-    "graph_cone_metric",
-    "cone_metric",
-    "piecewise_metric",
-    "checkerboard_metric",
-    "pullback_metric",
-    "constant_weight",
-    "halves_weight",
-    "checkerboard_weight",
-    "expression_weight",
-    "triangle_quadrature",
-    "sample_metric",
-    "comparability_audit",
-    "BoundarySpec",
-    "Pencil",
-    "ModelingError",
-    "assemble",
-    "poincare_constant",
-    "Spectrum",
-    "SolverError",
-    "solve_weighted",
-    "project_constraint",
-    "count_inertia",
-    "check_poincare_minmax",
-    "check_rayleigh",
-    "check_courant",
-    "check_inertia",
-    "check_bracketing",
-    "check_sandwich",
-    "save_report",
-    "FitError",
-    "WeylTarget",
-    "counting",
-    "weyl_constants",
-    "weyl_target",
-    "fit_limit",
-    "convergence_study",
-    "write_spectrum_csv",
-    "ConfigError",
-    "ExperimentConfig",
-    "emit_svg",
-    "run",
-]
+__all__ = ["__version__", *mesh.__all__, *fields.__all__, *assembly.__all__,
+           *spectral.__all__, *varprin.__all__, *weyl.__all__, *cli.__all__]

@@ -5,8 +5,9 @@ stack, dispatches the requested task, and writes `spectrum.csv`,
 `summary.json`, and optionally `counting.svg` into the output directory.
 Exit codes: 0 when every enabled check passes, 1 when a check fails,
 2 for config problems, 3 for modeling violations (such as a weight that
-integrates to zero on a pure Neumann problem), 4 for solver failures,
-5 when the computed spectrum is too short for the Weyl fit window.
+integrates to zero on a pure Neumann problem), 4 for solver failures and
+for a problem too large for the machine's memory, 5 when the computed
+spectrum is too short for the Weyl fit window.
 
 Each config key is declared once, as a row of `_KEYS`, and each metric,
 weight and boundary kind once, as a row of `_METRICS`, `_WEIGHTS` or
@@ -284,10 +285,6 @@ class ExperimentConfig:
     @classmethod
     def from_text(cls, text):
         return cls(_parse_ini(text))
-
-    @classmethod
-    def from_file(cls, path):
-        return cls(_read_ini(path))
 
     def resolved(self):
         """Every key's value as JSON data: tuples as lists, the "auto"
@@ -692,6 +689,10 @@ def run(cfg: ExperimentConfig) -> int:
         return EXIT_MODELING
     except SolverError as exc:
         print("solver failure: {}".format(exc), file=sys.stderr)
+        return EXIT_SOLVER
+    except MemoryError as exc:
+        print("out of memory: {}".format(str(exc) or "allocation failed"),
+              file=sys.stderr)
         return EXIT_SOLVER
     except FitError as exc:
         print("fit failure: {}".format(exc), file=sys.stderr)

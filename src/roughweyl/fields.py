@@ -39,6 +39,7 @@ __all__ = [
     "WeightField",
     "ComparabilityError",
     "SingularPointError",
+    "ExpressionError",
     "euclidean_metric",
     "lipschitz_graph_metric",
     "graph_cone_metric",

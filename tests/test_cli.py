@@ -256,14 +256,19 @@ svg = true
             ExperimentConfig.from_text(text)
 
     def test_readme_defaults_block_parses_to_the_defaults(self):
+        # README's one ini block is a second copy of `_KEYS`: it lists every
+        # row, and with the default of each
         readme = Path(__file__).resolve().parents[1] / "README.md"
-        text = readme.read_text(encoding="utf-8")
-        block = text.split("All keys with their defaults:", 1)[1]
-        block = block.split("```ini\n", 1)[1].split("```", 1)[0]
+        blocks = readme.read_text(encoding="utf-8").split("```ini\n")
+        assert len(blocks) == 2
+        block = blocks[1].split("```", 1)[0]
         # inline comments are the README's, not the parser's
         block = "\n".join(line.split("#", 1)[0] for line in block.splitlines())
-        assert (ExperimentConfig.from_text(block).resolved()
-                == ExperimentConfig.from_text("").resolved())
+        sections = roughweyl.cli._parse_ini(block)
+        for row in roughweyl.cli._KEYS:
+            assert row.key in sections.get(row.section, {}), row
+        assert (ExperimentConfig(sections).resolved()
+                == ExperimentConfig({}).resolved())
 
     def test_comments_and_blanks_ignored(self):
         cfg = ExperimentConfig.from_text(
@@ -600,6 +605,21 @@ class TestRunSolve:
             "k_each = 30\n[output]\ndir = {}\n".format(tmp_path / "out"))
         assert run(cfg) == 4
         assert "3969 rows" in capsys.readouterr().err
+
+    def test_out_of_memory_is_stated_not_a_failed_check(self, tmp_path,
+                                                        capsys, monkeypatch):
+        # level 40 asks numpy for 8 TiB; the stand-in mesh allocates nothing
+        def fail(*args, **kwargs):
+            raise MemoryError("Unable to allocate 8.00 TiB")
+
+        monkeypatch.setattr(roughweyl.cli, "generate_unit_square", fail)
+        config = write_config(
+            tmp_path / "run.cfg",
+            "[domain]\nlevel = 40\n[output]\ndir = {}\n".format(
+                tmp_path / "out"))
+        assert main(["solve", "--config", config]) == 4
+        assert (capsys.readouterr().err
+                == "out of memory: Unable to allocate 8.00 TiB\n")
 
     def test_arpack_failure_is_a_solver_failure(self, tmp_path, capsys,
                                                 monkeypatch):
