@@ -16,7 +16,7 @@ from roughweyl import (
     generate_unit_square,
     halves_weight,
     solve_weighted,
-    weyl_target,
+    weyl_constants,
 )
 
 
@@ -36,7 +36,7 @@ def main():
     print("\nmax |lambda^+ - lambda^-| over all 150: {:.2e}".format(
         np.abs(s.pos - s.neg).max()))
 
-    target = weyl_target(m, g, w)
+    target = weyl_constants(p.vol, p.masses)
     print("\neach branch sees only its half: c_+ = c_- = {:.6f} "
           "(1/(8 pi) = {:.6f})".format(target.c_plus, 1.0 / (8.0 * np.pi)))
     sides = fit_limit(s, target=target)["sides"]

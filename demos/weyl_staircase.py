@@ -19,7 +19,7 @@ from roughweyl import (
     fit_limit,
     generate_unit_square,
     solve_weighted,
-    weyl_target,
+    weyl_constants,
 )
 
 
@@ -30,7 +30,7 @@ def main():
     p = assemble(m, g, w, BoundarySpec.dirichlet(), 2)
     s = solve_weighted(p, 0.0, k_each=200)
 
-    target = weyl_target(m, g, w)
+    target = weyl_constants(p.vol, p.masses)
     print("Weyl constant c_+ = {:.6f}  (1/(4 pi) = {:.6f})".format(
         target.c_plus, 1.0 / (4.0 * np.pi)))
 

@@ -60,7 +60,8 @@ class BoundarySpec:
     kind is one of 'dirichlet', 'neumann', 'mixed'; mixed carries the set of
     Dirichlet-tagged boundary segments. Degenerate mixed specs normalize:
     no tags means Neumann, and `resolve(mesh)` turns a mixed spec covering
-    every tag of the mesh into plain Dirichlet.
+    every tag of the mesh into plain Dirichlet and refuses a tag the mesh
+    lacks.
     """
 
     def __init__(self, kind, dirichlet_tags=()):
@@ -88,11 +89,17 @@ class BoundarySpec:
         return cls("mixed", tags)
 
     def resolve(self, m: Mesh) -> "BoundarySpec":
-        """Normalize against a mesh's tag set."""
+        """Normalize against a mesh's tag set; ValueError for a mixed tag
+        that no boundary edge of the mesh carries."""
         if self.kind != "mixed":
             return self
         present = set(int(t) for t in m.boundary_edges[:, 2])
-        if present and present <= self.dirichlet_tags:
+        absent = self.dirichlet_tags - present
+        if absent:
+            raise ValueError(
+                "mixed boundary tags {} are not on the mesh, whose tags are "
+                "{}".format(sorted(absent), sorted(present)))
+        if present <= self.dirichlet_tags:
             return BoundarySpec("dirichlet")
         return self
 

@@ -1,8 +1,13 @@
 """Experiment runner: config in, artifacts out.
 
-A run parses one INI-style config, builds the mesh/metric/weight/boundary
-stack, dispatches the requested task, and writes `spectrum.csv`,
-`summary.json`, and optionally `counting.svg` into the output directory.
+A run parses one INI-style config and follows one pipeline for every
+task. It removes any earlier run's artifacts from the output directory,
+assembles one pencil and solves it once, at the t and depth the task's
+checks need; `converge` runs `weyl.convergence_study` instead and goes on
+from its finest level. Only the checks differ by task: a checker's report
+(bracket, sandwich, varprin) or the Weyl fit (weyl). One tail then cuts
+the spectrum at k_each, writes `spectrum.csv` and optionally
+`counting.svg`, and writes `summary.json` last.
 Exit codes: 0 when every enabled check passes, 1 when a check fails,
 2 for config problems, 3 for modeling violations (such as a weight that
 integrates to zero on a pure Neumann problem), 4 for solver failures and
@@ -23,6 +28,8 @@ one config reproduces every artifact byte for byte.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import inspect
 import os
 import sys
@@ -84,6 +91,10 @@ EXIT_SOLVER = 4
 EXIT_FIT = 5
 
 TASKS = ("solve", "weyl", "bracket", "sandwich", "varprin", "converge")
+
+# every file a run may write
+_ARTIFACTS = ("spectrum.csv", "counting.svg", "convergence.csv",
+              "summary.json")
 
 
 class ConfigError(ValueError):
@@ -555,131 +566,93 @@ def emit_svg(s, target, path):
 # task runners
 
 
-def _fields(cfg):
-    """The config's metric, weight and boundary conditions."""
-    return (build_metric(cfg.metric_spec), build_weight(cfg.weight_spec),
-            build_boundary(cfg.boundary_spec))
+def _solve(cfg, p):
+    """The task's one solve of p, at the t and depth its checks need;
+    only varprin's checkers read eigenvectors."""
+    t, depth = cfg.t, cfg.k_each
+    if cfg.task == "bracket":
+        t, depth = (t if t > 0.0 else 1.0), max(depth, cfg.k_max)
+    elif cfg.task == "sandwich":
+        t, depth = 0.0, max(depth, cfg.k_max + p.tau)
+    elif cfg.task == "varprin":
+        depth = max(depth, cfg.k + 1)
+    return solve_weighted(p, t, k_each=depth, mode=cfg.mode,
+                          vectors=cfg.task == "varprin")
 
 
-def _solve_stack(cfg):
-    return assemble(_build_mesh(cfg.domain_kind, cfg.size),
-                    *_fields(cfg), cfg.quad_order)
-
-
-def _level_problem(cfg):
-    """`make_problem(level)` for `convergence_study`: the config's fields
-    on the mesh of size 2^level."""
-    fields = _fields(cfg)
-    return lambda level: (_build_mesh(cfg.domain_kind, 2 ** level),
-                          *fields)
-
-
-def _leading(s, k):
-    """The first k values of each sign of s, without eigenvectors."""
-    return Spectrum(s.pos[:k], s.neg[:k], meta=s.meta)
-
-
-def _spectrum_artifacts(cfg, p, s, out_dir):
-    tgt = weyl_constants(p.vol, p.masses)
-    csv_path = os.path.join(out_dir, "spectrum.csv")
-    write_spectrum_csv(s, tgt, csv_path)
-    artifacts = {"spectrum_csv": "spectrum.csv"}
-    if cfg.svg:
-        svg_path = os.path.join(out_dir, "counting.svg")
-        emit_svg(s, tgt, svg_path)
-        artifacts["counting_svg"] = "counting.svg"
-    return tgt, artifacts
+def _checks(cfg, m, g, w, bc, p, s):
+    """The task's own summary entries and its checks: a checker's report,
+    the Weyl fit, or neither."""
+    if cfg.task == "bracket":
+        report = check_bracketing(
+            s, m, named_partition(m, cfg.partition), g, w, bc,
+            k_max=cfg.k_max, quad_order=cfg.quad_order, mode=cfg.mode)
+        return {"report": report}, {"bracketing": report["passed"]}
+    if cfg.task == "sandwich":
+        report = check_sandwich(s, p, cfg.t_list, k_max=cfg.k_max,
+                                mode=cfg.mode)
+        return {"report": report}, {"sandwich": report["passed"]}
+    if cfg.task == "varprin":
+        reports = [check(s, p, cfg.k, cfg.trials, cfg.seed) for check in
+                   (check_poincare_minmax, check_rayleigh, check_courant)]
+        return ({"report": reports},
+                {rep["check"]: rep["passed"] for rep in reports})
+    if cfg.task == "solve":
+        return {}, {"solver_completed": True}
+    fit = fit_limit(s, cfg.window, target=weyl_constants(p.vol, p.masses))
+    checks = {"rel_dev_{}_below_0.10".format(label): side["rel_dev"] < 0.10
+              for label, side in fit["sides"].items()
+              if side != "empty side" and side["rel_dev"] is not None}
+    return {"fit": fit}, dict(checks, solver_completed=True)
 
 
 def run(cfg: ExperimentConfig) -> int:
     """Execute one config; returns the process exit status."""
     try:
-        out_dir = cfg.out_dir
-        os.makedirs(out_dir, exist_ok=True)
-        summary = {
-            "version": "v{}".format(__version__),
-            "task": cfg.task,
-            "config": cfg.resolved(),
-        }
-        checks = {}
-
+        os.makedirs(cfg.out_dir, exist_ok=True)
+        out = functools.partial(os.path.join, cfg.out_dir)
+        for name in _ARTIFACTS:  # a failed run leaves no earlier run's files
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(out(name))
+        g, w, bc = (build_metric(cfg.metric_spec),
+                    build_weight(cfg.weight_spec),
+                    build_boundary(cfg.boundary_spec))
         if cfg.task == "converge":
             rows, p, s = convergence_study(
-                _level_problem(cfg), cfg.levels, cfg.window, cfg.t,
-                k_each=cfg.k_each, quad_order=cfg.quad_order, mode=cfg.mode,
-                csv_path=os.path.join(out_dir, "convergence.csv"))
-            tgt, artifacts = _spectrum_artifacts(cfg, p, s, out_dir)
-            artifacts["convergence_csv"] = "convergence.csv"
-            summary["levels"] = rows
-            summary["targets"] = {"c_plus": tgt.c_plus,
-                                  "c_minus": tgt.c_minus, "vol": tgt.vol}
-            devs = [row["rel_dev_{}".format(side)]
-                    for row in rows for side in ("plus", "minus")
-                    if row["rel_dev_{}".format(side)] is not None]
-            checks["deviations_finite"] = all(np.isfinite(devs))
-        elif cfg.task == "bracket":
+                lambda level: (_build_mesh(cfg.domain_kind, 2 ** level),
+                               g, w, bc),
+                cfg.levels, cfg.window, cfg.t, k_each=cfg.k_each,
+                quad_order=cfg.quad_order, mode=cfg.mode,
+                csv_path=out("convergence.csv"))
+            summary = {"levels": rows}
+            checks = {"deviations_finite": all(
+                np.isfinite(row[key]) for row in rows for key in
+                ("rel_dev_plus", "rel_dev_minus") if row[key] is not None)}
+        else:
             m = _build_mesh(cfg.domain_kind, cfg.size)
-            g, w, bc = _fields(cfg)
-            t = cfg.t if cfg.t > 0.0 else 1.0
             p = assemble(m, g, w, bc, cfg.quad_order)
-            s = solve_weighted(p, t, k_each=max(cfg.k_each, cfg.k_max),
-                               mode=cfg.mode, vectors=False)
-            report = check_bracketing(
-                s, m, named_partition(m, cfg.partition), g, w, bc,
-                k_max=cfg.k_max, quad_order=cfg.quad_order, mode=cfg.mode)
-            _, artifacts = _spectrum_artifacts(cfg, p, _leading(s, cfg.k_each),
-                                               out_dir)
-            summary["report"] = report
-            checks["bracketing"] = report["passed"]
-        elif cfg.task == "sandwich":
-            p = _solve_stack(cfg)
-            s = solve_weighted(p, 0.0, k_each=max(cfg.k_each,
-                                                  cfg.k_max + p.tau),
-                               mode=cfg.mode, vectors=False)
-            report = check_sandwich(s, p, cfg.t_list, k_max=cfg.k_max,
-                                    mode=cfg.mode)
-            _, artifacts = _spectrum_artifacts(cfg, p, _leading(s, cfg.k_each),
-                                               out_dir)
-            summary["report"] = report
-            checks["sandwich"] = report["passed"]
-        elif cfg.task == "varprin":
-            p = _solve_stack(cfg)
-            s = solve_weighted(p, cfg.t, k_each=max(cfg.k_each, cfg.k + 1),
-                               mode=cfg.mode)
-            reports = [
-                check_poincare_minmax(s, p, cfg.k, cfg.trials, cfg.seed),
-                check_rayleigh(s, p, cfg.k, cfg.trials, cfg.seed),
-                check_courant(s, p, cfg.k, cfg.trials, cfg.seed),
-            ]
-            _, artifacts = _spectrum_artifacts(cfg, p, _leading(s, cfg.k_each),
-                                               out_dir)
-            summary["report"] = reports
-            for rep in reports:
-                checks[rep["check"]] = rep["passed"]
-        else:  # solve and weyl share the pipeline
-            p = _solve_stack(cfg)
-            s = solve_weighted(p, cfg.t, k_each=cfg.k_each, mode=cfg.mode,
-                               vectors=False)
-            tgt, artifacts = _spectrum_artifacts(cfg, p, s, out_dir)
-            summary["targets"] = {"c_plus": tgt.c_plus,
-                                  "c_minus": tgt.c_minus, "vol": tgt.vol}
-            summary["counts"] = {"plus": len(s.pos), "minus": len(s.neg)}
-            summary["method"] = s.meta.get("method")
-            checks["solver_completed"] = True
-            if cfg.task == "weyl":
-                fit = fit_limit(s, cfg.window, target=tgt)
-                summary["fit"] = fit
-                for label in ("plus", "minus"):
-                    side = fit["sides"][label]
-                    if side == "empty side" or side["rel_dev"] is None:
-                        continue
-                    checks["rel_dev_{}_below_0.10".format(label)] = (
-                        side["rel_dev"] < 0.10)
+            s = _solve(cfg, p)
+            summary, checks = _checks(cfg, m, g, w, bc, p, s)
 
-        summary["checks"] = checks
-        summary["passed"] = all(checks.values())
-        summary["artifacts"] = artifacts
-        save_report(summary, os.path.join(out_dir, "summary.json"))
+        # the tail every task shares: the leading k_each values of each
+        # sign, without eigenvectors, against the pencil's Weyl target
+        tgt = weyl_constants(p.vol, p.masses)
+        s = Spectrum(s.pos[:cfg.k_each], s.neg[:cfg.k_each], meta=s.meta)
+        write_spectrum_csv(s, tgt, out("spectrum.csv"))
+        if cfg.svg:
+            emit_svg(s, tgt, out("counting.svg"))
+        summary.update(
+            version="v{}".format(__version__), task=cfg.task,
+            config=cfg.resolved(),
+            # the directory held none of them when the run began
+            artifacts={name.replace(".", "_"): name for name in _ARTIFACTS
+                       if os.path.exists(out(name))},
+            targets={"c_plus": tgt.c_plus, "c_minus": tgt.c_minus,
+                     "vol": tgt.vol},
+            counts={"plus": len(s.pos), "minus": len(s.neg)},
+            method=s.meta.get("method"), checks=checks,
+            passed=all(checks.values()))
+        save_report(summary, out("summary.json"))
         return EXIT_OK if summary["passed"] else EXIT_CHECK_FAILED
     except ModelingError as exc:
         print("modeling error: {}".format(exc), file=sys.stderr)

@@ -275,13 +275,19 @@ class TestConstraintData:
         assert assemble(m, g, w, BoundarySpec.dirichlet()).tau == 0
         assert assemble(m, g, w, BoundarySpec.mixed({2})).tau == 0
 
-    def test_tau_mixed_with_absent_tag_is_neumann_like(self):
-        # tags {9} never appear on the square, so no vertex is constrained
-        m = generate_unit_square(3)
-        p = assemble(m, euclidean_metric(), constant_weight(1.0),
-                     BoundarySpec.mixed({9}))
-        assert p.n_free == p.n_vertices
-        assert p.tau == 1
+    @pytest.mark.parametrize("mesh, tags, message", [
+        (lambda: generate_unit_square(3), {9},
+         r"tags \[9\] are not on the mesh, whose tags are \[0, 1, 2, 3\]"),
+        (lambda: generate_unit_square(3), {1, 9}, r"tags \[9\] are not"),
+        (lambda: generate_disk(4), {1, 7},
+         r"tags \[1, 7\] are not on the mesh, whose tags are \[0\]"),
+    ], ids=["square-9", "square-1,9", "disk-1,7"])
+    def test_mixed_with_absent_tag_is_refused(self, mesh, tags, message):
+        # a tag the mesh lacks would constrain no vertex: refused, not
+        # solved as the Neumann problem it silently became
+        with pytest.raises(ValueError, match=message):
+            assemble(mesh(), euclidean_metric(), constant_weight(1.0),
+                     BoundarySpec.mixed(tags))
 
     def test_constraint_vector_sums_to_weight_integral(self):
         # sum_i r_i = integral rho d mu by partition of unity

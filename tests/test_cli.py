@@ -1,5 +1,6 @@
 """Config parsing, field builders, task runners, and SVG output."""
 
+import csv
 import json
 import os
 import re
@@ -519,6 +520,21 @@ class TestRunSolve:
         assert run(cfg) == 3
         assert "modeling error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind, boundary, message", [
+        ("square", "mixed:9", "tags [9] are not on the mesh, whose tags are "
+                              "[0, 1, 2, 3]"),
+        ("disk", "mixed:1,7", "tags [1, 7] are not on the mesh, whose tags "
+                              "are [0]"),
+    ], ids=["square", "disk"])
+    def test_mixed_tag_absent_from_the_mesh_exits_2(self, tmp_path, capsys,
+                                                    kind, boundary, message):
+        config = write_config(
+            tmp_path / "run.cfg",
+            "[domain]\nkind = {}\n[boundary]\nboundary = {}\n[output]\n"
+            "dir = {}\n".format(kind, boundary, tmp_path / "out"))
+        assert main(["solve", "--config", config]) == 2
+        assert message in capsys.readouterr().err
+
     def test_tiny_constant_weight_solves(self, tmp_path):
         # the spectrum of c rho is c times that of rho at every scale c
         out = tmp_path / "out"
@@ -722,6 +738,41 @@ class TestRunWeyl:
         assert len(calls) == 8 and sum(calls) == 2 * 128 * 128 * 3
 
 
+class TestRerun:
+    """A run first removes every artifact name of the CLI from its output
+    directory, so a failed or narrower rerun leaves no earlier run's files
+    beside its own."""
+
+    FIRST = {
+        "weyl": "[solver]\nk_each = 30\nwindow = 10,29\n",
+        "converge": "[solver]\nk_each = 30\nlevels = 3,4\nwindow = 10,29\n",
+    }
+
+    @staticmethod
+    def run_task(tmp_path, task, solver, svg="true"):
+        config = write_config(
+            tmp_path / "run.cfg",
+            "[domain]\nlevel = 3\n{}[output]\ndir = {}\nsvg = {}\n".format(
+                solver, tmp_path / "out", svg))
+        return main([task, "--config", config])
+
+    @pytest.mark.parametrize("first", sorted(FIRST))
+    def test_failed_rerun_leaves_no_artifacts(self, tmp_path, first):
+        assert self.run_task(tmp_path, first, self.FIRST[first]) in (0, 1)
+        assert len(os.listdir(tmp_path / "out")) == 3 + (first == "converge")
+        # the window ends past the 30 values computed: FitError, exit 5
+        assert self.run_task(tmp_path, "weyl", "[solver]\nk_each = 30\n"
+                             "window = 10,100\n") == 5
+        assert os.listdir(tmp_path / "out") == []
+
+    def test_rerun_without_svg_removes_the_old_plot(self, tmp_path):
+        assert self.run_task(tmp_path, "solve", "") == 0
+        assert (tmp_path / "out" / "counting.svg").exists()
+        assert self.run_task(tmp_path, "solve", "", svg="false") == 0
+        assert sorted(os.listdir(tmp_path / "out")) == [
+            "spectrum.csv", "summary.json"]
+
+
 class TestFitFailures:
     """A spectrum too short for the fit window exits 5 after the solve; a
     window that cannot be a fit window exits 2 before it."""
@@ -829,6 +880,32 @@ class TestRunReportTasks:
         "bracket": "[solver]\nk_each = 12\nk_max = 8\nt = 1.0\n",
         "varprin": "[solver]\nk_each = 12\nk = 3\ntrials = 5\n",
     }
+
+    @pytest.mark.parametrize("task", sorted(TASK_CONFIGS))
+    def test_every_task_reports_through_one_tail(self, tmp_path, monkeypatch,
+                                                 task):
+        solves = []
+        solve = roughweyl.cli.solve_weighted
+
+        def spy(*args, **kw):
+            solves.append(args)
+            return solve(*args, **kw)
+
+        monkeypatch.setattr(roughweyl.cli, "solve_weighted", spy)
+        out = tmp_path / "out"
+        cfg = ExperimentConfig.from_text(
+            "task = {}\n[domain]\nlevel = 4\n{}[output]\ndir = {}\n".format(
+                task, self.TASK_CONFIGS[task], out))
+        assert run(cfg) in (0, 1)
+        summary = json.loads((out / "summary.json").read_text())
+        assert {"targets", "counts", "method"} <= set(summary)
+        with open(out / "spectrum.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert summary["counts"] == {
+            side: sum(row["lambda_" + side] != "" for row in rows)
+            for side in ("plus", "minus")}
+        # converge solves each level inside `convergence_study`
+        assert len(solves) == (task != "converge")
 
     @pytest.mark.parametrize("task", sorted(TASK_CONFIGS))
     def test_only_varprin_asks_for_eigenvectors(self, tmp_path, monkeypatch,
