@@ -571,7 +571,9 @@ def _solve(cfg, p):
     only varprin's checkers read eigenvectors."""
     t, depth = cfg.t, cfg.k_each
     if cfg.task == "bracket":
-        t, depth = (t if t > 0.0 else 1.0), max(depth, cfg.k_max)
+        if t == 0.0:
+            raise ConfigError("solver.t: bracket needs t > 0, got 0")
+        depth = max(depth, cfg.k_max)
     elif cfg.task == "sandwich":
         t, depth = 0.0, max(depth, cfg.k_max + p.tau)
     elif cfg.task == "varprin":

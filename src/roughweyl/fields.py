@@ -227,7 +227,7 @@ def piecewise_metric(regions) -> MetricField:
     mats = []
     for _pred, mat in regions:
         mat = np.asarray(mat, dtype=float)
-        if mat.shape != (2, 2) or abs(mat[0, 1] - mat[1, 0]) > 1e-12:
+        if mat.shape != (2, 2) or abs(mat[0, 1] - mat[1, 0]) > 1e-12 * abs(mat).max():
             raise ValueError("region matrix must be symmetric 2x2")
         ev = np.linalg.eigvalsh(mat)
         if ev[0] <= 0:
@@ -573,24 +573,25 @@ def sym_eigvals_2x2(G):
     return out
 
 
-# slack on the declared eigenvalue bounds, for roundoff in the samples
+# relative slack on the declared eigenvalue bounds, for sample roundoff
 _AUDIT_TOL = 1e-9
 
 
 def comparability_audit(g: MetricField, points):
-    """Assert symmetry and declared eigenvalue bounds, up to _AUDIT_TOL, at
-    the given points.
+    """Assert symmetry, to 1e-12 of the largest |G| entry, and the declared
+    eigenvalue bounds, to _AUDIT_TOL of each, at the given points.
 
     Returns the evaluated (m, 2, 2) matrices so callers do not evaluate twice.
     """
     G = g.matrices(points)
-    asym = np.abs(G[:, 0, 1] - G[:, 1, 0]).max() if len(G) else 0.0
-    if asym > 1e-12:
-        raise ComparabilityError("metric asymmetry {:.3e} exceeds 1e-12".format(asym))
+    asym = np.abs(G[:, 0, 1] - G[:, 1, 0]).max(initial=0.0)
+    if asym > 1e-12 * np.abs(G).max(initial=0.0):
+        raise ComparabilityError("metric asymmetry {:.3e} exceeds 1e-12 of "
+                                 "its largest entry".format(asym))
     ev = sym_eigvals_2x2(G)
     lo, hi = g.c_lo ** 2, g.c_hi ** 2
-    if len(ev) and (ev[:, 0].min() < lo - _AUDIT_TOL
-                    or ev[:, 1].max() > hi + _AUDIT_TOL):
+    if len(ev) and (ev[:, 0].min() < lo * (1.0 - _AUDIT_TOL)
+                    or ev[:, 1].max() > hi * (1.0 + _AUDIT_TOL)):
         raise ComparabilityError(
             "metric eigenvalues [{:.6g}, {:.6g}] leave declared [{:.6g}, {:.6g}]".format(
                 ev[:, 0].min(), ev[:, 1].max(), lo, hi

@@ -44,9 +44,11 @@ grid, 37.3 s, within 0.1 s of the per-solve best (a fixed 3000-row limit:
 re-fitted for `_krylov_schur`, which replaced it.
 
 Dense: Cholesky-based reduction of the pencil and a full symmetric
-eigensolve, which doubles as the trusted oracle.
-The forms are densified in Fortran order, so LAPACK takes them without a
-copy and overwrites them; the grounded rank-two term is applied in place.
+eigensolve, which doubles as the trusted oracle, once the mass form has
+passed the factor step and verdict that Lanczos uses: one rule judges the
+coercivity of every solve. The forms are densified in Fortran order, so
+LAPACK takes them without a copy and overwrites them; the grounded
+rank-two term is applied in place.
 Eigenvalues alone come from `dsygv`, which asks for its optimal workspace
 and so tridiagonalizes on the blocked path (`dsygvd` gets the minimal one
 from scipy and runs unblocked); eigenpairs take divide and conquer
@@ -146,8 +148,8 @@ _MULT_TOL = 1e-8  # relative clustering width for multiplicity reporting
 _PIVOT_TOL = 1e-10
 _MAX_RESTARTS = 1000  # restarts of one Lanczos run before it fails
 _ROTATE_COLS = 256  # column block of a restart's basis product
-_NOT_SPD = ("coercive form could not be factorized; supply t > 0 or a "
-            "constraint ({})")
+_NOT_SPD = ("coercive form could not be factorized: it is singular or nearly "
+            "so; supply a larger t or a constraint ({})")
 
 
 class SolverError(RuntimeError):
@@ -240,13 +242,6 @@ def _split_signed(w, V, k_each):
     return pos, neg, vp, vn
 
 
-def _refuse_dense(n):
-    """Raise SolverError for a dense form of n rows above `_DENSE_LIMIT`."""
-    if n > _DENSE_LIMIT:
-        raise SolverError("{} rows would be densified, above the {}-row cap "
-                          "of the dense path".format(n, _DENSE_LIMIT))
-
-
 def _ground(A, M, rf):
     """The grounded pencil (A', M', w', r') of (A, M) on S = {rf . v = 0}.
 
@@ -292,11 +287,14 @@ def _subtract_symmetric(B, u, w):
 def _dense_forms(A, M, rf):
     """Dense Fortran-ordered (A, M), or with a constraint vector the
     grounded pencil of `_ground`, its rank-two term subtracted from A in
-    place. A pencil above `_DENSE_LIMIT` rows is refused before anything
-    is densified."""
+    place. A pencil above `_DENSE_LIMIT` rows, or whose M fails the
+    factor step's verdict, is refused before anything is densified."""
     if rf is not None:
         A, M, w, r = _ground(A, M, rf)
-    _refuse_dense(M.shape[0])
+    if M.shape[0] > _DENSE_LIMIT:
+        raise SolverError("{} rows would be densified, above the {}-row cap "
+                          "of the dense path".format(M.shape[0], _DENSE_LIMIT))
+    _spd_verdict(_symmetric_factor(M, _NOT_SPD))
     A, M = A.toarray(order="F"), M.toarray(order="F")
     if rf is not None:
         _subtract_symmetric(A, w, r)
@@ -346,9 +344,10 @@ def _symmetric_factor(A, failed):
 
 
 def _spd_verdict(lu):
-    """The pivot read: SolverError unless every pivot of `lu` is positive
-    and at least `_PIVOT_TOL` times the largest one. It builds the L and U
-    copies, so the Lanczos driver reads it after its Krylov run."""
+    """The one coercivity verdict, on the mass form of every solve, dense
+    or Lanczos: SolverError unless every pivot of `lu` is positive and at
+    least `_PIVOT_TOL` times the largest one. It builds the L and U copies,
+    so the Lanczos driver reads it after its Krylov run."""
     piv = lu.U.diagonal()
     ratio = piv.min() / np.abs(piv).max()
     if ratio <= _PIVOT_TOL:

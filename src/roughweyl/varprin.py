@@ -38,7 +38,8 @@ the checked pencil, at the checked t and deep enough for the check, or
 the checker raises ValueError.
 
 Every checker that densifies a form refuses, with SolverError, a pencil
-above the dense path's cap of `spectral._DENSE_LIMIT` rows.
+above the dense path's cap of `spectral._DENSE_LIMIT` rows, or one whose
+mass form fails the factor step's verdict, as the dense solve does.
 `check_inertia` densifies nothing and reads eigenvalues only: it compares
 the computed counting function with exact Sylvester-inertia counts
 (`spectral.count_inertia`) at probes in the gaps of the spectrum.

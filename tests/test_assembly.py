@@ -362,13 +362,19 @@ class TestPoincareConstant:
         for a, b in zip(errs, errs[1:]):
             assert 3.7 < a / b < 4.3
 
-    def test_conformal_quarter(self):
+    @pytest.mark.parametrize("L", [2.0, 1e3, 1e7])
+    @pytest.mark.parametrize("bc", [BoundarySpec.dirichlet(),
+                                    BoundarySpec.neumann()],
+                             ids=["dirichlet", "neumann"])
+    def test_conformal_scaling(self, bc, L):
+        # the metric L^2 I is the square scaled by L, so C L^2 is the same
+        # at every L: C has no threshold of its own to fall below
         m = generate_unit_square(8)
         w = constant_weight(1.0)
-        bc = BoundarySpec.dirichlet()
         mu1 = poincare_constant(assemble(m, euclidean_metric(), w, bc))
-        mu4 = poincare_constant(assemble(m, scaled_identity_metric(4.0), w, bc))
-        np.testing.assert_allclose(mu4, mu1 / 4.0, rtol=1e-12)
+        muL = poincare_constant(assemble(m, scaled_identity_metric(L * L),
+                                         w, bc))
+        np.testing.assert_allclose(muL * L * L, mu1, rtol=1e-12)
 
     @pytest.mark.parametrize("bc", [BoundarySpec.neumann(), BoundarySpec.dirichlet()])
     def test_sparse_path_matches_dense(self, bc):

@@ -622,6 +622,25 @@ class TestRunSolve:
         assert run(cfg) == 4
         assert "3969 rows" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k_each", [5, 10])
+    def test_nearly_singular_form_exits_4_on_either_path(self, tmp_path,
+                                                         capsys, k_each):
+        # K + 1e-14 Mm on the Neumann square fails the factor step's
+        # verdict; auto sends its 289 rows to Lanczos at k_each = 5 and to
+        # the dense path at k_each = 10, and both refuse it
+        from roughweyl.spectral import _goes_dense
+
+        assert _goes_dense(17 * 17, k_each, (1.0, 0.0), "auto") == (
+            k_each == 10)
+        config = write_config(
+            tmp_path / "run.cfg",
+            "[domain]\nlevel = 4\n[boundary]\nboundary = neumann\n"
+            "[solver]\nt = 1e-14\nk_each = {}\n[output]\ndir = {}\n".format(
+                k_each, tmp_path / "out"))
+        assert main(["solve", "--config", config]) == 4
+        assert "could not be factorized" in capsys.readouterr().err
+        assert os.listdir(tmp_path / "out") == []
+
     def test_out_of_memory_is_stated_not_a_failed_check(self, tmp_path,
                                                         capsys, monkeypatch):
         # level 40 asks numpy for 8 TiB; the stand-in mesh allocates nothing
@@ -829,6 +848,23 @@ class TestRunReportTasks:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["checks"]["sandwich"] is True
         assert summary["report"]["tau"] == 0
+
+    def test_bracket_without_t_exits_2_before_the_solve(self, tmp_path,
+                                                        capsys, monkeypatch):
+        # bracketing is of the t-regularized problem: t = 0, the default,
+        # is refused, not replaced by another t
+        solves = []
+        monkeypatch.setattr(roughweyl.cli, "solve_weighted",
+                            lambda *a, **kw: solves.append(a))
+        config = write_config(
+            tmp_path / "run.cfg",
+            "[domain]\nlevel = 3\n[solver]\nk_each = 12\nk_max = 8\n"
+            "[output]\ndir = {}\n".format(tmp_path / "out"))
+        assert main(["bracket", "--config", config]) == 2
+        assert "config error: solver.t: bracket needs t > 0" in (
+            capsys.readouterr().err)
+        assert solves == []
+        assert os.listdir(tmp_path / "out") == []
 
     @staticmethod
     def spy_solves(monkeypatch):

@@ -173,6 +173,20 @@ class TestPiecewise:
         with pytest.raises(ValueError):
             piecewise_metric([(lambda p: np.ones(len(p), bool), -np.eye(2))])
 
+    @pytest.mark.parametrize("s", [1.0, 1e6, 1e8])
+    def test_rotated_region_accepted_in_any_units(self, s):
+        # its roundoff asymmetry is 4.4e-11 at s = 1e6 and 3.7e-9 at 1e8
+        c, sn = np.cos(0.1), np.sin(0.1)
+        R = np.array([[c, -sn], [sn, c]])
+        mat = R @ np.diag([s, 2.0 * s]) @ R.T
+        g = piecewise_metric([(lambda p: np.ones(len(p), bool), mat)])
+        comparability_audit(g, sample_points())
+
+    def test_asymmetric_region_rejected(self):
+        mat = np.array([[1e6, 1.0], [0.0, 1e6]])
+        with pytest.raises(ValueError, match="symmetric"):
+            piecewise_metric([(lambda p: np.ones(len(p), bool), mat)])
+
 
 class TestPullback:
     def test_identity_map(self):
@@ -384,6 +398,25 @@ class TestAudit:
         mat = np.array([[1.0, 0.5], [0.2, 1.0]])
         g = MetricField(lambda pts: np.broadcast_to(mat, (len(pts), 2, 2)), 0.5, 2.0)
         with pytest.raises(ComparabilityError, match="asymmetry"):
+            comparability_audit(g, sample_points())
+
+    @pytest.mark.parametrize("s", [1.0, 1e4, 1e6])
+    def test_rotated_metric_passes_in_any_units(self, s):
+        # R diag(s, 2s) R^T is symmetric up to roundoff of its own size:
+        # 2.7e-12 at s = 1e4, 1.2e-10 at s = 1e6
+        def rotated(pts):
+            c, sn = np.cos(np.pi * pts[:, 0]), np.sin(np.pi * pts[:, 0])
+            R = np.stack([np.stack([c, -sn], -1), np.stack([sn, c], -1)], -2)
+            return R @ np.diag([s, 2.0 * s]) @ np.swapaxes(R, 1, 2)
+
+        g = MetricField(rotated, np.sqrt(s), np.sqrt(2.0 * s))
+        comparability_audit(g, sample_points())
+
+    @pytest.mark.parametrize("s", [1e-12, 1.0, 1e6])
+    def test_metric_ten_times_its_bounds_caught_in_any_units(self, s):
+        g = MetricField(lambda pts: np.broadcast_to(
+            10.0 * s * np.eye(2), (len(pts), 2, 2)), np.sqrt(s), np.sqrt(s))
+        with pytest.raises(ComparabilityError, match="eigenvalues"):
             comparability_audit(g, sample_points())
 
     def test_deterministic_evaluation(self):

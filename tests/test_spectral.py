@@ -316,6 +316,43 @@ class TestFactorVerdict:
         with pytest.raises(SolverError, match="could not be factorized"):
             self.SINGULAR[case]()
 
+    # the singular pencils of SINGULAR at sizes under the dense cap, where
+    # LAPACK's Cholesky alone finishes and returns lambda_1^+ of 4e13 to 6e14
+    UNDER_CAP = {
+        "lying_neumann_16": (lambda: TestFactorVerdict.lying(16), 100),
+        "lying_neumann_40": (lambda: TestFactorVerdict.lying(40), 100),
+        "two_squares_grounded_24": (lambda: assemble(
+            two_squares(24), euclidean_metric(), constant_weight(1.0),
+            BoundarySpec.neumann()), 10),
+    }
+
+    @pytest.mark.parametrize("mode", FORCED)
+    @pytest.mark.parametrize("case", sorted(UNDER_CAP))
+    def test_singular_form_is_refused_on_both_paths(self, case, mode):
+        pencil, k_each = self.UNDER_CAP[case]
+        with pytest.raises(SolverError, match="could not be factorized"):
+            solve_weighted(pencil(), 0.0, k_each, mode=mode, vectors=False)
+
+    @pytest.mark.parametrize("mode", FORCED)
+    @pytest.mark.parametrize("t", [1e-12, 1e-14])
+    def test_nearly_singular_shift_is_refused_on_both_paths(self, t, mode):
+        # K + t Mm on the Neumann square has lambda_1^+ = 1 / t exactly;
+        # its min/max pivot is about t / 4, under the verdict's 1e-10 from
+        # t = 4e-10 down
+        p = square_pencil(16, bc=BoundarySpec.neumann())
+        with pytest.raises(SolverError, match="could not be factorized"):
+            solve_weighted(p, t, 10, mode=mode, vectors=False)
+
+    def test_small_shift_solves_alike_on_both_paths(self):
+        # K + t Mm passes the verdict at t = 1e-6, but its condition number
+        # of about 1e8 limits both paths to some 1e-7 relative (5e-8 apart)
+        p = square_pencil(16, bc=BoundarySpec.neumann())
+        dense, lanczos = (solve_weighted(p, 1e-6, 10, mode=mode,
+                                         vectors=False) for mode in FORCED)
+        assert lanczos.meta["method"] == "sparse-lanczos"
+        np.testing.assert_allclose(dense.pos[0], 1e6, rtol=1e-6)
+        np.testing.assert_allclose(lanczos.pos, dense.pos, rtol=1e-6)
+
     @pytest.mark.parametrize("bc", [BoundarySpec.dirichlet(),
                                     BoundarySpec.neumann()],
                              ids=["dirichlet", "neumann"])
